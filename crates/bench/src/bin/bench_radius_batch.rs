@@ -318,7 +318,8 @@ fn main() {
             ShardRouter::baseline(&cloud, KdTreeConfig::default(), par_cfg)
         } else {
             ShardRouter::bonsai(&cloud, KdTreeConfig::default(), par_cfg)
-        };
+        }
+        .snapshot();
         let mut batch = QueryBatch::new();
         let router_qps = measure_qps(query_n, budget_ms, || {
             router.search_batch(&queries, RADIUS, &mut batch);
@@ -411,11 +412,13 @@ fn main() {
         KdTreeConfig::default(),
         ShardConfig::with_shards(SHARDS),
     );
+    // The static topology never mutates, so one snapshot serves it.
+    let static_snap = static_router.snapshot();
     let mut batch = QueryBatch::new();
     let static_skew_qps = measure_qps(skew.len(), budget_ms, || {
         let mut total = 0;
         for w in skew.chunks(win_len) {
-            static_router.search_batch(w, RADIUS, &mut batch);
+            static_snap.search_batch(w, RADIUS, &mut batch);
             total += batch.total_matches();
         }
         total
@@ -430,14 +433,18 @@ fn main() {
     // ego corridor before the clock starts.
     for _ in 0..6 {
         for w in skew.chunks(win_len) {
-            adaptive_router.search_batch(w, RADIUS, &mut batch);
+            adaptive_router
+                .snapshot()
+                .search_batch(w, RADIUS, &mut batch);
             adaptive_router.adapt_step(&policy, 0);
         }
     }
     let adaptive_skew_qps = measure_qps(skew.len(), budget_ms, || {
         let mut total = 0;
         for w in skew.chunks(win_len) {
-            adaptive_router.search_batch(w, RADIUS, &mut batch);
+            adaptive_router
+                .snapshot()
+                .search_batch(w, RADIUS, &mut batch);
             adaptive_router.adapt_step(&policy, 0);
             total += batch.total_matches();
         }
@@ -450,8 +457,10 @@ fn main() {
     // global order — same cloud, same indices).
     {
         let mut expect = QueryBatch::new();
-        static_router.search_batch(&skew, RADIUS, &mut expect);
-        adaptive_router.search_batch(&skew, RADIUS, &mut batch);
+        static_snap.search_batch(&skew, RADIUS, &mut expect);
+        adaptive_router
+            .snapshot()
+            .search_batch(&skew, RADIUS, &mut batch);
         for i in 0..skew.len() {
             assert_eq!(
                 batch.results(i),
@@ -462,7 +471,7 @@ fn main() {
     }
 
     let static_uniform_qps = measure_qps(query_n, budget_ms, || {
-        static_router.search_batch(&auniform, RADIUS, &mut batch);
+        static_snap.search_batch(&auniform, RADIUS, &mut batch);
         batch.total_matches()
     });
     let mut uniform_router = ShardRouter::bonsai(
@@ -471,7 +480,9 @@ fn main() {
         ShardConfig::with_shards(SHARDS),
     );
     let adaptive_uniform_qps = measure_qps(query_n, budget_ms, || {
-        uniform_router.search_batch(&auniform, RADIUS, &mut batch);
+        uniform_router
+            .snapshot()
+            .search_batch(&auniform, RADIUS, &mut batch);
         uniform_router.adapt_step(&policy, 0);
         batch.total_matches()
     });
@@ -497,6 +508,7 @@ fn main() {
     // and averaged over repeated passes.
     let worker_makespan_ms =
         |router: &ShardRouter, stream: &[bonsai_geom::Point3], chunk: usize| -> f64 {
+            let router = router.snapshot();
             let partition = router.worker_partition(WORKERS);
             let windows: Vec<&[bonsai_geom::Point3]> = stream.chunks(chunk).collect();
             let mut cell_ms = vec![vec![0.0f64; windows.len()]; partition.len()];
@@ -615,44 +627,40 @@ fn main() {
     let _ = writeln!(json, "    \"rejected\": {},", adaptive_report.rejected);
     let _ = writeln!(json, "    \"populated_shards\": {populated},");
 
-    // Exactness across all three modes, both SIMD arms: an adapted
+    // Exactness across both modes, both SIMD arms: an adapted
     // router must reproduce the single-tree engine's neighbor sets bit
     // for bit (canonical ascending order), scalar and vector alike.
     {
         let ov = simd::scalar_override();
         let probes: Vec<_> = skew.iter().copied().step_by(17).collect();
-        for mode in ["baseline", "bonsai", "software_codec"] {
-            let mut r = match mode {
-                "baseline" => ShardRouter::baseline(
+        for mode in ["baseline", "bonsai"] {
+            let mut r = if mode == "baseline" {
+                ShardRouter::baseline(
                     &cloud,
                     KdTreeConfig::default(),
                     ShardConfig::with_shards(SHARDS),
-                ),
-                "bonsai" => ShardRouter::bonsai(
+                )
+            } else {
+                ShardRouter::bonsai(
                     &cloud,
                     KdTreeConfig::default(),
                     ShardConfig::with_shards(SHARDS),
-                ),
-                _ => ShardRouter::software_codec(
-                    &cloud,
-                    KdTreeConfig::default(),
-                    ShardConfig::with_shards(SHARDS),
-                ),
+                )
             };
             for w in skew.chunks(win_len) {
-                r.search_batch(w, RADIUS, &mut batch);
+                r.snapshot().search_batch(w, RADIUS, &mut batch);
                 r.adapt_step(&policy, 0);
             }
-            let engine = match mode {
-                "baseline" => RadiusSearchEngine::baseline(tree.kd_tree()),
-                "bonsai" => RadiusSearchEngine::bonsai(&tree),
-                _ => RadiusSearchEngine::software_codec(&tree),
+            let engine = if mode == "baseline" {
+                RadiusSearchEngine::baseline(tree.kd_tree())
+            } else {
+                RadiusSearchEngine::bonsai(&tree)
             };
             let mut expect = QueryBatch::new();
             for &scalar in &[true, false] {
                 ov.set(scalar);
                 engine.search_batch(&probes, RADIUS, &mut expect);
-                r.search_batch(&probes, RADIUS, &mut batch);
+                r.snapshot().search_batch(&probes, RADIUS, &mut batch);
                 for (i, _) in probes.iter().enumerate() {
                     let mut want = expect.results(i).to_vec();
                     want.sort_unstable_by_key(|n| n.index);
@@ -666,14 +674,14 @@ fn main() {
         }
         ov.set(false);
     }
-    let _ = writeln!(json, "    \"exactness_modes\": 3,");
+    let _ = writeln!(json, "    \"exactness_modes\": 2,");
     let _ = writeln!(json, "    \"exactness_simd_arms\": 2");
     let _ = writeln!(json, "  }},");
 
     // ------------------------------------------------------------------
     // SIMD leaf sweeps: scalar vs the runtime-detected vector backend,
-    // per mode. Two views: the isolated sweep kernel (`sweep_leaf`
-    // over every leaf, points/s — the number the ≥1.5× acceptance
+    // per mode. Two views: the isolated sweep kernel (`sweep_visited`
+    // over each query's collected leaves, points/s — the number the ≥1.5× acceptance
     // target reads) and the whole batched search (traversal included,
     // q/s). The scalar rows run through the process-wide override, so
     // one SIMD-enabled binary measures both paths.
@@ -919,7 +927,7 @@ fn main() {
             let fresh = BonsaiTree::build(live_pts, KdTreeConfig::default(), &mut sim);
             let mut batch = QueryBatch::new();
             let probes: Vec<_> = queries.iter().copied().step_by(97).collect();
-            router.search_batch(&probes, RADIUS, &mut batch);
+            router.snapshot().search_batch(&probes, RADIUS, &mut batch);
             for (i, &q) in probes.iter().enumerate() {
                 let mut expect = fresh.radius_search_simple(q, RADIUS);
                 for n in &mut expect {

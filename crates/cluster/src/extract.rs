@@ -105,20 +105,16 @@ pub fn extract_euclidean_clusters(
     let n = points.len();
 
     // Build the tree (Build kernel; + Compress kernel under Bonsai).
-    #[allow(clippy::large_enum_variant)] // one stack instance per extraction
-    enum Built {
-        Baseline(KdTree),
-        Bonsai(BonsaiTree),
-    }
-    let built = match mode {
-        TreeMode::Baseline => Built::Baseline(KdTree::build(points, tree_cfg, sim)),
-        TreeMode::Bonsai | TreeMode::SoftwareCodec => {
-            Built::Bonsai(BonsaiTree::build(points, tree_cfg, sim))
+    let (kd, compressed);
+    let (tree, bonsai): (&KdTree, Option<&BonsaiTree>) = match mode {
+        TreeMode::Baseline => {
+            kd = KdTree::build(points, tree_cfg, sim);
+            (&kd, None)
         }
-    };
-    let (tree, bonsai): (&KdTree, Option<&BonsaiTree>) = match &built {
-        Built::Baseline(t) => (t, None),
-        Built::Bonsai(b) => (b.kd_tree(), Some(b)),
+        TreeMode::Bonsai | TreeMode::SoftwareCodec => {
+            compressed = BonsaiTree::build(points, tree_cfg, sim);
+            (compressed.kd_tree(), Some(&compressed))
+        }
     };
 
     // Leaf processors are stateful (machine, scratch addresses); create
@@ -247,7 +243,7 @@ pub fn extract_euclidean_clusters(
 const PARALLEL_FRONTIER_MIN: usize = 512;
 
 /// A whole-batch radius searcher the BFS can drain frontiers through:
-/// the single-tree engine or the shard router, with the same
+/// the single-tree engine or a shard-router snapshot, with the same
 /// sequential/parallel split.
 pub(crate) trait FrontierSearcher {
     fn batch_seq(&self, queries: &[Point3], radius: f32, batch: &mut QueryBatch);
@@ -265,7 +261,7 @@ impl FrontierSearcher for RadiusSearchEngine<'_> {
     }
 }
 
-impl FrontierSearcher for ShardRouter {
+impl FrontierSearcher for bonsai_core::RouterSnapshot {
     fn batch_seq(&self, queries: &[Point3], radius: f32, batch: &mut QueryBatch) {
         self.search_batch(queries, radius, batch);
     }
@@ -399,25 +395,19 @@ pub fn extract_euclidean_clusters_batched(
     assert!(tolerance > 0.0, "cluster tolerance must be positive");
     let mut sim = SimEngine::disabled();
 
-    #[allow(clippy::large_enum_variant)] // one stack instance per extraction
-    enum Built {
-        Baseline(KdTree),
-        Bonsai(BonsaiTree),
-    }
-    let built = match mode {
-        TreeMode::Baseline => Built::Baseline(KdTree::build(points, tree_cfg, &mut sim)),
+    let (kd, compressed);
+    let (engine, compressed_bytes) = match mode {
+        TreeMode::Baseline => {
+            kd = KdTree::build(points, tree_cfg, &mut sim);
+            (RadiusSearchEngine::baseline(&kd), 0)
+        }
         TreeMode::Bonsai | TreeMode::SoftwareCodec => {
-            Built::Bonsai(BonsaiTree::build(points, tree_cfg, &mut sim))
+            compressed = BonsaiTree::build(points, tree_cfg, &mut sim);
+            let bytes = compressed.compression_stats().compressed_bytes;
+            (RadiusSearchEngine::bonsai(&compressed), bytes)
         }
     };
-    let (tree, engine, compressed_bytes) = match &built {
-        Built::Baseline(t) => (t, RadiusSearchEngine::baseline(t), 0),
-        Built::Bonsai(b) => (
-            b.kd_tree(),
-            RadiusSearchEngine::bonsai(b),
-            b.compression_stats().compressed_bytes,
-        ),
-    };
+    let tree = engine.tree();
 
     let mut search_stats = SearchStats::default();
     let clusters = bfs_connected_clusters(
@@ -435,6 +425,20 @@ pub fn extract_euclidean_clusters_batched(
         build_stats: tree.build_stats(),
         compressed_bytes,
         coverage: Coverage::default(),
+    }
+}
+
+/// The shard router serving `mode` (the software codec's fast path is
+/// the Bonsai scan).
+pub(crate) fn router_for(
+    mode: TreeMode,
+    points: &[Point3],
+    tree_cfg: KdTreeConfig,
+    cfg: ShardConfig,
+) -> ShardRouter {
+    match mode {
+        TreeMode::Baseline => ShardRouter::baseline(points, tree_cfg, cfg),
+        TreeMode::Bonsai | TreeMode::SoftwareCodec => ShardRouter::bonsai(points, tree_cfg, cfg),
     }
 }
 
@@ -483,12 +487,9 @@ pub fn extract_euclidean_clusters_sharded(
     // The router borrows the cloud (each shard copies only its own
     // points), so the original stays available for the BFS's
     // global-index coordinate lookups without a second full copy.
-    let router = match mode {
-        TreeMode::Baseline => ShardRouter::baseline(&points, tree_cfg, shard_cfg),
-        TreeMode::Bonsai => ShardRouter::bonsai(&points, tree_cfg, shard_cfg),
-        TreeMode::SoftwareCodec => ShardRouter::software_codec(&points, tree_cfg, shard_cfg),
-    };
-
+    let router = router_for(mode, &points, tree_cfg, shard_cfg);
+    // One snapshot serves every frontier of the extraction.
+    let snapshot = router.snapshot();
     let mut search_stats = SearchStats::default();
     let clusters = bfs_connected_clusters(
         &points,
@@ -496,7 +497,7 @@ pub fn extract_euclidean_clusters_sharded(
         min_cluster_size,
         max_cluster_size,
         &mut search_stats,
-        |queries, batch| search_frontier(&router, queries, tolerance, batch),
+        |queries, batch| search_frontier(&snapshot, queries, tolerance, batch),
     );
 
     ClusterOutput {

@@ -30,7 +30,9 @@ use bonsai_core::{
 use bonsai_geom::Point3;
 use bonsai_kdtree::{AuditViolation, KdTreeConfig, SearchStats};
 
-use crate::extract::{bfs_connected_clusters, search_frontier, ClusterOutput, TreeMode};
+use crate::extract::{
+    bfs_connected_clusters, router_for, search_frontier, ClusterOutput, TreeMode,
+};
 use crate::pipeline::PipelineError;
 
 /// One frame's difference against the live point set: coordinates to
@@ -111,25 +113,11 @@ impl StreamingExtractor {
             mode,
             tree_cfg,
             shards,
-            router: Self::make_router(mode, tree_cfg, shards, &[]),
+            router: router_for(mode, &[], tree_cfg, ShardConfig::with_shards(shards)),
             coords: Vec::new(),
             alive: Vec::new(),
             num_live: 0,
             matcher: HashMap::new(),
-        }
-    }
-
-    fn make_router(
-        mode: TreeMode,
-        tree_cfg: KdTreeConfig,
-        shards: usize,
-        points: &[Point3],
-    ) -> ShardRouter {
-        let cfg = ShardConfig::with_shards(shards);
-        match mode {
-            TreeMode::Baseline => ShardRouter::baseline(points, tree_cfg, cfg),
-            TreeMode::Bonsai => ShardRouter::bonsai(points, tree_cfg, cfg),
-            TreeMode::SoftwareCodec => ShardRouter::software_codec(points, tree_cfg, cfg),
         }
     }
 
@@ -380,7 +368,8 @@ impl StreamingExtractor {
             // frame 0 obeys the same mutation guard as every later
             // frame.
             let finite: Vec<Point3> = next.iter().copied().filter(|p| p.is_finite()).collect();
-            self.router = Self::make_router(self.mode, self.tree_cfg, self.shards, &finite);
+            let cfg = ShardConfig::with_shards(self.shards);
+            self.router = router_for(self.mode, &finite, self.tree_cfg, cfg);
             self.coords = finite;
             self.alive = vec![true; self.coords.len()];
             self.num_live = self.coords.len();
@@ -458,6 +447,9 @@ impl StreamingExtractor {
                 .collect();
             &masked
         };
+        // One snapshot serves every frontier; it drops on return, before
+        // any mutation it would otherwise force to copy shards.
+        let snapshot = self.router.snapshot();
         let mut search_stats = SearchStats::default();
         let clusters = bfs_connected_clusters(
             &self.coords,
@@ -465,7 +457,7 @@ impl StreamingExtractor {
             min_cluster_size,
             max_cluster_size,
             &mut search_stats,
-            |queries, batch| search_frontier(&self.router, queries, tolerance, batch),
+            |queries, batch| search_frontier(&snapshot, queries, tolerance, batch),
         );
         ClusterOutput {
             clusters,

@@ -150,7 +150,7 @@ impl ShardLoad {
     }
 }
 
-/// A point-in-time reading of one shard's cumulative [`ShardLoad`].
+/// A point-in-time reading of one shard's cumulative load counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LoadSample {
     /// Routed queries whose ball intersected this shard's box.

@@ -4,8 +4,8 @@
 //! uncompressed [`KdTree`] or a compressed [`BonsaiTree`] without
 //! touching the event-based simulator: the traversal is the iterative
 //! explicit-stack walk, leaf scans are linear sweeps over SoA rows
-//! baked at build time, and the per-tree state (error-bound LUT,
-//! scratch, result buffers) is created once and reused. With the
+//! baked at build time, and the caller's scratch and result buffers
+//! are reused. The error-bound LUT is one process-wide ROM. With the
 //! `parallel` feature, batches fan out over scoped `std::thread`
 //! workers.
 //!
@@ -15,16 +15,16 @@
 //! at the workspace root — and the [`SearchStats`] the engine produces
 //! aggregate to the same totals.
 
-use std::sync::Arc;
+use std::sync::OnceLock;
 
 use bonsai_floatfmt::PartErrorMem;
 use bonsai_geom::Point3;
-use bonsai_kdtree::{KdTree, Neighbor, Node, NodeId, QueryBatch, SearchScratch, SearchStats};
+use bonsai_kdtree::{KdTree, Neighbor, QueryBatch, SearchScratch, SearchStats};
 
 use bonsai_kdtree::simd::LeafVisit;
 
 use crate::simd::{classify_candidate, sweep_compressed_visited};
-use crate::tree::{ApproxSoa, BonsaiTree};
+use crate::tree::BonsaiTree;
 
 /// Which leaf representation the engine scans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -37,19 +37,22 @@ pub enum EngineMode {
     Compressed,
 }
 
-/// A reusable, batch-oriented radius-search engine over one tree.
+/// The error-bound ROM (`part_error_mem`, Fig. 7): built on first use
+/// and shared by every engine, router and snapshot in the process.
+fn error_rom() -> &'static PartErrorMem {
+    static ROM: OnceLock<PartErrorMem> = OnceLock::new();
+    ROM.get_or_init(PartErrorMem::new)
+}
+
+/// A batch-oriented radius-search engine borrowing one tree.
 ///
-/// Create it once per tree and keep it for the tree's lifetime; every
-/// search borrows the caller's scratch/batch buffers, so steady-state
-/// queries allocate nothing.
-///
-/// The engine holds no per-tree derived state of its own (just the
-/// 32-entry error-bound ROM), so it **stays valid across incremental
-/// updates**: after `BonsaiTree::insert`/`delete` + `commit`, searches
-/// see the mutated tree through the same SoA/directory references —
-/// nothing is rebuilt. Borrow-wise this means dropping the engine
-/// across the `&mut` mutation window and re-creating it, which is
-/// free.
+/// The engine is two references and no state of its own, so creating
+/// one is free: every search borrows the caller's scratch/batch
+/// buffers, so steady-state queries allocate nothing. It **stays
+/// valid across incremental updates** in the sense that nothing is
+/// derived from the tree: after `BonsaiTree::insert`/`delete` +
+/// `commit`, re-create it over the mutated tree and it searches the
+/// same SoA/directory references.
 ///
 /// # Examples
 ///
@@ -70,101 +73,33 @@ pub enum EngineMode {
 /// assert_eq!(batch.num_queries(), 32);
 /// assert!(batch.results(0).iter().any(|n| n.index == 0));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub struct RadiusSearchEngine<'t> {
-    handle: TreeHandle<'t>,
-    lut: PartErrorMem,
-}
-
-/// How the engine holds its tree: borrowed for the classic
-/// engine-per-tree usage (zero-cost, tied to the tree's lifetime) or
-/// `Arc`-shared for epoch-published serving, where the engine itself
-/// keeps the snapshot alive and is `'static` — free to move across the
-/// serving threads of `bonsai-serve`.
-#[derive(Debug)]
-enum TreeHandle<'t> {
-    Kd(&'t KdTree),
-    Bonsai(&'t BonsaiTree),
-    SharedKd(Arc<KdTree>),
-    SharedBonsai(Arc<BonsaiTree>),
-}
-
-impl TreeHandle<'_> {
-    fn kd(&self) -> &KdTree {
-        match self {
-            TreeHandle::Kd(t) => t,
-            TreeHandle::Bonsai(b) => b.kd_tree(),
-            TreeHandle::SharedKd(t) => t,
-            TreeHandle::SharedBonsai(b) => b.kd_tree(),
-        }
-    }
-
-    fn bonsai(&self) -> Option<&BonsaiTree> {
-        match self {
-            TreeHandle::Kd(_) | TreeHandle::SharedKd(_) => None,
-            TreeHandle::Bonsai(b) => Some(b),
-            TreeHandle::SharedBonsai(b) => Some(b),
-        }
-    }
+    tree: &'t KdTree,
+    /// The compressed leaves to scan; `None` scans `tree`'s `f32` rows.
+    bonsai: Option<&'t BonsaiTree>,
 }
 
 impl<'t> RadiusSearchEngine<'t> {
     /// An engine scanning uncompressed `f32` leaves.
     pub fn baseline(tree: &'t KdTree) -> RadiusSearchEngine<'t> {
-        RadiusSearchEngine {
-            handle: TreeHandle::Kd(tree),
-            lut: PartErrorMem::new(),
-        }
+        RadiusSearchEngine { tree, bonsai: None }
     }
 
     /// An engine scanning Bonsai-compressed leaves (exact membership).
+    /// The software-codec strawman computes the same approximate
+    /// distances, error bounds and fallbacks — only its simulated cost
+    /// differs — so this engine also reproduces its results.
     pub fn bonsai(tree: &'t BonsaiTree) -> RadiusSearchEngine<'t> {
         RadiusSearchEngine {
-            handle: TreeHandle::Bonsai(tree),
-            lut: PartErrorMem::new(),
+            tree: tree.kd_tree(),
+            bonsai: Some(tree),
         }
-    }
-
-    /// An engine matching the software-codec strawman's results.
-    ///
-    /// The software codec computes the same approximate distances,
-    /// error bounds and fallbacks as the hardware path — only its
-    /// simulated cost differs — so the fast scan is shared with
-    /// [`bonsai`](RadiusSearchEngine::bonsai).
-    pub fn software_codec(tree: &'t BonsaiTree) -> RadiusSearchEngine<'t> {
-        RadiusSearchEngine::bonsai(tree)
-    }
-
-    /// An engine co-owning an uncompressed tree snapshot: `'static`, so
-    /// it can be pinned inside an [`Epoch`](crate::Epoch) and searched
-    /// from any serving thread while mutation builds the next snapshot.
-    /// Results are identical to [`baseline`](RadiusSearchEngine::baseline)
-    /// over the same tree.
-    pub fn shared_baseline(tree: Arc<KdTree>) -> RadiusSearchEngine<'static> {
-        RadiusSearchEngine {
-            handle: TreeHandle::SharedKd(tree),
-            lut: PartErrorMem::new(),
-        }
-    }
-
-    /// An engine co-owning a Bonsai-compressed tree snapshot (the
-    /// `'static` twin of [`bonsai`](RadiusSearchEngine::bonsai)).
-    pub fn shared_bonsai(tree: Arc<BonsaiTree>) -> RadiusSearchEngine<'static> {
-        RadiusSearchEngine {
-            handle: TreeHandle::SharedBonsai(tree),
-            lut: PartErrorMem::new(),
-        }
-    }
-
-    /// The `'static` twin of
-    /// [`software_codec`](RadiusSearchEngine::software_codec).
-    pub fn shared_software_codec(tree: Arc<BonsaiTree>) -> RadiusSearchEngine<'static> {
-        RadiusSearchEngine::shared_bonsai(tree)
     }
 
     /// The leaf representation this engine scans.
     pub fn mode(&self) -> EngineMode {
-        if self.handle.bonsai().is_some() {
+        if self.bonsai.is_some() {
             EngineMode::Compressed
         } else {
             EngineMode::Baseline
@@ -172,8 +107,8 @@ impl<'t> RadiusSearchEngine<'t> {
     }
 
     /// The underlying k-d tree.
-    pub fn tree(&self) -> &KdTree {
-        self.handle.kd()
+    pub fn tree(&self) -> &'t KdTree {
+        self.tree
     }
 
     /// Answers one query, clearing `out` first. Allocation-free once
@@ -222,37 +157,6 @@ impl<'t> RadiusSearchEngine<'t> {
         });
     }
 
-    /// Runs only this engine's leaf-sweep kernel over one leaf,
-    /// appending hits to `out` (not cleared) and counting the sweep's
-    /// work into `stats` — the SIMD-or-scalar inner loop of
-    /// [`search_one`](RadiusSearchEngine::search_one) without the
-    /// traversal around it. Exposed for kernel-level tests; benches
-    /// should prefer [`sweep_visited`](RadiusSearchEngine::sweep_visited),
-    /// which amortizes the backend dispatch over a
-    /// whole visit list the way the search paths do. `radius` is
-    /// assumed searchable (the search entry points guard degenerate
-    /// radii before any sweep runs).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `leaf` is not a leaf node of the tree.
-    pub fn sweep_leaf(
-        &self,
-        leaf: NodeId,
-        query: Point3,
-        radius: f32,
-        out: &mut Vec<Neighbor>,
-        stats: &mut SearchStats,
-    ) {
-        let Node::Leaf { start, count } = self.handle.kd().nodes()[leaf as usize] else {
-            // lint: allow(panic-free-serving) — caller contract: the
-            // traversal only ever hands leaf ids to a leaf sweep;
-            // an interior id is a walker bug, not an input condition.
-            panic!("sweep_leaf of interior node {leaf}");
-        };
-        self.sweep_visited(&[(leaf, start, count)], query, radius, out, stats);
-    }
-
     /// Sweeps a collected visit list — `(leaf, start, count)` triples
     /// from [`KdTree::collect_leaves_in_radius`] (or hand-built over
     /// leaf nodes) — through this engine's leaf kernel: one backend
@@ -268,21 +172,20 @@ impl<'t> RadiusSearchEngine<'t> {
         stats: &mut SearchStats,
     ) {
         let r_sq = radius * radius;
-        let tree = self.handle.kd();
-        match self.handle.bonsai() {
-            None => tree.sweep_leaf_visits(visited, query, r_sq, out, stats),
-            Some(bonsai) => {
-                sweep_visited_compressed(bonsai, tree, &self.lut, visited, query, r_sq, out, stats);
-            }
+        match self.bonsai {
+            None => self
+                .tree
+                .sweep_leaf_visits(visited, query, r_sq, out, stats),
+            Some(bonsai) => sweep_compressed(bonsai, visited, query, r_sq, out, stats),
         }
     }
 
-    /// The shared per-query kernel: iterative traversal plus the
-    /// mode's leaf scan, **appending** hits to `out` (not cleared —
-    /// exactly the closure shape [`QueryBatch::push_query`] consumes,
-    /// which is how the `bonsai-serve` executor drives one engine
-    /// across a whole absorbed batch). Degenerate radii and non-finite
-    /// query centers append nothing and count no work.
+    /// The per-query kernel: iterative traversal plus the mode's leaf
+    /// sweep, **appending** hits to `out` (not cleared — exactly the
+    /// closure shape [`QueryBatch::push_query`] consumes, which is how
+    /// the shard router and the `bonsai-serve` executor drive it).
+    /// Degenerate radii and non-finite query centers append nothing
+    /// and count no work.
     pub fn search_append(
         &self,
         query: Point3,
@@ -291,61 +194,31 @@ impl<'t> RadiusSearchEngine<'t> {
         out: &mut Vec<Neighbor>,
         stats: &mut SearchStats,
     ) {
-        append_hits(
-            self.handle.kd(),
-            self.handle.bonsai(),
-            &self.lut,
-            query,
-            radius,
-            scratch,
-            out,
-            stats,
-        );
+        // Two-phase in both modes: collect the visited leaves, then
+        // sweep them all through one backend dispatch.
+        let mut visited = scratch.take_visited();
+        self.tree
+            .collect_leaves_in_radius(query, radius, scratch, stats, &mut visited);
+        self.sweep_visited(&visited, query, radius, out, stats);
+        scratch.store_visited(visited);
     }
 }
 
-/// The mode-dispatched per-query kernel, shared by
-/// [`RadiusSearchEngine`] and the [`ShardRouter`](crate::ShardRouter):
-/// iterative traversal of `tree` plus the baseline or compressed leaf
-/// scan, appending hits to `out` (not cleared). Degenerate radii are
-/// rejected inside the traversal and append nothing.
-#[allow(clippy::too_many_arguments)] // the flattened engine state
-pub(crate) fn append_hits(
-    tree: &KdTree,
-    bonsai: Option<&BonsaiTree>,
-    lut: &PartErrorMem,
-    query: Point3,
-    radius: f32,
-    scratch: &mut SearchScratch,
-    out: &mut Vec<Neighbor>,
-    stats: &mut SearchStats,
-) {
-    let r_sq = radius * radius;
-    // Two-phase in both modes: collect the visited leaves, then sweep
-    // them all through one backend dispatch.
-    let mut visited = scratch.take_visited();
-    tree.collect_leaves_in_radius(query, radius, scratch, stats, &mut visited);
-    match bonsai {
-        None => tree.sweep_leaf_visits(&visited, query, r_sq, out, stats),
-        Some(bonsai) => {
-            sweep_visited_compressed(bonsai, tree, lut, &visited, query, r_sq, out, stats);
-        }
-    }
-    scratch.store_visited(visited);
-}
-
-/// The compressed mode's whole visit-list sweep: counts each visited
-/// leaf's inspection work through its directory reference (deletions
-/// can hollow a leaf out completely — it owns no compressed structure
-/// and contributes nothing), then runs the classification sweep. The
-/// single site both `RadiusSearchEngine::sweep_visited` and the search
-/// paths go through, so the bench/test kernel can never drift from the
-/// real searches.
-#[allow(clippy::too_many_arguments)] // the flattened engine state
-fn sweep_visited_compressed(
+/// The compressed (Bonsai/software-codec) sweep of a query's visit
+/// list. It first counts each visited leaf's inspection work through
+/// its directory reference (deletions can hollow a leaf out completely
+/// — it owns no compressed structure and contributes nothing), then
+/// classifies: the SIMD lane path when a gather-capable backend is
+/// active, otherwise the scalar reference loop. Both evaluate, per
+/// point in visit order then ascending slot order, the same
+/// f16-approximate arithmetic as the SQDWE lanes — diff from the
+/// approximate coordinate, squared distance and Eq. 11 error
+/// accumulated x → y → z in `f32` — and run the identical
+/// LUT/shell/fallback tail ([`classify_candidate`]), so membership,
+/// `dist_sq` bits, hit order and [`SearchStats`] never depend on the
+/// backend.
+fn sweep_compressed(
     bonsai: &BonsaiTree,
-    tree: &KdTree,
-    lut: &PartErrorMem,
     visited: &[LeafVisit],
     query: Point3,
     r_sq: f32,
@@ -366,40 +239,10 @@ fn sweep_visited_compressed(
         stats.points_inspected += count as u64;
         stats.point_bytes_loaded += leaf_ref.padded_len() as u64;
     }
-    scan_compressed_visited(
-        bonsai.approx_soa(),
-        tree.vind(),
-        tree.points(),
-        lut,
-        visited,
-        query,
-        r_sq,
-        out,
-        stats,
-    );
-}
-
-/// The compressed (Bonsai/software-codec) sweep of a query's visit
-/// list: the SIMD lane path when a gather-capable backend is active,
-/// otherwise the scalar reference loop. Both evaluate, per point in
-/// visit order then ascending slot order, the same f16-approximate
-/// arithmetic as the SQDWE lanes — diff from the approximate
-/// coordinate, squared distance and Eq. 11 error accumulated
-/// x → y → z in `f32` — and run the identical LUT/shell/fallback tail
-/// ([`classify_candidate`]), so membership, `dist_sq` bits, hit order
-/// and [`SearchStats`] never depend on the backend.
-#[allow(clippy::too_many_arguments)] // the flattened sweep state
-pub(crate) fn scan_compressed_visited(
-    approx: &ApproxSoa,
-    vind: &[u32],
-    points: &[Point3],
-    lut: &PartErrorMem,
-    visited: &[LeafVisit],
-    query: Point3,
-    r_sq: f32,
-    out: &mut Vec<Neighbor>,
-    stats: &mut SearchStats,
-) {
+    let approx = bonsai.approx_soa();
+    let vind = bonsai.kd_tree().vind();
+    let points = bonsai.kd_tree().points();
+    let lut = error_rom();
     if sweep_compressed_visited(approx, vind, points, lut, visited, query, r_sq, out, stats) {
         return;
     }
@@ -571,7 +414,6 @@ mod tests {
         for engine in [
             RadiusSearchEngine::baseline(tree.kd_tree()),
             RadiusSearchEngine::bonsai(&tree),
-            RadiusSearchEngine::software_codec(&tree),
         ] {
             let mut scratch = SearchScratch::new();
             let mut out = Vec::new();
@@ -617,7 +459,7 @@ mod tests {
         let cloud = urban_cloud(500, 5);
         let mut sim = SimEngine::disabled();
         let tree = BonsaiTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
-        let engine = RadiusSearchEngine::software_codec(&tree);
+        let engine = RadiusSearchEngine::bonsai(&tree);
         assert_eq!(engine.mode(), EngineMode::Compressed);
         let mut proc = crate::SoftwareCodecProcessor::new(&mut sim, tree.directory());
         let mut scratch = SearchScratch::new();

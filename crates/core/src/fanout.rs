@@ -2,9 +2,10 @@
 //! (compiled only with the `parallel` feature).
 //!
 //! [`RadiusSearchEngine`](crate::RadiusSearchEngine),
-//! [`ShardRouter`](crate::ShardRouter) and the router's shard builds all
-//! split work across scoped `std::thread` workers the same way: resolve
-//! a thread count against the item count, chunk, run, merge in order.
+//! [`RouterSnapshot`](crate::RouterSnapshot) and the router's shard
+//! builds all split work across scoped `std::thread` workers the same
+//! way: resolve a thread count against the item count, chunk, run,
+//! merge in order.
 //! Keeping the logic here means a change to the clamping or the merge
 //! applies to every path at once.
 

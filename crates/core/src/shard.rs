@@ -5,10 +5,10 @@
 //! before its first query. A [`ShardRouter`] instead median-cuts the
 //! cloud into `K` spatial shards, builds an independent
 //! [`KdTree`]/[`BonsaiTree`] per shard (fanned out over threads with the
-//! `parallel` feature), and serves a [`QueryBatch`] by routing every
-//! query to exactly the shards whose bounding box intersects the query
-//! ball — the ikd-Tree idiom of many independently updated and queried
-//! spatial regions.
+//! `parallel` feature). Reads go through a [`RouterSnapshot`], which
+//! serves a [`QueryBatch`] by routing every query to exactly the shards
+//! whose bounding box intersects the query ball — the ikd-Tree idiom of
+//! many independently updated and queried spatial regions.
 //!
 //! **Exactness.** Per-point membership and the reported `dist_sq` bits
 //! are independent of tree shape in every mode: the baseline scan
@@ -20,8 +20,8 @@
 //! every contained point. The router therefore returns, for every
 //! query, the same neighbor set with bit-identical `(index, dist_sq)`
 //! values as a single-tree [`RadiusSearchEngine`] over the whole cloud
-//! — property-tested at the workspace root for all three modes
-//! (Baseline / Bonsai / SoftwareCodec). Hits are emitted in ascending
+//! — property-tested at the workspace root for both modes (Baseline /
+//! Bonsai). Hits are emitted in ascending
 //! global point index, a canonical order that is independent of the
 //! shard layout (a single tree emits leaf order instead, so compare
 //! after sorting). Traversal *counters* are aggregated per shard: they
@@ -31,7 +31,6 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use bonsai_floatfmt::PartErrorMem;
 use bonsai_geom::{Aabb, Point3};
 use bonsai_kdtree::{
     AuditViolation, BuildStats, KdTree, KdTreeConfig, Neighbor, QueryBatch, SearchScratch,
@@ -43,7 +42,7 @@ use crate::adapt::{
     find_best_split_plane_taxed, AdaptDecision, AdaptReport, AdaptState, LoadReport, RejectReason,
     ShardLoad, ShardLoadReport, ShardPolicy,
 };
-use crate::engine::{append_hits, EngineMode};
+use crate::engine::{EngineMode, RadiusSearchEngine};
 use crate::epoch::QueryError;
 use crate::tree::BonsaiTree;
 
@@ -133,6 +132,14 @@ impl ShardTree {
         match self {
             ShardTree::Baseline(_) => None,
             ShardTree::Bonsai(b) => Some(b),
+        }
+    }
+
+    /// The borrowed single-tree engine that searches this shard.
+    fn engine(&self) -> RadiusSearchEngine<'_> {
+        match self {
+            ShardTree::Baseline(t) => RadiusSearchEngine::baseline(t),
+            ShardTree::Bonsai(b) => RadiusSearchEngine::bonsai(b),
         }
     }
 
@@ -255,9 +262,10 @@ impl Default for Coverage {
     }
 }
 
-/// A sharded multi-tree radius-search front-end: `K` spatial shards,
-/// each with its own tree and engine state, behind the same batch API
-/// as the single-tree [`RadiusSearchEngine`].
+/// A sharded multi-tree radius index: `K` spatial shards, each with
+/// its own tree. The router owns mutation; every read goes through a
+/// [`RouterSnapshot`] ([`snapshot`](ShardRouter::snapshot)), which has
+/// the same batch API as the single-tree [`RadiusSearchEngine`].
 ///
 /// See the module source docs (`core/src/shard.rs`) for the exactness
 /// contract.
@@ -275,13 +283,12 @@ impl Default for Coverage {
 ///     &cloud, KdTreeConfig::default(), ShardConfig::with_shards(4));
 /// assert_eq!(router.num_shards(), 4);
 ///
+/// // Reads go through a point-in-time snapshot.
 /// let mut batch = QueryBatch::new();
-/// router.search_batch(&cloud[..32], 0.5, &mut batch);
+/// router.snapshot().search_batch(&cloud[..32], 0.5, &mut batch);
 /// assert_eq!(batch.num_queries(), 32);
 /// assert!(batch.results(0).iter().any(|n| n.index == 0));
 /// ```
-///
-/// [`RadiusSearchEngine`]: crate::RadiusSearchEngine
 #[derive(Debug)]
 pub struct ShardRouter {
     /// Copy-on-write shard storage: queries snapshot it with an O(K)
@@ -291,7 +298,6 @@ pub struct ShardRouter {
     shards: Vec<Arc<Shard>>,
     mode: EngineMode,
     num_points: usize,
-    lut: PartErrorMem,
     /// Tree construction parameters, kept for shards created by
     /// inserts into an empty router.
     tree_cfg: KdTreeConfig,
@@ -332,17 +338,6 @@ impl ShardRouter {
         ShardRouter::build(points, tree_cfg, cfg, EngineMode::Compressed)
     }
 
-    /// A router matching the software-codec strawman's results — the
-    /// fast scan is shared with [`bonsai`](ShardRouter::bonsai), exactly
-    /// as in the single-tree engine.
-    pub fn software_codec(
-        points: &[Point3],
-        tree_cfg: KdTreeConfig,
-        cfg: ShardConfig,
-    ) -> ShardRouter {
-        ShardRouter::bonsai(points, tree_cfg, cfg)
-    }
-
     fn build(
         points: &[Point3],
         tree_cfg: KdTreeConfig,
@@ -375,7 +370,6 @@ impl ShardRouter {
             shards,
             mode,
             num_points,
-            lut: PartErrorMem::new(),
             tree_cfg,
             generations: vec![0; locs.len()],
             locs,
@@ -813,10 +807,12 @@ impl ShardRouter {
         shard_bytes + self.locs.len() as u64 * 8
     }
 
-    /// Answers one query, clearing `out` first: hits from every shard
-    /// whose box intersects the query ball, re-indexed to global cloud
-    /// indices and sorted ascending. Allocation-free once `scratch` and
-    /// `out` are warm.
+    /// Answers one query against a snapshot of the router's current
+    /// state ([`RouterSnapshot::search_one`]): `out` cleared, hits from
+    /// every shard whose box intersects the query ball, re-indexed to
+    /// global cloud indices and sorted ascending. Each call takes a
+    /// fresh snapshot (O(K) `Arc` clones plus a route-index build), so
+    /// callers with many queries should search one snapshot instead.
     ///
     /// A non-positive or non-finite `radius` — or a query center with a
     /// non-finite coordinate — yields an empty result without touching
@@ -829,246 +825,8 @@ impl ShardRouter {
         out: &mut Vec<Neighbor>,
         stats: &mut SearchStats,
     ) {
-        out.clear();
-        self.append_query(query, radius, scratch, out, stats);
-    }
-
-    /// Answers every query in one call, filling `batch` (reset first):
-    /// the sharded equivalent of `RadiusSearchEngine::search_batch`,
-    /// with [`QueryBatch::stats`] aggregating the whole batch across
-    /// shards.
-    pub fn search_batch(&self, queries: &[Point3], radius: f32, batch: &mut QueryBatch) {
-        batch.reset();
-        // One route BVH amortized over the whole batch: per-query
-        // dispatch is O(log K + hits) instead of a K-box scan, which
-        // matters once the adaptive policy has split the hot region
-        // into many small shards.
-        let routes = RouteIndex::build(&self.shards);
-        for &query in queries {
-            batch.push_query(|scratch, out, stats| {
-                append_routed(
-                    &self.shards,
-                    &self.lut,
-                    Some(&routes),
-                    query,
-                    radius,
-                    scratch,
-                    out,
-                    stats,
-                );
-            });
-        }
-    }
-
-    /// [`search_batch`](ShardRouter::search_batch) fanned out over
-    /// scoped worker threads (`threads == 0` uses the machine's
-    /// available parallelism). Results are merged in query order, so
-    /// output and aggregate stats are identical to the sequential call.
-    #[cfg(feature = "parallel")]
-    pub fn search_batch_parallel(
-        &self,
-        queries: &[Point3],
-        radius: f32,
-        batch: &mut QueryBatch,
-        threads: usize,
-    ) {
-        crate::fanout::search_batch_across_threads(queries, radius, batch, threads, |q, r, b| {
-            self.search_batch(q, r, b)
-        });
-    }
-
-    /// [`search_batch`](ShardRouter::search_batch) partitioned **by
-    /// shard** instead of by query range: each worker owns a subset of
-    /// the shards — balanced by the observed per-shard load profile
-    /// (LPT over the same counters `adapt_step` rebalances on; point
-    /// counts before any load has been seen) — and answers every query
-    /// against only its shards; the per-query hit lists are then merged
-    /// in canonical ascending-global-index order. Output and aggregate
-    /// stats are identical to the sequential call.
-    ///
-    /// This is the shard-per-worker serving model, and the execution
-    /// mode load-adaptive sharding exists for: a query-range partition
-    /// stays balanced because every worker may touch every shard, but a
-    /// distributed or accelerator-offloaded deployment does not get
-    /// that luxury — a shard lives in one place, and a skewed stream
-    /// pins its work on whichever worker owns the hot shard. A static
-    /// median-cut topology cannot divide that shard, so the batch
-    /// serializes on the hot worker (Amdahl); after
-    /// [`adapt_step`](ShardRouter::adapt_step) has split the hot region
-    /// into many small shards, the same LPT assignment spreads the hot
-    /// load across all workers.
-    /// The shard-per-worker partition of this router's healthy shards:
-    /// a longest-processing-time assignment over each shard's observed
-    /// load (the same counters [`adapt_step`](ShardRouter::adapt_step)
-    /// rebalances on; point counts before any load has been seen).
-    /// Returns at most `workers` non-empty ownership sets, together
-    /// covering every healthy shard exactly once. This is the
-    /// placement a shard-per-worker deployment should serve with —
-    /// each set is one worker's slice for
-    /// [`search_batch_shards`](ShardRouter::search_batch_shards) — and
-    /// the quality of the balance is exactly what the adaptive policy
-    /// buys: a static topology's hot shard is one indivisible bin
-    /// entry, while an adapted topology spreads the same load over
-    /// many small shards the assignment can interleave.
-    pub fn worker_partition(&self, workers: usize) -> Vec<Vec<usize>> {
-        balance_shards_by_load(&self.shards, workers.max(1))
-    }
-
-    /// Answers every query against only the listed shards — one
-    /// worker's slice of the shard-per-worker serving model, filling
-    /// `batch` (reset first) with that slice's exact hits in canonical
-    /// ascending-global-index order. Out-of-range and duplicate
-    /// entries in `subset` are ignored; quarantined shards are skipped
-    /// as everywhere else. Concatenating the per-query results of the
-    /// slices of a [`worker_partition`](ShardRouter::worker_partition)
-    /// and re-sorting by global index reproduces
-    /// [`search_batch`](ShardRouter::search_batch) bit for bit.
-    pub fn search_batch_shards(
-        &self,
-        queries: &[Point3],
-        radius: f32,
-        batch: &mut QueryBatch,
-        subset: &[usize],
-    ) {
-        batch.reset();
-        let routes = RouteIndex::build_subset(&self.shards, subset);
-        for &query in queries {
-            batch.push_query(|scratch, out, stats| {
-                append_routed(
-                    &self.shards,
-                    &self.lut,
-                    Some(&routes),
-                    query,
-                    radius,
-                    scratch,
-                    out,
-                    stats,
-                );
-            });
-        }
-    }
-
-    #[cfg(feature = "parallel")]
-    pub fn search_batch_shard_parallel(
-        &self,
-        queries: &[Point3],
-        radius: f32,
-        batch: &mut QueryBatch,
-        threads: usize,
-    ) {
-        let workers = crate::fanout::resolve_threads(threads, self.shards.len().max(1));
-        if workers <= 1 || queries.is_empty() {
-            return self.search_batch(queries, radius, batch);
-        }
-        let assignment = balance_shards_by_load(&self.shards, workers);
-        if assignment.len() <= 1 {
-            return self.search_batch(queries, radius, batch);
-        }
-        let mut parts: Vec<QueryBatch> = (0..assignment.len()).map(|_| QueryBatch::new()).collect();
-        std::thread::scope(|scope| {
-            for (part, own) in parts.iter_mut().zip(&assignment) {
-                scope.spawn(move || {
-                    part.reset();
-                    let routes = RouteIndex::build_subset(&self.shards, own);
-                    for &query in queries {
-                        part.push_query(|scratch, out, stats| {
-                            append_routed(
-                                &self.shards,
-                                &self.lut,
-                                Some(&routes),
-                                query,
-                                radius,
-                                scratch,
-                                out,
-                                stats,
-                            );
-                        });
-                    }
-                });
-            }
-        });
-        batch.reset();
-        for (i, _) in queries.iter().enumerate() {
-            batch.push_query(|_scratch, out, stats| {
-                if i == 0 {
-                    for part in &parts {
-                        *stats += *part.stats();
-                    }
-                }
-                let start = out.len();
-                for part in &parts {
-                    out.extend_from_slice(part.results(i));
-                }
-                // Each part is sorted already and global indices are
-                // unique, so one sort re-establishes the canonical
-                // order the sequential path produces.
-                out[start..].sort_unstable_by_key(|n| n.index);
-            });
-        }
-    }
-
-    /// The routed per-query kernel: searches every intersecting shard,
-    /// re-indexes its hits to global indices, and sorts the query's
-    /// merged hits into canonical ascending-index order. Shared
-    /// verbatim with [`RouterSnapshot`], so a pinned snapshot can never
-    /// drift from the live router at the same state.
-    fn append_query(
-        &self,
-        query: Point3,
-        radius: f32,
-        scratch: &mut SearchScratch,
-        out: &mut Vec<Neighbor>,
-        stats: &mut SearchStats,
-    ) {
-        // Single-query path on the live router: linear scan (no route
-        // BVH to reuse between mutations). Batches and snapshots route
-        // through the BVH.
-        append_routed(
-            &self.shards,
-            &self.lut,
-            None,
-            query,
-            radius,
-            scratch,
-            out,
-            stats,
-        );
-    }
-
-    /// [`search_one`](ShardRouter::search_one) behind the typed serving
-    /// boundary: a router that is non-empty but has **every** shard
-    /// quarantined returns [`QueryError::NoCoverage`] instead of a
-    /// silently empty answer. Partial quarantine still answers (the
-    /// healthy shards' hits), reported through
-    /// [`coverage`](ShardRouter::coverage) as before; an empty router
-    /// is legitimately empty, not an error.
-    pub fn try_search_one(
-        &self,
-        query: Point3,
-        radius: f32,
-        scratch: &mut SearchScratch,
-        out: &mut Vec<Neighbor>,
-        stats: &mut SearchStats,
-    ) -> Result<(), QueryError> {
-        coverage_gate(&self.shards)?;
-        self.search_one(query, radius, scratch, out, stats);
-        Ok(())
-    }
-
-    /// [`search_batch`](ShardRouter::search_batch) behind the typed
-    /// serving boundary — see
-    /// [`try_search_one`](ShardRouter::try_search_one). On error the
-    /// batch is left reset (no partial results).
-    pub fn try_search_batch(
-        &self,
-        queries: &[Point3],
-        radius: f32,
-        batch: &mut QueryBatch,
-    ) -> Result<(), QueryError> {
-        batch.reset();
-        coverage_gate(&self.shards)?;
-        self.search_batch(queries, radius, batch);
-        Ok(())
+        self.snapshot()
+            .search_one(query, radius, scratch, out, stats);
     }
 
     /// An immutable point-in-time view of the router for concurrent
@@ -1090,7 +848,6 @@ impl ShardRouter {
             shards: self.shards.clone(),
             mode: self.mode,
             num_points: self.num_points,
-            lut: self.lut.clone(),
         }
     }
 
@@ -1170,16 +927,7 @@ impl ShardRouter {
     /// The coverage the next query would see: complete when no shard is
     /// quarantined, else the offline regions' bounding boxes.
     pub fn coverage(&self) -> Coverage {
-        let offline: Vec<Aabb> = self
-            .shards
-            .iter()
-            .filter(|s| s.quarantined)
-            .map(|s| s.aabb)
-            .collect();
-        Coverage {
-            complete: offline.is_empty(),
-            offline,
-        }
+        coverage_of(&self.shards)
     }
 
     /// The shard currently owning global index `global`, or `None` when
@@ -1971,23 +1719,25 @@ impl ShardRouter {
 }
 
 /// A pinned, immutable view of a [`ShardRouter`]'s searchable state:
-/// the shard list (shared `Arc`s), mode and error-bound LUT — everything
-/// queries touch, nothing mutation needs.
+/// the shard list (shared `Arc`s), mode and route index — everything
+/// queries touch, nothing mutation needs. It is the router's only read
+/// path.
 ///
 /// Obtained from [`ShardRouter::snapshot`] and typically published
 /// through an [`EpochPublisher`](crate::EpochPublisher): readers pin an
 /// epoch's snapshot and search it from any thread
 /// (`RouterSnapshot: Send + Sync`) while the live router ingests the
-/// next frame. Results are bit-identical — values, order and
-/// [`SearchStats`] — to searching the router frozen at snapshot time,
-/// because both run the exact same routed kernel over the exact same
-/// shard `Arc`s.
+/// next frame. Results — values, order and [`SearchStats`] — depend
+/// only on the shard `Arc`s frozen at snapshot time.
+///
+/// Drop a snapshot before the router's next mutation when it is not
+/// published: a live snapshot pins every shard, so the mutation would
+/// copy each shard it touches.
 #[derive(Debug, Clone)]
 pub struct RouterSnapshot {
     shards: Vec<Arc<Shard>>,
     mode: EngineMode,
     num_points: usize,
-    lut: PartErrorMem,
     /// Route BVH over the healthy shard boxes, frozen with them.
     routes: Arc<RouteIndex>,
 }
@@ -2010,21 +1760,29 @@ impl RouterSnapshot {
 
     /// The coverage this snapshot serves — frozen at snapshot time.
     pub fn coverage(&self) -> Coverage {
-        let offline: Vec<Aabb> = self
-            .shards
-            .iter()
-            .filter(|s| s.quarantined)
-            .map(|s| s.aabb)
-            .collect();
-        Coverage {
-            complete: offline.is_empty(),
-            offline,
-        }
+        coverage_of(&self.shards)
     }
 
-    /// Answers one query exactly as [`ShardRouter::search_one`] would
-    /// have at snapshot time: `out` cleared, hits re-indexed to global
-    /// indices, canonical ascending order.
+    /// The typed no-coverage gate of the serving boundary:
+    /// [`QueryError::NoCoverage`] exactly when the snapshot is
+    /// non-empty and **every** shard is quarantined — the one state
+    /// where a search's empty answer would be silently wrong rather
+    /// than authoritative. Partial quarantine passes (the healthy
+    /// shards answer; [`coverage`](RouterSnapshot::coverage) reports
+    /// the offline regions), and an empty snapshot is legitimately
+    /// empty, not an error.
+    pub fn coverage_gate(&self) -> Result<(), QueryError> {
+        if !self.shards.is_empty() && self.shards.iter().all(|s| s.quarantined) {
+            return Err(QueryError::NoCoverage {
+                offline: self.shards.iter().map(|s| s.aabb).collect(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Answers one query, clearing `out` first: hits re-indexed to
+    /// global indices, canonical ascending order. Allocation-free once
+    /// `scratch` and `out` are warm.
     pub fn search_one(
         &self,
         query: Point3,
@@ -2051,8 +1809,7 @@ impl RouterSnapshot {
     ) {
         append_routed(
             &self.shards,
-            &self.lut,
-            Some(&self.routes),
+            &self.routes,
             query,
             radius,
             scratch,
@@ -2061,8 +1818,9 @@ impl RouterSnapshot {
         );
     }
 
-    /// Answers every query in one call, filling `batch` (reset first) —
-    /// [`ShardRouter::search_batch`] frozen at snapshot time.
+    /// Answers every query in one call, filling `batch` (reset first),
+    /// with [`QueryBatch::stats`] aggregating the whole batch across
+    /// shards.
     pub fn search_batch(&self, queries: &[Point3], radius: f32, batch: &mut QueryBatch) {
         batch.reset();
         for &query in queries {
@@ -2087,34 +1845,45 @@ impl RouterSnapshot {
         });
     }
 
-    /// [`search_one`](RouterSnapshot::search_one) behind the typed
-    /// serving boundary: [`QueryError::NoCoverage`] when the snapshot
-    /// is non-empty but every shard is quarantined.
-    pub fn try_search_one(
-        &self,
-        query: Point3,
-        radius: f32,
-        scratch: &mut SearchScratch,
-        out: &mut Vec<Neighbor>,
-        stats: &mut SearchStats,
-    ) -> Result<(), QueryError> {
-        coverage_gate(&self.shards)?;
-        self.search_one(query, radius, scratch, out, stats);
-        Ok(())
+    /// The shard-per-worker partition of this snapshot's healthy
+    /// shards: a longest-processing-time assignment over each shard's
+    /// observed load (the same counters
+    /// [`ShardRouter::adapt_step`] rebalances on; point counts before
+    /// any load has been seen). Returns at most `workers` non-empty
+    /// ownership sets, together covering every healthy shard exactly
+    /// once. Each set is one worker's slice for
+    /// [`search_batch_shards`](RouterSnapshot::search_batch_shards),
+    /// and the quality of the balance is exactly what the adaptive
+    /// policy buys: a static topology's hot shard is one indivisible
+    /// bin entry, while an adapted topology spreads the same load over
+    /// many small shards the assignment can interleave.
+    pub fn worker_partition(&self, workers: usize) -> Vec<Vec<usize>> {
+        balance_shards_by_load(&self.shards, workers.max(1))
     }
 
-    /// [`search_batch`](RouterSnapshot::search_batch) behind the typed
-    /// serving boundary. On error the batch is left reset.
-    pub fn try_search_batch(
+    /// Answers every query against only the listed shards — one
+    /// worker's slice of the shard-per-worker serving model, filling
+    /// `batch` (reset first) with that slice's exact hits in canonical
+    /// ascending-global-index order. Out-of-range and duplicate
+    /// entries in `subset` are ignored; quarantined shards are skipped
+    /// as everywhere else. Concatenating the per-query results of the
+    /// slices of a [`worker_partition`](RouterSnapshot::worker_partition)
+    /// and re-sorting by global index reproduces
+    /// [`search_batch`](RouterSnapshot::search_batch) bit for bit.
+    pub fn search_batch_shards(
         &self,
         queries: &[Point3],
         radius: f32,
         batch: &mut QueryBatch,
-    ) -> Result<(), QueryError> {
+        subset: &[usize],
+    ) {
         batch.reset();
-        coverage_gate(&self.shards)?;
-        self.search_batch(queries, radius, batch);
-        Ok(())
+        let routes = RouteIndex::build_subset(&self.shards, subset);
+        for &query in queries {
+            batch.push_query(|scratch, out, stats| {
+                append_routed(&self.shards, &routes, query, radius, scratch, out, stats);
+            });
+        }
     }
 }
 
@@ -2127,15 +1896,15 @@ impl RouterSnapshot {
 /// Nodes are stored in preorder; `skip` jumps past a node's whole
 /// subtree when the query ball misses its box. A leaf carries the
 /// shard's position in the shard list and **its exact bounding box**,
-/// so the accepted shard set is bit-identical to the linear
-/// `intersects_ball` scan (interior nodes only ever prune shards the
-/// scan would also reject). Quarantined and empty shards are excluded
-/// at build time, mirroring the scan's skip.
+/// so the accepted shard set is exactly the healthy shards whose box
+/// passes `intersects_ball` (interior boxes are unions, so they only
+/// ever prune shards the leaf test would also reject). Quarantined and
+/// empty shards are excluded at build time.
 ///
-/// Built per [`ShardRouter::search_batch`] call (the list may mutate
-/// between calls) and cached inside each immutable [`RouterSnapshot`]
+/// Built once per [`RouterSnapshot`] and frozen with its shard list
 /// (the serving path routes single queries, so it must not pay a
-/// per-query build).
+/// per-query build); a worker's shard subset gets its own per-call
+/// index.
 #[derive(Debug)]
 struct RouteIndex {
     nodes: Vec<RouteNode>,
@@ -2191,8 +1960,8 @@ impl RouteIndex {
         RouteIndex { nodes }
     }
 
-    /// Calls `f` for every shard whose box the query ball intersects —
-    /// exactly the set the linear scan accepts, in preorder.
+    /// Calls `f` for every indexed shard whose box the query ball
+    /// intersects, in preorder.
     fn for_each_hit(&self, query: Point3, r_sq: f32, mut f: impl FnMut(usize)) {
         let mut i = 0usize;
         while let Some(n) = self.nodes.get(i) {
@@ -2273,15 +2042,27 @@ fn build_route_nodes(entries: &mut [(u32, Aabb)], nodes: &mut Vec<RouteNode>) {
     nodes[me].skip = nodes.len() as u32;
 }
 
-/// The routed per-query kernel shared by [`ShardRouter`] and
-/// [`RouterSnapshot`]: searches every healthy intersecting shard,
-/// re-indexes its hits to global indices, sorts the query's merged hits
-/// into canonical ascending-index order.
-#[allow(clippy::too_many_arguments)] // the flattened router state
+/// The coverage a shard list serves: complete when no shard is
+/// quarantined, else the offline regions' bounding boxes.
+fn coverage_of(shards: &[Arc<Shard>]) -> Coverage {
+    let offline: Vec<Aabb> = shards
+        .iter()
+        .filter(|s| s.quarantined)
+        .map(|s| s.aabb)
+        .collect();
+    Coverage {
+        complete: offline.is_empty(),
+        offline,
+    }
+}
+
+/// The routed per-query kernel of [`RouterSnapshot`]: searches every
+/// shard the route index accepts for the query ball, re-indexes its
+/// hits to global indices, sorts the query's merged hits into canonical
+/// ascending-index order.
 fn append_routed(
     shards: &[Arc<Shard>],
-    lut: &PartErrorMem,
-    routes: Option<&RouteIndex>,
+    routes: &RouteIndex,
     query: Point3,
     radius: f32,
     scratch: &mut SearchScratch,
@@ -2298,22 +2079,16 @@ fn append_routed(
     if !bonsai_kdtree::radius_is_searchable(radius) || !bonsai_kdtree::query_is_searchable(query) {
         return;
     }
-    let r_sq = radius * radius;
     let start = out.len();
-    let mut search_shard = |shard: &Shard| {
+    routes.for_each_hit(query, radius * radius, |i| {
+        let shard = &shards[i];
         let before = out.len();
         let nodes_before = stats.nodes_visited;
         let points_before = stats.points_inspected;
-        append_hits(
-            shard.tree.kd(),
-            shard.tree.bonsai(),
-            lut,
-            query,
-            radius,
-            scratch,
-            out,
-            stats,
-        );
+        shard
+            .tree
+            .engine()
+            .search_append(query, radius, scratch, out, stats);
         // Charge the traversal effort to the shard's identity-shared
         // load accumulator (relaxed atomics; a statistic, not a
         // synchronization edge) — the signal `adapt_step` rebalances on.
@@ -2324,38 +2099,10 @@ fn append_routed(
         for n in &mut out[before..] {
             n.index = shard.global[n.index as usize];
         }
-    };
-    match routes {
-        // Batched and snapshot-serving paths: the prebuilt route BVH
-        // accepts exactly the shards the scan below would.
-        Some(routes) => routes.for_each_hit(query, r_sq, |i| search_shard(&shards[i])),
-        None => {
-            for shard in shards {
-                // Quarantined shards are skipped outright: their trees
-                // are suspect, coverage() reports the offline region.
-                if shard.quarantined || !shard.aabb.intersects_ball(query, r_sq) {
-                    continue;
-                }
-                search_shard(shard);
-            }
-        }
-    }
+    });
     // Global indices are unique, so the sort key is total and the
     // canonical order is independent of the shard layout.
     out[start..].sort_unstable_by_key(|n| n.index);
-}
-
-/// The typed-error gate of the `try_` search variants: `Err` exactly
-/// when the shard set is non-empty and wholly quarantined — the one
-/// state where a plain search's empty answer would be silently wrong
-/// rather than authoritative.
-fn coverage_gate(shards: &[Arc<Shard>]) -> Result<(), QueryError> {
-    if !shards.is_empty() && shards.iter().all(|s| s.quarantined) {
-        return Err(QueryError::NoCoverage {
-            offline: shards.iter().map(|s| s.aabb).collect(),
-        });
-    }
-    Ok(())
 }
 
 /// Deterministic fault-injection hooks for the chaos test suite: each
@@ -2680,7 +2427,9 @@ mod tests {
         let router = ShardRouter::bonsai(&[], KdTreeConfig::default(), ShardConfig::with_shards(4));
         assert_eq!(router.num_shards(), 0);
         let mut batch = QueryBatch::new();
-        router.search_batch(&[Point3::ZERO], 1.0, &mut batch);
+        router
+            .snapshot()
+            .search_batch(&[Point3::ZERO], 1.0, &mut batch);
         assert_eq!(batch.num_queries(), 1);
         assert_eq!(batch.total_matches(), 0);
     }
@@ -2698,7 +2447,7 @@ mod tests {
         let mut single = QueryBatch::new();
         engine.search_batch(&queries, 1.2, &mut single);
         let mut sharded = QueryBatch::new();
-        router.search_batch(&queries, 1.2, &mut sharded);
+        router.snapshot().search_batch(&queries, 1.2, &mut sharded);
 
         assert_eq!(sharded.num_queries(), single.num_queries());
         for i in 0..single.num_queries() {
@@ -2734,10 +2483,12 @@ mod tests {
         let router =
             ShardRouter::bonsai(&cloud, KdTreeConfig::default(), ShardConfig::with_shards(5));
         let mut sequential = QueryBatch::new();
-        router.search_batch(&cloud, 0.9, &mut sequential);
+        router.snapshot().search_batch(&cloud, 0.9, &mut sequential);
         for threads in [0, 1, 2, 3, 7] {
             let mut parallel = QueryBatch::new();
-            router.search_batch_parallel(&cloud, 0.9, &mut parallel, threads);
+            router
+                .snapshot()
+                .search_batch_parallel(&cloud, 0.9, &mut parallel, threads);
             assert_eq!(parallel.num_queries(), sequential.num_queries());
             for i in 0..sequential.num_queries() {
                 assert_eq!(
@@ -2750,12 +2501,13 @@ mod tests {
         }
     }
 
-    /// The shard-partitioned parallel path must stay bit-identical to
+    /// The shard-per-worker serving model must stay bit-identical to
     /// the sequential batch — values, order, and aggregate stats — for
     /// every worker count, on a load-skewed, partially quarantined,
     /// policy-adapted topology (the states the LPT assignment and the
-    /// per-worker subset route index must handle).
-    #[cfg(feature = "parallel")]
+    /// per-worker subset route index must handle): each worker answers
+    /// every query against its `worker_partition` slice on its own
+    /// thread, and the per-query hits merge in canonical order.
     #[test]
     fn shard_parallel_batch_is_identical_to_sequential() {
         let cloud = urban_cloud(3000, 13);
@@ -2772,15 +2524,42 @@ mod tests {
         };
         let mut batch = QueryBatch::new();
         for _ in 0..8 {
-            router.search_batch(&hot, 1.0, &mut batch);
+            router.snapshot().search_batch(&hot, 1.0, &mut batch);
             router.adapt_step(&policy, 0);
         }
         router.quarantine(1);
+        let snap = router.snapshot();
         let mut sequential = QueryBatch::new();
-        router.search_batch(&cloud, 0.9, &mut sequential);
+        snap.search_batch(&cloud, 0.9, &mut sequential);
+        let per_worker = |queries: &[Point3], radius: f32, workers: usize| -> QueryBatch {
+            let partition = snap.worker_partition(workers);
+            let mut parts: Vec<QueryBatch> = partition.iter().map(|_| QueryBatch::new()).collect();
+            std::thread::scope(|scope| {
+                for (part, own) in parts.iter_mut().zip(&partition) {
+                    let snap = &snap;
+                    scope.spawn(move || snap.search_batch_shards(queries, radius, part, own));
+                }
+            });
+            let mut merged = QueryBatch::new();
+            merged.reset();
+            for i in 0..queries.len() {
+                merged.push_query(|_, out, stats| {
+                    if i == 0 {
+                        for part in &parts {
+                            *stats += *part.stats();
+                        }
+                    }
+                    let start = out.len();
+                    for part in &parts {
+                        out.extend_from_slice(part.results(i));
+                    }
+                    out[start..].sort_unstable_by_key(|n| n.index);
+                });
+            }
+            merged
+        };
         for threads in [0, 1, 2, 3, 7, 64] {
-            let mut parallel = QueryBatch::new();
-            router.search_batch_shard_parallel(&cloud, 0.9, &mut parallel, threads);
+            let parallel = per_worker(&cloud, 0.9, threads);
             assert_eq!(parallel.num_queries(), sequential.num_queries());
             for i in 0..sequential.num_queries() {
                 assert_eq!(
@@ -2792,10 +2571,9 @@ mod tests {
             assert_eq!(parallel.stats(), sequential.stats(), "threads {threads}");
         }
         // Degenerate inputs short-circuit identically.
-        let mut empty = QueryBatch::new();
-        router.search_batch_shard_parallel(&[], 0.9, &mut empty, 4);
+        let empty = per_worker(&[], 0.9, 4);
         assert_eq!(empty.num_queries(), 0);
-        router.search_batch_shard_parallel(&cloud[..16], f32::NAN, &mut empty, 4);
+        let empty = per_worker(&cloud[..16], f32::NAN, 4);
         assert_eq!(empty.num_queries(), 16);
         assert_eq!(empty.total_matches(), 0);
 
@@ -2803,7 +2581,7 @@ mod tests {
         // every healthy shard exactly once, and concatenating the
         // slices' per-query hits re-sorted by global index reproduces
         // the sequential batch bit for bit.
-        let partition = router.worker_partition(3);
+        let partition = snap.worker_partition(3);
         assert!(partition.len() <= 3 && partition.iter().all(|b| !b.is_empty()));
         let mut owned: Vec<usize> = partition.iter().flatten().copied().collect();
         owned.sort_unstable();
@@ -2821,7 +2599,7 @@ mod tests {
             .iter()
             .map(|own| {
                 let mut b = QueryBatch::new();
-                router.search_batch_shards(&cloud, 0.9, &mut b, own);
+                snap.search_batch_shards(&cloud, 0.9, &mut b, own);
                 b
             })
             .collect();
@@ -2836,9 +2614,9 @@ mod tests {
         // A stale subset (out-of-range, duplicates) neither panics nor
         // double-counts.
         let mut stale = QueryBatch::new();
-        router.search_batch_shards(&cloud[..64], 0.9, &mut stale, &[0, 0, 999]);
+        snap.search_batch_shards(&cloud[..64], 0.9, &mut stale, &[0, 0, 999]);
         let mut clean = QueryBatch::new();
-        router.search_batch_shards(&cloud[..64], 0.9, &mut clean, &[0]);
+        snap.search_batch_shards(&cloud[..64], 0.9, &mut clean, &[0]);
         for i in 0..64 {
             assert_eq!(
                 stale.results(i),
@@ -2971,7 +2749,9 @@ mod tests {
             assert_eq!(stats, SearchStats::default(), "query {q:?} did work");
         }
         let mut batch = QueryBatch::new();
-        router.search_batch(&[Point3::new(f32::NAN, 0.0, 0.0)], 1.0, &mut batch);
+        router
+            .snapshot()
+            .search_batch(&[Point3::new(f32::NAN, 0.0, 0.0)], 1.0, &mut batch);
         assert_eq!(batch.num_queries(), 1);
         assert_eq!(batch.total_matches(), 0);
         assert_eq!(*batch.stats(), SearchStats::default());
@@ -3052,7 +2832,7 @@ mod tests {
 
         let queries: Vec<Point3> = cloud.iter().step_by(37).copied().collect();
         let mut before = QueryBatch::new();
-        router.search_batch(&queries, 1.3, &mut before);
+        router.snapshot().search_batch(&queries, 1.3, &mut before);
         let bytes_before = router.resident_bytes();
 
         for i in 0..router.num_shards() {
@@ -3064,7 +2844,7 @@ mod tests {
             "rebuilds reclaim dead-point storage"
         );
         let mut after = QueryBatch::new();
-        router.search_batch(&queries, 1.3, &mut after);
+        router.snapshot().search_batch(&queries, 1.3, &mut after);
         for i in 0..before.num_queries() {
             assert_eq!(after.results(i), before.results(i), "query {i} moved");
         }
@@ -3201,9 +2981,10 @@ mod tests {
 
     /// Regression: an all-quarantined router used to answer queries
     /// with a silent empty result — indistinguishable from "nothing in
-    /// range" even though *zero* indexed space was searched. The `try_`
-    /// accessors must surface that as the typed
-    /// [`QueryError::NoCoverage`] instead.
+    /// range" even though *zero* indexed space was searched. The
+    /// snapshot's coverage gate (the serving boundary's admission
+    /// check) must surface that as the typed [`QueryError::NoCoverage`]
+    /// instead.
     #[test]
     fn all_quarantined_router_is_a_typed_error_not_silent_empty() {
         let cloud = urban_cloud(900, 6);
@@ -3214,44 +2995,42 @@ mod tests {
         let mut out = Vec::new();
         let mut stats = SearchStats::default();
 
-        // Healthy: try_ answers exactly like the plain search.
-        router
-            .try_search_one(probe, 1.0, &mut scratch, &mut out, &mut stats)
-            .expect("healthy router serves");
+        // Healthy: the gate admits and the search answers.
+        let snap = router.snapshot();
+        snap.coverage_gate().expect("healthy router serves");
+        snap.search_one(probe, 1.0, &mut scratch, &mut out, &mut stats);
         assert!(!out.is_empty());
+        drop(snap);
 
         for s in 0..router.num_shards() {
             router.quarantine(s);
         }
-        // The old serving surface: silently empty (kept for the
+        // The plain search: silently empty (kept for the
         // partial-quarantine case where skipping IS correct).
         router.search_one(probe, 1.0, &mut scratch, &mut out, &mut stats);
         assert!(out.is_empty());
-        // The fixed surface: typed, with the offline regions attached.
-        match router.try_search_one(probe, 1.0, &mut scratch, &mut out, &mut stats) {
-            Err(QueryError::NoCoverage { offline }) => assert_eq!(offline.len(), 3),
-            other => panic!("expected NoCoverage, got {other:?}"),
-        }
-        let mut batch = QueryBatch::new();
-        match router.try_search_batch(&[probe, cloud[1]], 1.0, &mut batch) {
-            Err(QueryError::NoCoverage { .. }) => {}
-            other => panic!("expected NoCoverage, got {other:?}"),
-        }
-        assert_eq!(batch.num_queries(), 0, "failed batch must be left reset");
-
-        // The same contract holds through a published snapshot.
+        // The gate: typed, with the offline regions attached.
         let snap = router.snapshot();
-        match snap.try_search_one(probe, 1.0, &mut scratch, &mut out, &mut stats) {
+        match snap.coverage_gate() {
             Err(QueryError::NoCoverage { offline }) => assert_eq!(offline.len(), 3),
             other => panic!("expected NoCoverage, got {other:?}"),
         }
+        drop(snap);
+
+        // An empty router is legitimately empty, not an error.
+        let empty = ShardRouter::bonsai(&[], KdTreeConfig::default(), ShardConfig::with_shards(3));
+        empty
+            .snapshot()
+            .coverage_gate()
+            .expect("empty index admits");
 
         // Partial quarantine is coverage, not an error: one healed
         // shard serves again.
         let live: Vec<(u32, Point3)> = (0..100u32).map(|g| (g, cloud[g as usize])).collect();
         router.rebuild_shards_from(&[0], &live);
         router
-            .try_search_one(probe, 1.0, &mut scratch, &mut out, &mut stats)
+            .snapshot()
+            .coverage_gate()
             .expect("partial coverage serves");
     }
 
@@ -3314,7 +3093,7 @@ mod tests {
             let audit = router.audit();
             assert!(audit.is_empty(), "{label}: {audit:?}");
             let mut batch = QueryBatch::new();
-            router.search_batch(&queries, 1.3, &mut batch);
+            router.snapshot().search_batch(&queries, 1.3, &mut batch);
             for i in 0..batch.num_queries() {
                 assert_eq!(
                     batch.results(i),
@@ -3455,7 +3234,9 @@ mod tests {
         let mut batch = QueryBatch::new();
         let mut executed = 0u64;
         for _ in 0..12 {
-            router.search_batch(&hot_queries, 1.0, &mut batch);
+            router
+                .snapshot()
+                .search_batch(&hot_queries, 1.0, &mut batch);
             let report = router.adapt_step(&policy, 0);
             executed += report.splits + report.merges;
         }
@@ -3474,7 +3255,7 @@ mod tests {
         let mut single = QueryBatch::new();
         engine.search_batch(&queries, 1.2, &mut single);
         let mut routed = QueryBatch::new();
-        router.search_batch(&queries, 1.2, &mut routed);
+        router.snapshot().search_batch(&queries, 1.2, &mut routed);
         for i in 0..single.num_queries() {
             assert_eq!(
                 routed.results(i),
@@ -3522,7 +3303,7 @@ mod tests {
         let mut batch = QueryBatch::new();
         let mut merges = 0u64;
         for _ in 0..20 {
-            router.search_batch(&queries, 1.0, &mut batch);
+            router.snapshot().search_batch(&queries, 1.0, &mut batch);
             let report = router.adapt_step(&policy, 0);
             assert_eq!(report.splits, 0, "uniform load must never split");
             merges += report.merges;
@@ -3580,7 +3361,9 @@ mod tests {
             .take(128)
             .collect();
         let mut batch = QueryBatch::new();
-        router.search_batch(&hot_queries, 1.0, &mut batch);
+        router
+            .snapshot()
+            .search_batch(&hot_queries, 1.0, &mut batch);
 
         // Identify the hot shard from the load report, then put it
         // into heal-in-progress state.
@@ -3633,7 +3416,9 @@ mod tests {
             .collect();
         router.rebuild_shards_from(&[hot], &live);
         assert!(router.shard_is_adaptable(hot).is_ok());
-        router.search_batch(&hot_queries, 1.0, &mut batch);
+        router
+            .snapshot()
+            .search_batch(&hot_queries, 1.0, &mut batch);
         let report = router.adapt_step(&policy, policy.max_epoch_lag + 1);
         assert_eq!(report.splits + report.merges, 0);
         assert_eq!(router.num_shards(), shards_before);
@@ -3649,7 +3434,9 @@ mod tests {
         );
 
         // Readers caught up: the same proposal now executes.
-        router.search_batch(&hot_queries, 1.0, &mut batch);
+        router
+            .snapshot()
+            .search_batch(&hot_queries, 1.0, &mut batch);
         let report = router.adapt_step(&policy, policy.max_epoch_lag);
         assert!(
             report.splits >= 1,

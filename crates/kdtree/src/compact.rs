@@ -282,7 +282,7 @@ mod tests {
         for &q in &queries {
             let mut out = Vec::new();
             let mut stats = SearchStats::default();
-            tree.radius_search_fast(q, 2.5, &mut scratch, &mut out, &mut stats);
+            crate::scratch::two_phase_search(&tree, q, 2.5, &mut scratch, &mut out, &mut stats);
             before.push((out, stats));
         }
         let knn_before: Vec<Vec<Neighbor>> = {
@@ -297,7 +297,7 @@ mod tests {
         for (qi, &q) in queries.iter().enumerate() {
             let mut out = Vec::new();
             let mut stats = SearchStats::default();
-            tree.radius_search_fast(q, 2.5, &mut scratch, &mut out, &mut stats);
+            crate::scratch::two_phase_search(&tree, q, 2.5, &mut scratch, &mut out, &mut stats);
             assert_eq!(out, before[qi].0, "query {qi}: hits moved");
             assert_eq!(stats, before[qi].1, "query {qi}: stats moved");
             let nn = tree.knn(&mut sim, q, 7);

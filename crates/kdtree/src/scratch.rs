@@ -11,7 +11,7 @@
 use bonsai_geom::Point3;
 
 use crate::build::KdTree;
-use crate::node::{LeafId, Node, NodeId};
+use crate::node::{Node, NodeId};
 use crate::search::{Neighbor, SearchStats};
 
 /// One explicit-stack traversal frame.
@@ -60,9 +60,12 @@ pub(crate) enum Frame {
 /// let tree = KdTree::build(pts, KdTreeConfig::default(), &mut sim);
 ///
 /// let mut scratch = SearchScratch::new();
-/// let mut out = Vec::new();
+/// let mut visited = Vec::new();
 /// let mut stats = SearchStats::default();
-/// tree.radius_search_fast(Point3::new(50.0, 0.0, 0.0), 1.5, &mut scratch, &mut out, &mut stats);
+/// let q = Point3::new(50.0, 0.0, 0.0);
+/// tree.collect_leaves_in_radius(q, 1.5, &mut scratch, &mut stats, &mut visited);
+/// let mut out = Vec::new();
+/// tree.sweep_leaf_visits(&visited, q, 1.5 * 1.5, &mut out, &mut stats);
 /// assert_eq!(out.len(), 3); // 49, 50, 51
 /// ```
 #[derive(Debug, Default)]
@@ -115,8 +118,8 @@ impl SearchScratch {
 /// the embedded [`SearchScratch`]) are retained across batches, so a
 /// steady-state batch allocates nothing.
 ///
-/// Populated by `RadiusSearchEngine::search_batch` (in `bonsai-core`)
-/// or [`KdTree::radius_search_batch`].
+/// Populated by `RadiusSearchEngine::search_batch` and
+/// `RouterSnapshot::search_batch` (in `bonsai-core`).
 #[derive(Debug, Default)]
 pub struct QueryBatch {
     neighbors: Vec<Neighbor>,
@@ -193,29 +196,32 @@ impl QueryBatch {
 }
 
 impl KdTree {
-    /// Iterative, uninstrumented radius traversal: calls
-    /// `visit(leaf, start, count, stats)` for every leaf whose cell
-    /// intersects the query ball, in the same depth-first near-to-far
-    /// order as the instrumented search. Traversal counters
-    /// (`nodes_visited`, `leaf_visits`) are updated identically.
+    /// Iterative, uninstrumented radius traversal: collects the leaves
+    /// the query ball visits — `(leaf, start, count)`, in the same
+    /// depth-first near-to-far order as the instrumented search — into
+    /// `visited` (cleared first). Traversal counters (`nodes_visited`,
+    /// `leaf_visits`) are updated identically.
     ///
-    /// This is the substrate of the fast (`SimEngine::disabled`) path:
-    /// leaf-scan loops plug in here without paying for the event model.
+    /// This is the collect half of the fast (`SimEngine::disabled`)
+    /// two-phase search: sweeping the collected visits afterwards
+    /// ([`sweep_leaf_visits`](KdTree::sweep_leaf_visits), or the
+    /// compressed sweep of `RadiusSearchEngine` in `bonsai-core`) lets
+    /// one backend dispatch cover the whole query without paying for
+    /// the event model.
     ///
     /// A non-positive or non-finite `radius` — or a non-finite query
     /// center — visits nothing, matching the instrumented search's
     /// up-front rejection of degenerate queries.
     #[inline]
-    pub fn for_each_leaf_in_radius<F>(
+    pub fn collect_leaves_in_radius(
         &self,
         query: Point3,
         radius: f32,
         scratch: &mut SearchScratch,
         stats: &mut SearchStats,
-        mut visit: F,
-    ) where
-        F: FnMut(LeafId, u32, u32, &mut SearchStats),
-    {
+        visited: &mut Vec<crate::simd::LeafVisit>,
+    ) {
+        visited.clear();
         if self.nodes().is_empty()
             || !crate::search::radius_is_searchable(radius)
             || !crate::search::query_is_searchable(query)
@@ -243,7 +249,7 @@ impl KdTree {
             match self.nodes()[node as usize] {
                 Node::Leaf { start, count } => {
                     stats.leaf_visits += 1;
-                    visit(node, start, count, stats);
+                    visited.push((node, start, count));
                 }
                 Node::Interior {
                     axis,
@@ -281,35 +287,13 @@ impl KdTree {
         }
     }
 
-    /// Collects the leaves the query ball visits — `(leaf, start,
-    /// count)`, in the traversal's near-to-far order — into `visited`
-    /// (cleared first), updating the traversal counters of `stats`.
-    /// The collect half of the two-phase search: sweeping the
-    /// collected visits afterwards
-    /// ([`sweep_leaf_visits`](KdTree::sweep_leaf_visits)) lets one
-    /// backend dispatch cover the whole query.
-    #[inline]
-    pub fn collect_leaves_in_radius(
-        &self,
-        query: Point3,
-        radius: f32,
-        scratch: &mut SearchScratch,
-        stats: &mut SearchStats,
-        visited: &mut Vec<crate::simd::LeafVisit>,
-    ) {
-        visited.clear();
-        self.for_each_leaf_in_radius(query, radius, scratch, stats, |leaf, start, count, _| {
-            visited.push((leaf, start, count));
-        });
-    }
-
     /// Sweeps collected leaf visits in baseline `f32` precision,
     /// appending hits to `out` — the sweep half of the two-phase
     /// search. One backend dispatch (lane constants hoisted) covers
     /// every visit; without a vector backend the scalar reference
     /// loop runs per visit. Hits and stats are bit-identical either
-    /// way, and identical to scanning each leaf through
-    /// [`scan_leaf_baseline`](KdTree::scan_leaf_baseline).
+    /// way, and identical (values and order) to the instrumented
+    /// [`BaselineLeafProcessor`](crate::BaselineLeafProcessor).
     #[inline]
     pub fn sweep_leaf_visits(
         &self,
@@ -337,44 +321,6 @@ impl KdTree {
         for &(_, start, count) in visited {
             self.scan_leaf_scalar(start, count, query, r_sq, out);
         }
-    }
-
-    /// Scans one leaf in baseline `f32` precision over the
-    /// leaf-contiguous SoA layout, appending hits to `out`.
-    ///
-    /// With the `simd` feature and a vector backend
-    /// ([`simd::active_backend`](crate::simd::active_backend)), the
-    /// sweep runs eight squared-distance lanes per step over the
-    /// leaf's lane-padded rows and compacts hits in ascending slot
-    /// order; otherwise the scalar reference loop runs. Both paths
-    /// produce bit-identical `Neighbor`s to
-    /// [`BaselineLeafProcessor`](crate::BaselineLeafProcessor) (same
-    /// values, same order) without touching the event model.
-    #[inline]
-    pub fn scan_leaf_baseline(
-        &self,
-        start: u32,
-        count: u32,
-        query: Point3,
-        r_sq: f32,
-        out: &mut Vec<Neighbor>,
-        stats: &mut SearchStats,
-    ) {
-        stats.points_inspected += count as u64;
-        stats.point_bytes_loaded += count as u64 * 12;
-        if crate::simd::sweep_baseline_visited(
-            &self.leaf_x,
-            &self.leaf_y,
-            &self.leaf_z,
-            &self.vind,
-            &[(u32::MAX, start, count)],
-            query,
-            r_sq,
-            out,
-        ) {
-            return;
-        }
-        self.scan_leaf_scalar(start, count, query, r_sq, out);
     }
 
     /// The scalar reference sweep of one leaf: slice windows hoisted
@@ -409,49 +355,24 @@ impl KdTree {
             }
         }
     }
+}
 
-    /// Fast uninstrumented baseline radius search: iterative traversal
-    /// plus a linear SoA leaf sweep; allocation-free once `scratch` and
-    /// `out` are warm. Results (cleared into `out`) are identical to
-    /// [`radius_search`](KdTree::radius_search) with a
-    /// [`BaselineLeafProcessor`](crate::BaselineLeafProcessor).
-    pub fn radius_search_fast(
-        &self,
-        query: Point3,
-        radius: f32,
-        scratch: &mut SearchScratch,
-        out: &mut Vec<Neighbor>,
-        stats: &mut SearchStats,
-    ) {
-        out.clear();
-        let r_sq = radius * radius;
-        // Two-phase: collect the visited leaves, then sweep them all
-        // through one backend dispatch.
-        let mut visited = scratch.take_visited();
-        self.collect_leaves_in_radius(query, radius, scratch, stats, &mut visited);
-        self.sweep_leaf_visits(&visited, query, r_sq, out, stats);
-        scratch.store_visited(visited);
-    }
-
-    /// Answers many baseline queries in one call, filling `batch`.
-    ///
-    /// Equivalent to looping
-    /// [`radius_search_fast`](KdTree::radius_search_fast) but
-    /// amortizes all buffers; the
-    /// mode-aware front-end (compressed leaves, parallelism) is
-    /// `RadiusSearchEngine` in `bonsai-core`.
-    pub fn radius_search_batch(&self, queries: &[Point3], radius: f32, batch: &mut QueryBatch) {
-        batch.reset();
-        let r_sq = radius * radius;
-        for &query in queries {
-            batch.push_query(|scratch, out, stats| {
-                let mut visited = scratch.take_visited();
-                self.collect_leaves_in_radius(query, radius, scratch, stats, &mut visited);
-                self.sweep_leaf_visits(&visited, query, r_sq, out, stats);
-                scratch.store_visited(visited);
-            });
-        }
-    }
+/// The two-phase baseline search the in-crate tests pin: collect the
+/// visited leaves, then sweep them, clearing `out` first.
+#[cfg(test)]
+pub(crate) fn two_phase_search(
+    tree: &KdTree,
+    query: Point3,
+    radius: f32,
+    scratch: &mut SearchScratch,
+    out: &mut Vec<Neighbor>,
+    stats: &mut SearchStats,
+) {
+    out.clear();
+    let mut visited = scratch.take_visited();
+    tree.collect_leaves_in_radius(query, radius, scratch, stats, &mut visited);
+    tree.sweep_leaf_visits(&visited, query, radius * radius, out, stats);
+    scratch.store_visited(visited);
 }
 
 #[cfg(test)]
@@ -460,6 +381,20 @@ mod tests {
     use crate::baseline::BaselineLeafProcessor;
     use crate::build::KdTreeConfig;
     use bonsai_sim::SimEngine;
+
+    /// Every query through the two-phase search, appended into
+    /// `batch` (reset first).
+    fn batch_search(tree: &KdTree, queries: &[Point3], radius: f32, batch: &mut QueryBatch) {
+        batch.reset();
+        for &query in queries {
+            batch.push_query(|scratch, out, stats| {
+                let mut visited = scratch.take_visited();
+                tree.collect_leaves_in_radius(query, radius, scratch, stats, &mut visited);
+                tree.sweep_leaf_visits(&visited, query, radius * radius, out, stats);
+                scratch.store_visited(visited);
+            });
+        }
+    }
 
     fn random_cloud(n: usize, seed: u64, scale: f32) -> Vec<Point3> {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -486,7 +421,14 @@ mod tests {
         for (qi, r) in [(0usize, 0.9f32), (77, 2.5), (1500, 0.2), (1999, 8.0)] {
             let mut fast_stats = SearchStats::default();
             let mut slow_stats = SearchStats::default();
-            tree.radius_search_fast(cloud[qi], r, &mut scratch, &mut fast_out, &mut fast_stats);
+            two_phase_search(
+                &tree,
+                cloud[qi],
+                r,
+                &mut scratch,
+                &mut fast_out,
+                &mut fast_stats,
+            );
             tree.radius_search(
                 &mut sim,
                 &mut proc,
@@ -508,7 +450,7 @@ mod tests {
         let queries: Vec<Point3> = (0..cloud.len()).step_by(13).map(|i| cloud[i]).collect();
 
         let mut batch = QueryBatch::new();
-        tree.radius_search_batch(&queries, 1.4, &mut batch);
+        batch_search(&tree, &queries, 1.4, &mut batch);
         assert_eq!(batch.num_queries(), queries.len());
 
         let mut scratch = SearchScratch::new();
@@ -516,7 +458,7 @@ mod tests {
         let mut total = SearchStats::default();
         for (i, &q) in queries.iter().enumerate() {
             let mut stats = SearchStats::default();
-            tree.radius_search_fast(q, 1.4, &mut scratch, &mut out, &mut stats);
+            two_phase_search(&tree, q, 1.4, &mut scratch, &mut out, &mut stats);
             assert_eq!(batch.results(i), &out[..], "query {i}");
             total += stats;
         }
@@ -533,10 +475,10 @@ mod tests {
         let mut sim = SimEngine::disabled();
         let tree = KdTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
         let mut batch = QueryBatch::new();
-        tree.radius_search_batch(&cloud[..64], 2.0, &mut batch);
+        batch_search(&tree, &cloud[..64], 2.0, &mut batch);
         let first = batch.total_matches();
         assert!(first > 0);
-        tree.radius_search_batch(&cloud[..8], 2.0, &mut batch);
+        batch_search(&tree, &cloud[..8], 2.0, &mut batch);
         assert_eq!(batch.num_queries(), 8);
         assert!(batch.total_matches() < first);
     }
@@ -549,13 +491,13 @@ mod tests {
         let queries = &cloud[..30];
 
         let mut whole = QueryBatch::new();
-        tree.radius_search_batch(queries, 1.8, &mut whole);
+        batch_search(&tree, queries, 1.8, &mut whole);
 
         let mut merged = QueryBatch::new();
         merged.reset();
         for half in queries.chunks(17) {
             let mut part = QueryBatch::new();
-            tree.radius_search_batch(half, 1.8, &mut part);
+            batch_search(&tree, half, 1.8, &mut part);
             merged.absorb(&part);
         }
         assert_eq!(merged.num_queries(), whole.num_queries());
@@ -577,12 +519,12 @@ mod tests {
         let mut out = Vec::new();
         for r in [0.0f32, -1.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
             let mut stats = SearchStats::default();
-            tree.radius_search_fast(cloud[3], r, &mut scratch, &mut out, &mut stats);
+            two_phase_search(&tree, cloud[3], r, &mut scratch, &mut out, &mut stats);
             assert!(out.is_empty(), "radius {r}");
             assert_eq!(stats, SearchStats::default(), "radius {r}");
 
             let mut batch = QueryBatch::new();
-            tree.radius_search_batch(&cloud[..16], r, &mut batch);
+            batch_search(&tree, &cloud[..16], r, &mut batch);
             assert_eq!(batch.num_queries(), 16, "radius {r}");
             assert_eq!(batch.total_matches(), 0, "radius {r}");
             assert_eq!(*batch.stats(), SearchStats::default(), "radius {r}");
@@ -606,12 +548,12 @@ mod tests {
         ];
         for q in queries {
             let mut stats = SearchStats::default();
-            tree.radius_search_fast(q, 1.5, &mut scratch, &mut out, &mut stats);
+            two_phase_search(&tree, q, 1.5, &mut scratch, &mut out, &mut stats);
             assert!(out.is_empty(), "query {q:?}");
             assert_eq!(stats, SearchStats::default(), "query {q:?}");
         }
         let mut batch = QueryBatch::new();
-        tree.radius_search_batch(&queries, 1.5, &mut batch);
+        batch_search(&tree, &queries, 1.5, &mut batch);
         assert_eq!(batch.num_queries(), queries.len());
         assert_eq!(batch.total_matches(), 0);
         assert_eq!(*batch.stats(), SearchStats::default());
@@ -627,10 +569,10 @@ mod tests {
             dist_sq: 0.0,
         }];
         let mut stats = SearchStats::default();
-        tree.radius_search_fast(Point3::ZERO, 5.0, &mut scratch, &mut out, &mut stats);
+        two_phase_search(&tree, Point3::ZERO, 5.0, &mut scratch, &mut out, &mut stats);
         assert!(out.is_empty());
         let mut batch = QueryBatch::new();
-        tree.radius_search_batch(&[], 1.0, &mut batch);
+        batch_search(&tree, &[], 1.0, &mut batch);
         assert_eq!(batch.num_queries(), 0);
         assert_eq!(batch.total_matches(), 0);
     }

@@ -11,8 +11,7 @@
 //!   `x86_64`, NEON on `aarch64`, detected once per process, plus a
 //!   scalar fallback that is byte-for-byte the pre-SIMD loop,
 //! * the vectorized baseline leaf sweep, used by
-//!   `KdTree::sweep_leaf_visits` / `KdTree::scan_leaf_baseline` over
-//!   collected [`LeafVisit`] lists (the compressed sweep lives in
+//!   `KdTree::sweep_leaf_visits` over collected [`LeafVisit`] lists (the compressed sweep lives in
 //!   `bonsai-core`, built on the same geometry and dispatch).
 //!
 //! # Bit-identical by construction

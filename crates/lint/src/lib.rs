@@ -624,7 +624,7 @@ mod tests {
     fn entry_point_convention_matches_issue_spec() {
         for n in [
             "radius_search",
-            "radius_search_fast",
+            "radius_search_scratch",
             "knn",
             "nearest",
             "insert",
@@ -634,7 +634,6 @@ mod tests {
             "adapt_step",
             "worker_partition",
             "search_batch_shards",
-            "search_batch_shard_parallel",
         ] {
             assert!(rules::is_entry_point_name(n), "{n}");
         }

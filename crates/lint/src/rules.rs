@@ -600,7 +600,6 @@ pub fn is_entry_point_name(name: &str) -> bool {
         || name == "adapt_step"
         || name == "worker_partition"
         || name == "search_batch_shards"
-        || name == "search_batch_shard_parallel"
         || (name.starts_with("radius_") && name != "radius_is_searchable")
 }
 

@@ -28,10 +28,10 @@
 //!    answered it.
 //!
 //! Anything `Send + Sync` that can append radius hits can be served:
-//! the [`EpochIndex`] trait is implemented for
-//! [`RouterSnapshot`] (the sharded streaming index) and the
-//! `Arc`-owning [`RadiusSearchEngine`] (single tree, all three
-//! modes).
+//! the [`EpochIndex`] trait is implemented for [`RouterSnapshot`] (the
+//! sharded streaming index) and for the single trees `KdTree` and
+//! `BonsaiTree`, which the publisher already keeps behind an `Arc`
+//! (each searched through a borrowed [`RadiusSearchEngine`]).
 //!
 //! # Examples
 //!
@@ -161,8 +161,8 @@ pub struct QueryResult {
     /// epoch's index.
     pub epoch: u64,
     /// The hits, in the index's canonical order (ascending global
-    /// index through a router snapshot; leaf order through a
-    /// single-tree engine).
+    /// index through a router snapshot; leaf order through a single
+    /// tree).
     pub neighbors: Vec<Neighbor>,
 }
 
@@ -228,21 +228,14 @@ impl EpochIndex for RouterSnapshot {
         RouterSnapshot::search_append(self, query, radius, scratch, out, stats);
     }
 
-    /// A non-empty snapshot whose every shard is quarantined serves
-    /// nothing: reject the batch with the same typed error the
-    /// snapshot's own `try_` searches return.
+    /// Rejects the batch through the snapshot's typed
+    /// [`coverage_gate`](RouterSnapshot::coverage_gate).
     fn admission(&self) -> Result<(), QueryError> {
-        let coverage = self.coverage();
-        if self.num_shards() > 0 && coverage.offline.len() == self.num_shards() {
-            return Err(QueryError::NoCoverage {
-                offline: coverage.offline,
-            });
-        }
-        Ok(())
+        self.coverage_gate()
     }
 }
 
-impl EpochIndex for RadiusSearchEngine<'static> {
+impl EpochIndex for bonsai_kdtree::KdTree {
     fn search_append(
         &self,
         query: Point3,
@@ -251,7 +244,20 @@ impl EpochIndex for RadiusSearchEngine<'static> {
         out: &mut Vec<Neighbor>,
         stats: &mut SearchStats,
     ) {
-        RadiusSearchEngine::search_append(self, query, radius, scratch, out, stats);
+        RadiusSearchEngine::baseline(self).search_append(query, radius, scratch, out, stats);
+    }
+}
+
+impl EpochIndex for bonsai_core::BonsaiTree {
+    fn search_append(
+        &self,
+        query: Point3,
+        radius: f32,
+        scratch: &mut SearchScratch,
+        out: &mut Vec<Neighbor>,
+        stats: &mut SearchStats,
+    ) {
+        RadiusSearchEngine::bonsai(self).search_append(query, radius, scratch, out, stats);
     }
 }
 
@@ -657,16 +663,18 @@ mod tests {
     fn shared_engine_serves_single_tree_snapshots() {
         let cloud = urban_cloud(800, 7);
         let mut sim = SimEngine::disabled();
-        let tree = Arc::new(BonsaiTree::build(
-            cloud.clone(),
-            KdTreeConfig::default(),
-            &mut sim,
-        ));
-        let engine = RadiusSearchEngine::shared_bonsai(Arc::clone(&tree));
-        let publisher = Arc::new(EpochPublisher::new(engine));
+        let tree = BonsaiTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
+        let expect = tree.radius_search_simple(cloud[11], 0.8);
+        let baseline = tree.kd_tree().clone();
+        let publisher = Arc::new(EpochPublisher::new(tree));
         let server = Server::new(publisher, ServeConfig::default());
         let got = server.radius_query(cloud[11], 0.8).expect("served");
-        let expect = tree.radius_search_simple(cloud[11], 0.8);
+        assert_eq!(got.neighbors, expect);
+
+        let expect = baseline.radius_search_simple(cloud[11], 0.8);
+        let publisher = Arc::new(EpochPublisher::new(baseline));
+        let server = Server::new(publisher, ServeConfig::default());
+        let got = server.radius_query(cloud[11], 0.8).expect("served");
         assert_eq!(got.neighbors, expect);
     }
 
@@ -702,7 +710,7 @@ mod tests {
         let mut batch = QueryBatch::new();
         let mut splits = 0;
         for _ in 0..12 {
-            router.search_batch(&hot, 1.0, &mut batch);
+            router.snapshot().search_batch(&hot, 1.0, &mut batch);
             let report = router.adapt_step(&policy, publisher.epoch_lag());
             splits += report.splits;
             server.record_adapt(&report);

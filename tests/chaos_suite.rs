@@ -354,7 +354,7 @@ fn adapted_topology_heals_to_bit_identical_serving() {
             for _ in 0..4 {
                 for twin in [&mut clean, &mut ex] {
                     let mut b = QueryBatch::new();
-                    twin.router().search_batch(&hot, 0.8, &mut b);
+                    twin.router().snapshot().search_batch(&hot, 0.8, &mut b);
                     twin.maybe_adapt(&policy, 0);
                 }
             }

@@ -65,7 +65,7 @@ fn engine_for<'t>(tree: &'t BonsaiTree, mode: TreeMode) -> RadiusSearchEngine<'t
     match mode {
         TreeMode::Baseline => RadiusSearchEngine::baseline(tree.kd_tree()),
         TreeMode::Bonsai => RadiusSearchEngine::bonsai(tree),
-        TreeMode::SoftwareCodec => RadiusSearchEngine::software_codec(tree),
+        TreeMode::SoftwareCodec => RadiusSearchEngine::bonsai(tree),
     }
 }
 
@@ -111,9 +111,8 @@ fn pin_all_modes(cloud: &[Point3], query: Point3, radius: f32, label: &str) {
         let shard_cfg = ShardConfig::with_shards(4);
         let router = match mode {
             TreeMode::Baseline => ShardRouter::baseline(cloud, KdTreeConfig::default(), shard_cfg),
-            TreeMode::Bonsai => ShardRouter::bonsai(cloud, KdTreeConfig::default(), shard_cfg),
-            TreeMode::SoftwareCodec => {
-                ShardRouter::software_codec(cloud, KdTreeConfig::default(), shard_cfg)
+            TreeMode::Bonsai | TreeMode::SoftwareCodec => {
+                ShardRouter::bonsai(cloud, KdTreeConfig::default(), shard_cfg)
             }
         };
         let mut stats = SearchStats::default();
@@ -213,7 +212,7 @@ fn degenerate_radii_are_empty_through_the_router() {
         );
         for r in [0.0f32, -0.7, f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
             let mut batch = QueryBatch::new();
-            router.search_batch(&cloud[..32], r, &mut batch);
+            router.snapshot().search_batch(&cloud[..32], r, &mut batch);
             assert_eq!(batch.num_queries(), 32);
             assert_eq!(batch.total_matches(), 0, "K={shards} radius {r}");
             assert_eq!(
@@ -293,7 +292,9 @@ fn non_finite_query_centers_are_empty_through_the_router() {
             ShardConfig::with_shards(shards),
         );
         let mut batch = QueryBatch::new();
-        router.search_batch(&NON_FINITE_QUERIES, 1.0, &mut batch);
+        router
+            .snapshot()
+            .search_batch(&NON_FINITE_QUERIES, 1.0, &mut batch);
         assert_eq!(batch.num_queries(), NON_FINITE_QUERIES.len());
         assert_eq!(batch.total_matches(), 0, "K={shards}");
         assert_eq!(*batch.stats(), SearchStats::default(), "K={shards}");
@@ -425,7 +426,7 @@ fn identical_points_shard_cleanly() {
         assert_eq!(router.num_points(), 64);
         assert_eq!(router.shard_sizes().sum::<usize>(), 64);
         let mut batch = QueryBatch::new();
-        router.search_batch(&[p], 0.25, &mut batch);
+        router.snapshot().search_batch(&[p], 0.25, &mut batch);
         assert_eq!(batch.results(0).len(), 64, "K={shards}");
         // Canonical order: ascending global index.
         let idx: Vec<u32> = batch.results(0).iter().map(|n| n.index).collect();

@@ -1,8 +1,8 @@
 //! Churn-equivalence property tests for the incremental mutation
 //! layer: **any** interleaving of inserts, deletes and searches yields
 //! neighbor sets bit-identical to a from-scratch rebuild over the same
-//! live points — at every checkpoint, for all three tree modes
-//! (Baseline / Bonsai / SoftwareCodec), through both the single-tree
+//! live points — at every checkpoint, for both engine modes
+//! (Baseline / Bonsai), through both the single-tree
 //! `RadiusSearchEngine` and the mutated `ShardRouter`, and end-to-end
 //! through cluster extraction.
 //!
@@ -19,11 +19,7 @@ use kd_bonsai::kdtree::{KdTreeConfig, Neighbor, SearchScratch, SearchStats};
 use kd_bonsai::sim::SimEngine;
 use proptest::prelude::*;
 
-const MODES: [TreeMode; 3] = [
-    TreeMode::Baseline,
-    TreeMode::Bonsai,
-    TreeMode::SoftwareCodec,
-];
+const MODES: [TreeMode; 2] = [TreeMode::Baseline, TreeMode::Bonsai];
 
 fn arb_cloud(max: usize) -> impl Strategy<Value = Vec<Point3>> {
     prop::collection::vec(
@@ -46,8 +42,7 @@ fn arb_ops(max: usize) -> impl Strategy<Value = Vec<(u8, usize)>> {
 fn engine_for<'t>(tree: &'t BonsaiTree, mode: TreeMode) -> RadiusSearchEngine<'t> {
     match mode {
         TreeMode::Baseline => RadiusSearchEngine::baseline(tree.kd_tree()),
-        TreeMode::Bonsai => RadiusSearchEngine::bonsai(tree),
-        TreeMode::SoftwareCodec => RadiusSearchEngine::software_codec(tree),
+        TreeMode::Bonsai | TreeMode::SoftwareCodec => RadiusSearchEngine::bonsai(tree),
     }
 }
 
@@ -64,7 +59,7 @@ fn keyed(hits: &[Neighbor]) -> Vec<(u32, u32)> {
 /// The compaction acceptance contract, stated directly (the property
 /// tests below also imply it by transitivity through fresh rebuilds):
 /// after churn + `BonsaiTree::compact`, radius and kNN results **and**
-/// `SearchStats` are bit-identical to pre-compaction in all three
+/// `SearchStats` are bit-identical to pre-compaction in both engine
 /// modes, `garbage_slots()` is zero and the lane-padding invariant
 /// holds. Runs under whichever SIMD backend the build/CI arm selects.
 #[test]
@@ -256,8 +251,8 @@ proptest! {
                             let hot_queries = [hot; 24];
                             let mut b = kd_bonsai::kdtree::QueryBatch::new();
                             for _ in 0..3 {
-                                router_base.search_batch(&hot_queries, radius, &mut b);
-                                router_bonsai.search_batch(&hot_queries, radius, &mut b);
+                                router_base.snapshot().search_batch(&hot_queries, radius, &mut b);
+                                router_bonsai.snapshot().search_batch(&hot_queries, radius, &mut b);
                                 router_base.adapt_step(&policy, 0);
                                 router_bonsai.adapt_step(&policy, 0);
                             }
@@ -395,8 +390,8 @@ proptest! {
                     {
                         let mut b1 = kd_bonsai::kdtree::QueryBatch::new();
                         let mut b2 = kd_bonsai::kdtree::QueryBatch::new();
-                        router_bonsai.search_batch(&queries, radius, &mut b1);
-                        router_bonsai.search_batch(&queries, radius, &mut b2);
+                        router_bonsai.snapshot().search_batch(&queries, radius, &mut b1);
+                        router_bonsai.snapshot().search_batch(&queries, radius, &mut b2);
                         prop_assert_eq!(
                             b1.stats(), b2.stats(),
                             "step {}: routed batch stats are nondeterministic", step

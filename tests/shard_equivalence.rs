@@ -1,13 +1,13 @@
-//! Property tests for the sharded multi-tree `ShardRouter`: for every
-//! tree mode (Baseline / Bonsai / SoftwareCodec), random clouds, radii
+//! Property tests for the sharded multi-tree `ShardRouter`, read
+//! through its `RouterSnapshot`: for both engine modes (Baseline /
+//! Bonsai), random clouds, radii
 //! and shard counts (including K=1 and K larger than the point count),
 //! the router's per-query neighbor sets are bit-identical to the
 //! single-tree `RadiusSearchEngine`'s, its aggregated `SearchStats`
 //! equal the sum of independently rebuilt per-shard engines over the
 //! routed queries, and queries outside every shard's box do no work.
 
-use kd_bonsai::cluster::TreeMode;
-use kd_bonsai::core::{BonsaiTree, RadiusSearchEngine, ShardConfig, ShardRouter};
+use kd_bonsai::core::{BonsaiTree, EngineMode, RadiusSearchEngine, ShardConfig, ShardRouter};
 use kd_bonsai::geom::Point3;
 use kd_bonsai::kdtree::{KdTreeConfig, Neighbor, QueryBatch, SearchStats};
 use kd_bonsai::sim::SimEngine;
@@ -25,26 +25,20 @@ fn sorted(mut hits: Vec<Neighbor>) -> Vec<Neighbor> {
     hits
 }
 
-const MODES: [TreeMode; 3] = [
-    TreeMode::Baseline,
-    TreeMode::Bonsai,
-    TreeMode::SoftwareCodec,
-];
+const MODES: [EngineMode; 2] = [EngineMode::Baseline, EngineMode::Compressed];
 
-fn engine_for<'t>(tree: &'t BonsaiTree, mode: TreeMode) -> RadiusSearchEngine<'t> {
+fn engine_for<'t>(tree: &'t BonsaiTree, mode: EngineMode) -> RadiusSearchEngine<'t> {
     match mode {
-        TreeMode::Baseline => RadiusSearchEngine::baseline(tree.kd_tree()),
-        TreeMode::Bonsai => RadiusSearchEngine::bonsai(tree),
-        TreeMode::SoftwareCodec => RadiusSearchEngine::software_codec(tree),
+        EngineMode::Baseline => RadiusSearchEngine::baseline(tree.kd_tree()),
+        EngineMode::Compressed => RadiusSearchEngine::bonsai(tree),
     }
 }
 
-fn router_for(cloud: &[Point3], cfg: KdTreeConfig, mode: TreeMode, shards: usize) -> ShardRouter {
+fn router_for(cloud: &[Point3], cfg: KdTreeConfig, mode: EngineMode, shards: usize) -> ShardRouter {
     let shard_cfg = ShardConfig::with_shards(shards);
     match mode {
-        TreeMode::Baseline => ShardRouter::baseline(cloud, cfg, shard_cfg),
-        TreeMode::Bonsai => ShardRouter::bonsai(cloud, cfg, shard_cfg),
-        TreeMode::SoftwareCodec => ShardRouter::software_codec(cloud, cfg, shard_cfg),
+        EngineMode::Baseline => ShardRouter::baseline(cloud, cfg, shard_cfg),
+        EngineMode::Compressed => ShardRouter::bonsai(cloud, cfg, shard_cfg),
     }
 }
 
@@ -87,7 +81,7 @@ proptest! {
             let mut single = QueryBatch::new();
             engine.search_batch(&queries, radius, &mut single);
             let mut sharded = QueryBatch::new();
-            router.search_batch(&queries, radius, &mut sharded);
+            router.snapshot().search_batch(&queries, radius, &mut sharded);
 
             prop_assert_eq!(sharded.num_queries(), single.num_queries());
             for i in 0..single.num_queries() {
@@ -140,7 +134,7 @@ proptest! {
             let mut single = QueryBatch::new();
             engine.search_batch(&cloud, radius, &mut single);
             let mut sharded = QueryBatch::new();
-            router.search_batch(&cloud, radius, &mut sharded);
+            router.snapshot().search_batch(&cloud, radius, &mut sharded);
 
             for i in 0..single.num_queries() {
                 prop_assert_eq!(
@@ -175,7 +169,7 @@ proptest! {
             let mut single = QueryBatch::new();
             engine.search_batch(&cloud, radius, &mut single);
             let mut sharded = QueryBatch::new();
-            router.search_batch(&cloud, radius, &mut sharded);
+            router.snapshot().search_batch(&cloud, radius, &mut sharded);
             for i in 0..single.num_queries() {
                 prop_assert_eq!(
                     sharded.results(i),
@@ -200,9 +194,9 @@ proptest! {
         for mode in MODES {
             let router = router_for(&cloud, cfg, mode, shards);
             let mut sequential = QueryBatch::new();
-            router.search_batch(&cloud, radius, &mut sequential);
+            router.snapshot().search_batch(&cloud, radius, &mut sequential);
             let mut parallel = QueryBatch::new();
-            router.search_batch_parallel(&cloud, radius, &mut parallel, threads);
+            router.snapshot().search_batch_parallel(&cloud, radius, &mut parallel, threads);
             prop_assert_eq!(parallel.num_queries(), sequential.num_queries());
             for i in 0..sequential.num_queries() {
                 prop_assert_eq!(

@@ -1,7 +1,7 @@
 //! Property tests for the SIMD lane engine: the vectorized leaf
 //! sweeps must be **bit-identical** to the scalar reference path —
 //! same `Neighbor` values, same order, same aggregated `SearchStats` —
-//! in all three engine modes, on fresh builds *and* across
+//! in both engine modes, on fresh builds *and* across
 //! insert/delete churn, with the lane-padding invariant checked after
 //! every mutation.
 //!
@@ -32,16 +32,14 @@ fn arb_cloud(max: usize) -> impl Strategy<Value = Vec<Point3>> {
 enum Mode {
     Baseline,
     Bonsai,
-    SoftwareCodec,
 }
 
-const MODES: [Mode; 3] = [Mode::Baseline, Mode::Bonsai, Mode::SoftwareCodec];
+const MODES: [Mode; 2] = [Mode::Baseline, Mode::Bonsai];
 
 fn engine_for(tree: &BonsaiTree, mode: Mode) -> RadiusSearchEngine<'_> {
     match mode {
         Mode::Baseline => RadiusSearchEngine::baseline(tree.kd_tree()),
         Mode::Bonsai => RadiusSearchEngine::bonsai(tree),
-        Mode::SoftwareCodec => RadiusSearchEngine::software_codec(tree),
     }
 }
 
@@ -140,7 +138,7 @@ proptest! {
     }
 }
 
-/// The per-leaf sweep kernel (`RadiusSearchEngine::sweep_leaf`) — the
+/// The leaf-sweep kernel (`RadiusSearchEngine::sweep_visited`) — the
 /// unit the benches time — is itself backend-independent, leaf by
 /// leaf, in both modes.
 #[test]
@@ -157,26 +155,31 @@ fn sweep_leaf_kernel_is_backend_independent() {
         .collect();
     let mut sim = SimEngine::disabled();
     let tree = BonsaiTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
-    let leaves: Vec<u32> = tree
+    let leaves: Vec<(u32, u32, u32)> = tree
         .kd_tree()
         .nodes()
         .iter()
         .enumerate()
-        .filter_map(|(id, n)| matches!(n, Node::Leaf { .. }).then_some(id as u32))
+        .filter_map(|(id, n)| match *n {
+            Node::Leaf { start, count } => Some((id as u32, start, count)),
+            Node::Interior { .. } => None,
+        })
         .collect();
     let ov = simd::scalar_override();
     for mode in MODES {
         let engine = engine_for(&tree, mode);
         for &q in &[cloud[17], cloud[2000], Point3::new(0.0, 0.0, 0.0)] {
-            for &leaf in &leaves {
+            for visit in &leaves {
+                let leaf = visit.0;
+                let visited = std::slice::from_ref(visit);
                 let mut scalar_out = Vec::new();
                 let mut scalar_stats = SearchStats::default();
                 ov.set(true);
-                engine.sweep_leaf(leaf, q, 2.5, &mut scalar_out, &mut scalar_stats);
+                engine.sweep_visited(visited, q, 2.5, &mut scalar_out, &mut scalar_stats);
                 let mut simd_out = Vec::new();
                 let mut simd_stats = SearchStats::default();
                 ov.set(false);
-                engine.sweep_leaf(leaf, q, 2.5, &mut simd_out, &mut simd_stats);
+                engine.sweep_visited(visited, q, 2.5, &mut simd_out, &mut simd_stats);
                 assert_eq!(scalar_out, simd_out, "{mode:?} leaf {leaf}");
                 assert_eq!(scalar_stats, simd_stats, "{mode:?} leaf {leaf} stats");
             }

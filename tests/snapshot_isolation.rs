@@ -2,9 +2,9 @@
 //! keeps mutating must answer every query **bit-identically** — same
 //! neighbor values, same order, same `SearchStats` — to a
 //! stop-the-world engine frozen at that epoch, at every checkpoint,
-//! for all three tree modes, through both the sharded
-//! [`RouterSnapshot`] epochs the streaming stack publishes and the
-//! `Arc`-owning single-tree engines, under whichever SIMD backend the
+//! for both engine modes, through both the sharded
+//! [`RouterSnapshot`] epochs the streaming stack publishes and
+//! published single trees, under whichever SIMD backend the
 //! build arm selects (the suite runs on the default and the
 //! `--no-default-features` scalar arm alike).
 //!
@@ -14,21 +14,16 @@
 
 use std::sync::Arc;
 
-use kd_bonsai::cluster::TreeMode;
 use kd_bonsai::core::{
-    BonsaiTree, Epoch, EpochPublisher, RadiusSearchEngine, RouterSnapshot, ShardConfig, ShardRouter,
+    BonsaiTree, EngineMode, Epoch, EpochPublisher, RouterSnapshot, ShardConfig, ShardRouter,
 };
 use kd_bonsai::geom::Point3;
 use kd_bonsai::kdtree::{KdTreeConfig, Neighbor, SearchScratch, SearchStats};
-use kd_bonsai::serve::{ServeConfig, Server};
+use kd_bonsai::serve::{EpochIndex, ServeConfig, Server};
 use kd_bonsai::sim::SimEngine;
 use proptest::prelude::*;
 
-const MODES: [TreeMode; 3] = [
-    TreeMode::Baseline,
-    TreeMode::Bonsai,
-    TreeMode::SoftwareCodec,
-];
+const MODES: [EngineMode; 2] = [EngineMode::Baseline, EngineMode::Compressed];
 
 fn arb_cloud(max: usize) -> impl Strategy<Value = Vec<Point3>> {
     prop::collection::vec(
@@ -47,19 +42,18 @@ fn arb_ops(max: usize) -> impl Strategy<Value = Vec<(u8, usize)>> {
     prop::collection::vec((0u8..6, 0usize..10_000), 4..max)
 }
 
-fn router_for(mode: TreeMode, cloud: &[Point3], cfg: KdTreeConfig, shards: usize) -> ShardRouter {
+fn router_for(mode: EngineMode, cloud: &[Point3], cfg: KdTreeConfig, shards: usize) -> ShardRouter {
     let sc = ShardConfig::with_shards(shards);
     match mode {
-        TreeMode::Baseline => ShardRouter::baseline(cloud, cfg, sc),
-        TreeMode::Bonsai => ShardRouter::bonsai(cloud, cfg, sc),
-        TreeMode::SoftwareCodec => ShardRouter::software_codec(cloud, cfg, sc),
+        EngineMode::Baseline => ShardRouter::baseline(cloud, cfg, sc),
+        EngineMode::Compressed => ShardRouter::bonsai(cloud, cfg, sc),
     }
 }
 
-/// Exact per-query answers + stats of `snap`, in the snapshot's
-/// emitted order (no canonicalization: order is part of the contract).
-fn answers(
-    snap: &RouterSnapshot,
+/// Exact per-query answers + stats of a served index, in its emitted
+/// order (no canonicalization: order is part of the contract).
+fn answers<T: EpochIndex>(
+    index: &T,
     queries: &[Point3],
     radius: f32,
     scratch: &mut SearchScratch,
@@ -69,7 +63,7 @@ fn answers(
         .map(|&q| {
             let mut out = Vec::new();
             let mut stats = SearchStats::default();
-            snap.search_one(q, radius, scratch, &mut out, &mut stats);
+            index.search_append(q, radius, scratch, &mut out, &mut stats);
             (out, stats)
         })
         .collect()
@@ -150,7 +144,7 @@ proptest! {
                             let hot = [queries[arg % queries.len()]; 24];
                             let mut b = kd_bonsai::kdtree::QueryBatch::new();
                             for _ in 0..3 {
-                                router.search_batch(&hot, radius, &mut b);
+                                router.snapshot().search_batch(&hot, radius, &mut b);
                                 router.adapt_step(&policy, 0);
                             }
                         }
@@ -212,10 +206,9 @@ proptest! {
         }
     }
 
-    /// The same isolation contract through the `Arc`-owning
-    /// single-tree engines: a pinned engine epoch built from a cloned
-    /// tree keeps answering identically while the source tree mutates,
-    /// for all three modes.
+    /// The same isolation contract through published single trees: a
+    /// pinned epoch of a cloned tree — baseline and compressed — keeps
+    /// answering identically while the source tree mutates.
     #[test]
     fn pinned_shared_engines_survive_tree_mutation(
         cloud in arb_cloud(80),
@@ -226,49 +219,34 @@ proptest! {
         let cfg = KdTreeConfig { max_leaf_points: leaf, ..KdTreeConfig::default() };
         let mut sim = SimEngine::disabled();
         let mut tree = BonsaiTree::build(cloud.clone(), cfg, &mut sim);
-        for mode in MODES {
-            let snap = Arc::new(tree.clone());
-            let engine = match mode {
-                TreeMode::Baseline => {
-                    RadiusSearchEngine::shared_baseline(Arc::new(snap.kd_tree().clone()))
-                }
-                TreeMode::Bonsai => RadiusSearchEngine::shared_bonsai(Arc::clone(&snap)),
-                TreeMode::SoftwareCodec => {
-                    RadiusSearchEngine::shared_software_codec(Arc::clone(&snap))
-                }
-            };
-            let publisher = EpochPublisher::new(engine);
-            let pinnedepoch = publisher.pin();
-            let queries: Vec<Point3> = cloud.iter().step_by(7).copied().collect();
-            let mut scratch = SearchScratch::new();
-            let frozen: Vec<(Vec<Neighbor>, SearchStats)> = queries
-                .iter()
-                .map(|&q| {
-                    let mut out = Vec::new();
-                    let mut stats = SearchStats::default();
-                    pinnedepoch.value().search_append(q, radius, &mut scratch, &mut out, &mut stats);
-                    (out, stats)
-                })
-                .collect();
+        let baseline = EpochPublisher::new(tree.kd_tree().clone());
+        let bonsai = EpochPublisher::new(tree.clone());
+        let (baseline_pin, bonsai_pin) = (baseline.pin(), bonsai.pin());
+        let queries: Vec<Point3> = cloud.iter().step_by(7).copied().collect();
+        let mut scratch = SearchScratch::new();
+        let frozen_baseline = answers(baseline_pin.value(), &queries, radius, &mut scratch);
+        let frozen_bonsai = answers(bonsai_pin.value(), &queries, radius, &mut scratch);
 
-            // Mutate the source tree hard; the engine's Arc'd clone
-            // must not notice.
-            for (i, &p) in extra.iter().enumerate() {
-                if i % 3 == 0 {
-                    tree.delete(&mut sim, (i % cloud.len()) as u32);
-                } else {
-                    tree.insert(&mut sim, p);
-                }
+        // Mutate the source tree hard; the published clones must not
+        // notice.
+        for (i, &p) in extra.iter().enumerate() {
+            if i % 3 == 0 {
+                tree.delete(&mut sim, (i % cloud.len()) as u32);
+            } else {
+                tree.insert(&mut sim, p);
             }
-            tree.commit(&mut sim);
-            tree.compact(&mut sim);
+        }
+        tree.commit(&mut sim);
+        tree.compact(&mut sim);
 
-            for (i, &q) in queries.iter().enumerate() {
-                let mut out = Vec::new();
-                let mut stats = SearchStats::default();
-                pinnedepoch.value().search_append(q, radius, &mut scratch, &mut out, &mut stats);
-                prop_assert_eq!(&out, &frozen[i].0, "mode {:?} query {}: values drifted", mode, i);
-                prop_assert_eq!(stats, frozen[i].1, "mode {:?} query {}: stats drifted", mode, i);
+        let checks = [
+            ("baseline", answers(baseline_pin.value(), &queries, radius, &mut scratch), &frozen_baseline),
+            ("bonsai", answers(bonsai_pin.value(), &queries, radius, &mut scratch), &frozen_bonsai),
+        ];
+        for (mode, again, frozen) in checks {
+            for (i, (got, want)) in again.iter().zip(frozen).enumerate() {
+                prop_assert_eq!(&got.0, &want.0, "mode {} query {}: values drifted", mode, i);
+                prop_assert_eq!(got.1, want.1, "mode {} query {}: stats drifted", mode, i);
             }
         }
     }
