@@ -9,6 +9,16 @@
 //! neighbour mode of Autoware's pclomp NDT) — which is exactly where
 //! K-D Bonsai applies.
 //!
+//! Neighbour gathering has one dispatch point, the simulator. An
+//! uninstrumented alignment (`SimEngine::disabled()`) runs on the
+//! batched `RadiusSearchEngine` of `bonsai-core`, baseline or Bonsai
+//! leaves per [`NdtSearchMode`]: each Newton iteration holds one pose,
+//! so its searches go out as one batch, and a warm matcher allocates
+//! nothing. A simulated alignment keeps the instrumented walker
+//! (`radius_search_scratch` with the mode's leaf processor), so the
+//! cost model sees every search. Both return the same [`AlignResult`]
+//! bit for bit.
+//!
 //! Deviations from PCL's implementation, both standard and
 //! convergence-equivalent:
 //!

@@ -1,8 +1,8 @@
-use bonsai_core::BonsaiTree;
+use bonsai_core::{BonsaiLeafProcessor, BonsaiTree, RadiusSearchEngine};
 use bonsai_geom::{Mat3, Mat6, Point3, Pose, Vec6};
 use bonsai_isa::Machine;
 use bonsai_kdtree::{
-    BaselineLeafProcessor, KdTree, KdTreeConfig, Neighbor, SearchScratch, SearchStats,
+    BaselineLeafProcessor, KdTree, KdTreeConfig, Neighbor, QueryBatch, SearchScratch, SearchStats,
 };
 use bonsai_sim::{Kernel, OpClass, SimEngine};
 
@@ -73,6 +73,158 @@ impl AlignResult {
     }
 }
 
+/// The k-d tree over the map's cell centroids, in the matcher's mode.
+#[derive(Debug)]
+#[allow(clippy::large_enum_variant)] // one per matcher
+enum CentroidTree {
+    Baseline(KdTree),
+    Bonsai(BonsaiTree),
+}
+
+impl CentroidTree {
+    /// The uninstrumented batch engine over this tree.
+    fn engine(&self) -> RadiusSearchEngine<'_> {
+        match self {
+            CentroidTree::Baseline(tree) => RadiusSearchEngine::baseline(tree),
+            CentroidTree::Bonsai(tree) => RadiusSearchEngine::bonsai(tree),
+        }
+    }
+}
+
+/// The instrumented walker of a simulated alignment: the tree plus the
+/// mode's leaf processor. One per alignment (stateful scratch;
+/// per-query construction would poison the cache model with cold
+/// regions).
+enum Walker<'a> {
+    Baseline(&'a KdTree, BaselineLeafProcessor),
+    Bonsai(&'a KdTree, BonsaiLeafProcessor<'a>),
+}
+
+impl<'a> Walker<'a> {
+    fn new(sim: &mut SimEngine, tree: &'a CentroidTree, machine: &'a mut Machine) -> Walker<'a> {
+        match tree {
+            CentroidTree::Baseline(tree) => Walker::Baseline(tree, BaselineLeafProcessor::new(sim)),
+            CentroidTree::Bonsai(tree) => Walker::Bonsai(
+                tree.kd_tree(),
+                BonsaiLeafProcessor::new(tree.directory(), machine),
+            ),
+        }
+    }
+
+    /// One instrumented radius search, replacing `out`'s contents.
+    fn search(
+        &mut self,
+        sim: &mut SimEngine,
+        query: Point3,
+        radius: f32,
+        out: &mut Vec<Neighbor>,
+        stats: &mut SearchStats,
+        scratch: &mut SearchScratch,
+    ) {
+        match self {
+            Walker::Baseline(tree, proc) => {
+                tree.radius_search_scratch(sim, proc, query, radius, out, stats, scratch)
+            }
+            Walker::Bonsai(tree, proc) => {
+                tree.radius_search_scratch(sim, proc, query, radius, out, stats, scratch)
+            }
+        }
+    }
+}
+
+/// Magnusson's Gaussian + uniform mixture constants (2009, Eq. 6.8).
+#[derive(Debug, Clone, Copy)]
+struct Mixture {
+    d1: f64,
+    d2: f64,
+}
+
+impl Mixture {
+    fn new(resolution: f32, outlier_ratio: f64) -> Mixture {
+        // PCL's `gauss_d1_` is negative (it maximizes score); we minimize
+        // `f = Σ −d1·exp(−d2/2·qᵀBq)` with the positive magnitude.
+        let c = resolution as f64;
+        let gauss_c1 = 10.0 * (1.0 - outlier_ratio);
+        let gauss_c2 = outlier_ratio / (c * c * c);
+        let gauss_d3 = -(gauss_c2).ln();
+        let d1_pcl = -((gauss_c1 + gauss_c2).ln()) - gauss_d3;
+        let d2 = -2.0 * ((-(gauss_c1 * (-0.5f64).exp() + gauss_c2).ln() - gauss_d3) / d1_pcl).ln();
+        Mixture { d1: -d1_pcl, d2 }
+    }
+}
+
+/// One Newton iteration's objective: score, gradient and Hessian,
+/// accumulated point by point, neighbour by neighbour.
+struct Terms {
+    score: f64,
+    gradient: Vec6,
+    hessian: Mat6,
+}
+
+impl Terms {
+    fn new() -> Terms {
+        Terms {
+            score: 0.0,
+            gradient: Vec6::ZERO,
+            hessian: Mat6::ZERO,
+        }
+    }
+
+    /// Adds the terms of the transformed point `x = rotated + t`
+    /// against each neighbouring cell, in `neighbors` order.
+    fn add_point(
+        &mut self,
+        map: &NdtMap,
+        mix: Mixture,
+        x: Point3,
+        rotated: Point3,
+        neighbors: &[Neighbor],
+    ) {
+        for nb in neighbors {
+            let cell = &map.cells()[nb.index as usize];
+            let q = [
+                (x.x - cell.mean.x) as f64,
+                (x.y - cell.mean.y) as f64,
+                (x.z - cell.mean.z) as f64,
+            ];
+            let b: &Mat3 = &cell.inv_cov;
+            let bq = b.mul_vec(q);
+            let u = q[0] * bq[0] + q[1] * bq[1] + q[2] * bq[2];
+            let e = (-0.5 * mix.d2 * u).exp();
+            self.score -= mix.d1 * e;
+            let w = mix.d1 * mix.d2 * e;
+
+            // Jacobian columns: translation = I, rotation = −[v]×
+            // with v = R·p.
+            let v = [rotated.x as f64, rotated.y as f64, rotated.z as f64];
+            let mut jt_bq = [0.0f64; 6]; // (Jᵀ B q)
+            jt_bq[0] = bq[0];
+            jt_bq[1] = bq[1];
+            jt_bq[2] = bq[2];
+            // (−[v]×)ᵀ B q = (v × Bq) … column k of −[v]× is e_k×v.
+            jt_bq[3] = v[1] * bq[2] - v[2] * bq[1];
+            jt_bq[4] = v[2] * bq[0] - v[0] * bq[2];
+            jt_bq[5] = v[0] * bq[1] - v[1] * bq[0];
+
+            for r in 0..6 {
+                self.gradient[r] += w * jt_bq[r];
+            }
+            // Positive-semidefinite Gauss–Newton Hessian
+            // `Σ w·JᵀBJ`. The exact Newton Hessian subtracts
+            // `d2·(JᵀBq)(JᵀBq)ᵀ`, which is indefinite away from
+            // the optimum; PCL compensates with a More–Thuente
+            // line search, we keep the PSD form instead
+            // (documented deviation, same fixed point).
+            let jbj = jt_b_j(b, v);
+            for r in 0..6 {
+                for cc in 0..6 {
+                    self.hessian[(r, cc)] += w * jbj[r][cc];
+                }
+            }
+        }
+    }
+}
+
 /// NDT scan-to-map matching with k-d-tree neighbour gathering.
 ///
 /// See the [crate docs](crate) for the algorithm notes and an example.
@@ -80,17 +232,23 @@ impl AlignResult {
 pub struct NdtMatcher {
     map: NdtMap,
     cfg: NdtConfig,
-    mode: NdtSearchMode,
-    baseline_tree: Option<KdTree>,
-    bonsai_tree: Option<BonsaiTree>,
+    tree: CentroidTree,
     machine: Machine,
-    d1: f64,
-    d2: f64,
+    mixture: Mixture,
+    /// Engine path: the iteration's transformed scan points.
+    xs: Vec<Point3>,
+    /// Engine path: the iteration's neighbour lists.
+    batch: QueryBatch,
+    /// Instrumented path: one query's neighbours.
+    neighbors: Vec<Neighbor>,
+    /// Instrumented path: traversal scratch.
+    scratch: SearchScratch,
 }
 
 impl NdtMatcher {
     /// Builds the matcher: fits the centroid k-d tree in the requested
-    /// mode and precomputes Magnusson's mixture constants.
+    /// mode and precomputes Magnusson's mixture constants. Search
+    /// buffers start empty and grow on the first alignment.
     pub fn new(
         sim: &mut SimEngine,
         map: NdtMap,
@@ -98,35 +256,25 @@ impl NdtMatcher {
         mode: NdtSearchMode,
     ) -> NdtMatcher {
         let centroids = map.centroids();
-        let (baseline_tree, bonsai_tree) = match mode {
-            NdtSearchMode::Baseline => (
-                Some(KdTree::build(centroids, KdTreeConfig::default(), sim)),
-                None,
-            ),
-            NdtSearchMode::Bonsai => (
-                None,
-                Some(BonsaiTree::build(centroids, KdTreeConfig::default(), sim)),
-            ),
+        let tree = match mode {
+            NdtSearchMode::Baseline => {
+                CentroidTree::Baseline(KdTree::build(centroids, KdTreeConfig::default(), sim))
+            }
+            NdtSearchMode::Bonsai => {
+                CentroidTree::Bonsai(BonsaiTree::build(centroids, KdTreeConfig::default(), sim))
+            }
         };
-        // Magnusson 2009, Eq. 6.8: Gaussian + uniform mixture constants.
-        // PCL's `gauss_d1_` is negative (it maximizes score); we minimize
-        // `f = Σ −d1·exp(−d2/2·qᵀBq)` with the positive magnitude.
-        let c = map.resolution() as f64;
-        let gauss_c1 = 10.0 * (1.0 - cfg.outlier_ratio);
-        let gauss_c2 = cfg.outlier_ratio / (c * c * c);
-        let gauss_d3 = -(gauss_c2).ln();
-        let d1_pcl = -((gauss_c1 + gauss_c2).ln()) - gauss_d3;
-        let d2 = -2.0 * ((-(gauss_c1 * (-0.5f64).exp() + gauss_c2).ln() - gauss_d3) / d1_pcl).ln();
-        let d1 = -d1_pcl;
+        let mixture = Mixture::new(map.resolution(), cfg.outlier_ratio);
         NdtMatcher {
             map,
             cfg,
-            mode,
-            baseline_tree,
-            bonsai_tree,
+            tree,
             machine: Machine::new(),
-            d1,
-            d2,
+            mixture,
+            xs: Vec::new(),
+            batch: QueryBatch::new(),
+            neighbors: Vec::new(),
+            scratch: SearchScratch::new(),
         }
     }
 
@@ -137,129 +285,97 @@ impl NdtMatcher {
 
     /// Aligns `scan` (vehicle frame) to the map starting from `guess`,
     /// returning the refined pose.
+    ///
+    /// With the simulator disabled, neighbours are gathered through
+    /// [`RadiusSearchEngine`] — baseline or Bonsai leaves per the
+    /// matcher's [`NdtSearchMode`] — as **one batch per Newton
+    /// iteration** (the pose is fixed within an iteration), and a warm
+    /// alignment allocates nothing. With the simulator enabled, every
+    /// point goes through the instrumented walker
+    /// (`radius_search_scratch` and the mode's leaf processor), so the
+    /// simulated cost model sees each search. Both paths return the
+    /// same [`AlignResult`] bit for bit, `search_stats` included: the
+    /// engine's hits, their order and its counters equal the
+    /// instrumented processors', and the objective is accumulated in
+    /// the same point and neighbour order.
     pub fn align(&mut self, sim: &mut SimEngine, scan: &[Point3], guess: &Pose) -> AlignResult {
+        let NdtMatcher {
+            map,
+            cfg,
+            tree,
+            machine,
+            mixture,
+            xs,
+            batch,
+            neighbors,
+            scratch,
+        } = self;
+        let stride = cfg.scan_stride.max(1);
+        let radius = map.resolution();
+        let mut walker = sim.is_enabled().then(|| {
+            let scan_addr = sim.alloc(scan.len() as u64 * 16, 64);
+            (scan_addr, Walker::new(sim, tree, machine))
+        });
         let mut pose = *guess;
         let mut stats = SearchStats::default();
-        let mut neighbors: Vec<Neighbor> = Vec::new();
-        let mut scratch = SearchScratch::new();
         let mut iterations = 0;
         let mut converged = false;
         let mut score = 0.0;
-        let radius = self.map.resolution();
-        let scan_addr = sim.alloc(scan.len() as u64 * 16, 64);
-        // One processor per alignment (stateful scratch; per-query
-        // construction would poison the cache model with cold regions).
-        let mut baseline_proc = self
-            .baseline_tree
-            .as_ref()
-            .map(|_| BaselineLeafProcessor::new(sim));
-        let mut bonsai_proc = self
-            .bonsai_tree
-            .as_ref()
-            .map(|b| bonsai_core::BonsaiLeafProcessor::new(b.directory(), &mut self.machine));
 
-        for _ in 0..self.cfg.max_iterations {
+        for _ in 0..cfg.max_iterations {
             iterations += 1;
-            let mut gradient = Vec6::ZERO;
-            let mut hessian = Mat6::ZERO;
-            score = 0.0;
-
-            for (i, p) in scan.iter().enumerate().step_by(self.cfg.scan_stride.max(1)) {
-                // Transform the point with the current estimate.
-                sim.set_kernel(Kernel::NdtMath);
-                sim.load(scan_addr + i as u64 * 16, 12);
-                sim.exec(OpClass::FpAlu, 18);
-                let rotated = pose.rotation.mul_point(*p);
-                let x = rotated + pose.translation;
-
-                // Neighbour gathering: the radius search of Figure 2.
-                match self.mode {
-                    NdtSearchMode::Baseline => {
-                        let tree = self.baseline_tree.as_ref().expect("baseline tree");
-                        let proc = baseline_proc.as_mut().expect("baseline processor");
-                        tree.radius_search_scratch(
-                            sim,
-                            proc,
-                            x,
-                            radius,
-                            &mut neighbors,
-                            &mut stats,
-                            &mut scratch,
-                        );
-                    }
-                    NdtSearchMode::Bonsai => {
-                        let tree = self.bonsai_tree.as_ref().expect("bonsai tree").kd_tree();
-                        let proc = bonsai_proc.as_mut().expect("bonsai processor");
-                        tree.radius_search_scratch(
-                            sim,
-                            proc,
-                            x,
-                            radius,
-                            &mut neighbors,
-                            &mut stats,
-                            &mut scratch,
-                        );
+            let mut terms = Terms::new();
+            // Neighbour gathering, the radius search of Figure 2: one
+            // engine batch per iteration (the pose is fixed within it),
+            // or the instrumented walker point by point.
+            match walker.as_mut() {
+                None => {
+                    xs.clear();
+                    xs.extend(
+                        scan.iter()
+                            .step_by(stride)
+                            .map(|&p| pose.rotation.mul_point(p) + pose.translation),
+                    );
+                    tree.engine().search_batch(xs, radius, batch);
+                    stats += *batch.stats();
+                    let points = scan.iter().step_by(stride).zip(xs.iter());
+                    for (k, (&p, &x)) in points.enumerate() {
+                        let rotated = pose.rotation.mul_point(p);
+                        terms.add_point(map, *mixture, x, rotated, batch.results(k));
                     }
                 }
+                Some((scan_addr, walker)) => {
+                    for (i, p) in scan.iter().enumerate().step_by(stride) {
+                        // Transform the point with the current estimate.
+                        sim.set_kernel(Kernel::NdtMath);
+                        sim.load(*scan_addr + i as u64 * 16, 12);
+                        sim.exec(OpClass::FpAlu, 18);
+                        let rotated = pose.rotation.mul_point(*p);
+                        let x = rotated + pose.translation;
 
-                sim.set_kernel(Kernel::NdtMath);
-                for nb in &neighbors {
-                    let cell = &self.map.cells()[nb.index as usize];
-                    sim.load(self.map.cell_addr(nb.index), CELL_STRIDE as u32);
-                    sim.exec(OpClass::FpAlu, 90); // q, Bq, score, J products
+                        walker.search(sim, x, radius, neighbors, &mut stats, scratch);
 
-                    let q = [
-                        (x.x - cell.mean.x) as f64,
-                        (x.y - cell.mean.y) as f64,
-                        (x.z - cell.mean.z) as f64,
-                    ];
-                    let b: &Mat3 = &cell.inv_cov;
-                    let bq = b.mul_vec(q);
-                    let u = q[0] * bq[0] + q[1] * bq[1] + q[2] * bq[2];
-                    let e = (-0.5 * self.d2 * u).exp();
-                    score -= self.d1 * e;
-                    let w = self.d1 * self.d2 * e;
-
-                    // Jacobian columns: translation = I, rotation = −[v]×
-                    // with v = R·p.
-                    let v = [rotated.x as f64, rotated.y as f64, rotated.z as f64];
-                    let mut jt_bq = [0.0f64; 6]; // (Jᵀ B q)
-                    jt_bq[0] = bq[0];
-                    jt_bq[1] = bq[1];
-                    jt_bq[2] = bq[2];
-                    // (−[v]×)ᵀ B q = (v × Bq) … column k of −[v]× is e_k×v.
-                    jt_bq[3] = v[1] * bq[2] - v[2] * bq[1];
-                    jt_bq[4] = v[2] * bq[0] - v[0] * bq[2];
-                    jt_bq[5] = v[0] * bq[1] - v[1] * bq[0];
-
-                    for r in 0..6 {
-                        gradient[r] += w * jt_bq[r];
-                    }
-                    // Positive-semidefinite Gauss–Newton Hessian
-                    // `Σ w·JᵀBJ`. The exact Newton Hessian subtracts
-                    // `d2·(JᵀBq)(JᵀBq)ᵀ`, which is indefinite away from
-                    // the optimum; PCL compensates with a More–Thuente
-                    // line search, we keep the PSD form instead
-                    // (documented deviation, same fixed point).
-                    let jbj = jt_b_j(b, v);
-                    for r in 0..6 {
-                        for cc in 0..6 {
-                            hessian[(r, cc)] += w * jbj[r][cc];
+                        sim.set_kernel(Kernel::NdtMath);
+                        for nb in neighbors.iter() {
+                            sim.load(map.cell_addr(nb.index), CELL_STRIDE as u32);
+                            sim.exec(OpClass::FpAlu, 90); // q, Bq, score, J products
                         }
+                        terms.add_point(map, *mixture, x, rotated, neighbors);
                     }
                 }
             }
+            score = terms.score;
 
             sim.set_kernel(Kernel::NdtMath);
             sim.exec(OpClass::FpAlu, 300); // 6×6 solve
-            hessian.add_diagonal(self.cfg.damping + 1e-9);
-            let Some(mut delta) = hessian.solve(gradient * -1.0) else {
+            terms.hessian.add_diagonal(cfg.damping + 1e-9);
+            let Some(mut delta) = terms.hessian.solve(terms.gradient * -1.0) else {
                 break;
             };
             // Step safeguard (PCL clamps the Newton step the same way).
             let norm = delta.norm();
-            if norm > self.cfg.max_step {
-                delta = delta * (self.cfg.max_step / norm);
+            if norm > cfg.max_step {
+                delta = delta * (cfg.max_step / norm);
             }
             // Apply: t += δt; R = ΔR(δω)·R.
             let delta_rot = Mat3::from_euler(delta[3], delta[4], delta[5]);
@@ -267,7 +383,7 @@ impl NdtMatcher {
             let new_t =
                 pose.translation + Point3::new(delta[0] as f32, delta[1] as f32, delta[2] as f32);
             pose = pose_from_parts(new_rot, new_t);
-            if delta.norm() < self.cfg.epsilon {
+            if delta.norm() < cfg.epsilon {
                 converged = true;
                 break;
             }
@@ -321,6 +437,7 @@ fn pose_from_parts(rotation: Mat3, translation: Point3) -> Pose {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bonsai_sim::CpuConfig;
 
     /// A structured scene: floor, side walls and cross walls — enough
     /// constraint in all six degrees of freedom (a corridor without the
@@ -354,6 +471,53 @@ mod tests {
         let map = NdtMap::build(&mut sim, &cloud, 2.0);
         let mut matcher = NdtMatcher::new(&mut sim, map, NdtConfig::default(), mode);
         matcher.align(&mut sim, &cloud, &guess)
+    }
+
+    /// The regression oracle for the engine switch: an uninstrumented
+    /// alignment (batched `RadiusSearchEngine`) returns the simulated
+    /// one's (instrumented walker) `AlignResult` bit for bit, in both
+    /// modes, at the origin and at map-scale offsets where a third to
+    /// two thirds of the compressed distance checks fall back.
+    #[test]
+    fn engine_path_equals_instrumented_walker_bit_for_bit() {
+        let cloud = structured_cloud();
+        let cfg = NdtConfig {
+            scan_stride: 3,
+            ..NdtConfig::default()
+        };
+        for offset in [
+            Point3::ZERO,
+            Point3::new(3000.0, -1200.0, 15.0),
+            Point3::new(-7000.0, 2500.0, 40.0),
+        ] {
+            let map_cloud: Vec<Point3> = cloud.iter().map(|&p| p + offset).collect();
+            let guess = Pose::from_translation_euler(
+                offset + Point3::new(0.3, -0.2, 0.05),
+                0.0,
+                0.0,
+                0.015,
+            );
+            for mode in [NdtSearchMode::Baseline, NdtSearchMode::Bonsai] {
+                let mut setup = SimEngine::disabled();
+                let map = NdtMap::build(&mut setup, &map_cloud, 2.0);
+                let mut matcher = NdtMatcher::new(&mut setup, map, cfg.clone(), mode);
+                let mut simulated = SimEngine::new(&CpuConfig::a72_like());
+                let instrumented = matcher.align(&mut simulated, &cloud, &guess);
+                assert!(instrumented.search_stats.points_inspected > 0);
+                let mut off = SimEngine::disabled();
+                for pass in 0..2 {
+                    let engine = matcher.align(&mut off, &cloud, &guess);
+                    assert_eq!(engine, instrumented, "{mode:?} at {offset:?}, pass {pass}");
+                }
+                let fallbacks = instrumented.search_stats.fallback_ratio();
+                if mode == NdtSearchMode::Bonsai && offset != Point3::ZERO {
+                    assert!(
+                        (0.3..0.7).contains(&fallbacks),
+                        "{offset:?}: fallback share {fallbacks}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

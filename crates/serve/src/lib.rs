@@ -120,6 +120,11 @@ pub enum ServeError {
     /// The pinned epoch's index could not answer (e.g. every shard
     /// quarantined — [`QueryError::NoCoverage`]).
     Query(QueryError),
+    /// The executor thread died (a panic while answering) before
+    /// answering this request. Every request admitted but unanswered
+    /// at that point resolves with this error, and the server admits
+    /// no further requests.
+    WorkerLost,
 }
 
 impl fmt::Display for ServeError {
@@ -132,6 +137,7 @@ impl fmt::Display for ServeError {
                 )
             }
             ServeError::ShuttingDown => write!(f, "server is shutting down"),
+            ServeError::WorkerLost => write!(f, "serving worker exited before answering"),
             ServeError::Query(q) => write!(f, "query failed: {q}"),
         }
     }
@@ -171,7 +177,9 @@ pub struct QueryResult {
 pub struct ServeMetrics {
     /// Requests admitted into the queue.
     pub submitted: u64,
-    /// Requests answered (including typed-error answers).
+    /// Requests answered (including typed-error answers), counted as
+    /// their tickets are filled. Requests failed with
+    /// [`ServeError::WorkerLost`] are not answers and are not counted.
     pub served: u64,
     /// Requests rejected at admission ([`ServeError::Overloaded`]).
     pub rejected: u64,
@@ -292,7 +300,9 @@ pub struct Ticket {
 }
 
 impl Ticket {
-    /// Blocks until the executor answers this request.
+    /// Blocks until the executor answers this request, or until the
+    /// request is failed with [`ServeError::WorkerLost`] because the
+    /// executor died first.
     pub fn wait(self) -> Outcome {
         let mut slot = relock(&self.state.slot);
         loop {
@@ -323,13 +333,37 @@ impl Ticket {
 struct Request {
     query: Point3,
     radius: f32,
-    ticket: Arc<TicketState>,
+    /// `None` once answered.
+    ticket: Option<Arc<TicketState>>,
+}
+
+impl Request {
+    /// Fills the request's ticket with its answer.
+    fn answer(mut self, outcome: Outcome) {
+        if let Some(ticket) = self.ticket.take() {
+            ticket.fill(outcome);
+        }
+    }
+}
+
+impl Drop for Request {
+    /// The stranded-ticket guard: a request dropped unanswered — its
+    /// batch unwound out of a panicking worker, or it was still queued
+    /// when the worker exited — fails its ticket with
+    /// [`ServeError::WorkerLost`] instead of leaving `wait` blocked.
+    fn drop(&mut self) {
+        if let Some(ticket) = self.ticket.take() {
+            ticket.fill(Err(ServeError::WorkerLost));
+        }
+    }
 }
 
 #[derive(Debug, Default)]
 struct Queue {
     pending: VecDeque<Request>,
     shutdown: bool,
+    /// The executor thread has exited; nothing drains `pending` any more.
+    worker_exited: bool,
     metrics: ServeMetrics,
 }
 
@@ -345,7 +379,10 @@ struct Shared<T> {
 /// into epoch-pinned [`QueryBatch`]es. See the [crate docs](self).
 ///
 /// Dropping the server stops admission, drains every already-admitted
-/// request, and joins the worker — no ticket is ever left unanswered.
+/// request, and joins the worker. No ticket is ever left blocked: if
+/// the worker panics, every admitted but unanswered request resolves
+/// with [`ServeError::WorkerLost`], and later submits are refused
+/// with it.
 #[derive(Debug)]
 pub struct Server<T: EpochIndex> {
     shared: Arc<Shared<T>>,
@@ -378,12 +415,17 @@ impl<T: EpochIndex> Server<T> {
     }
 
     /// Submits one radius query. `Ok` means admitted: the request WILL
-    /// be answered (await it through the [`Ticket`]). `Err` is
-    /// immediate backpressure — nothing was queued.
+    /// be answered, or failed with [`ServeError::WorkerLost`] if the
+    /// executor dies first (await it through the [`Ticket`]). `Err` is
+    /// immediate — nothing was queued: backpressure, shutdown, or
+    /// [`ServeError::WorkerLost`] once the executor has died.
     pub fn submit(&self, query: Point3, radius: f32) -> Result<Ticket, ServeError> {
         let mut q = relock(&self.shared.queue);
         if q.shutdown {
             return Err(ServeError::ShuttingDown);
+        }
+        if q.worker_exited {
+            return Err(ServeError::WorkerLost);
         }
         if q.pending.len() >= self.shared.cfg.queue_capacity {
             q.metrics.rejected += 1;
@@ -395,7 +437,7 @@ impl<T: EpochIndex> Server<T> {
         q.pending.push_back(Request {
             query,
             radius,
-            ticket: Arc::clone(&state),
+            ticket: Some(Arc::clone(&state)),
         });
         q.metrics.submitted += 1;
         drop(q);
@@ -462,10 +504,32 @@ impl<T: EpochIndex> Drop for Server<T> {
     }
 }
 
+/// Runs when the executor thread exits, by returning or by unwinding:
+/// closes admission and fails every still-queued request with
+/// [`ServeError::WorkerLost`] (after a normal exit the queue is already
+/// empty and shut down).
+struct WorkerExit<'a, T>(&'a Shared<T>);
+
+impl<T> Drop for WorkerExit<'_, T> {
+    fn drop(&mut self) {
+        let stranded = {
+            let mut q = relock(&self.0.queue);
+            q.worker_exited = true;
+            std::mem::take(&mut q.pending)
+        };
+        // Outside the queue lock: each request's drop guard fills its
+        // ticket.
+        drop(stranded);
+    }
+}
+
 /// The executor body: wait → drain ≤ `max_batch` FIFO requests → pin
 /// the current epoch → answer the whole batch against that one
 /// snapshot → rendezvous each ticket.
 fn worker_loop<T: EpochIndex>(shared: &Shared<T>) {
+    // Declared first, so it drops last: a panic unwinds `drained`
+    // (failing the in-flight batch) before the queue is closed.
+    let _exit = WorkerExit(shared);
     let mut batch = QueryBatch::new();
     let mut drained: Vec<Request> = Vec::new();
     loop {
@@ -481,34 +545,34 @@ fn worker_loop<T: EpochIndex>(shared: &Shared<T>) {
             drained.extend(q.pending.drain(..n));
             q.metrics.batches += 1;
             q.metrics.max_batch_absorbed = q.metrics.max_batch_absorbed.max(n);
-            q.metrics.served += n as u64;
         }
         // Pin ONE epoch for the whole absorbed batch: every request in
         // it is answered from the same immutable snapshot, however
         // many epochs ingest publishes while the batch runs.
         let epoch = shared.publisher.pin();
         let index = epoch.value();
-        match index.admission() {
-            Err(err) => {
-                for request in drained.drain(..) {
-                    request.ticket.fill(Err(ServeError::Query(err.clone())));
-                }
+        let admission = index.admission();
+        if admission.is_ok() {
+            batch.reset();
+            for request in &drained {
+                let (query, radius) = (request.query, request.radius);
+                batch.push_query(|scratch, out, stats| {
+                    index.search_append(query, radius, scratch, out, stats);
+                });
             }
-            Ok(()) => {
-                batch.reset();
-                for request in &drained {
-                    let (query, radius) = (request.query, request.radius);
-                    batch.push_query(|scratch, out, stats| {
-                        index.search_append(query, radius, scratch, out, stats);
-                    });
-                }
-                for (i, request) in drained.drain(..).enumerate() {
-                    request.ticket.fill(Ok(QueryResult {
-                        epoch: epoch.id(),
-                        neighbors: batch.results(i).to_vec(),
-                    }));
-                }
-            }
+        }
+        // Every answer of the batch is ready: count them, then fill the
+        // tickets (counting first, so a client woken by its ticket
+        // already sees its request in `served`).
+        relock(&shared.queue).metrics.served += drained.len() as u64;
+        for (i, request) in drained.drain(..).enumerate() {
+            request.answer(match &admission {
+                Err(err) => Err(ServeError::Query(err.clone())),
+                Ok(()) => Ok(QueryResult {
+                    epoch: epoch.id(),
+                    neighbors: batch.results(i).to_vec(),
+                }),
+            });
         }
     }
 }
@@ -516,6 +580,8 @@ fn worker_loop<T: EpochIndex>(shared: &Shared<T>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+
     use bonsai_core::{BonsaiTree, ShardConfig, ShardRouter};
     use bonsai_kdtree::KdTreeConfig;
     use bonsai_sim::SimEngine;
@@ -736,6 +802,86 @@ mod tests {
         let after = server.radius_query(probe, 1.1).expect("served");
         assert!(after.epoch > 0);
         assert_eq!(after.neighbors, before.neighbors);
+    }
+
+    /// A baseline tree that blocks on a gate, then panics, when asked
+    /// about one poisoned query point.
+    struct PanicsOn {
+        tree: bonsai_kdtree::KdTree,
+        poison: Point3,
+        entered: Mutex<mpsc::Sender<()>>,
+        release: Mutex<mpsc::Receiver<()>>,
+    }
+
+    impl EpochIndex for PanicsOn {
+        fn search_append(
+            &self,
+            query: Point3,
+            radius: f32,
+            scratch: &mut SearchScratch,
+            out: &mut Vec<Neighbor>,
+            stats: &mut SearchStats,
+        ) {
+            if query == self.poison {
+                relock(&self.entered)
+                    .send(())
+                    .expect("test thread listening");
+                relock(&self.release).recv().expect("test thread releases");
+                panic!("poisoned query");
+            }
+            self.tree.search_append(query, radius, scratch, out, stats);
+        }
+    }
+
+    #[test]
+    fn worker_panic_fails_every_outstanding_ticket_with_worker_lost() {
+        let cloud = urban_cloud(600, 10);
+        let mut sim = SimEngine::disabled();
+        let poison = Point3::new(1e4, 1e4, 1e4);
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel();
+        let index = PanicsOn {
+            tree: bonsai_kdtree::KdTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim),
+            poison,
+            entered: Mutex::new(entered_tx),
+            release: Mutex::new(release_rx),
+        };
+        let server = Server::new(Arc::new(EpochPublisher::new(index)), ServeConfig::default());
+
+        // Answered before the panic.
+        let answered: Vec<Outcome> = (0..8)
+            .map(|i| server.submit(cloud[i], 1.0).expect("admitted"))
+            .collect::<Vec<Ticket>>()
+            .into_iter()
+            .map(Ticket::wait)
+            .collect();
+        assert!(answered.iter().all(Result::is_ok), "{answered:?}");
+
+        // The worker blocks mid-batch on the poisoned query, so these
+        // requests are admitted and queue behind it; then it panics.
+        let poisoned = server.submit(poison, 1.0).expect("admitted");
+        entered_rx
+            .recv()
+            .expect("worker reached the poisoned query");
+        let queued: Vec<Ticket> = (0..16)
+            .map(|i| server.submit(cloud[i], 1.0).expect("admitted"))
+            .collect();
+        release_tx.send(()).expect("worker waits on the gate");
+
+        let mut lost = 0;
+        for ticket in std::iter::once(poisoned).chain(queued) {
+            assert_eq!(ticket.wait(), Err(ServeError::WorkerLost));
+            lost += 1;
+        }
+        // Admission is closed: a later submit fails fast.
+        assert_eq!(
+            server.submit(cloud[0], 1.0).err(),
+            Some(ServeError::WorkerLost)
+        );
+        let m = server.metrics();
+        assert_eq!(m.submitted, 8 + 1 + 16);
+        assert_eq!(m.served, answered.len() as u64);
+        assert_eq!(m.served + lost, m.submitted);
     }
 
     #[test]

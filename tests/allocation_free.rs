@@ -1,8 +1,9 @@
 //! The "allocation-free once warm" contract, enforced: after one warm-up
 //! pass has grown the caller's buffers, repeating the same searches
 //! performs **zero** heap allocations — through the single-tree
-//! `RadiusSearchEngine::search_batch` in both modes, and through a
-//! `RouterSnapshot`'s `search_batch` and `search_append`.
+//! `RadiusSearchEngine::search_batch` in both modes, through a
+//! `RouterSnapshot`'s `search_batch` and `search_append`, and through an
+//! uninstrumented `NdtMatcher::align` in both search modes.
 //!
 //! A counting `#[global_allocator]` tallies allocation calls per
 //! thread, so tests running concurrently on other harness threads
@@ -12,8 +13,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use kd_bonsai::core::{BonsaiTree, RadiusSearchEngine, RouterSnapshot, ShardConfig, ShardRouter};
-use kd_bonsai::geom::Point3;
+use kd_bonsai::geom::{Point3, Pose};
 use kd_bonsai::kdtree::{KdTreeConfig, QueryBatch, SearchScratch, SearchStats};
+use kd_bonsai::ndt::{NdtConfig, NdtMap, NdtMatcher, NdtSearchMode};
 use kd_bonsai::sim::SimEngine;
 
 struct CountingAlloc;
@@ -154,5 +156,27 @@ fn warm_router_snapshot_searches_allocate_nothing() {
         each();
         let allocs = allocations_during(each);
         assert_eq!(allocs, 0, "{mode:?}: warm snapshot search_append allocated");
+    }
+}
+
+#[test]
+fn warm_ndt_alignment_allocates_nothing_in_both_modes() {
+    let cloud = urban_cloud(4000);
+    let scan: Vec<Point3> = cloud.iter().step_by(5).copied().collect();
+    let guess = Pose::from_translation_euler(Point3::new(0.2, -0.1, 0.0), 0.0, 0.0, 0.01);
+    let cfg = NdtConfig {
+        max_iterations: 5,
+        ..NdtConfig::default()
+    };
+    for mode in [NdtSearchMode::Baseline, NdtSearchMode::Bonsai] {
+        let mut sim = SimEngine::disabled();
+        let map = NdtMap::build(&mut sim, &cloud, 2.0);
+        let mut matcher = NdtMatcher::new(&mut sim, map, cfg.clone(), mode);
+        let first = matcher.align(&mut sim, &scan, &guess);
+        assert!(first.search_stats.points_inspected > 0, "{mode:?}");
+        let mut second = None;
+        let allocs = allocations_during(|| second = Some(matcher.align(&mut sim, &scan, &guess)));
+        assert_eq!(allocs, 0, "{mode:?}: warm NDT alignment allocated");
+        assert_eq!(second, Some(first), "{mode:?}");
     }
 }
