@@ -4,10 +4,9 @@
 //! [`KdTree::audit`](bonsai_kdtree::KdTree::audit) walk to the two
 //! structures this crate adds on top of the tree:
 //!
-//! * **F16Mismatch** — every live slot's f16-approximate SoA row must
-//!   be bit-identical to the f16 decode of its exact point (value *and*
-//!   exponent field), and every padding slot must hold the `+∞`
-//!   sentinel with a zero exponent.
+//! * **F16Mismatch** — every live slot's f16 SoA row must be
+//!   bit-identical to the f16 encoding of its exact point, and every
+//!   padding slot must hold the f16 `+∞` sentinel.
 //! * **DirectoryBytes** — every live leaf owns exactly one compressed
 //!   structure whose reference is sound (slice-aligned offset, byte
 //!   range inside the array, point count matching the leaf, header
@@ -23,10 +22,10 @@
 
 use bonsai_floatfmt::Half;
 use bonsai_isa::{codec, CoordFlags, MAX_POINTS, SLICE_BYTES};
-use bonsai_kdtree::simd::{PAD_COORD, PAD_SLOT};
+use bonsai_kdtree::simd::PAD_SLOT;
 use bonsai_kdtree::{AuditViolation, Node, ViolationKind};
 
-use crate::tree::BonsaiTree;
+use crate::tree::{BonsaiTree, PAD_HALF};
 
 impl BonsaiTree {
     /// Deep invariant audit: the underlying tree's full invariant web
@@ -47,14 +46,7 @@ impl BonsaiTree {
         let soa = self.approx_soa();
         let dir = self.directory();
         let slots = t.vind().len();
-        let row_len = soa
-            .x
-            .len()
-            .min(soa.y.len())
-            .min(soa.z.len())
-            .min(soa.ex.len())
-            .min(soa.ey.len())
-            .min(soa.ez.len());
+        let row_len = soa.x.len().min(soa.y.len()).min(soa.z.len());
         if row_len < slots {
             out.push(AuditViolation::new(
                 ViolationKind::F16Mismatch,
@@ -90,29 +82,21 @@ impl BonsaiTree {
             if s.checked_add(fp).is_none_or(|end| end > slots) {
                 continue; // the tree audit already reported the range
             }
-            // f16 rows: live slots bit-match their points' f16 decode…
+            // f16 rows: live slots bit-match their points' f16 encoding…
             for i in s..s + c {
                 let idx = t.vind()[i];
                 if idx == PAD_SLOT || (idx as usize) >= t.points().len() {
                     continue; // the tree audit already reported the slot
                 }
                 let p = t.points()[idx as usize];
-                let h = [
-                    Half::from_f32(p.x),
-                    Half::from_f32(p.y),
-                    Half::from_f32(p.z),
-                ];
-                let row = [soa.x[i], soa.y[i], soa.z[i]];
-                let exp = [soa.ex[i], soa.ey[i], soa.ez[i]];
-                for a in 0..3 {
-                    if row[a].to_bits() != h[a].to_f32().to_bits()
-                        || exp[a] != h[a].exponent_field()
-                    {
+                let row = soa.slot(i);
+                for (a, coord) in [p.x, p.y, p.z].into_iter().enumerate() {
+                    if row[a] != Half::from_f32(coord).to_bits() {
                         out.push(
                             AuditViolation::new(
                                 ViolationKind::F16Mismatch,
                                 format!(
-                                    "slot {i} axis {a}: f16 row is not the f16 decode of \
+                                    "slot {i} axis {a}: f16 row is not the f16 encoding of \
                                      point {idx}"
                                 ),
                             )
@@ -125,13 +109,7 @@ impl BonsaiTree {
             }
             // …and padding slots hold the sentinel.
             for i in s + c..s + fp {
-                if soa.x[i] != PAD_COORD
-                    || soa.y[i] != PAD_COORD
-                    || soa.z[i] != PAD_COORD
-                    || soa.ex[i] != 0
-                    || soa.ey[i] != 0
-                    || soa.ez[i] != 0
-                {
+                if soa.slot(i) != [PAD_HALF; 3] {
                     out.push(
                         AuditViolation::new(
                             ViolationKind::F16Mismatch,

@@ -27,7 +27,7 @@ use crate::shard::ShardRouter;
 /// split.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
-    /// Flip the low mantissa bit of one f16-approximate row.
+    /// Flip the low mantissa bit of one f16 row.
     F16BitFlip,
     /// Duplicate one `vind` entry inside a leaf (breaking the
     /// slot ↔ point bijection).

@@ -118,6 +118,14 @@ impl CompressedDirectory {
         self.base_addr + offset as u64
     }
 
+    /// Reserves room for exactly `bytes` more structure bytes, so a
+    /// build that sized its leaves beforehand (with
+    /// [`codec::padded_len`](bonsai_isa::codec::padded_len)) fills the
+    /// array without regrowing it and leaves no spare capacity.
+    pub fn reserve_exact(&mut self, bytes: usize) {
+        self.data.reserve_exact(bytes);
+    }
+
     /// Replaces (or first creates) leaf `leaf`'s structure: the new
     /// bytes are appended at the next free slice-aligned index and the
     /// leaf's reference is rewritten. The old structure's bytes become
@@ -220,6 +228,13 @@ impl CompressedDirectory {
     /// footprint).
     pub fn total_bytes(&self) -> usize {
         self.data.len()
+    }
+
+    /// Host-side memory footprint, in bytes: the array
+    /// ([`total_bytes`](CompressedDirectory::total_bytes), garbage
+    /// included) plus the per-node reference table.
+    pub fn resident_bytes(&self) -> usize {
+        self.data.len() + self.refs.len() * std::mem::size_of::<Option<LeafRef>>()
     }
 
     /// Iterator over all recorded leaf references.

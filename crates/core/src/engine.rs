@@ -17,7 +17,7 @@
 
 use std::sync::OnceLock;
 
-use bonsai_floatfmt::PartErrorMem;
+use bonsai_floatfmt::{Half, PartErrorMem};
 use bonsai_geom::Point3;
 use bonsai_kdtree::{KdTree, Neighbor, QueryBatch, SearchScratch, SearchStats};
 
@@ -248,29 +248,31 @@ fn sweep_compressed(
     }
     // Scalar reference path (also the no-`simd` build): slice windows
     // hoisted to one exact length per leaf so the loop body indexes
-    // without bounds checks.
+    // without bounds checks; each half decodes exactly to its `f32`.
     for &(_, start, count) in visited {
         let (start, count) = (start as usize, count as usize);
         let ax = &approx.x[start..start + count];
         let ay = &approx.y[start..start + count];
         let az = &approx.z[start..start + count];
-        let exw = &approx.ex[start..start + count];
-        let eyw = &approx.ey[start..start + count];
-        let ezw = &approx.ez[start..start + count];
         let vw = &vind[start..start + count];
         for i in 0..count {
-            let dx = query.x - ax[i];
-            let dy = query.y - ay[i];
-            let dz = query.z - az[i];
+            let (hx, hy, hz) = (
+                Half::from_bits(ax[i]),
+                Half::from_bits(ay[i]),
+                Half::from_bits(az[i]),
+            );
+            let dx = query.x - hx.to_f32();
+            let dy = query.y - hy.to_f32();
+            let dz = query.z - hz.to_f32();
             let d_sq = dx * dx + dy * dy + dz * dz;
             classify_candidate(
                 d_sq,
                 dx.abs(),
                 dy.abs(),
                 dz.abs(),
-                exw[i],
-                eyw[i],
-                ezw[i],
+                hx.exponent_field(),
+                hy.exponent_field(),
+                hz.exponent_field(),
                 vw[i],
                 points,
                 lut,

@@ -3,8 +3,13 @@
 //! The hardware `SQDWE` instruction evaluates the f16-approximate
 //! squared distance *and* the Eq. 11 error accumulation across many
 //! lanes at once; this module reproduces that split in software over
-//! the lane-padded f16 SoA rows baked by
-//! [`BonsaiTree`](crate::BonsaiTree). The AVX2 kernel vectorizes the
+//! the lane-padded raw binary16 SoA rows (6 B per slot) baked by
+//! [`BonsaiTree`](crate::BonsaiTree). The AVX2 kernel loads 8 halves
+//! per row with one 128-bit load and decodes them in-register with
+//! F16C `vcvtph2ps` — exact, so every lane sees the `f32` value the
+//! scalar [`Half::to_f32`](bonsai_floatfmt::Half::to_f32) decode
+//! yields — and takes each lane's exponent field straight from bits
+//! 10..14 of its half. It then vectorizes the
 //! whole conclusive path — `d′²`, the three `|A − B′|` magnitudes, the
 //! [`PartErrorMem`] coefficients (synthesized in-register from the f16
 //! exponent fields: every ROM entry is an exact power of two, verified
@@ -26,10 +31,11 @@
 //! baseline sweep still vectorizes there — its inner loop has no
 //! table work).
 //!
-//! Padding lanes (+∞ sentinel coordinates) would classify as
-//! inconclusive (their error terms are non-finite) and fall back on a
-//! sentinel `vind` entry, so each lane group masks classification to
-//! its `live = min(LANES, count − base)` leading lanes.
+//! Padding lanes (f16 `+∞` sentinels, exponent field 31) would
+//! classify as inconclusive (their error terms are non-finite) and fall
+//! back on a sentinel `vind` entry, so each lane group masks
+//! classification to its `live = min(LANES, count − base)` leading
+//! lanes.
 
 use bonsai_floatfmt::PartErrorMem;
 use bonsai_geom::Point3;
@@ -133,16 +139,13 @@ pub(crate) fn sweep_compressed_visited(
                 hi <= approx.x.len()
                     && hi <= approx.y.len()
                     && hi <= approx.z.len()
-                    && hi <= approx.ex.len()
-                    && hi <= approx.ey.len()
-                    && hi <= approx.ez.len()
                     && hi <= vind.len(),
                 "compressed sweep past the f16 rows: start {start} count {count} rows {}",
                 approx.x.len()
             );
         }
-        // SAFETY: row bounds asserted above; AVX2 presence established
-        // by the backend detection.
+        // SAFETY: row bounds asserted above; AVX2 and F16C presence
+        // established by the backend detection.
         unsafe {
             avx2::sweep(approx, vind, points, visited, query, r_sq, out, stats);
         }
@@ -164,8 +167,8 @@ mod avx2 {
     /// # Safety
     ///
     /// Caller guarantees every visit's lane-padded footprint is within
-    /// every f16 row and `vind`, and that AVX2 is available.
-    #[target_feature(enable = "avx2")]
+    /// every f16 row and `vind`, and that AVX2 and F16C are available.
+    #[target_feature(enable = "avx2,f16c")]
     #[allow(clippy::too_many_arguments)] // the flattened sweep state
     pub(super) unsafe fn sweep(
         approx: &ApproxSoa,
@@ -178,7 +181,6 @@ mod avx2 {
         stats: &mut SearchStats,
     ) {
         let (px, py, pz) = (approx.x.as_ptr(), approx.y.as_ptr(), approx.z.as_ptr());
-        let (pex, pey, pez) = (approx.ex.as_ptr(), approx.ey.as_ptr(), approx.ez.as_ptr());
         let qx = _mm256_set1_ps(query.x);
         let qy = _mm256_set1_ps(query.y);
         let qz = _mm256_set1_ps(query.z);
@@ -188,24 +190,30 @@ mod avx2 {
         // and the per-lane `slack` bits match the scalar
         // `SHELL_SLACK_ULPS * f32::EPSILON * max(d′², r²)`.
         let slack_coef = _mm256_set1_ps(SHELL_SLACK_ULPS * f32::EPSILON);
+        let e31 = _mm256_set1_epi32(31);
         for &(_, start, count) in visited {
             let (start, count) = (start as usize, count as usize);
             let mut g = 0;
             while g < lane_padded(count) {
                 let base = start + g;
-                // Same arithmetic, same order as the scalar loop and the
-                // SQDWE lanes: diff from the f16-approximate coordinate
-                // (query − approx), then (dx² + dy²) + dz² — no FMA.
-                // SAFETY: `base..base + 8` is within every approx row —
-                // the caller asserted each visit's lane-padded footprint
-                // against all six rows and `vind`.
-                let (dx, dy, dz) = unsafe {
+                // SAFETY: `base..base + 8` is within every f16 row — the
+                // caller asserted each visit's lane-padded footprint
+                // against all three rows and `vind`; `decode_lanes` is
+                // register-only and needs AVX2 + F16C, enabled here.
+                let ((ax, ix), (ay, iy), (az, iz)) = unsafe {
                     (
-                        _mm256_sub_ps(qx, _mm256_loadu_ps(px.add(base))),
-                        _mm256_sub_ps(qy, _mm256_loadu_ps(py.add(base))),
-                        _mm256_sub_ps(qz, _mm256_loadu_ps(pz.add(base))),
+                        decode_lanes(_mm_loadu_si128(px.add(base) as *const __m128i)),
+                        decode_lanes(_mm_loadu_si128(py.add(base) as *const __m128i)),
+                        decode_lanes(_mm_loadu_si128(pz.add(base) as *const __m128i)),
                     )
                 };
+                // Same arithmetic, same order as the scalar loop and the
+                // SQDWE lanes: diff from the exactly decoded f16
+                // coordinate (query − approx), then (dx² + dy²) + dz² —
+                // no FMA.
+                let dx = _mm256_sub_ps(qx, ax);
+                let dy = _mm256_sub_ps(qy, ay);
+                let dz = _mm256_sub_ps(qz, az);
                 let d = _mm256_add_ps(
                     _mm256_add_ps(_mm256_mul_ps(dx, dx), _mm256_mul_ps(dy, dy)),
                     _mm256_mul_ps(dz, dz),
@@ -220,28 +228,20 @@ mod avx2 {
                 // order of magnitude cheaper than `vgatherdps`. Then
                 // `two_max_delta · |A − B′| + max_delta_sq`, accumulated
                 // x → y → z like the scalar sum.
-                // SAFETY: the 8-byte exponent loads cover
-                // `base..base + 8` of the u8 rows — in bounds by the
-                // same caller-asserted footprint; `part_error_lanes`
-                // is register-only and needs only AVX2, enabled here.
-                let (tx, ty, tz, ix, iy, iz) = unsafe {
-                    let ix = _mm256_cvtepu8_epi32(_mm_loadl_epi64(pex.add(base) as *const __m128i));
-                    let iy = _mm256_cvtepu8_epi32(_mm_loadl_epi64(pey.add(base) as *const __m128i));
-                    let iz = _mm256_cvtepu8_epi32(_mm_loadl_epi64(pez.add(base) as *const __m128i));
-                    (
-                        part_error_lanes(ix, _mm256_and_ps(dx, abs_mask)),
-                        part_error_lanes(iy, _mm256_and_ps(dy, abs_mask)),
+                // SAFETY: `part_error_lanes` is register-only and needs
+                // only AVX2, enabled here.
+                let t_err = unsafe {
+                    _mm256_add_ps(
+                        _mm256_add_ps(
+                            part_error_lanes(ix, _mm256_and_ps(dx, abs_mask)),
+                            part_error_lanes(iy, _mm256_and_ps(dy, abs_mask)),
+                        ),
                         part_error_lanes(iz, _mm256_and_ps(dz, abs_mask)),
-                        ix,
-                        iy,
-                        iz,
                     )
                 };
-                let t_err = _mm256_add_ps(_mm256_add_ps(tx, ty), tz);
                 // Overflowed-f16 rows (exponent field 31) have an infinite
                 // bound: force those lanes non-finite so they classify
                 // Recompute exactly like the scalar LUT path.
-                let e31 = _mm256_set1_epi32(31);
                 let any31 = _mm256_or_si256(
                     _mm256_or_si256(_mm256_cmpeq_epi32(ix, e31), _mm256_cmpeq_epi32(iy, e31)),
                     _mm256_cmpeq_epi32(iz, e31),
@@ -313,6 +313,27 @@ mod avx2 {
         }
     }
 
+    /// Decodes 8 binary16 bit patterns in-register: their `f32` values
+    /// (F16C `vcvtph2ps`, exact like
+    /// [`Half::to_f32`](bonsai_floatfmt::Half::to_f32)) and their
+    /// exponent fields `(h >> 10) & 31`, one per 32-bit lane — the bits
+    /// [`Half::exponent_field`](bonsai_floatfmt::Half::exponent_field)
+    /// reads. Checked over all 65 536 patterns by
+    /// `decode_lanes_matches_half_for_every_pattern`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 and F16C.
+    #[target_feature(enable = "avx2,f16c")]
+    #[inline]
+    pub(super) unsafe fn decode_lanes(h: __m128i) -> (__m256, __m256i) {
+        let e = _mm256_srli_epi32::<10>(_mm256_cvtepu16_epi32(h));
+        (
+            _mm256_cvtph_ps(h),
+            _mm256_and_si256(e, _mm256_set1_epi32(31)),
+        )
+    }
+
     /// One coordinate's Eq. 9 term for 8 lanes, with the ROM entries
     /// synthesized from the exponent fields:
     /// `2^(max(e,1)−25) · adiff + 2^(2·max(e,1)−52)` — float-bit
@@ -366,5 +387,47 @@ mod tests {
         }
         assert!(!lut.lookup(31).two_max_delta.is_finite());
         assert!(!lut.lookup(31).max_delta_sq.is_finite());
+    }
+
+    /// The AVX2 kernel's in-register decode must agree with the scalar
+    /// reference decode on every binary16 pattern — subnormals, ±0, ±∞
+    /// and NaN included: the value bit for bit (NaNs as a class, since
+    /// `vcvtph2ps` quiets a signalling NaN) and the exponent field
+    /// exactly.
+    #[test]
+    fn decode_lanes_matches_half_for_every_pattern() {
+        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+        eprintln!("note: AVX2 kernel not compiled in; in-register f16 decode not checked");
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        {
+            use bonsai_floatfmt::Half;
+            use core::arch::x86_64::*;
+            if !(is_x86_feature_detected!("avx2") && is_x86_feature_detected!("f16c")) {
+                eprintln!("note: no AVX2 + F16C on this host; in-register f16 decode not checked");
+                return;
+            }
+            let patterns: Vec<u16> = (0..=u16::MAX).collect();
+            for chunk in patterns.chunks_exact(8) {
+                let (mut vals, mut exps) = ([0f32; 8], [0i32; 8]);
+                // SAFETY: `chunk` holds 8 halves for the 128-bit load,
+                // the stores target 8-lane stack arrays, and AVX2 + F16C
+                // were detected above.
+                unsafe {
+                    let (v, e) = avx2::decode_lanes(_mm_loadu_si128(chunk.as_ptr().cast()));
+                    _mm256_storeu_ps(vals.as_mut_ptr(), v);
+                    _mm256_storeu_si256(exps.as_mut_ptr().cast(), e);
+                }
+                for (k, &bits) in chunk.iter().enumerate() {
+                    let h = Half::from_bits(bits);
+                    let want = h.to_f32();
+                    if want.is_nan() {
+                        assert!(vals[k].is_nan(), "{bits:#06x}: decoded {}", vals[k]);
+                    } else {
+                        assert_eq!(vals[k].to_bits(), want.to_bits(), "{bits:#06x}: value");
+                    }
+                    assert_eq!(exps[k], h.exponent_field() as i32, "{bits:#06x}: exponent");
+                }
+            }
+        }
     }
 }

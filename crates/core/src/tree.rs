@@ -7,27 +7,34 @@ use bonsai_sim::{Kernel, OpClass, SimEngine};
 use crate::directory::CompressedDirectory;
 use crate::processor::BonsaiLeafProcessor;
 
-/// Leaf-contiguous SoA of the *f16-approximate* coordinates plus their
-/// f16 exponent fields, baked at build time: slot `i` mirrors the
-/// tree's `vind()[i]` slot, with each coordinate already decoded to the
-/// `f32` value `LDDCP` would materialize in a vector register. The fast
-/// (uninstrumented) compressed scan sweeps these rows linearly instead
-/// of running the instruction-level decode per leaf visit.
+/// The f16 padding sentinel: binary16 `+∞`.
+pub(crate) const PAD_HALF: u16 = 0x7C00;
+
+/// Leaf-contiguous SoA of the points' raw binary16 bit patterns, baked
+/// at build time: slot `i` mirrors the tree's `vind()[i]` slot, 6 B per
+/// slot. The fast (uninstrumented) compressed scan sweeps these rows
+/// linearly instead of running the instruction-level decode per leaf
+/// visit, decoding each half to the `f32` value `LDDCP` would
+/// materialize in a vector register (F16C `vcvtph2ps` in the AVX2
+/// kernel, [`Half::to_f32`] in the scalar loop — the decode is exact,
+/// so both agree bit for bit). The f16 exponent field, the
+/// `part_error_mem` LUT key of Eq. 9, is bits 10..14 of each half, so
+/// it needs no row of its own.
 ///
 /// The rows mirror the tree's lane-padded layout too: every leaf's
-/// padding slots hold the `+∞` sentinel
-/// ([`PAD_COORD`](bonsai_kdtree::simd::PAD_COORD)), so the SIMD shell
-/// sweep can load whole lane groups; the sentinel lanes are clipped
-/// before classification (their error terms are non-finite).
+/// padding slots hold f16 `+∞` ([`PAD_HALF`]), so the SIMD shell sweep
+/// can load whole lane groups; the sentinel lanes are clipped before
+/// classification.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ApproxSoa {
-    pub x: Vec<f32>,
-    pub y: Vec<f32>,
-    pub z: Vec<f32>,
-    /// f16 exponent fields, the `part_error_mem` LUT keys (Eq. 9).
-    pub ex: Vec<u8>,
-    pub ey: Vec<u8>,
-    pub ez: Vec<u8>,
+    pub x: Vec<u16>,
+    pub y: Vec<u16>,
+    pub z: Vec<u16>,
+}
+
+/// The f16 bit patterns of a point's coordinates.
+fn halves(p: Point3) -> [u16; 3] {
+    [p.x, p.y, p.z].map(|c| Half::from_f32(c).to_bits())
 }
 
 impl ApproxSoa {
@@ -37,69 +44,66 @@ impl ApproxSoa {
             x: Vec::with_capacity(n),
             y: Vec::with_capacity(n),
             z: Vec::with_capacity(n),
-            ex: Vec::with_capacity(n),
-            ey: Vec::with_capacity(n),
-            ez: Vec::with_capacity(n),
         };
         for &idx in tree.vind() {
-            if idx == bonsai_kdtree::simd::PAD_SLOT {
-                soa.x.push(bonsai_kdtree::simd::PAD_COORD);
-                soa.y.push(bonsai_kdtree::simd::PAD_COORD);
-                soa.z.push(bonsai_kdtree::simd::PAD_COORD);
-                soa.ex.push(0);
-                soa.ey.push(0);
-                soa.ez.push(0);
-                continue;
-            }
-            let p = tree.points()[idx as usize];
-            let hx = Half::from_f32(p.x);
-            let hy = Half::from_f32(p.y);
-            let hz = Half::from_f32(p.z);
-            soa.x.push(hx.to_f32());
-            soa.y.push(hy.to_f32());
-            soa.z.push(hz.to_f32());
-            soa.ex.push(hx.exponent_field());
-            soa.ey.push(hy.exponent_field());
-            soa.ez.push(hz.exponent_field());
+            let [hx, hy, hz] = if idx == bonsai_kdtree::simd::PAD_SLOT {
+                [PAD_HALF; 3]
+            } else {
+                halves(tree.points()[idx as usize])
+            };
+            soa.x.push(hx);
+            soa.y.push(hy);
+            soa.z.push(hz);
         }
         soa
+    }
+
+    /// Number of slots the rows cover.
+    pub fn len(&self) -> usize {
+        self.x.len()
+    }
+
+    /// The three halves of slot `i`.
+    pub fn slot(&self, i: usize) -> [u16; 3] {
+        [self.x[i], self.y[i], self.z[i]]
+    }
+
+    /// Bytes the compressed structures of `tree`'s leaves occupy in a
+    /// freshly filled directory: each leaf's
+    /// [`codec::padded_len`](bonsai_isa::codec::padded_len) over its
+    /// baked halves.
+    fn structure_bytes(&self, tree: &KdTree) -> usize {
+        let mut leaf = [[0u16; 3]; bonsai_isa::MAX_POINTS];
+        tree.nodes()
+            .iter()
+            .filter_map(|node| match *node {
+                Node::Leaf { start, count } if count > 0 => Some((start as usize, count as usize)),
+                _ => None,
+            })
+            .map(|(start, count)| {
+                for (k, h) in leaf[..count].iter_mut().enumerate() {
+                    *h = self.slot(start + k);
+                }
+                bonsai_isa::codec::padded_len(&leaf[..count])
+            })
+            .sum()
     }
 
     /// Grows the rows to cover `n` slots (new slots hold the padding
     /// sentinel until their leaf is re-baked). Never shrinks.
     fn ensure_slots(&mut self, n: usize) {
-        if n > self.x.len() {
-            self.x.resize(n, bonsai_kdtree::simd::PAD_COORD);
-            self.y.resize(n, bonsai_kdtree::simd::PAD_COORD);
-            self.z.resize(n, bonsai_kdtree::simd::PAD_COORD);
-            self.ex.resize(n, 0);
-            self.ey.resize(n, 0);
-            self.ez.resize(n, 0);
+        if n > self.len() {
+            self.x.resize(n, PAD_HALF);
+            self.y.resize(n, PAD_HALF);
+            self.z.resize(n, PAD_HALF);
         }
     }
 
-    /// Re-bakes one slot from its exact `f32` point.
-    fn set_slot(&mut self, i: usize, p: Point3) {
-        let hx = Half::from_f32(p.x);
-        let hy = Half::from_f32(p.y);
-        let hz = Half::from_f32(p.z);
-        self.x[i] = hx.to_f32();
-        self.y[i] = hy.to_f32();
-        self.z[i] = hz.to_f32();
-        self.ex[i] = hx.exponent_field();
-        self.ey[i] = hy.exponent_field();
-        self.ez[i] = hz.exponent_field();
-    }
-
-    /// Writes the padding sentinel into slot `i` (a vacated or padded
-    /// tail slot of a re-baked leaf).
-    fn pad_slot(&mut self, i: usize) {
-        self.x[i] = bonsai_kdtree::simd::PAD_COORD;
-        self.y[i] = bonsai_kdtree::simd::PAD_COORD;
-        self.z[i] = bonsai_kdtree::simd::PAD_COORD;
-        self.ex[i] = 0;
-        self.ey[i] = 0;
-        self.ez[i] = 0;
+    /// Writes the halves `[hx, hy, hz]` into slot `i`.
+    fn set_slot(&mut self, i: usize, [hx, hy, hz]: [u16; 3]) {
+        self.x[i] = hx;
+        self.y[i] = hy;
+        self.z[i] = hz;
     }
 }
 
@@ -195,7 +199,9 @@ impl BonsaiTree {
     }
 
     fn compress_whole(tree: KdTree, sim: &mut SimEngine) -> BonsaiTree {
+        let approx = ApproxSoa::bake(&tree);
         let mut directory = CompressedDirectory::new(sim, tree.nodes().len());
+        directory.reserve_exact(approx.structure_bytes(&tree));
         let mut machine = Machine::new();
         let prev = sim.set_kernel(Kernel::Compress);
         for id in 0..tree.nodes().len() {
@@ -214,7 +220,6 @@ impl BonsaiTree {
             );
         }
         sim.set_kernel(prev);
-        let approx = ApproxSoa::bake(&tree);
         BonsaiTree {
             tree,
             directory,
@@ -272,14 +277,15 @@ impl BonsaiTree {
                 Node::Leaf { start, count } if count > 0 => {
                     for i in start as usize..(start + count) as usize {
                         let idx = self.tree.vind()[i];
-                        self.approx.set_slot(i, self.tree.points()[idx as usize]);
+                        self.approx
+                            .set_slot(i, halves(self.tree.points()[idx as usize]));
                     }
                     // Re-sentinel the lane-padding tail: deletions may
                     // have shrunk the leaf, leaving stale f16 rows a
                     // SIMD lane group would otherwise load.
                     let fp = self.tree.leaf_slot_footprint(id) as usize;
                     for i in (start + count) as usize..start as usize + fp {
-                        self.approx.pad_slot(i);
+                        self.approx.set_slot(i, [PAD_HALF; 3]);
                     }
                     compress_leaf_structure(
                         sim,
@@ -300,7 +306,7 @@ impl BonsaiTree {
                     // carry stale points under a live leaf.
                     let fp = self.tree.leaf_slot_footprint(id) as usize;
                     for i in start as usize..start as usize + fp {
-                        self.approx.pad_slot(i);
+                        self.approx.set_slot(i, [PAD_HALF; 3]);
                     }
                     self.directory.clear(id);
                 }
@@ -368,24 +374,15 @@ impl BonsaiTree {
         // is re-quantized, so the approximate coordinates (and thus
         // shell classifications) cannot drift.
         let mut approx = ApproxSoa {
-            x: vec![bonsai_kdtree::simd::PAD_COORD; new_slots],
-            y: vec![bonsai_kdtree::simd::PAD_COORD; new_slots],
-            z: vec![bonsai_kdtree::simd::PAD_COORD; new_slots],
-            ex: vec![0; new_slots],
-            ey: vec![0; new_slots],
-            ez: vec![0; new_slots],
+            x: vec![PAD_HALF; new_slots],
+            y: vec![PAD_HALF; new_slots],
+            z: vec![PAD_HALF; new_slots],
         };
         for (old, &new) in remap.slot_map.iter().enumerate() {
-            if new == bonsai_kdtree::CompactRemap::DROPPED || old >= self.approx.x.len() {
+            if new == bonsai_kdtree::CompactRemap::DROPPED || old >= self.approx.len() {
                 continue;
             }
-            let new = new as usize;
-            approx.x[new] = self.approx.x[old];
-            approx.y[new] = self.approx.y[old];
-            approx.z[new] = self.approx.z[old];
-            approx.ex[new] = self.approx.ex[old];
-            approx.ey[new] = self.approx.ey[old];
-            approx.ez[new] = self.approx.ez[old];
+            approx.set_slot(new as usize, self.approx.slot(old));
         }
         self.approx = approx;
         self.directory
@@ -394,12 +391,15 @@ impl BonsaiTree {
     }
 
     /// Host-side memory footprint, in bytes: the underlying tree's
-    /// [`resident_bytes`](KdTree::resident_bytes) plus the f16 rows and
-    /// the compressed directory (including its garbage bytes).
+    /// [`resident_bytes`](KdTree::resident_bytes) plus the f16 rows
+    /// (6 B per slot) and the compressed directory's
+    /// [`resident_bytes`](CompressedDirectory::resident_bytes) (its
+    /// array, garbage bytes included, and its per-node reference
+    /// table).
     pub fn resident_bytes(&self) -> u64 {
         self.tree.resident_bytes()
-            + self.approx.x.len() as u64 * (3 * 4 + 3)
-            + self.directory.total_bytes() as u64
+            + self.approx.len() as u64 * 3 * 2
+            + self.directory.resident_bytes() as u64
     }
 
     /// The underlying k-d tree (baseline searches, structure access).
@@ -526,9 +526,9 @@ impl BonsaiTree {
         // audit helper: reporting the first violation via panic is its
         // API, in release builds too.
         assert!(
-            self.approx.x.len() >= slots || self.tree.has_dirty_nodes(),
+            self.approx.len() >= slots || self.tree.has_dirty_nodes(),
             "f16 rows cover {} of {slots} committed slots",
-            self.approx.x.len()
+            self.approx.len()
         );
         if self.tree.has_dirty_nodes() {
             // Dirty leaves' rows are stale by design until commit.
@@ -543,9 +543,7 @@ impl BonsaiTree {
                 // lint: allow(debug-assert-discipline) — documented
                 // panicking audit helper; see above.
                 assert!(
-                    self.approx.x[i] == bonsai_kdtree::simd::PAD_COORD
-                        && self.approx.y[i] == bonsai_kdtree::simd::PAD_COORD
-                        && self.approx.z[i] == bonsai_kdtree::simd::PAD_COORD,
+                    self.approx.slot(i) == [PAD_HALF; 3],
                     "leaf {id} slot {i}: f16 rows not padded"
                 );
             }
@@ -598,9 +596,9 @@ impl BonsaiTree {
         self.tree.chaos_skew_garbage(rng)
     }
 
-    /// Flips the low mantissa bit of one live slot's f16-approximate
-    /// row — the audit's bit-compare against the point's true f16
-    /// decode catches it.
+    /// Flips the low mantissa bit of one live slot's f16 row — the
+    /// audit's bit-compare against the point's true f16 encoding
+    /// catches it.
     pub fn chaos_flip_f16(&mut self, rng: &mut bonsai_kdtree::ChaosRng) -> bool {
         if self.tree.has_dirty_nodes() {
             return false;
@@ -611,7 +609,7 @@ impl BonsaiTree {
                 continue;
             };
             for i in start as usize..(start + count) as usize {
-                if i < self.approx.x.len() {
+                if i < self.approx.len() {
                     slots.push(i);
                 }
             }
@@ -621,9 +619,9 @@ impl BonsaiTree {
         }
         let i = slots[rng.below(slots.len())];
         match rng.below(3) {
-            0 => self.approx.x[i] = f32::from_bits(self.approx.x[i].to_bits() ^ 1),
-            1 => self.approx.y[i] = f32::from_bits(self.approx.y[i].to_bits() ^ 1),
-            _ => self.approx.z[i] = f32::from_bits(self.approx.z[i].to_bits() ^ 1),
+            0 => self.approx.x[i] ^= 1,
+            1 => self.approx.y[i] ^= 1,
+            _ => self.approx.z[i] ^= 1,
         }
         true
     }

@@ -171,6 +171,19 @@ pub fn compressed_size_bits(num_pts: usize, flags: CoordFlags) -> usize {
         + num_pts * (3 - shared) * SIGN_EXP_BITS as usize
 }
 
+/// Bytes `STZPB` stores for the compressed form of `points` (whole
+/// slices) — `compress(points).slices() · SLICE_BYTES`, without
+/// packing any bits. Lets a caller size the `cmprsd_strct_array`
+/// before filling it.
+///
+/// # Panics
+///
+/// Panics when `points` is empty or longer than [`MAX_POINTS`].
+pub fn padded_len(points: &[[u16; 3]]) -> usize {
+    let bits = compressed_size_bits(points.len(), choose_flags(points));
+    slices_for_bytes(bits.div_ceil(8)) * SLICE_BYTES
+}
+
 /// The 6-bit `<sign, exponent>` tuple of an f16 bit pattern.
 fn sign_exp(h: u16) -> u32 {
     (h >> MANTISSA_BITS) as u32
@@ -380,6 +393,7 @@ mod tests {
         assert_eq!(leaf.flags(), CoordFlags::ALL);
         assert_eq!(leaf.len(), 59);
         assert_eq!(leaf.slices(), 4);
+        assert_eq!(padded_len(&pts), 4 * SLICE_BYTES);
         // Nothing compressed: 3 + 450 + 270 = 723 bits → 91 B → 6 slices.
         assert_eq!(compressed_size_bits(15, CoordFlags::NONE), 723);
     }
@@ -405,6 +419,7 @@ mod tests {
                 })
                 .collect();
             let leaf = compress(&pts);
+            assert_eq!(padded_len(&pts), leaf.slices() * SLICE_BYTES, "n={n}");
             let mut out = [[0u16; 3]; MAX_POINTS];
             let flags = decompress(leaf.bytes(), n, &mut out);
             assert_eq!(flags, leaf.flags(), "n={n}");

@@ -63,7 +63,7 @@ pub enum ViolationKind {
     /// A bookkeeping counter (subtree meta, `num_live`,
     /// `garbage_slots`) disagrees with a recount.
     Accounting,
-    /// An f16-approximate row is not the f16 decode of its point
+    /// An f16 row is not the f16 encoding of its point
     /// (emitted by `bonsai-core`).
     F16Mismatch,
     /// A compressed-directory reference or its bytes are unsound

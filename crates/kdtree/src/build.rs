@@ -46,6 +46,18 @@ impl Default for KdTreeConfig {
     }
 }
 
+/// Nodes a median-split build creates over `n > 0` points with at most
+/// `max_leaf` points per leaf. The median split always halves the count
+/// (`n / 2` left, the rest right), so the shape depends on `n` alone
+/// and the node pool can be sized exactly before it is filled.
+fn median_node_count(n: usize, max_leaf: usize) -> usize {
+    if n <= max_leaf {
+        1
+    } else {
+        1 + median_node_count(n / 2, max_leaf) + median_node_count(n - n / 2, max_leaf)
+    }
+}
+
 /// Shape statistics recorded while building.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BuildStats {
@@ -160,7 +172,15 @@ impl KdTree {
         if n > 0 {
             let prev = sim.set_kernel(Kernel::Build);
             let costs = TraversalCosts::default_model();
+            if cfg.split_rule == SplitRule::Median {
+                tree.nodes
+                    .reserve_exact(median_node_count(n, cfg.max_leaf_points));
+            }
             tree.build_range(sim, &costs, 0, n, 0);
+            // A sliding-midpoint shape depends on the data, so that
+            // pool is trimmed after the fact (one shrinking realloc; a
+            // no-op on the exactly sized median pool).
+            tree.nodes.shrink_to_fit();
             tree.apply_lane_padding();
             // FLANN's reorder pass: copy the points into vind order so
             // leaf scans stream instead of gathering. Host-side this
@@ -285,7 +305,11 @@ impl KdTree {
             .collect();
         leaves.sort_unstable_by_key(|&(start, _, _)| start);
         let dense = std::mem::take(&mut self.vind);
-        let mut vind = Vec::with_capacity(lane_padded(dense.len()) + leaves.len() * (LANES - 1));
+        let slots = leaves
+            .iter()
+            .map(|&(_, count, _)| lane_padded(count as usize))
+            .sum();
+        let mut vind = Vec::with_capacity(slots);
         for (start, count, id) in leaves {
             let new_start = vind.len() as u32;
             vind.extend_from_slice(&dense[start as usize..(start + count) as usize]);
@@ -730,6 +754,37 @@ mod tests {
         let mut sim = SimEngine::disabled();
         let tree = KdTree::build(Vec::new(), KdTreeConfig::default(), &mut sim);
         assert!(tree.nodes().is_empty());
+    }
+
+    /// The index buffers a build leaves behind hold no spare capacity,
+    /// in the sequential and the parallel builder: the median node pool
+    /// and `vind` are sized before they are filled, the
+    /// sliding-midpoint pool is trimmed afterwards.
+    #[test]
+    fn build_leaves_exact_capacity_buffers() {
+        let mut sim = SimEngine::disabled();
+        for rule in [SplitRule::Median, SplitRule::SlidingMidpoint] {
+            for (side, m) in [(1, 15), (7, 1), (20, 4), (33, 15), (40, 16)] {
+                let cfg = KdTreeConfig {
+                    max_leaf_points: m,
+                    split_rule: rule,
+                };
+                let seq = KdTree::build(grid_cloud(side), cfg, &mut sim);
+                let par = KdTree::build_parallel(grid_cloud(side), cfg, 2);
+                for (builder, tree) in [("build", seq), ("build_parallel", par)] {
+                    let what = format!("{builder} {rule:?} {side}² m {m}");
+                    assert_eq!(tree.nodes.capacity(), tree.nodes.len(), "nodes, {what}");
+                    assert_eq!(tree.meta.capacity(), tree.meta.len(), "meta, {what}");
+                    assert_eq!(tree.vind.capacity(), tree.vind.len(), "vind, {what}");
+                    for row in [&tree.leaf_x, &tree.leaf_y, &tree.leaf_z] {
+                        assert_eq!(row.capacity(), row.len(), "leaf rows, {what}");
+                    }
+                    if rule == SplitRule::Median {
+                        assert_eq!(tree.nodes.len(), median_node_count(side * side, m));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -162,7 +162,8 @@ fn build_rec(
             .iter()
             .map(|n| shift_node(n, 1 + left_nodes, left_slots)),
     );
-    let mut order = left.order;
+    let mut order = Vec::with_capacity(left.order.len() + right.order.len());
+    order.extend_from_slice(&left.order);
     order.extend_from_slice(&right.order);
     SubtreeParts {
         nodes,

@@ -71,7 +71,8 @@ pub const fn lane_padded(n: usize) -> usize {
 /// Which lane implementation [`active_backend`] resolved to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LaneBackend {
-    /// 8-wide `core::arch::x86_64` AVX2.
+    /// 8-wide `core::arch::x86_64` AVX2 (with F16C, which the
+    /// compressed sweep's in-register f16 decode needs).
     Avx2,
     /// 4-wide `core::arch::x86_64` SSE2 (the `x86_64` baseline), run
     /// twice per lane group.
@@ -101,7 +102,11 @@ pub fn detected_backend() -> LaneBackend {
     *DETECTED.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
         {
-            if std::arch::is_x86_feature_detected!("avx2") {
+            // The compressed sweep decodes its f16 rows with F16C
+            // `vcvtph2ps`; every AVX2 part Intel and AMD ship has it.
+            if std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("f16c")
+            {
                 LaneBackend::Avx2
             } else {
                 LaneBackend::Sse2

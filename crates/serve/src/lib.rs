@@ -68,6 +68,7 @@ use std::error::Error;
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
+use std::time::Duration;
 
 use bonsai_core::{AdaptReport, EpochPublisher, QueryError, RadiusSearchEngine, RouterSnapshot};
 use bonsai_geom::Point3;
@@ -125,6 +126,11 @@ pub enum ServeError {
     /// at that point resolves with this error, and the server admits
     /// no further requests.
     WorkerLost,
+    /// [`Ticket::wait_timeout`] gave up before the answer arrived. The
+    /// request stays admitted: the executor still answers it (and
+    /// counts it in [`ServeMetrics::served`]), and that answer is
+    /// dropped.
+    DeadlineExceeded,
 }
 
 impl fmt::Display for ServeError {
@@ -138,6 +144,7 @@ impl fmt::Display for ServeError {
             }
             ServeError::ShuttingDown => write!(f, "server is shutting down"),
             ServeError::WorkerLost => write!(f, "serving worker exited before answering"),
+            ServeError::DeadlineExceeded => write!(f, "deadline passed before the answer arrived"),
             ServeError::Query(q) => write!(f, "query failed: {q}"),
         }
     }
@@ -177,7 +184,8 @@ pub struct QueryResult {
 pub struct ServeMetrics {
     /// Requests admitted into the queue.
     pub submitted: u64,
-    /// Requests answered (including typed-error answers), counted as
+    /// Requests answered (including typed-error answers, and answers
+    /// to tickets a [`Ticket::wait_timeout`] abandoned), counted as
     /// their tickets are filled. Requests failed with
     /// [`ServeError::WorkerLost`] are not answers and are not counted.
     pub served: u64,
@@ -315,6 +323,20 @@ impl Ticket {
                 .wait(slot)
                 .unwrap_or_else(PoisonError::into_inner);
         }
+    }
+
+    /// [`wait`](Ticket::wait) with a deadline: blocks for at most
+    /// `timeout`, then gives up with [`ServeError::DeadlineExceeded`].
+    /// Giving up abandons the ticket; the request is still answered
+    /// when the executor reaches it, and that answer is dropped.
+    pub fn wait_timeout(self, timeout: Duration) -> Outcome {
+        let slot = relock(&self.state.slot);
+        let (mut slot, _) = self
+            .state
+            .ready
+            .wait_timeout_while(slot, timeout, |slot| slot.is_none())
+            .unwrap_or_else(PoisonError::into_inner);
+        slot.take().unwrap_or(Err(ServeError::DeadlineExceeded))
     }
 
     /// Non-blocking poll: the answer if the executor has produced it.
@@ -804,16 +826,17 @@ mod tests {
         assert_eq!(after.neighbors, before.neighbors);
     }
 
-    /// A baseline tree that blocks on a gate, then panics, when asked
-    /// about one poisoned query point.
-    struct PanicsOn {
+    /// A baseline tree that blocks on a channel gate when asked about
+    /// one gated query point, then panics if `panics`, or else answers.
+    struct GatedOn {
         tree: bonsai_kdtree::KdTree,
-        poison: Point3,
+        gate: Point3,
+        panics: bool,
         entered: Mutex<mpsc::Sender<()>>,
         release: Mutex<mpsc::Receiver<()>>,
     }
 
-    impl EpochIndex for PanicsOn {
+    impl EpochIndex for GatedOn {
         fn search_append(
             &self,
             query: Point3,
@@ -822,31 +845,47 @@ mod tests {
             out: &mut Vec<Neighbor>,
             stats: &mut SearchStats,
         ) {
-            if query == self.poison {
+            if query == self.gate {
                 relock(&self.entered)
                     .send(())
                     .expect("test thread listening");
                 relock(&self.release).recv().expect("test thread releases");
-                panic!("poisoned query");
+                assert!(!self.panics, "poisoned query");
             }
             self.tree.search_append(query, radius, scratch, out, stats);
         }
     }
 
-    #[test]
-    fn worker_panic_fails_every_outstanding_ticket_with_worker_lost() {
-        let cloud = urban_cloud(600, 10);
+    /// A server over a [`GatedOn`] index gated at a point far from
+    /// `cloud`, with the channel ends that observe and open the gate.
+    fn gated_server(
+        cloud: &[Point3],
+        panics: bool,
+    ) -> (
+        Server<GatedOn>,
+        Point3,
+        mpsc::Receiver<()>,
+        mpsc::Sender<()>,
+    ) {
         let mut sim = SimEngine::disabled();
-        let poison = Point3::new(1e4, 1e4, 1e4);
+        let gate = Point3::new(1e4, 1e4, 1e4);
         let (entered_tx, entered_rx) = mpsc::channel();
         let (release_tx, release_rx) = mpsc::channel();
-        let index = PanicsOn {
-            tree: bonsai_kdtree::KdTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim),
-            poison,
+        let index = GatedOn {
+            tree: bonsai_kdtree::KdTree::build(cloud.to_vec(), KdTreeConfig::default(), &mut sim),
+            gate,
+            panics,
             entered: Mutex::new(entered_tx),
             release: Mutex::new(release_rx),
         };
         let server = Server::new(Arc::new(EpochPublisher::new(index)), ServeConfig::default());
+        (server, gate, entered_rx, release_tx)
+    }
+
+    #[test]
+    fn worker_panic_fails_every_outstanding_ticket_with_worker_lost() {
+        let cloud = urban_cloud(600, 10);
+        let (server, poison, entered_rx, release_tx) = gated_server(&cloud, true);
 
         // Answered before the panic.
         let answered: Vec<Outcome> = (0..8)
@@ -882,6 +921,52 @@ mod tests {
         assert_eq!(m.submitted, 8 + 1 + 16);
         assert_eq!(m.served, answered.len() as u64);
         assert_eq!(m.served + lost, m.submitted);
+    }
+
+    /// A deadline bounds the wait: tickets stuck behind a blocked
+    /// worker resolve `DeadlineExceeded` after 20 ms, their late
+    /// answers are dropped without a panic once the gate opens, later
+    /// tickets are answered, and every admitted request is counted
+    /// served.
+    #[test]
+    fn wait_timeout_returns_deadline_exceeded_and_drops_the_late_answer() {
+        let cloud = urban_cloud(600, 11);
+        let (server, gate, entered_rx, release_tx) = gated_server(&cloud, false);
+        let blocked = server.submit(gate, 1.0).expect("admitted");
+        entered_rx.recv().expect("worker reached the gated query");
+        let queued = server.submit(cloud[3], 1.0).expect("admitted");
+        let deadline = Duration::from_millis(20);
+        assert_eq!(
+            blocked.wait_timeout(deadline),
+            Err(ServeError::DeadlineExceeded)
+        );
+        assert_eq!(
+            queued.wait_timeout(deadline),
+            Err(ServeError::DeadlineExceeded)
+        );
+        let behind: Vec<Ticket> = (0..8)
+            .map(|i| server.submit(cloud[i], 1.0).expect("admitted"))
+            .collect();
+        release_tx.send(()).expect("worker waits on the gate");
+
+        let pinned = server.publisher().pin();
+        let tree = &pinned.value().tree;
+        let mut scratch = SearchScratch::new();
+        for (i, ticket) in behind.into_iter().enumerate() {
+            let got = ticket
+                .wait_timeout(Duration::from_secs(60))
+                .expect("answered");
+            let (mut want, mut stats) = (Vec::new(), SearchStats::default());
+            tree.search_append(cloud[i], 1.0, &mut scratch, &mut want, &mut stats);
+            assert_eq!(got.neighbors, want, "query {i}");
+        }
+        let later = server.submit(cloud[5], 1.0).expect("admitted");
+        assert!(later.wait().is_ok());
+        // `served + lost == submitted`, with nothing lost: the two
+        // abandoned requests were answered too.
+        let m = server.metrics();
+        assert_eq!(m.submitted, 1 + 1 + 8 + 1);
+        assert_eq!(m.served, m.submitted);
     }
 
     #[test]
