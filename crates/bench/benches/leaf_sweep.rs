@@ -11,7 +11,7 @@ use bonsai_bench::workload::{
     batch_queries, collect_sweep_sets, urban_cloud, BATCH_CLOUD, SWEEP_RADIUS,
 };
 use bonsai_core::{BonsaiTree, RadiusSearchEngine};
-use bonsai_kdtree::{simd, KdTreeConfig, SearchStats};
+use bonsai_kdtree::{simd, KdTree, KdTreeConfig, SearchStats};
 use bonsai_sim::SimEngine;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
@@ -19,6 +19,9 @@ fn bench_leaf_sweep(c: &mut Criterion) {
     let cloud = urban_cloud(BATCH_CLOUD);
     let mut sim = SimEngine::disabled();
     let tree = BonsaiTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
+    // The baseline sweep reads the f32 rows of a KdTree over the same
+    // points (same shape, so the visit lists serve both).
+    let base_tree = KdTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
     let queries = batch_queries(&cloud, 32);
     let (sweep_sets, sweep_points) = collect_sweep_sets(tree.kd_tree(), &queries, SWEEP_RADIUS);
 
@@ -31,7 +34,7 @@ fn bench_leaf_sweep(c: &mut Criterion) {
     let ov = simd::scalar_override();
     for (mode, baseline) in [("baseline", true), ("bonsai", false)] {
         let engine = if baseline {
-            RadiusSearchEngine::baseline(tree.kd_tree())
+            RadiusSearchEngine::baseline(&base_tree)
         } else {
             RadiusSearchEngine::bonsai(&tree)
         };

@@ -5,7 +5,7 @@
 use bonsai_bench::workload::{urban_cloud, BATCH_CLOUD};
 use bonsai_core::{BonsaiTree, SoftwareCodecProcessor};
 use bonsai_isa::Machine;
-use bonsai_kdtree::{BaselineLeafProcessor, KdTreeConfig, SearchStats};
+use bonsai_kdtree::{BaselineLeafProcessor, KdTree, KdTreeConfig, SearchStats};
 use bonsai_sim::SimEngine;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -13,6 +13,8 @@ fn bench_radius_search(c: &mut Criterion) {
     let cloud = urban_cloud(BATCH_CLOUD);
     let mut sim = SimEngine::disabled();
     let tree = BonsaiTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
+    // The baseline scans run on the f32-row tree of the same points.
+    let base_tree = KdTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
     let mut group = c.benchmark_group("radius_search_per_query");
     group.sample_size(20);
     group.measurement_time(std::time::Duration::from_secs(3));
@@ -20,14 +22,13 @@ fn bench_radius_search(c: &mut Criterion) {
     let radius = 0.8f32;
 
     group.bench_function("baseline_f32", |b| {
-        let mut proc = BaselineLeafProcessor::new(&mut sim);
+        let mut proc = BaselineLeafProcessor::new(&mut sim, &base_tree);
         let mut out = Vec::new();
         let mut stats = SearchStats::default();
         let mut qi = 0;
         b.iter(|| {
             qi = (qi + 97) % cloud.len();
-            tree.kd_tree()
-                .radius_search(&mut sim, &mut proc, cloud[qi], radius, &mut out, &mut stats);
+            base_tree.radius_search(&mut sim, &mut proc, cloud[qi], radius, &mut out, &mut stats);
             out.len()
         })
     });
@@ -84,13 +85,13 @@ fn bench_radius_search(c: &mut Criterion) {
                 } else {
                     SimEngine::disabled()
                 };
-                let mut proc = BaselineLeafProcessor::new(&mut sim);
+                let mut proc = BaselineLeafProcessor::new(&mut sim, &base_tree);
                 let mut out = Vec::new();
                 let mut stats = SearchStats::default();
                 let mut qi = 0;
                 b.iter(|| {
                     qi = (qi + 97) % cloud.len();
-                    tree.kd_tree().radius_search(
+                    base_tree.radius_search(
                         &mut sim, &mut proc, cloud[qi], radius, &mut out, &mut stats,
                     );
                     out.len()

@@ -8,7 +8,7 @@ use bonsai_bench::workload::{
 };
 use bonsai_core::{BonsaiTree, RadiusSearchEngine};
 use bonsai_isa::Machine;
-use bonsai_kdtree::{KdTreeConfig, QueryBatch, SearchStats};
+use bonsai_kdtree::{KdTree, KdTreeConfig, QueryBatch, SearchStats};
 use bonsai_sim::SimEngine;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
@@ -18,6 +18,8 @@ fn bench_batched(c: &mut Criterion) {
     let cloud = urban_cloud(BATCH_CLOUD);
     let mut sim = SimEngine::disabled();
     let tree = BonsaiTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
+    // Baseline searches run on the f32-row tree of the same points.
+    let base_tree = KdTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
     let queries = batch_queries(&cloud, BATCH_QUERIES);
 
     let mut group = c.benchmark_group("radius_search_batched");
@@ -38,7 +40,7 @@ fn bench_batched(c: &mut Criterion) {
                 let mut total = 0usize;
                 for &q in &queries {
                     if baseline {
-                        out = tree.kd_tree().radius_search_simple(q, RADIUS);
+                        out = base_tree.radius_search_simple(q, RADIUS);
                     } else {
                         tree.radius_search(&mut sim, &mut machine, q, RADIUS, &mut out, &mut stats);
                     }
@@ -49,7 +51,7 @@ fn bench_batched(c: &mut Criterion) {
         });
 
         let engine = if baseline {
-            RadiusSearchEngine::baseline(tree.kd_tree())
+            RadiusSearchEngine::baseline(&base_tree)
         } else {
             RadiusSearchEngine::bonsai(&tree)
         };

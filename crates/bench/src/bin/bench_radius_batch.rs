@@ -157,6 +157,8 @@ fn main() {
     let cloud = urban_cloud(cloud_n);
     let mut sim = SimEngine::disabled();
     let tree = BonsaiTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
+    // Baseline searches run on the f32-row tree of the same points.
+    let base_tree = KdTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
     let queries = batch_queries(&cloud, query_n);
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
 
@@ -183,7 +185,7 @@ fn main() {
             let mut total = 0;
             for &q in &queries {
                 if baseline {
-                    total += tree.kd_tree().radius_search_simple(q, RADIUS).len();
+                    total += base_tree.radius_search_simple(q, RADIUS).len();
                 } else {
                     tree.radius_search(&mut sim, &mut machine, q, RADIUS, &mut out, &mut stats);
                     total += out.len();
@@ -193,7 +195,7 @@ fn main() {
         });
 
         let engine = if baseline {
-            RadiusSearchEngine::baseline(tree.kd_tree())
+            RadiusSearchEngine::baseline(&base_tree)
         } else {
             RadiusSearchEngine::bonsai(&tree)
         };
@@ -219,7 +221,7 @@ fn main() {
         engine.search_batch(&queries, RADIUS, &mut batch);
         for (i, &q) in queries.iter().enumerate().step_by(37) {
             let expect = if baseline {
-                tree.kd_tree().radius_search_simple(q, RADIUS)
+                base_tree.radius_search_simple(q, RADIUS)
             } else {
                 tree.radius_search_simple(q, RADIUS)
             };
@@ -342,7 +344,7 @@ fn main() {
         router.search_batch(&queries, RADIUS, &mut batch);
         for (i, &q) in queries.iter().enumerate().step_by(37) {
             let mut expect = if baseline {
-                tree.kd_tree().radius_search_simple(q, RADIUS)
+                base_tree.radius_search_simple(q, RADIUS)
             } else {
                 tree.radius_search_simple(q, RADIUS)
             };
@@ -652,7 +654,7 @@ fn main() {
                 r.adapt_step(&policy, 0);
             }
             let engine = if mode == "baseline" {
-                RadiusSearchEngine::baseline(tree.kd_tree())
+                RadiusSearchEngine::baseline(&base_tree)
             } else {
                 RadiusSearchEngine::bonsai(&tree)
             };
@@ -703,7 +705,7 @@ fn main() {
     for (mi, mode) in ["baseline", "bonsai"].into_iter().enumerate() {
         let baseline = mode == "baseline";
         let engine = if baseline {
-            RadiusSearchEngine::baseline(tree.kd_tree())
+            RadiusSearchEngine::baseline(&base_tree)
         } else {
             RadiusSearchEngine::bonsai(&tree)
         };

@@ -122,7 +122,16 @@ pub fn extract_euclidean_clusters(
     // allocate fresh simulated scratch for every search and poison the
     // cache model with artificial cold misses.
     let mut machine = Machine::new();
-    let mut baseline_proc = BaselineLeafProcessor::new(sim);
+    let mut baseline_proc = match bonsai {
+        None => Some(BaselineLeafProcessor::new(sim, tree)),
+        // A compressed tree keeps no f32 rows to scan. Its modes still
+        // reserve the baseline output vectors, so every buffer below
+        // sits at the same simulated address in all three modes.
+        Some(_) => {
+            BaselineLeafProcessor::reserve_outputs(sim);
+            None
+        }
+    };
     let mut software_proc = match mode {
         TreeMode::SoftwareCodec => bonsai.map(|b| SoftwareCodecProcessor::new(sim, b.directory())),
         _ => None,
@@ -171,17 +180,8 @@ pub fn extract_euclidean_clusters(
             head += 1;
 
             let query = tree.points()[q_idx as usize];
-            match (mode, &mut bonsai_proc, &mut software_proc) {
-                (TreeMode::Baseline, _, _) => tree.radius_search_scratch(
-                    sim,
-                    &mut baseline_proc,
-                    query,
-                    tolerance,
-                    &mut neighbors,
-                    &mut search_stats,
-                    &mut scratch,
-                ),
-                (TreeMode::Bonsai, Some(proc), _) => tree.radius_search_scratch(
+            match (&mut baseline_proc, &mut bonsai_proc, &mut software_proc) {
+                (Some(proc), _, _) => tree.radius_search_scratch(
                     sim,
                     proc,
                     query,
@@ -190,7 +190,16 @@ pub fn extract_euclidean_clusters(
                     &mut search_stats,
                     &mut scratch,
                 ),
-                (TreeMode::SoftwareCodec, _, Some(proc)) => tree.radius_search_scratch(
+                (None, Some(proc), _) => tree.radius_search_scratch(
+                    sim,
+                    proc,
+                    query,
+                    tolerance,
+                    &mut neighbors,
+                    &mut search_stats,
+                    &mut scratch,
+                ),
+                (None, None, Some(proc)) => tree.radius_search_scratch(
                     sim,
                     proc,
                     query,

@@ -1,19 +1,22 @@
 //! Deep invariant audit of the compressed layers.
 //!
 //! [`BonsaiTree::audit`] extends the underlying
-//! [`KdTree::audit`](bonsai_kdtree::KdTree::audit) walk to the two
-//! structures this crate adds on top of the tree:
+//! [`KdTree::audit`](bonsai_kdtree::KdTree::audit) walk — which already
+//! certifies the f16 leaf rows bit for bit against the f16 encodings of
+//! their points (**F16Mismatch**) — to the structures this crate adds
+//! on top of the tree, both reported as **DirectoryBytes**:
 //!
-//! * **F16Mismatch** — every live slot's f16 SoA row must be
-//!   bit-identical to the f16 encoding of its exact point, and every
-//!   padding slot must hold the f16 `+∞` sentinel.
-//! * **DirectoryBytes** — every live leaf owns exactly one compressed
-//!   structure whose reference is sound (slice-aligned offset, byte
-//!   range inside the array, point count matching the leaf, header
-//!   flags matching the recorded flags, recorded length matching the
-//!   codec's size formula) and whose decoded coordinates are the f16
-//!   bits of the leaf's points; no empty leaf, interior node or
-//!   out-of-pool id holds a structure.
+//! * **Leaf headers** — the table covers every node; every live leaf's
+//!   header holds the flags and slice count the codec derives from the
+//!   f16 encodings of the leaf's points; interior nodes and empty
+//!   leaves hold `0`.
+//! * **The compressed directory**, when it has been baked — every live
+//!   leaf owns exactly one compressed structure whose reference is
+//!   sound (slice-aligned offset, byte range inside the array, point
+//!   count matching the leaf, header flags matching the recorded
+//!   flags, recorded length matching the codec's size formula) and
+//!   whose decoded coordinates are the f16 bits of the leaf's points;
+//!   no empty leaf, interior node or out-of-pool id holds a structure.
 //!
 //! Like the tree-level auditor, the walk never panics on corrupt
 //! state: every reference is range-checked before its bytes are
@@ -23,42 +26,92 @@
 use bonsai_floatfmt::Half;
 use bonsai_isa::{codec, CoordFlags, MAX_POINTS, SLICE_BYTES};
 use bonsai_kdtree::simd::PAD_SLOT;
-use bonsai_kdtree::{AuditViolation, Node, ViolationKind};
+use bonsai_kdtree::{AuditViolation, KdTree, Node, ViolationKind};
 
-use crate::tree::{BonsaiTree, PAD_HALF};
+use crate::directory::CompressedDirectory;
+use crate::tree::{leaf_header, BonsaiTree};
+
+/// The f16 encodings of the points under slots `s..s + c`, or `None`
+/// when a slot holds no valid point (the tree audit reports those).
+fn point_halves(t: &KdTree, s: usize, c: usize) -> Option<[[u16; 3]; MAX_POINTS]> {
+    let mut halves = [[0u16; 3]; MAX_POINTS];
+    for (k, i) in (s..s + c).enumerate() {
+        let idx = *t.vind().get(i)?;
+        if idx == PAD_SLOT {
+            return None;
+        }
+        let p = t.points().get(idx as usize)?;
+        halves[k] = [p.x, p.y, p.z].map(|c| Half::from_f32(c).to_bits());
+    }
+    Some(halves)
+}
 
 impl BonsaiTree {
     /// Deep invariant audit: the underlying tree's full invariant web
-    /// (see [`KdTree::audit`](bonsai_kdtree::KdTree::audit)) plus the
-    /// f16-approximate rows and the compressed directory. Returns every
-    /// violation found — an empty vector certifies the tree. Never
-    /// panics on corrupt state.
+    /// (see [`KdTree::audit`](bonsai_kdtree::KdTree::audit)), f16 rows
+    /// included, plus the leaf headers and, when baked, the compressed
+    /// directory. Returns every violation found — an empty vector
+    /// certifies the tree. Never panics on corrupt state.
     ///
     /// With mutations pending a [`commit`](BonsaiTree::commit), only
-    /// the tree walk runs: dirty leaves' rows and structures are stale
-    /// *by design* until the commit re-bakes them.
+    /// the tree walk runs: dirty leaves' headers and structures are
+    /// stale *by design* until the commit re-bakes them.
     pub fn audit(&self) -> Vec<AuditViolation> {
         let mut out = self.kd_tree().audit();
-        if self.has_pending_rebake() {
+        if self.has_pending_rebake() || out.iter().any(|v| v.kind == ViolationKind::Structure) {
+            // Pending: stale by design. Structure: the meta table (and
+            // thus every leaf footprint) is unsound, and the per-leaf
+            // walks below would index on garbage.
             return out;
         }
+        self.audit_headers(&mut out);
+        if let Some(dir) = self.baked_directory() {
+            self.audit_directory(dir, &mut out);
+        }
+        out
+    }
+
+    fn audit_headers(&self, out: &mut Vec<AuditViolation>) {
         let t = self.kd_tree();
-        let soa = self.approx_soa();
-        let dir = self.directory();
-        let slots = t.vind().len();
-        let row_len = soa.x.len().min(soa.y.len()).min(soa.z.len());
-        if row_len < slots {
+        let headers = self.leaf_headers();
+        if headers.len() != t.nodes().len() {
             out.push(AuditViolation::new(
-                ViolationKind::F16Mismatch,
-                format!("f16 rows cover {row_len} of {slots} slots"),
+                ViolationKind::DirectoryBytes,
+                format!(
+                    "header table covers {} of {} nodes",
+                    headers.len(),
+                    t.nodes().len()
+                ),
             ));
-            return out;
+            return;
         }
-        if out.iter().any(|v| v.kind == ViolationKind::Structure) {
-            // The meta table (and thus every leaf footprint) is
-            // unsound; the per-leaf walk below would index on garbage.
-            return out;
+        for (id, (node, &header)) in t.nodes().iter().zip(headers).enumerate() {
+            let want = match *node {
+                Node::Leaf { start, count } if (1..=MAX_POINTS as u32).contains(&count) => {
+                    let (s, c) = (start as usize, count as usize);
+                    match point_halves(t, s, c) {
+                        Some(halves) => leaf_header(&halves[..c]),
+                        None => continue,
+                    }
+                }
+                Node::Leaf { count, .. } if count > 0 => continue,
+                _ => 0,
+            };
+            if header != want {
+                out.push(
+                    AuditViolation::new(
+                        ViolationKind::DirectoryBytes,
+                        format!("leaf header {header:#04x} should be {want:#04x}"),
+                    )
+                    .at_node(id as u32),
+                );
+            }
         }
+    }
+
+    fn audit_directory(&self, dir: &CompressedDirectory, out: &mut Vec<AuditViolation>) {
+        let t = self.kd_tree();
+        let slots = t.vind().len();
         let mut decoded = [[0u16; 3]; MAX_POINTS];
         for (id, node) in t.nodes().iter().enumerate() {
             let id32 = id as u32;
@@ -81,44 +134,6 @@ impl BonsaiTree {
             let fp = t.leaf_slot_footprint(id32) as usize;
             if s.checked_add(fp).is_none_or(|end| end > slots) {
                 continue; // the tree audit already reported the range
-            }
-            // f16 rows: live slots bit-match their points' f16 encoding…
-            for i in s..s + c {
-                let idx = t.vind()[i];
-                if idx == PAD_SLOT || (idx as usize) >= t.points().len() {
-                    continue; // the tree audit already reported the slot
-                }
-                let p = t.points()[idx as usize];
-                let row = soa.slot(i);
-                for (a, coord) in [p.x, p.y, p.z].into_iter().enumerate() {
-                    if row[a] != Half::from_f32(coord).to_bits() {
-                        out.push(
-                            AuditViolation::new(
-                                ViolationKind::F16Mismatch,
-                                format!(
-                                    "slot {i} axis {a}: f16 row is not the f16 encoding of \
-                                     point {idx}"
-                                ),
-                            )
-                            .at_node(id32)
-                            .at_index(i as u32),
-                        );
-                        break;
-                    }
-                }
-            }
-            // …and padding slots hold the sentinel.
-            for i in s + c..s + fp {
-                if soa.slot(i) != [PAD_HALF; 3] {
-                    out.push(
-                        AuditViolation::new(
-                            ViolationKind::F16Mismatch,
-                            format!("slot {i}: f16 rows of a padding slot lost the sentinel"),
-                        )
-                        .at_node(id32)
-                        .at_index(i as u32),
-                    );
-                }
             }
             // Compressed structure: existence…
             let r = match dir.leaf_ref(id32) {
@@ -268,6 +283,5 @@ impl BonsaiTree {
                 );
             }
         }
-        out
     }
 }

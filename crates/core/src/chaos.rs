@@ -6,8 +6,8 @@
 //! two families:
 //!
 //! * **State faults** corrupt live serving structures between frames —
-//!   f16 bit flips, scrambled leaf `vind` slots, truncated compressed
-//!   directories, broken global→shard directory entries, skewed
+//!   f16 bit flips, scrambled leaf `vind` slots, corrupted leaf
+//!   headers, broken global→shard directory entries, skewed
 //!   dividers and garbage counters. Each maps to the
 //!   [`ViolationKind`] the audit is contracted to report for it
 //!   ([`FaultKind::expected_violation`]).
@@ -32,7 +32,9 @@ pub enum FaultKind {
     /// Duplicate one `vind` entry inside a leaf (breaking the
     /// slot ↔ point bijection).
     VindScramble,
-    /// Redirect one compressed-directory reference past its byte array.
+    /// Corrupt one leaf header — the per-node record of a leaf's
+    /// compressed structure (its flags and slice count) that stands in
+    /// for the compressed directory on the serving path.
     DirectoryTruncate,
     /// Point one global→(shard, local) directory entry at a slot no
     /// shard holds.
@@ -157,7 +159,7 @@ impl FaultPlan {
         match kind {
             FaultKind::F16BitFlip => router.chaos_flip_f16(&mut self.rng),
             FaultKind::VindScramble => router.chaos_duplicate_vind(&mut self.rng),
-            FaultKind::DirectoryTruncate => router.chaos_truncate_directory(&mut self.rng),
+            FaultKind::DirectoryTruncate => router.chaos_corrupt_header(&mut self.rng),
             FaultKind::ShardDirectoryBreak => router.chaos_break_directory(&mut self.rng),
             FaultKind::DividerSkew => router.chaos_skew_divider(&mut self.rng),
             FaultKind::GarbageCounterSkew => router.chaos_skew_garbage(&mut self.rng),

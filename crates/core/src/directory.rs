@@ -57,6 +57,27 @@ pub struct CompressedDirectory {
     result_addr: u64,
 }
 
+/// The simulated address space of one tree's directory: the structure
+/// array's worst-case range and the shared result-set region. A
+/// `BonsaiTree` reserves it when it is built, so a directory baked
+/// later occupies the same addresses an eagerly baked one would.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DirectorySpace {
+    base_addr: u64,
+    result_addr: u64,
+}
+
+impl DirectorySpace {
+    /// Reserves the space for a tree of `num_nodes` nodes.
+    pub fn reserve(sim: &mut SimEngine, num_nodes: usize) -> DirectorySpace {
+        let capacity = num_nodes as u64 * bonsai_isa::MAX_COMPRESSED_BYTES as u64;
+        DirectorySpace {
+            base_addr: sim.alloc(capacity.max(SLICE_BYTES as u64), 64),
+            result_addr: sim.alloc(64 * 1024, 64),
+        }
+    }
+}
+
 impl CompressedDirectory {
     /// Creates an empty directory able to describe `num_nodes` tree
     /// nodes, reserving simulated address space for the worst case —
@@ -66,12 +87,17 @@ impl CompressedDirectory {
     /// the simulated address space bounded when one engine serves many
     /// searches.
     pub fn new(sim: &mut SimEngine, num_nodes: usize) -> CompressedDirectory {
-        let capacity = num_nodes as u64 * bonsai_isa::MAX_COMPRESSED_BYTES as u64;
+        CompressedDirectory::in_space(DirectorySpace::reserve(sim, num_nodes), num_nodes)
+    }
+
+    /// An empty directory for `num_nodes` nodes in already reserved
+    /// `space`.
+    pub(crate) fn in_space(space: DirectorySpace, num_nodes: usize) -> CompressedDirectory {
         CompressedDirectory {
             data: Vec::new(),
             refs: vec![None; num_nodes],
-            base_addr: sim.alloc(capacity.max(SLICE_BYTES as u64), 64),
-            result_addr: sim.alloc(64 * 1024, 64),
+            base_addr: space.base_addr,
+            result_addr: space.result_addr,
         }
     }
 
@@ -230,6 +256,11 @@ impl CompressedDirectory {
         self.data.len()
     }
 
+    /// The whole structure array, garbage bytes included.
+    pub fn bytes(&self) -> &[u8] {
+        &self.data
+    }
+
     /// Host-side memory footprint, in bytes: the array
     /// ([`total_bytes`](CompressedDirectory::total_bytes), garbage
     /// included) plus the per-node reference table.
@@ -243,32 +274,6 @@ impl CompressedDirectory {
             .iter()
             .enumerate()
             .filter_map(|(i, r)| r.map(|r| (i as LeafId, r)))
-    }
-}
-
-#[cfg(feature = "chaos")]
-impl CompressedDirectory {
-    /// Chaos hook: redirects the `nth % live`-th recorded reference
-    /// one slice past the end of the byte array, so its byte range no
-    /// longer fits — the audit's range check catches it. Returns
-    /// `false` when no reference is recorded.
-    pub fn chaos_corrupt_ref(&mut self, nth: usize) -> bool {
-        let live: Vec<usize> = self
-            .refs
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.is_some())
-            .map(|(i, _)| i)
-            .collect();
-        if live.is_empty() {
-            return false;
-        }
-        let leaf = live[nth % live.len()];
-        let past_end = (self.data.len() + SLICE_BYTES) as u32;
-        if let Some(r) = &mut self.refs[leaf] {
-            r.offset = past_end;
-        }
-        true
     }
 }
 

@@ -24,7 +24,7 @@ use bonsai_kdtree::{KdTree, Neighbor, QueryBatch, SearchScratch, SearchStats};
 use bonsai_kdtree::simd::LeafVisit;
 
 use crate::simd::{classify_candidate, sweep_compressed_visited};
-use crate::tree::BonsaiTree;
+use crate::tree::{header_bytes, BonsaiTree};
 
 /// Which leaf representation the engine scans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -52,7 +52,7 @@ fn error_rom() -> &'static PartErrorMem {
 /// valid across incremental updates** in the sense that nothing is
 /// derived from the tree: after `BonsaiTree::insert`/`delete` +
 /// `commit`, re-create it over the mutated tree and it searches the
-/// same SoA/directory references.
+/// same rows and headers.
 ///
 /// # Examples
 ///
@@ -82,11 +82,23 @@ pub struct RadiusSearchEngine<'t> {
 
 impl<'t> RadiusSearchEngine<'t> {
     /// An engine scanning uncompressed `f32` leaves.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `tree` holds f16 leaf rows — a
+    /// [`BonsaiTree::kd_tree`] keeps no `f32` copy of its leaves; build
+    /// a [`KdTree::build`] over the same points for baseline searches.
     pub fn baseline(tree: &'t KdTree) -> RadiusSearchEngine<'t> {
+        tree.assert_f32_rows();
         RadiusSearchEngine { tree, bonsai: None }
     }
 
-    /// An engine scanning Bonsai-compressed leaves (exact membership).
+    /// An engine scanning Bonsai-compressed leaves. Membership and hit
+    /// order are exactly the baseline's. The reported
+    /// [`Neighbor::dist_sq`] is not always: a hit classified *In* from
+    /// its f16 approximation reports the approximate `d′²`, which lies
+    /// within the Eq. 11 bound `t_err` of the exact `d²`; only hits
+    /// re-checked through the exact fallback report `d²` itself.
     /// The software-codec strawman computes the same approximate
     /// distances, error bounds and fallbacks — only its simulated cost
     /// differs — so this engine also reproduces its results.
@@ -206,8 +218,9 @@ impl<'t> RadiusSearchEngine<'t> {
 
 /// The compressed (Bonsai/software-codec) sweep of a query's visit
 /// list. It first counts each visited leaf's inspection work through
-/// its directory reference (deletions can hollow a leaf out completely
-/// — it owns no compressed structure and contributes nothing), then
+/// its leaf header — the bytes of the compressed structure the leaf
+/// processors load (deletions can hollow a leaf out completely — it
+/// owns no structure and contributes nothing) — then
 /// classifies: the SIMD lane path when a gather-capable backend is
 /// active, otherwise the scalar reference loop. Both evaluate, per
 /// point in visit order then ascending slot order, the same
@@ -225,35 +238,27 @@ fn sweep_compressed(
     out: &mut Vec<Neighbor>,
     stats: &mut SearchStats,
 ) {
-    let directory = bonsai.directory();
+    let headers = bonsai.leaf_headers();
     for &(leaf, _, count) in visited {
-        if count == 0 {
-            continue;
-        }
-        // lint: allow(panic-free-serving) — baking invariant: every
-        // non-empty leaf of a baked Bonsai tree has a directory entry.
-        let leaf_ref = directory
-            .leaf_ref(leaf)
-            .expect("compressed engine requires a compressed leaf");
-        debug_assert_eq!(leaf_ref.num_pts as u32, count);
         stats.points_inspected += count as u64;
-        stats.point_bytes_loaded += leaf_ref.padded_len() as u64;
+        stats.point_bytes_loaded += header_bytes(headers[leaf as usize]) as u64;
     }
-    let approx = bonsai.approx_soa();
+    let halves = bonsai.kd_tree().leaf_halves();
     let vind = bonsai.kd_tree().vind();
     let points = bonsai.kd_tree().points();
     let lut = error_rom();
-    if sweep_compressed_visited(approx, vind, points, lut, visited, query, r_sq, out, stats) {
+    if sweep_compressed_visited(halves, vind, points, lut, visited, query, r_sq, out, stats) {
         return;
     }
+    let (x_row, y_row, z_row) = halves;
     // Scalar reference path (also the no-`simd` build): slice windows
     // hoisted to one exact length per leaf so the loop body indexes
     // without bounds checks; each half decodes exactly to its `f32`.
     for &(_, start, count) in visited {
         let (start, count) = (start as usize, count as usize);
-        let ax = &approx.x[start..start + count];
-        let ay = &approx.y[start..start + count];
-        let az = &approx.z[start..start + count];
+        let ax = &x_row[start..start + count];
+        let ay = &y_row[start..start + count];
+        let az = &z_row[start..start + count];
         let vw = &vind[start..start + count];
         for i in 0..count {
             let (hx, hy, hz) = (
@@ -413,8 +418,9 @@ mod tests {
         let cloud = urban_cloud(1500, 11);
         let mut sim = SimEngine::disabled();
         let tree = BonsaiTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
+        let base_tree = KdTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
         for engine in [
-            RadiusSearchEngine::baseline(tree.kd_tree()),
+            RadiusSearchEngine::baseline(&base_tree),
             RadiusSearchEngine::bonsai(&tree),
         ] {
             let mut scratch = SearchScratch::new();
@@ -454,6 +460,14 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "f16-row KdTree")]
+    fn baseline_engine_refuses_a_bonsai_tree_at_construction() {
+        let mut sim = SimEngine::disabled();
+        let tree = BonsaiTree::build(urban_cloud(200, 2), KdTreeConfig::default(), &mut sim);
+        RadiusSearchEngine::baseline(tree.kd_tree());
     }
 
     #[test]

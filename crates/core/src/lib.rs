@@ -1,26 +1,38 @@
 //! K-D Bonsai: compressed k-d tree leaves with exact-result radius search.
 //!
 //! This crate is the paper's primary contribution. A [`BonsaiTree`] is a
-//! PCL-style k-d tree whose leaf points are additionally stored in a
-//! compressed side array (the `cmprsd_strct_array`,
-//! [`CompressedDirectory`]), produced during construction with the
-//! Bonsai compress instructions. Radius search then fetches the small
-//! compressed structures instead of the scattered 12-byte `f32` points —
-//! the data-movement saving that yields the paper's end-to-end gains.
+//! PCL-style k-d tree whose leaf points are stored as their `f32 → f16`
+//! approximations, produced during construction the way the Bonsai
+//! compress instructions produce them. Radius search then moves the
+//! small compressed points instead of the scattered 12-byte `f32`
+//! points — the data-movement saving that yields the paper's
+//! end-to-end gains.
 //!
-//! Compression is lossy (`f32 → f16` mantissa truncation), but the search
-//! is **exact**: every distance computed from compressed data carries a
-//! worst-case error bound (Eq. 9/11), and a candidate whose squared
-//! distance falls inside the uncertainty shell `r² ± Tεsd` (Eq. 12,
-//! [`shell`]) is re-classified from the original `f32` point. The crate's
-//! tests assert bit-identical result sets against the baseline.
+//! The tree keeps **one** copy of its leaves, the f16 rows (6 B per
+//! slot), next to the exact cloud every fallback reads: about 32 B per
+//! drive-frame point in all, against ≈39 B/pt for the baseline
+//! [`KdTree`](bonsai_kdtree::KdTree) over the same frame. The
+//! breakdown is on [`BonsaiTree`]. A one-byte header per node records
+//! each leaf's compressed-structure flags and size, which the search
+//! statistics and [`CompressionStats`] read. The paper's
+//! `cmprsd_strct_array` itself ([`CompressedDirectory`]) is built when
+//! the simulator is enabled at build time, and otherwise on the first
+//! [`BonsaiTree::directory`] call — only the instrumented leaf
+//! processors read it.
+//!
+//! Compression is lossy, but the search is **exact**: every distance
+//! computed from compressed data carries a worst-case error bound
+//! (Eq. 9/11), and a candidate whose squared distance falls inside the
+//! uncertainty shell `r² ± Tεsd` (Eq. 12, [`shell`]) is re-classified
+//! from the original `f32` point. The crate's tests assert
+//! bit-identical result sets against the baseline.
 //!
 //! # Examples
 //!
 //! ```
 //! use bonsai_core::BonsaiTree;
 //! use bonsai_geom::Point3;
-//! use bonsai_kdtree::KdTreeConfig;
+//! use bonsai_kdtree::{KdTree, KdTreeConfig};
 //! use bonsai_sim::SimEngine;
 //!
 //! let cloud: Vec<Point3> = (0..200)
@@ -28,13 +40,15 @@
 //!     .collect();
 //! let mut sim = SimEngine::disabled();
 //! let tree = BonsaiTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
+//! let baseline_tree = KdTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
+//! assert!(tree.resident_bytes() < baseline_tree.resident_bytes());
 //!
 //! // Same result membership as the uncompressed baseline, guaranteed.
 //! let q = cloud[42];
 //! let bonsai: Vec<u32> =
 //!     tree.radius_search_simple(q, 0.5).iter().map(|n| n.index).collect();
 //! let baseline: Vec<u32> =
-//!     tree.kd_tree().radius_search_simple(q, 0.5).iter().map(|n| n.index).collect();
+//!     baseline_tree.radius_search_simple(q, 0.5).iter().map(|n| n.index).collect();
 //! assert_eq!(bonsai, baseline);
 //! ```
 

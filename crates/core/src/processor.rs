@@ -240,6 +240,7 @@ mod tests {
             let cloud = random_cloud(1200, seed, 80.0);
             let mut sim = SimEngine::disabled();
             let tree = BonsaiTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
+            let base_tree = KdTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
             for (qi, r) in [(0usize, 0.8f32), (50, 2.0), (600, 0.35), (1100, 5.0)] {
                 let q = cloud[qi];
                 let mut bonsai: Vec<u32> = tree
@@ -247,8 +248,7 @@ mod tests {
                     .iter()
                     .map(|n| n.index)
                     .collect();
-                let mut base: Vec<u32> = tree
-                    .kd_tree()
+                let mut base: Vec<u32> = base_tree
                     .radius_search_simple(q, r)
                     .iter()
                     .map(|n| n.index)
@@ -307,7 +307,8 @@ mod tests {
         let mut out = Vec::new();
         let mut bonsai_stats = SearchStats::default();
         let mut base_stats = SearchStats::default();
-        let mut base_proc = bonsai_kdtree::BaselineLeafProcessor::new(&mut sim);
+        let base_tree = KdTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
+        let mut base_proc = bonsai_kdtree::BaselineLeafProcessor::new(&mut sim, &base_tree);
         for qi in (0..3000).step_by(60) {
             tree.radius_search(
                 &mut sim,
@@ -317,7 +318,7 @@ mod tests {
                 &mut out,
                 &mut bonsai_stats,
             );
-            tree.kd_tree().radius_search(
+            base_tree.radius_search(
                 &mut sim,
                 &mut base_proc,
                 cloud[qi],

@@ -434,8 +434,8 @@ impl ShardRouter {
         agg
     }
 
-    /// Total compressed-directory bytes across shards (0 in baseline
-    /// mode).
+    /// Total compressed-structure bytes across shards, read from the
+    /// leaf headers (0 in baseline mode).
     pub fn compressed_bytes(&self) -> u64 {
         self.shards
             .iter()
@@ -790,8 +790,8 @@ impl ShardRouter {
 
     /// Host-side memory footprint across all shards, in bytes (point
     /// arrays including dead points, slot arrays including garbage,
-    /// node pools, f16 rows and compressed directories) plus the
-    /// global→shard directory.
+    /// node pools, leaf rows, leaf headers and any baked compressed
+    /// directories) plus the global→shard directory.
     pub fn resident_bytes(&self) -> u64 {
         let shard_bytes: u64 = self
             .shards
@@ -2169,12 +2169,11 @@ impl ShardRouter {
         })
     }
 
-    /// Redirects one compressed-directory reference past its byte
-    /// array (Bonsai shards only).
-    pub fn chaos_truncate_directory(&mut self, rng: &mut bonsai_kdtree::ChaosRng) -> Option<usize> {
+    /// Flips one bit of one live leaf header (Bonsai shards only).
+    pub fn chaos_corrupt_header(&mut self, rng: &mut bonsai_kdtree::ChaosRng) -> Option<usize> {
         self.chaos_try(rng, |t, rng| match t {
             ShardTree::Baseline(_) => false,
-            ShardTree::Bonsai(b) => b.chaos_truncate_directory(rng),
+            ShardTree::Bonsai(b) => b.chaos_corrupt_header(rng),
         })
     }
 

@@ -3,8 +3,9 @@
 //! The hardware `SQDWE` instruction evaluates the f16-approximate
 //! squared distance *and* the Eq. 11 error accumulation across many
 //! lanes at once; this module reproduces that split in software over
-//! the lane-padded raw binary16 SoA rows (6 B per slot) baked by
-//! [`BonsaiTree`](crate::BonsaiTree). The AVX2 kernel loads 8 halves
+//! the lane-padded raw binary16 SoA rows (6 B per slot) a
+//! [`BonsaiTree`](crate::BonsaiTree) keeps as its only copy of the
+//! leaves. The AVX2 kernel loads 8 halves
 //! per row with one 128-bit load and decodes them in-register with
 //! F16C `vcvtph2ps` — exact, so every lane sees the `f32` value the
 //! scalar [`Half::to_f32`](bonsai_floatfmt::Half::to_f32) decode
@@ -43,7 +44,10 @@ use bonsai_kdtree::simd::{active_backend, LaneBackend, LeafVisit};
 use bonsai_kdtree::{Neighbor, SearchStats};
 
 use crate::shell::{classify, ShellClass};
-use crate::tree::ApproxSoa;
+
+/// A tree's f16 leaf rows `(x, y, z)`
+/// ([`KdTree::leaf_halves`](bonsai_kdtree::KdTree::leaf_halves)).
+pub(crate) type HalfRows<'a> = (&'a [u16], &'a [u16], &'a [u16]);
 
 /// One candidate's scalar classification tail — the code the scalar
 /// reference loop runs per point, and the code a SIMD kernel's
@@ -114,7 +118,7 @@ fn recompute_candidate(
 #[allow(clippy::ptr_arg)] // the lane kernel pushes; non-AVX2 builds never touch `out`
 #[inline]
 pub(crate) fn sweep_compressed_visited(
-    approx: &ApproxSoa,
+    halves: HalfRows<'_>,
     vind: &[u32],
     points: &[Point3],
     lut: &PartErrorMem,
@@ -136,18 +140,18 @@ pub(crate) fn sweep_compressed_visited(
             // eliding it in release builds would turn a baking bug
             // into UB.
             assert!(
-                hi <= approx.x.len()
-                    && hi <= approx.y.len()
-                    && hi <= approx.z.len()
+                hi <= halves.0.len()
+                    && hi <= halves.1.len()
+                    && hi <= halves.2.len()
                     && hi <= vind.len(),
                 "compressed sweep past the f16 rows: start {start} count {count} rows {}",
-                approx.x.len()
+                halves.0.len()
             );
         }
         // SAFETY: row bounds asserted above; AVX2 and F16C presence
         // established by the backend detection.
         unsafe {
-            avx2::sweep(approx, vind, points, visited, query, r_sq, out, stats);
+            avx2::sweep(halves, vind, points, visited, query, r_sq, out, stats);
         }
         return true;
     }
@@ -171,7 +175,7 @@ mod avx2 {
     #[target_feature(enable = "avx2,f16c")]
     #[allow(clippy::too_many_arguments)] // the flattened sweep state
     pub(super) unsafe fn sweep(
-        approx: &ApproxSoa,
+        (hx, hy, hz): HalfRows<'_>,
         vind: &[u32],
         points: &[Point3],
         visited: &[LeafVisit],
@@ -180,7 +184,7 @@ mod avx2 {
         out: &mut Vec<Neighbor>,
         stats: &mut SearchStats,
     ) {
-        let (px, py, pz) = (approx.x.as_ptr(), approx.y.as_ptr(), approx.z.as_ptr());
+        let (px, py, pz) = (hx.as_ptr(), hy.as_ptr(), hz.as_ptr());
         let qx = _mm256_set1_ps(query.x);
         let qy = _mm256_set1_ps(query.y);
         let qz = _mm256_set1_ps(query.z);

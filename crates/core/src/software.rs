@@ -164,14 +164,14 @@ mod tests {
         let mut sim = SimEngine::disabled();
         let tree = BonsaiTree::build(pts.clone(), KdTreeConfig::default(), &mut sim);
         let mut proc = SoftwareCodecProcessor::new(&mut sim, tree.directory());
+        let base_tree = KdTree::build(pts.clone(), KdTreeConfig::default(), &mut sim);
         for qi in [0usize, 100, 700, 1400] {
             let mut out = Vec::new();
             let mut stats = SearchStats::default();
             tree.kd_tree()
                 .radius_search(&mut sim, &mut proc, pts[qi], 1.8, &mut out, &mut stats);
             let mut got: Vec<u32> = out.iter().map(|n| n.index).collect();
-            let mut expect: Vec<u32> = tree
-                .kd_tree()
+            let mut expect: Vec<u32> = base_tree
                 .radius_search_simple(pts[qi], 1.8)
                 .iter()
                 .map(|n| n.index)
@@ -199,12 +199,13 @@ mod tests {
         }
         let sw_scan = sim.kernel_counters(Kernel::LeafScan).micro_ops();
 
-        // Baseline scan cost over the identical queries.
+        // Baseline scan cost over the identical queries, on the
+        // f32-row tree of the same points.
+        let base_tree = KdTree::build(pts.clone(), KdTreeConfig::default(), &mut sim);
         sim.reset_counters();
-        let mut base = bonsai_kdtree::BaselineLeafProcessor::new(&mut sim);
+        let mut base = bonsai_kdtree::BaselineLeafProcessor::new(&mut sim, &base_tree);
         for qi in (0..2000).step_by(40) {
-            tree.kd_tree()
-                .radius_search(&mut sim, &mut base, pts[qi], 1.5, &mut out, &mut stats);
+            base_tree.radius_search(&mut sim, &mut base, pts[qi], 1.5, &mut out, &mut stats);
         }
         let base_scan = sim.kernel_counters(Kernel::LeafScan).micro_ops();
 

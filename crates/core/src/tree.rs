@@ -1,120 +1,83 @@
-use bonsai_floatfmt::Half;
+use std::sync::OnceLock;
+
 use bonsai_geom::Point3;
-use bonsai_isa::Machine;
+use bonsai_isa::{codec, CoordFlags, Machine, MAX_POINTS, SLICE_BYTES};
 use bonsai_kdtree::{KdTree, KdTreeConfig, Neighbor, Node, SearchScratch, SearchStats};
 use bonsai_sim::{Kernel, OpClass, SimEngine};
 
-use crate::directory::CompressedDirectory;
+use crate::directory::{CompressedDirectory, DirectorySpace};
 use crate::processor::BonsaiLeafProcessor;
 
-/// The f16 padding sentinel: binary16 `+∞`.
-pub(crate) const PAD_HALF: u16 = 0x7C00;
-
-/// Leaf-contiguous SoA of the points' raw binary16 bit patterns, baked
-/// at build time: slot `i` mirrors the tree's `vind()[i]` slot, 6 B per
-/// slot. The fast (uninstrumented) compressed scan sweeps these rows
-/// linearly instead of running the instruction-level decode per leaf
-/// visit, decoding each half to the `f32` value `LDDCP` would
-/// materialize in a vector register (F16C `vcvtph2ps` in the AVX2
-/// kernel, [`Half::to_f32`] in the scalar loop — the decode is exact,
-/// so both agree bit for bit). The f16 exponent field, the
-/// `part_error_mem` LUT key of Eq. 9, is bits 10..14 of each half, so
-/// it needs no row of its own.
+/// One leaf's header byte: the compressed structure's [`CoordFlags`]
+/// in bits 0..2 and its 128-bit slice count in bits 3..7 (a structure
+/// of at most 16 points spans at most 7 slices). `0` marks a node
+/// without a structure — an interior node or an emptied leaf.
 ///
-/// The rows mirror the tree's lane-padded layout too: every leaf's
-/// padding slots hold f16 `+∞` ([`PAD_HALF`]), so the SIMD shell sweep
-/// can load whole lane groups; the sentinel lanes are clipped before
-/// classification.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ApproxSoa {
-    pub x: Vec<u16>,
-    pub y: Vec<u16>,
-    pub z: Vec<u16>,
+/// The header is what the serving path needs of the paper's
+/// `cmprsd_strct_array` without keeping the array: the slice count is
+/// the leaf's compressed footprint (the bytes `LDDCP` would move, which
+/// [`SearchStats::point_bytes_loaded`] counts) and the flags feed
+/// [`CompressionStats`]. It is derived from the leaf's f16 rows with
+/// the codec's own size formula, so it always agrees with the
+/// structure the compress instructions would produce.
+pub(crate) fn leaf_header(halves: &[[u16; 3]]) -> u8 {
+    let flags = codec::choose_flags(halves);
+    let bytes = codec::compressed_size_bits(halves.len(), flags).div_ceil(8);
+    flags.to_bits() | (codec::slices_for_bytes(bytes) as u8) << 3
 }
 
-/// The f16 bit patterns of a point's coordinates.
-fn halves(p: Point3) -> [u16; 3] {
-    [p.x, p.y, p.z].map(|c| Half::from_f32(c).to_bits())
+/// The slice-padded bytes of the structure a header describes.
+pub(crate) fn header_bytes(header: u8) -> usize {
+    (header >> 3) as usize * SLICE_BYTES
 }
 
-impl ApproxSoa {
-    fn bake(tree: &KdTree) -> ApproxSoa {
-        let n = tree.vind().len();
-        let mut soa = ApproxSoa {
-            x: Vec::with_capacity(n),
-            y: Vec::with_capacity(n),
-            z: Vec::with_capacity(n),
-        };
-        for &idx in tree.vind() {
-            let [hx, hy, hz] = if idx == bonsai_kdtree::simd::PAD_SLOT {
-                [PAD_HALF; 3]
-            } else {
-                halves(tree.points()[idx as usize])
-            };
-            soa.x.push(hx);
-            soa.y.push(hy);
-            soa.z.push(hz);
-        }
-        soa
+/// The header of node `id` of `tree`, computed from its f16 rows
+/// (`halves` is scratch).
+fn node_header(tree: &KdTree, id: usize, halves: &mut [[u16; 3]; MAX_POINTS]) -> u8 {
+    let Node::Leaf { start, count } = tree.nodes()[id] else {
+        return 0;
+    };
+    if count == 0 {
+        return 0;
     }
-
-    /// Number of slots the rows cover.
-    pub fn len(&self) -> usize {
-        self.x.len()
+    let (hx, hy, hz) = tree.leaf_halves();
+    let leaf = &mut halves[..count as usize];
+    for (k, h) in leaf.iter_mut().enumerate() {
+        let i = start as usize + k;
+        *h = [hx[i], hy[i], hz[i]];
     }
-
-    /// The three halves of slot `i`.
-    pub fn slot(&self, i: usize) -> [u16; 3] {
-        [self.x[i], self.y[i], self.z[i]]
-    }
-
-    /// Bytes the compressed structures of `tree`'s leaves occupy in a
-    /// freshly filled directory: each leaf's
-    /// [`codec::padded_len`](bonsai_isa::codec::padded_len) over its
-    /// baked halves.
-    fn structure_bytes(&self, tree: &KdTree) -> usize {
-        let mut leaf = [[0u16; 3]; bonsai_isa::MAX_POINTS];
-        tree.nodes()
-            .iter()
-            .filter_map(|node| match *node {
-                Node::Leaf { start, count } if count > 0 => Some((start as usize, count as usize)),
-                _ => None,
-            })
-            .map(|(start, count)| {
-                for (k, h) in leaf[..count].iter_mut().enumerate() {
-                    *h = self.slot(start + k);
-                }
-                bonsai_isa::codec::padded_len(&leaf[..count])
-            })
-            .sum()
-    }
-
-    /// Grows the rows to cover `n` slots (new slots hold the padding
-    /// sentinel until their leaf is re-baked). Never shrinks.
-    fn ensure_slots(&mut self, n: usize) {
-        if n > self.len() {
-            self.x.resize(n, PAD_HALF);
-            self.y.resize(n, PAD_HALF);
-            self.z.resize(n, PAD_HALF);
-        }
-    }
-
-    /// Writes the halves `[hx, hy, hz]` into slot `i`.
-    fn set_slot(&mut self, i: usize, [hx, hy, hz]: [u16; 3]) {
-        self.x[i] = hx;
-        self.y[i] = hy;
-        self.z[i] = hz;
-    }
+    leaf_header(leaf)
 }
 
-/// A k-d tree whose leaves carry Bonsai-compressed copies of their
-/// points.
+/// A k-d tree whose leaves are stored once, as Bonsai's f16
+/// approximations, with exact `f32` fallbacks read from the cloud.
 ///
-/// Construction builds the PCL-style tree, then walks its leaves and
-/// compresses each through the Bonsai instruction sequence (`LDSPZPB` per
-/// point, `CPRZPB`, `STZPB`), filling the [`CompressedDirectory`]. The
-/// compression work is charged to the `Compress` kernel — the paper's
-/// build-time overhead that the ~52 search visits per leaf amortize.
+/// The tree holds, per point of a drive frame (≈1.2 `vind` slots and
+/// ≈0.18 nodes per point once leaves are lane-padded):
+///
+/// | part | bytes |
+/// |---|---|
+/// | `points`, the exact cloud (fallbacks, mutation) | 12 / point |
+/// | `alive`, the liveness mask | 1 / point |
+/// | `vind`, the reordered index array | 4 / slot |
+/// | the f16 leaf rows, the only copy of the leaves | 6 / slot |
+/// | node pool and its mutation metadata | 36 / node |
+/// | the leaf header table | 1 / node |
+///
+/// — 31.7 B/pt on paper-drive frames, against ≈38.6 B/pt for a
+/// [`KdTree`] over the same points, whose `f32` rows take 12 B per
+/// slot.
+///
+/// The paper's compressed-structure array ([`CompressedDirectory`],
+/// built with `LDSPZPB`/`CPRZPB`/`STZPB`) is **not** part of that
+/// footprint: the uninstrumented search never reads it. It exists
+/// when the simulator is enabled at [`build`](BonsaiTree::build) —
+/// the compression is then charged to the `Compress` kernel, the
+/// build-time overhead that the ~52 search visits per leaf amortize —
+/// and otherwise the first [`directory`](BonsaiTree::directory) call
+/// bakes it (once, uncharged) for the instrumented leaf processors.
+/// [`commit`](BonsaiTree::commit) and
+/// [`compact`](BonsaiTree::compact) keep an existing directory current.
 ///
 /// See the [crate docs](crate) for an end-to-end example.
 ///
@@ -124,9 +87,15 @@ impl ApproxSoa {
 /// published one.
 #[derive(Debug, Clone)]
 pub struct BonsaiTree {
+    /// The k-d tree with f16 leaf rows ([`KdTree::build_f16`]).
     tree: KdTree,
-    directory: CompressedDirectory,
-    approx: ApproxSoa,
+    /// One [leaf header](leaf_header) per node-pool slot.
+    headers: Vec<u8>,
+    /// The compressed-structure array, when baked.
+    directory: OnceLock<CompressedDirectory>,
+    /// The simulated addresses reserved for the directory at build
+    /// time, so a directory baked later sits where an eager one would.
+    space: DirectorySpace,
 }
 
 /// Aggregate compression statistics of a built tree (Sections III-A and
@@ -177,60 +146,92 @@ impl CompressionStats {
         };
         n as f64 / self.leaves as f64
     }
+
+    /// Counts one compressed leaf of `num_pts` points occupying
+    /// `padded_len` bytes under `flags`.
+    fn add_leaf(&mut self, num_pts: u64, padded_len: usize, flags: CoordFlags) {
+        self.leaves += 1;
+        self.points += num_pts;
+        self.compressed_bytes += padded_len as u64;
+        self.baseline_bytes += num_pts * 12;
+        self.x_compressed += flags.x as u32;
+        self.y_compressed += flags.y as u32;
+        self.z_compressed += flags.z as u32;
+    }
 }
 
 impl BonsaiTree {
-    /// Builds the tree and compresses every leaf.
+    /// Builds the tree with f16 leaf rows and bakes its leaf headers.
     ///
-    /// Tree construction charges the `Build` kernel; leaf compression
-    /// charges `Compress`.
+    /// Tree construction charges the `Build` kernel. When `sim` is
+    /// enabled the leaves are also compressed into the
+    /// [`CompressedDirectory`] right away, charging `Compress`; a
+    /// disabled `sim` leaves the directory to the first
+    /// [`directory`](BonsaiTree::directory) call.
     pub fn build(points: Vec<Point3>, cfg: KdTreeConfig, sim: &mut SimEngine) -> BonsaiTree {
-        let tree = KdTree::build(points, cfg, sim);
-        BonsaiTree::compress_whole(tree, sim)
+        let tree = KdTree::build_f16(points, cfg, sim);
+        BonsaiTree::from_tree(tree, sim)
     }
 
     /// [`build`](BonsaiTree::build) with the tree construction fanned
     /// out across scoped worker threads (see
-    /// [`KdTree::build_parallel`]); the compression pass is unchanged.
-    /// Uninstrumented — no simulator events are recorded.
+    /// [`KdTree::build_parallel`]). Uninstrumented — no simulator
+    /// events are recorded, and the directory is baked on demand.
     pub fn build_parallel(points: Vec<Point3>, cfg: KdTreeConfig, threads: usize) -> BonsaiTree {
-        let tree = KdTree::build_parallel(points, cfg, threads);
-        BonsaiTree::compress_whole(tree, &mut SimEngine::disabled())
+        let tree = KdTree::build_parallel_f16(points, cfg, threads);
+        BonsaiTree::from_tree(tree, &mut SimEngine::disabled())
     }
 
-    fn compress_whole(tree: KdTree, sim: &mut SimEngine) -> BonsaiTree {
-        let approx = ApproxSoa::bake(&tree);
-        let mut directory = CompressedDirectory::new(sim, tree.nodes().len());
-        directory.reserve_exact(approx.structure_bytes(&tree));
+    fn from_tree(tree: KdTree, sim: &mut SimEngine) -> BonsaiTree {
+        let space = DirectorySpace::reserve(sim, tree.nodes().len());
+        let mut halves = [[0u16; 3]; MAX_POINTS];
+        let headers = (0..tree.nodes().len())
+            .map(|id| node_header(&tree, id, &mut halves))
+            .collect();
+        let mut bonsai = BonsaiTree {
+            tree,
+            headers,
+            directory: OnceLock::new(),
+            space,
+        };
+        if sim.is_enabled() {
+            bonsai.directory = OnceLock::from(bonsai.compress_directory(sim));
+        }
+        bonsai
+    }
+
+    /// Runs the Bonsai compress-instruction sequence over every leaf
+    /// into a new directory, charging `sim`'s `Compress` kernel.
+    fn compress_directory(&self, sim: &mut SimEngine) -> CompressedDirectory {
+        let nodes = self.tree.nodes();
+        let mut directory = CompressedDirectory::in_space(self.space, nodes.len());
+        directory.reserve_exact(self.headers.iter().map(|&h| header_bytes(h)).sum());
         let mut machine = Machine::new();
         let prev = sim.set_kernel(Kernel::Compress);
-        for id in 0..tree.nodes().len() {
-            let Node::Leaf { start, count } = tree.nodes()[id] else {
-                continue;
-            };
-            compress_leaf_structure(
-                sim,
-                &mut machine,
-                &tree,
-                &mut directory,
-                id as u32,
-                start,
-                count,
-                false,
-            );
+        for (id, node) in nodes.iter().enumerate() {
+            if let Node::Leaf { start, count } = *node {
+                if count > 0 {
+                    compress_leaf_structure(
+                        sim,
+                        &mut machine,
+                        &self.tree,
+                        &mut directory,
+                        id as u32,
+                        start,
+                        count,
+                    );
+                }
+            }
         }
         sim.set_kernel(prev);
-        BonsaiTree {
-            tree,
-            directory,
-            approx,
-        }
+        directory
     }
 
     /// Inserts a point (see [`KdTree::insert`]), returning its new
     /// cloud index, or `None` for a non-finite point. The touched
-    /// leaf's compressed structure and f16 rows are **not** re-baked
-    /// here — they are marked dirty and re-compressed once by the next
+    /// leaf's f16 rows are written at once; its header (and, when
+    /// baked, its compressed structure) is **not** — the leaf is
+    /// marked dirty and re-baked once by the next
     /// [`commit`](BonsaiTree::commit), so a burst of mutations pays one
     /// re-bake per touched leaf instead of one per mutation.
     pub fn insert(&mut self, sim: &mut SimEngine, p: Point3) -> Option<u32> {
@@ -249,7 +250,7 @@ impl BonsaiTree {
     /// Searching while pending is a contract violation — the
     /// compressed search entry points and the
     /// [`directory`](BonsaiTree::directory) accessor panic on it, in
-    /// release builds too, because the compressed structures of dirty
+    /// release builds too, because the headers and structures of dirty
     /// leaves still describe their pre-mutation points and would be
     /// served silently otherwise.
     pub fn has_pending_rebake(&self) -> bool {
@@ -257,64 +258,41 @@ impl BonsaiTree {
     }
 
     /// Re-bakes every dirty leaf — and only the dirty leaves: their
-    /// f16-approximate SoA rows are recomputed and their compressed
-    /// structures re-encoded (`LDSPZPB`/`CPRZPB`/`STZPB`, charged to
-    /// the `Compress` kernel); directory entries of nodes that stopped
-    /// being live leaves are cleared. Untouched leaves keep their baked
-    /// bytes. Returns the number of leaves re-compressed.
+    /// headers are recomputed from their f16 rows and, when the
+    /// directory exists, their compressed structures are re-encoded
+    /// (`LDSPZPB`/`CPRZPB`/`STZPB`, charged to the `Compress` kernel).
+    /// Nodes that stopped being live leaves lose their header and
+    /// directory entry. Untouched leaves keep their baked bytes.
+    /// Returns the number of leaves re-baked.
     pub fn commit(&mut self, sim: &mut SimEngine) -> usize {
         if !self.tree.has_dirty_nodes() {
             return 0;
         }
         let dirty = self.tree.drain_dirty_nodes();
-        self.approx.ensure_slots(self.tree.vind().len());
-        self.directory.ensure_nodes(self.tree.nodes().len());
+        let num_nodes = self.tree.nodes().len();
+        self.headers.resize(num_nodes, 0);
+        let mut directory = self.directory.get_mut();
+        if let Some(d) = directory.as_deref_mut() {
+            d.ensure_nodes(num_nodes);
+        }
+        let mut halves = [[0u16; 3]; MAX_POINTS];
         let mut machine = Machine::new();
         let prev = sim.set_kernel(Kernel::Compress);
         let mut rebaked = 0;
         for id in dirty {
-            match self.tree.nodes()[id as usize] {
-                Node::Leaf { start, count } if count > 0 => {
-                    for i in start as usize..(start + count) as usize {
-                        let idx = self.tree.vind()[i];
-                        self.approx
-                            .set_slot(i, halves(self.tree.points()[idx as usize]));
+            let header = node_header(&self.tree, id as usize, &mut halves);
+            self.headers[id as usize] = header;
+            if let Some(d) = directory.as_deref_mut() {
+                // The old structure, if any, becomes garbage in the
+                // array; a live leaf gets a freshly encoded one.
+                d.clear(id);
+                if let Node::Leaf { start, count } = self.tree.nodes()[id as usize] {
+                    if count > 0 {
+                        compress_leaf_structure(sim, &mut machine, &self.tree, d, id, start, count);
                     }
-                    // Re-sentinel the lane-padding tail: deletions may
-                    // have shrunk the leaf, leaving stale f16 rows a
-                    // SIMD lane group would otherwise load.
-                    let fp = self.tree.leaf_slot_footprint(id) as usize;
-                    for i in (start + count) as usize..start as usize + fp {
-                        self.approx.set_slot(i, [PAD_HALF; 3]);
-                    }
-                    compress_leaf_structure(
-                        sim,
-                        &mut machine,
-                        &self.tree,
-                        &mut self.directory,
-                        id,
-                        start,
-                        count,
-                        true,
-                    );
-                    rebaked += 1;
                 }
-                Node::Leaf { start, .. } => {
-                    // A hollowed-out (count = 0) leaf owns no
-                    // compressed structure, but it still owns its slot
-                    // footprint — re-sentinel it so the f16 rows never
-                    // carry stale points under a live leaf.
-                    let fp = self.tree.leaf_slot_footprint(id) as usize;
-                    for i in start as usize..start as usize + fp {
-                        self.approx.set_slot(i, [PAD_HALF; 3]);
-                    }
-                    self.directory.clear(id);
-                }
-                // Retired slots and leaf→interior splits no longer own
-                // a compressed structure (their abandoned slot ranges
-                // are garbage no sweep can reach).
-                Node::Interior { .. } => self.directory.clear(id),
             }
+            rebaked += usize::from(header != 0);
         }
         sim.set_kernel(prev);
         rebaked
@@ -336,15 +314,14 @@ impl BonsaiTree {
 
     /// Compacts the tree's fragmented storage and replays the move
     /// through the compressed layers: the underlying
-    /// [`KdTree::compact`] repacks `vind`/SoA slots and the node pool,
-    /// then the f16-approximate rows are permuted through the slot map
-    /// and the [`CompressedDirectory`] through the node map. Baked
-    /// bytes only **move** — no leaf is re-encoded — so searches,
-    /// their order and every
-    /// [`SearchStats`](bonsai_kdtree::SearchStats) counter are
+    /// [`KdTree::compact`] repacks `vind`, the f16 rows and the node
+    /// pool, then the header table — and the [`CompressedDirectory`],
+    /// when it exists — follow the node map. Baked bytes only
+    /// **move** — no leaf is re-encoded — so searches, their order and
+    /// every [`SearchStats`](bonsai_kdtree::SearchStats) counter are
     /// bit-identical before and after in all three modes, while
     /// `garbage_slots()` drops to zero, the directory sheds the bytes
-    /// its incremental `replace` calls abandoned, and the lane-padding
+    /// its incremental re-bakes abandoned, and the lane-padding
     /// invariant holds. Returns the number of `vind` slots reclaimed.
     ///
     /// Dead *points* keep their slots (cloud indices must stay stable
@@ -356,58 +333,56 @@ impl BonsaiTree {
     ///
     /// Panics when mutations are pending a
     /// [`commit`](BonsaiTree::commit): compacting around stale
-    /// directory structures would bake the staleness in.
+    /// headers would bake the staleness in.
     pub fn compact(&mut self, sim: &mut SimEngine) -> usize {
         // lint: allow(debug-assert-discipline) — stale-serving guard:
         // serving pre-mutation structures would silently return wrong
         // neighbors, and the check is one Vec::is_empty, so it is
-        // deliberately enforced in release builds (PR 3 hardening).
+        // deliberately enforced in release builds.
         assert!(
             !self.tree.has_dirty_nodes(),
             "compacting a BonsaiTree with uncommitted mutations; call commit() first"
         );
         let old_slots = self.tree.vind().len();
         let remap = self.tree.compact(sim);
-        let new_slots = self.tree.vind().len();
-
-        // Permute the f16 rows: the bits move with their slots, nothing
-        // is re-quantized, so the approximate coordinates (and thus
-        // shell classifications) cannot drift.
-        let mut approx = ApproxSoa {
-            x: vec![PAD_HALF; new_slots],
-            y: vec![PAD_HALF; new_slots],
-            z: vec![PAD_HALF; new_slots],
-        };
-        for (old, &new) in remap.slot_map.iter().enumerate() {
-            if new == bonsai_kdtree::CompactRemap::DROPPED || old >= self.approx.len() {
-                continue;
+        let num_nodes = self.tree.nodes().len();
+        let mut headers = vec![0; num_nodes];
+        for (&header, &new) in self.headers.iter().zip(&remap.node_map) {
+            if new != bonsai_kdtree::CompactRemap::DROPPED {
+                headers[new as usize] = header;
             }
-            approx.set_slot(new as usize, self.approx.slot(old));
         }
-        self.approx = approx;
-        self.directory
-            .compact_remap(&remap.node_map, self.tree.nodes().len());
-        old_slots - new_slots
+        self.headers = headers;
+        if let Some(d) = self.directory.get_mut() {
+            d.compact_remap(&remap.node_map, num_nodes);
+        }
+        old_slots - self.tree.vind().len()
     }
 
     /// Host-side memory footprint, in bytes: the underlying tree's
-    /// [`resident_bytes`](KdTree::resident_bytes) plus the f16 rows
-    /// (6 B per slot) and the compressed directory's
-    /// [`resident_bytes`](CompressedDirectory::resident_bytes) (its
-    /// array, garbage bytes included, and its per-node reference
-    /// table).
+    /// [`resident_bytes`](KdTree::resident_bytes) (f16 rows at 6 B per
+    /// slot), the header table (1 B per node) and — only once it has
+    /// been baked — the compressed directory's
+    /// [`resident_bytes`](CompressedDirectory::resident_bytes).
     pub fn resident_bytes(&self) -> u64 {
         self.tree.resident_bytes()
-            + self.approx.len() as u64 * 3 * 2
-            + self.directory.resident_bytes() as u64
+            + self.headers.len() as u64
+            + self
+                .directory
+                .get()
+                .map_or(0, |d| d.resident_bytes() as u64)
     }
 
-    /// The underlying k-d tree (baseline searches, structure access).
+    /// The underlying k-d tree (structure access; its leaf rows are
+    /// f16, so baseline scans need a [`KdTree::build`] of their own).
     pub fn kd_tree(&self) -> &KdTree {
         &self.tree
     }
 
-    /// The compressed-structure directory.
+    /// The compressed-structure directory, baked on the first call
+    /// when the tree was not built under an enabled simulator (the
+    /// bake is uncharged and allocates the array once; later calls
+    /// return the same directory).
     ///
     /// # Panics
     ///
@@ -419,33 +394,40 @@ impl BonsaiTree {
         // lint: allow(debug-assert-discipline) — stale-serving guard:
         // serving pre-mutation structures would silently return wrong
         // neighbors, and the check is one Vec::is_empty, so it is
-        // deliberately enforced in release builds (PR 3 hardening).
+        // deliberately enforced in release builds.
         assert!(
             !self.tree.has_dirty_nodes(),
             "reading a BonsaiTree directory with uncommitted mutations; call commit() first"
         );
-        &self.directory
+        self.directory
+            .get_or_init(|| self.compress_directory(&mut SimEngine::disabled()))
     }
 
-    /// The baked f16-approximate SoA rows (fast-scan substrate).
+    /// The baked directory, if any — without baking one.
+    pub(crate) fn baked_directory(&self) -> Option<&CompressedDirectory> {
+        self.directory.get()
+    }
+
+    /// The per-node leaf headers (the fast sweep's
+    /// `point_bytes_loaded` source).
     ///
     /// # Panics
     ///
     /// Panics when mutations are pending a
-    /// [`commit`](BonsaiTree::commit): the rows still describe the
-    /// pre-mutation points, and silently serving them would return
-    /// stale neighbor sets. The check is one `Vec::is_empty`, so it is
-    /// enforced in release builds too.
-    pub(crate) fn approx_soa(&self) -> &ApproxSoa {
+    /// [`commit`](BonsaiTree::commit): dirty leaves' headers still
+    /// describe the pre-mutation points, and silently serving them
+    /// would misreport their work. The check is one `Vec::is_empty`,
+    /// so it is enforced in release builds too.
+    pub(crate) fn leaf_headers(&self) -> &[u8] {
         // lint: allow(debug-assert-discipline) — stale-serving guard:
         // serving pre-mutation structures would silently return wrong
         // neighbors, and the check is one Vec::is_empty, so it is
-        // deliberately enforced in release builds (PR 3 hardening).
+        // deliberately enforced in release builds.
         assert!(
             !self.tree.has_dirty_nodes(),
             "searching a BonsaiTree with uncommitted mutations; call commit() first"
         );
-        &self.approx
+        &self.headers
     }
 
     /// Radius search over compressed leaves (exact membership; see
@@ -459,15 +441,7 @@ impl BonsaiTree {
         out: &mut Vec<Neighbor>,
         stats: &mut SearchStats,
     ) {
-        // lint: allow(debug-assert-discipline) — stale-serving guard:
-        // serving pre-mutation structures would silently return wrong
-        // neighbors, and the check is one Vec::is_empty, so it is
-        // deliberately enforced in release builds (PR 3 hardening).
-        assert!(
-            !self.tree.has_dirty_nodes(),
-            "searching a BonsaiTree with uncommitted mutations; call commit() first"
-        );
-        let mut proc = BonsaiLeafProcessor::new(&self.directory, machine);
+        let mut proc = BonsaiLeafProcessor::new(self.directory(), machine);
         self.tree
             .radius_search(sim, &mut proc, query, radius, out, stats);
     }
@@ -485,15 +459,7 @@ impl BonsaiTree {
         stats: &mut SearchStats,
         scratch: &mut SearchScratch,
     ) {
-        // lint: allow(debug-assert-discipline) — stale-serving guard:
-        // serving pre-mutation structures would silently return wrong
-        // neighbors, and the check is one Vec::is_empty, so it is
-        // deliberately enforced in release builds (PR 3 hardening).
-        assert!(
-            !self.tree.has_dirty_nodes(),
-            "searching a BonsaiTree with uncommitted mutations; call commit() first"
-        );
-        let mut proc = BonsaiLeafProcessor::new(&self.directory, machine);
+        let mut proc = BonsaiLeafProcessor::new(self.directory(), machine);
         self.tree
             .radius_search_scratch(sim, &mut proc, query, radius, out, stats, scratch);
     }
@@ -508,64 +474,30 @@ impl BonsaiTree {
         out
     }
 
-    /// Validates the lane-padding invariant on the tree **and** its
-    /// f16 rows: the underlying [`KdTree::assert_lane_padding`] holds,
-    /// the approximate rows span every `vind` slot, and each leaf's
-    /// padding tail holds the `+∞` sentinel there too. A test/debug
-    /// aid (callable with a pending commit — the padding contract
-    /// covers the committed prefix of the rows, which mutation only
-    /// extends).
+    /// Validates the lane-padding invariant of the tree and its f16
+    /// rows (see [`KdTree::assert_lane_padding`]). A test/debug aid,
+    /// callable with a pending commit — the rows are written eagerly
+    /// by every mutation.
     ///
     /// # Panics
     ///
     /// Panics describing the first violation found.
     pub fn assert_lane_padding(&self) {
         self.tree.assert_lane_padding();
-        let slots = self.tree.vind().len();
-        // lint: allow(debug-assert-discipline) — documented panicking
-        // audit helper: reporting the first violation via panic is its
-        // API, in release builds too.
-        assert!(
-            self.approx.len() >= slots || self.tree.has_dirty_nodes(),
-            "f16 rows cover {} of {slots} committed slots",
-            self.approx.len()
-        );
-        if self.tree.has_dirty_nodes() {
-            // Dirty leaves' rows are stale by design until commit.
-            return;
-        }
-        for (id, node) in self.tree.nodes().iter().enumerate() {
-            let Node::Leaf { start, count } = *node else {
-                continue;
-            };
-            let fp = self.tree.leaf_slot_footprint(id as u32) as usize;
-            for i in start as usize + count as usize..start as usize + fp {
-                // lint: allow(debug-assert-discipline) — documented
-                // panicking audit helper; see above.
-                assert!(
-                    self.approx.slot(i) == [PAD_HALF; 3],
-                    "leaf {id} slot {i}: f16 rows not padded"
-                );
-            }
-        }
     }
 
-    /// Aggregate compression statistics.
+    /// Aggregate compression statistics, read from the leaf headers —
+    /// the same numbers a baked [`CompressedDirectory`]'s references
+    /// give.
     pub fn compression_stats(&self) -> CompressionStats {
         let mut s = CompressionStats::default();
-        for (_, r) in self.directory.refs() {
-            s.leaves += 1;
-            s.points += r.num_pts as u64;
-            s.compressed_bytes += r.padded_len() as u64;
-            s.baseline_bytes += r.num_pts as u64 * 12;
-            if r.flags.x {
-                s.x_compressed += 1;
-            }
-            if r.flags.y {
-                s.y_compressed += 1;
-            }
-            if r.flags.z {
-                s.z_compressed += 1;
+        for (node, &header) in self.tree.nodes().iter().zip(&self.headers) {
+            match *node {
+                Node::Leaf { count, .. } if header != 0 => {
+                    let flags = CoordFlags::from_bits(header & 0b111);
+                    s.add_leaf(count as u64, header_bytes(header), flags);
+                }
+                _ => {}
             }
         }
         s
@@ -596,43 +528,28 @@ impl BonsaiTree {
         self.tree.chaos_skew_garbage(rng)
     }
 
-    /// Flips the low mantissa bit of one live slot's f16 row — the
-    /// audit's bit-compare against the point's true f16 encoding
-    /// catches it.
+    /// Flips the low mantissa bit of one live slot's f16 row (see
+    /// [`KdTree::chaos_flip_row`]) — the audit's bit-compare against
+    /// the point's true f16 encoding catches it.
     pub fn chaos_flip_f16(&mut self, rng: &mut bonsai_kdtree::ChaosRng) -> bool {
-        if self.tree.has_dirty_nodes() {
-            return false;
-        }
-        let mut slots: Vec<usize> = Vec::new();
-        for node in self.tree.nodes() {
-            let Node::Leaf { start, count } = *node else {
-                continue;
-            };
-            for i in start as usize..(start + count) as usize {
-                if i < self.approx.len() {
-                    slots.push(i);
-                }
-            }
-        }
-        if slots.is_empty() {
-            return false;
-        }
-        let i = slots[rng.below(slots.len())];
-        match rng.below(3) {
-            0 => self.approx.x[i] ^= 1,
-            1 => self.approx.y[i] ^= 1,
-            _ => self.approx.z[i] ^= 1,
-        }
-        true
+        !self.tree.has_dirty_nodes() && self.tree.chaos_flip_row(rng)
     }
 
-    /// Redirects one compressed-directory reference past the byte
-    /// array (see `CompressedDirectory::chaos_corrupt_ref`).
-    pub fn chaos_truncate_directory(&mut self, rng: &mut bonsai_kdtree::ChaosRng) -> bool {
+    /// Flips one bit of one live leaf's header — the audit recomputes
+    /// every header from the leaf's points and catches it.
+    pub fn chaos_corrupt_header(&mut self, rng: &mut bonsai_kdtree::ChaosRng) -> bool {
         if self.tree.has_dirty_nodes() {
             return false;
         }
-        self.directory.chaos_corrupt_ref(rng.next_u64() as usize)
+        let live: Vec<usize> = (0..self.headers.len())
+            .filter(|&id| self.headers[id] != 0)
+            .collect();
+        if live.is_empty() {
+            return false;
+        }
+        let id = live[rng.below(live.len())];
+        self.headers[id] ^= 1 << rng.below(8);
+        true
     }
 }
 
@@ -640,9 +557,8 @@ impl BonsaiTree {
 /// each point into the ZipPts buffer (one vind load to find it, then
 /// the point load inside the instruction), `CPRZPB`, `STZPB` into the
 /// directory's next free slice, then the leaf-field/next-free update.
-/// Shared by the build-time whole-tree pass (`replace == false`) and
-/// the incremental per-dirty-leaf re-bake (`replace == true`).
-#[allow(clippy::too_many_arguments)] // the flattened compression state
+/// Shared by the whole-tree pass and the incremental per-dirty-leaf
+/// re-bake (whose caller clears the leaf's old entry first).
 fn compress_leaf_structure(
     sim: &mut SimEngine,
     machine: &mut Machine,
@@ -651,7 +567,6 @@ fn compress_leaf_structure(
     id: u32,
     start: u32,
     count: u32,
-    replace: bool,
 ) {
     for (slot, i) in (start..start + count).enumerate() {
         sim.load(tree.vind_entry_addr(i), 4);
@@ -667,11 +582,7 @@ fn compress_leaf_structure(
     machine.cprzpb(sim, count as usize);
     let addr = directory.next_addr();
     let compressed = machine.stzpb(sim, addr);
-    let placed = if replace {
-        directory.replace(id, &compressed)
-    } else {
-        directory.insert(id, &compressed)
-    };
+    let placed = directory.insert(id, &compressed);
     debug_assert_eq!(placed, addr);
     // Update the leaf's (union-reused) fields and the next-free index.
     sim.exec(OpClass::IntAlu, 4);
@@ -878,11 +789,14 @@ mod tests {
         }
     }
 
-    /// Churns a compressed tree until it fragments.
+    /// Churns a compressed tree until it fragments. Its directory is
+    /// baked up front, so every commit maintains it and it collects
+    /// the bytes its re-bakes abandon.
     fn churned_bonsai(n: usize, seed: u64) -> BonsaiTree {
         let mut sim = SimEngine::disabled();
         let mut tree =
             BonsaiTree::build(urban_like_cloud(n, seed), KdTreeConfig::default(), &mut sim);
+        tree.directory();
         let extra = urban_like_cloud(n, seed + 1);
         for round in 0..4usize {
             for k in 0..n / 8 {
@@ -986,6 +900,105 @@ mod tests {
             BonsaiTree::build(urban_like_cloud(200, 9), KdTreeConfig::default(), &mut sim);
         tree.insert(&mut sim, Point3::new(1.0, 1.0, 1.0)).unwrap();
         tree.compact(&mut sim);
+    }
+
+    /// The statistics a baked directory's references give.
+    fn directory_stats(dir: &CompressedDirectory) -> CompressionStats {
+        let mut s = CompressionStats::default();
+        for (_, r) in dir.refs() {
+            s.add_leaf(r.num_pts as u64, r.padded_len(), r.flags);
+        }
+        s
+    }
+
+    /// A directory baked on demand under a disabled simulator is the
+    /// one an enabled-simulator build bakes eagerly: same array, same
+    /// references and flags, same simulated addresses.
+    #[test]
+    fn lazy_directory_is_byte_identical_to_the_eager_one() {
+        for (n, seed) in [(1, 3), (700, 4), (5000, 5)] {
+            let cloud = urban_like_cloud(n, seed);
+            let cfg = KdTreeConfig::default();
+            let lazy = BonsaiTree::build(cloud.clone(), cfg, &mut SimEngine::disabled());
+            let mut sim = SimEngine::new(&bonsai_sim::CpuConfig::a72_like());
+            let eager = BonsaiTree::build(cloud, cfg, &mut sim);
+            assert!(
+                lazy.baked_directory().is_none(),
+                "n {n}: baked without a simulator"
+            );
+            assert!(
+                eager.baked_directory().is_some(),
+                "n {n}: not baked under the simulator"
+            );
+            assert!(lazy.resident_bytes() < eager.resident_bytes());
+            let (a, b) = (lazy.directory(), eager.directory());
+            assert_eq!(a.bytes(), b.bytes(), "n {n}: arrays");
+            assert_eq!(
+                a.refs().collect::<Vec<_>>(),
+                b.refs().collect::<Vec<_>>(),
+                "n {n}"
+            );
+            assert_eq!(a.result_addr(), b.result_addr(), "n {n}: result region");
+            for (leaf, _) in a.refs() {
+                assert_eq!(a.addr_of(leaf), b.addr_of(leaf), "n {n} leaf {leaf}");
+            }
+            assert_eq!(lazy.resident_bytes(), eager.resident_bytes(), "n {n}");
+        }
+    }
+
+    /// The header table alone answers `compression_stats()` with the
+    /// numbers a baked directory gives — after the build, after churn
+    /// and commit (with the directory maintained through the commits,
+    /// or baked only afterwards), and after compaction.
+    #[test]
+    fn header_stats_equal_directory_stats_through_churn_and_compaction() {
+        let mut sim = SimEngine::disabled();
+        let cloud = urban_like_cloud(3000, 41);
+        let extra = urban_like_cloud(600, 42);
+        let mut maintained = BonsaiTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
+        let mut late = maintained.clone();
+        let check = |tree: &BonsaiTree, at: &str| {
+            assert_eq!(
+                tree.compression_stats(),
+                directory_stats(tree.directory()),
+                "{at}"
+            );
+        };
+        check(&maintained, "build");
+        for round in 0..3usize {
+            for (k, tree) in [&mut maintained, &mut late].into_iter().enumerate() {
+                for i in 0..150 {
+                    tree.delete(&mut sim, ((round * 151 + i * 11) % cloud.len()) as u32);
+                }
+                for &p in &extra[round * 200..(round + 1) * 200] {
+                    tree.insert(&mut sim, p).unwrap();
+                }
+                assert!(tree.commit(&mut sim) > 0, "round {round} tree {k}");
+            }
+            check(&maintained, "churn, maintained directory");
+        }
+        assert!(late.baked_directory().is_none());
+        check(&late, "churn, directory baked afterwards");
+        assert_eq!(late.compression_stats(), maintained.compression_stats());
+        assert!(
+            maintained.kd_tree().garbage_slots() > 0,
+            "churn never fragmented"
+        );
+        for tree in [&mut maintained, &mut late] {
+            tree.compact(&mut sim);
+            check(tree, "compact");
+            assert!(tree.audit().is_empty());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "uncommitted mutations")]
+    fn directory_with_pending_commit_panics() {
+        let mut sim = SimEngine::disabled();
+        let mut tree =
+            BonsaiTree::build(urban_like_cloud(200, 9), KdTreeConfig::default(), &mut sim);
+        tree.insert(&mut sim, Point3::new(1.0, 1.0, 1.0)).unwrap();
+        tree.directory();
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use bonsai_core::BonsaiTree;
 use bonsai_geom::Point3;
-use bonsai_kdtree::{KdTreeConfig, SearchStats};
+use bonsai_kdtree::{KdTree, KdTreeConfig, SearchStats};
 use bonsai_sim::SimEngine;
 use proptest::prelude::*;
 
@@ -18,14 +18,15 @@ fn arb_cloud(max: usize) -> impl Strategy<Value = Vec<Point3>> {
     )
 }
 
-fn memberships(tree: &BonsaiTree, q: Point3, r: f32) -> (Vec<u32>, Vec<u32>) {
+/// Sorted memberships of the compressed tree and of the baseline tree
+/// built over the same points (same shape: the build is deterministic).
+fn memberships(tree: &BonsaiTree, base: &KdTree, q: Point3, r: f32) -> (Vec<u32>, Vec<u32>) {
     let mut bonsai: Vec<u32> = tree
         .radius_search_simple(q, r)
         .iter()
         .map(|n| n.index)
         .collect();
-    let mut baseline: Vec<u32> = tree
-        .kd_tree()
+    let mut baseline: Vec<u32> = base
         .radius_search_simple(q, r)
         .iter()
         .map(|n| n.index)
@@ -49,8 +50,9 @@ proptest! {
         let cfg = KdTreeConfig { max_leaf_points: leaf, ..KdTreeConfig::default() };
         let mut sim = SimEngine::disabled();
         let tree = BonsaiTree::build(cloud.clone(), cfg, &mut sim);
+        let base = KdTree::build(cloud.clone(), cfg, &mut sim);
         let q = cloud[qi.index(cloud.len())];
-        let (bonsai, baseline) = memberships(&tree, q, radius);
+        let (bonsai, baseline) = memberships(&tree, &base, q, radius);
         prop_assert_eq!(bonsai, baseline);
     }
 
@@ -65,6 +67,7 @@ proptest! {
     ) {
         let mut sim = SimEngine::disabled();
         let tree = BonsaiTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
+        let base = KdTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
         let q = cloud[qi.index(cloud.len())];
         let target = cloud[ti.index(cloud.len())];
         let d = q.distance(target);
@@ -73,7 +76,7 @@ proptest! {
         for _ in 0..nudge.unsigned_abs() {
             r = if nudge > 0 { r.next_up() } else { r.next_down() };
         }
-        let (bonsai, baseline) = memberships(&tree, q, r.max(0.0));
+        let (bonsai, baseline) = memberships(&tree, &base, q, r.max(0.0));
         prop_assert_eq!(bonsai, baseline);
     }
 

@@ -25,23 +25,26 @@
 //!   point in two slots, no live point missing from every leaf, no two
 //!   leaves claiming the same `vind` slot.
 //! * **LanePadding** — every leaf's padding tail holds the `vind`
-//!   sentinel and `+∞` in all SoA rows; rows are slot-parallel.
-//! * **SoaMismatch** — the leaf-contiguous SoA rows are bit-identical
-//!   to the points they mirror.
+//!   sentinel and the row layout's `+∞` in all rows; rows are
+//!   slot-parallel.
+//! * **SoaMismatch** / **F16Mismatch** — the leaf-contiguous rows are
+//!   bit-identical to the points they mirror: the exact `f32`
+//!   coordinates, or for an f16-row tree their binary16 encodings.
 //! * **Accounting** — subtree live/leaf meta counters, `num_live`
 //!   versus the alive mask, and `garbage_slots` versus the slots no
 //!   leaf owns.
 //!
-//! The two remaining [`ViolationKind`]s (`F16Mismatch`,
-//! `DirectoryBytes`, `ShardDirectory`) are emitted by the compressed
-//! and sharded layers in `bonsai-core`, which extend this walk.
+//! The two remaining [`ViolationKind`]s (`DirectoryBytes`,
+//! `ShardDirectory`) are emitted by the compressed and sharded layers
+//! in `bonsai-core`, which extend this walk.
 
 use std::collections::HashSet;
 use std::fmt;
 
 use crate::build::KdTree;
 use crate::node::{Node, NodeId};
-use crate::simd::{lane_padded, PAD_COORD, PAD_SLOT};
+use crate::rows::RowLayout;
+use crate::simd::{lane_padded, PAD_SLOT};
 
 /// The invariant class an [`AuditViolation`] breaks. See
 /// [`KdTree::audit`] for the per-class contract.
@@ -63,11 +66,10 @@ pub enum ViolationKind {
     /// A bookkeeping counter (subtree meta, `num_live`,
     /// `garbage_slots`) disagrees with a recount.
     Accounting,
-    /// An f16 row is not the f16 encoding of its point
-    /// (emitted by `bonsai-core`).
+    /// An f16 row is not the f16 encoding of its point.
     F16Mismatch,
-    /// A compressed-directory reference or its bytes are unsound
-    /// (emitted by `bonsai-core`).
+    /// A leaf header, a compressed-directory reference or its bytes
+    /// are unsound (emitted by `bonsai-core`).
     DirectoryBytes,
     /// The global→(shard, local) directory and the shard live sets are
     /// not in bijection (emitted by `bonsai-core`).
@@ -251,16 +253,12 @@ impl<'a> TreeAuditor<'a> {
             ));
         }
         let slots = t.vind.len();
-        for (name, len) in [
-            ("x", t.leaf_x.len()),
-            ("y", t.leaf_y.len()),
-            ("z", t.leaf_z.len()),
-        ] {
+        for (name, len) in ["x", "y", "z"].into_iter().zip(t.rows.lens()) {
             if len != slots {
                 self.rows_ok = false;
                 self.push(AuditViolation::new(
                     ViolationKind::LanePadding,
-                    format!("SoA {name} row holds {len} slots, vind holds {slots}"),
+                    format!("{name} row holds {len} slots, vind holds {slots}"),
                 ));
             }
         }
@@ -461,20 +459,15 @@ impl<'a> TreeAuditor<'a> {
                     .at_index(i as u32),
                 );
             }
-            if self.rows_ok {
-                let padded = t.leaf_x[i].to_bits() == PAD_COORD.to_bits()
-                    && t.leaf_y[i].to_bits() == PAD_COORD.to_bits()
-                    && t.leaf_z[i].to_bits() == PAD_COORD.to_bits();
-                if !padded {
-                    self.push(
-                        AuditViolation::new(
-                            ViolationKind::LanePadding,
-                            format!("padding slot {i} SoA rows not sentinelled"),
-                        )
-                        .at_node(id)
-                        .at_index(i as u32),
-                    );
-                }
+            if self.rows_ok && !t.rows.is_pad(i) {
+                self.push(
+                    AuditViolation::new(
+                        ViolationKind::LanePadding,
+                        format!("padding slot {i} rows not sentinelled"),
+                    )
+                    .at_node(id)
+                    .at_index(i as u32),
+                );
             }
         }
         facts
@@ -529,23 +522,23 @@ impl<'a> TreeAuditor<'a> {
             );
         }
         self.point_seen[idx as usize] = true;
-        if self.rows_ok {
-            let same = t.leaf_x[i].to_bits() == p.x.to_bits()
-                && t.leaf_y[i].to_bits() == p.y.to_bits()
-                && t.leaf_z[i].to_bits() == p.z.to_bits();
-            if !same {
-                self.push(
-                    AuditViolation::new(
-                        ViolationKind::SoaMismatch,
-                        format!(
-                            "slot {i} SoA row ({}, {}, {}) != point {idx} ({}, {}, {})",
-                            t.leaf_x[i], t.leaf_y[i], t.leaf_z[i], p.x, p.y, p.z
-                        ),
-                    )
-                    .at_node(id)
-                    .at_index(idx),
-                );
-            }
+        if self.rows_ok && !t.rows.holds(i, p) {
+            let kind = match t.rows.layout() {
+                RowLayout::F32 => ViolationKind::SoaMismatch,
+                RowLayout::F16 => ViolationKind::F16Mismatch,
+            };
+            self.push(
+                AuditViolation::new(
+                    kind,
+                    format!(
+                        "slot {i} row {} is not the {:?} encoding of point {idx} {p:?}",
+                        t.rows.describe(i),
+                        t.rows.layout()
+                    ),
+                )
+                .at_node(id)
+                .at_index(idx),
+            );
         }
         facts.live += 1;
         for (a, v) in [p.x, p.y, p.z].into_iter().enumerate() {

@@ -27,7 +27,7 @@ use crate::search::{LeafProcessor, Neighbor, SearchStats};
 /// let cloud = vec![Point3::ZERO, Point3::new(0.1, 0.0, 0.0)];
 /// let mut sim = SimEngine::disabled();
 /// let tree = KdTree::build(cloud, KdTreeConfig::default(), &mut sim);
-/// let mut proc = BaselineLeafProcessor::new(&mut sim);
+/// let mut proc = BaselineLeafProcessor::new(&mut sim, &tree);
 /// let mut out = Vec::new();
 /// let mut stats = SearchStats::default();
 /// tree.radius_search(&mut sim, &mut proc, Point3::ZERO, 0.5, &mut out, &mut stats);
@@ -47,16 +47,34 @@ const PER_POINT_INT_OPS: u64 = 3;
 const PER_POINT_FP_OPS: u64 = 8;
 
 impl BaselineLeafProcessor {
-    /// Creates a processor, reserving simulated space for the two PCL
-    /// output vectors (`radiusSearch` fills `k_indices` and
-    /// `k_sqr_distances` separately — two stores per accepted point).
-    pub fn new(sim: &mut SimEngine) -> BaselineLeafProcessor {
+    /// Creates a processor for scans of `tree`, reserving simulated
+    /// space for the two PCL output vectors (`radiusSearch` fills
+    /// `k_indices` and `k_sqr_distances` separately — two stores per
+    /// accepted point).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `tree` holds f16 leaf rows
+    /// ([`KdTree::build_f16`]): the baseline scan reads exact `f32`
+    /// rows, which such a tree does not keep.
+    pub fn new(sim: &mut SimEngine, tree: &KdTree) -> BaselineLeafProcessor {
+        tree.assert_f32_rows();
+        let (indices_addr, dists_addr) = BaselineLeafProcessor::reserve_outputs(sim);
+        BaselineLeafProcessor {
+            indices_addr,
+            dists_addr,
+        }
+    }
+
+    /// Reserves the two output-vector regions a processor writes
+    /// (`k_indices`, `k_sqr_distances`), returning their bases. A
+    /// caller that runs another leaf stage can reserve the same regions
+    /// so its later simulated buffers sit where they would under the
+    /// baseline stage.
+    pub fn reserve_outputs(sim: &mut SimEngine) -> (u64, u64) {
         // Result vectors in the cluster pipeline hold at most a few
         // thousand neighbours; reserve generous regions.
-        BaselineLeafProcessor {
-            indices_addr: sim.alloc(32 * 1024, 64),
-            dists_addr: sim.alloc(32 * 1024, 64),
-        }
+        (sim.alloc(32 * 1024, 64), sim.alloc(32 * 1024, 64))
     }
 }
 
@@ -119,7 +137,7 @@ mod tests {
         let mut sim = SimEngine::new(&CpuConfig::a72_like());
         let tree = KdTree::build(line_cloud(15), KdTreeConfig::default(), &mut sim);
         sim.reset_counters();
-        let mut proc = BaselineLeafProcessor::new(&mut sim);
+        let mut proc = BaselineLeafProcessor::new(&mut sim, &tree);
         let mut out = Vec::new();
         let mut stats = SearchStats::default();
         // One leaf of 15 points, all within radius.
@@ -154,11 +172,19 @@ mod tests {
         let tree = KdTree::build(cloud, KdTreeConfig::default(), &mut sim);
         let q = Point3::new(10.0, 5.0, 0.0);
         let mut via_trait = Vec::new();
-        let mut proc = BaselineLeafProcessor::new(&mut sim);
+        let mut proc = BaselineLeafProcessor::new(&mut sim, &tree);
         let mut stats = SearchStats::default();
         tree.radius_search(&mut sim, &mut proc, q, 2.5, &mut via_trait, &mut stats);
         let simple = tree.radius_search_simple(q, 2.5);
         assert_eq!(via_trait, simple);
         assert!(stats.points_inspected >= via_trait.len() as u64);
+    }
+
+    #[test]
+    #[should_panic(expected = "f16-row KdTree")]
+    fn f16_row_trees_are_refused_at_construction() {
+        let mut sim = SimEngine::disabled();
+        let tree = KdTree::build_f16(line_cloud(20), KdTreeConfig::default(), &mut sim);
+        BaselineLeafProcessor::new(&mut sim, &tree);
     }
 }

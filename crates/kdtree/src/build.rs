@@ -5,7 +5,8 @@ use crate::costs::TraversalCosts;
 use crate::mutate::{MutationStats, NodeMeta};
 use crate::node::{Node, NodeId, NODE_BYTES};
 use crate::parts::PAD_SLOT;
-use crate::simd::{lane_padded, LANES, PAD_COORD};
+use crate::rows::{LeafRows, RowLayout};
+use crate::simd::{lane_padded, LANES};
 
 /// How an interior node chooses its split threshold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -77,12 +78,12 @@ pub struct KdTree {
     pub(crate) nodes: Vec<Node>,
     /// Leaf-contiguous SoA copy of the cloud, baked by the reorder pass:
     /// slot `i` holds `points[vind[i]]`, so a leaf scan is one linear
-    /// sweep over three dense `f32` rows instead of an indexed gather.
-    /// This is the host-side realization of FLANN's `reorder=true`
-    /// matrix the simulated layout already modelled.
-    pub(crate) leaf_x: Vec<f32>,
-    pub(crate) leaf_y: Vec<f32>,
-    pub(crate) leaf_z: Vec<f32>,
+    /// sweep over three dense rows instead of an indexed gather. This
+    /// is the host-side realization of FLANN's `reorder=true` matrix
+    /// the simulated layout already modelled, in the tree's one
+    /// [`RowLayout`]: exact `f32` for [`KdTree::build`], binary16 for
+    /// [`KdTree::build_f16`].
+    pub(crate) rows: LeafRows,
     pub(crate) cfg: KdTreeConfig,
     pub(crate) stats: BuildStats,
     /// Liveness of each point index: `false` after [`KdTree::delete`].
@@ -118,6 +119,11 @@ pub struct KdTree {
     pub(crate) reordered_addr: u64,
 }
 
+/// The panic message of a baseline scan handle built over an f16-row
+/// tree.
+const F16_ROWS_ONLY: &str = "baseline leaf scan over an f16-row KdTree (a BonsaiTree's): it keeps \
+     no f32 rows; build a sibling KdTree::build over the same points for baseline searches";
+
 /// Simulated bytes per stored point (PCL `PointXYZ` stride).
 pub(crate) const POINT_STRIDE: u64 = 16;
 
@@ -126,11 +132,31 @@ pub(crate) const POINT_STRIDE: u64 = 16;
 pub(crate) const REORDERED_STRIDE: u64 = 12;
 
 impl KdTree {
-    /// Builds a tree over `points`, charging construction work to the
-    /// `Build` kernel of `sim`.
+    /// Builds a tree over `points` with exact `f32` leaf rows, charging
+    /// construction work to the `Build` kernel of `sim`.
     ///
     /// An empty cloud yields an empty tree (searches return nothing).
     pub fn build(points: Vec<Point3>, cfg: KdTreeConfig, sim: &mut SimEngine) -> KdTree {
+        KdTree::build_rows(points, cfg, RowLayout::F32, sim)
+    }
+
+    /// [`build`](KdTree::build) with binary16 leaf rows: the tree a
+    /// `bonsai-core` `BonsaiTree` serves from. Shape, `vind` order and
+    /// simulator events are identical to [`build`](KdTree::build)'s;
+    /// only the host copy of the leaves is half as wide, and it is the
+    /// only copy — baseline scans
+    /// ([`BaselineLeafProcessor`](crate::BaselineLeafProcessor), the
+    /// baseline `RadiusSearchEngine`) refuse such a tree.
+    pub fn build_f16(points: Vec<Point3>, cfg: KdTreeConfig, sim: &mut SimEngine) -> KdTree {
+        KdTree::build_rows(points, cfg, RowLayout::F16, sim)
+    }
+
+    fn build_rows(
+        points: Vec<Point3>,
+        cfg: KdTreeConfig,
+        layout: RowLayout,
+        sim: &mut SimEngine,
+    ) -> KdTree {
         assert!(
             (1..=bonsai_isa_max_leaf()).contains(&cfg.max_leaf_points),
             "max_leaf_points must be in 1..=16, got {}",
@@ -152,9 +178,7 @@ impl KdTree {
             points,
             vind: (0..n as u32).collect(),
             nodes: Vec::new(),
-            leaf_x: Vec::new(),
-            leaf_y: Vec::new(),
-            leaf_z: Vec::new(),
+            rows: LeafRows::with_capacity(layout, 0),
             cfg,
             stats: BuildStats::default(),
             alive: vec![true; n],
@@ -184,30 +208,21 @@ impl KdTree {
             tree.apply_lane_padding();
             // FLANN's reorder pass: copy the points into vind order so
             // leaf scans stream instead of gathering. Host-side this
-            // bakes the leaf-contiguous SoA rows the fast scans sweep;
-            // padding slots get the +∞ sentinel (layout upkeep, no
-            // simulated events — the paper's layout carries no pads).
-            let slots = tree.vind.len();
-            tree.leaf_x.reserve_exact(slots);
-            tree.leaf_y.reserve_exact(slots);
-            tree.leaf_z.reserve_exact(slots);
-            for i in 0..slots {
+            // bakes the leaf-contiguous rows the fast scans sweep, in
+            // the tree's layout; padding slots get the +∞ sentinel
+            // (layout upkeep, no simulated events — the paper's layout
+            // carries no pads). The events charge the 12-byte rows of
+            // PCL's reordered matrix whatever the host layout.
+            for i in 0..tree.vind.len() {
                 let idx = tree.vind[i];
-                if idx == PAD_SLOT {
-                    tree.leaf_x.push(PAD_COORD);
-                    tree.leaf_y.push(PAD_COORD);
-                    tree.leaf_z.push(PAD_COORD);
-                    continue;
+                if idx != PAD_SLOT {
+                    sim.load(tree.vind_entry_addr(i as u32), 4);
+                    sim.load(tree.point_addr(idx), 12);
+                    sim.store(tree.reordered_point_addr(i as u32), 12);
+                    sim.exec(OpClass::IntAlu, 2);
                 }
-                sim.load(tree.vind_entry_addr(i as u32), 4);
-                sim.load(tree.point_addr(idx), 12);
-                sim.store(tree.reordered_point_addr(i as u32), 12);
-                sim.exec(OpClass::IntAlu, 2);
-                let p = tree.points[idx as usize];
-                tree.leaf_x.push(p.x);
-                tree.leaf_y.push(p.y);
-                tree.leaf_z.push(p.z);
             }
+            tree.rows = LeafRows::bake(layout, &tree.points, &tree.vind);
             sim.set_kernel(prev);
         }
         tree.rebuild_meta();
@@ -219,14 +234,21 @@ impl KdTree {
     /// available parallelism) — the dinotree idiom of handing each
     /// half of a partition to its own worker until the workers run out.
     ///
-    /// The resulting tree is **identical** (nodes, `vind` order, SoA
+    /// The resulting tree is **identical** (nodes, `vind` order, `f32`
     /// rows, shape stats) to [`KdTree::build`] over the same cloud; only
     /// the wall-clock construction differs. No simulator events are
     /// recorded — this is the uninstrumented production build, also
     /// reused by criterion-triggered subtree rebuilds. Without the
     /// `parallel` feature the fan degenerates to the sequential walk.
     pub fn build_parallel(points: Vec<Point3>, cfg: KdTreeConfig, threads: usize) -> KdTree {
-        crate::parts::build_tree_parallel(points, cfg, threads)
+        crate::parts::build_tree_parallel(points, cfg, RowLayout::F32, threads)
+    }
+
+    /// [`build_parallel`](KdTree::build_parallel) with binary16 leaf
+    /// rows — identical to [`build_f16`](KdTree::build_f16) over the
+    /// same cloud.
+    pub fn build_parallel_f16(points: Vec<Point3>, cfg: KdTreeConfig, threads: usize) -> KdTree {
+        crate::parts::build_tree_parallel(points, cfg, RowLayout::F16, threads)
     }
 
     /// Recursively builds `vind[lo..hi]`; returns the created node id.
@@ -458,15 +480,64 @@ impl KdTree {
         &self.vind
     }
 
-    /// The leaf-contiguous SoA point rows `(x, y, z)`: live slot `i`
+    /// The layout of the leaf rows: [`RowLayout::F32`] for
+    /// [`build`](KdTree::build)/[`build_parallel`](KdTree::build_parallel),
+    /// [`RowLayout::F16`] for the `_f16` builders.
+    pub fn row_layout(&self) -> RowLayout {
+        self.rows.layout()
+    }
+
+    /// The leaf-contiguous `f32` point rows `(x, y, z)`: live slot `i`
     /// holds the coordinates of `points()[vind()[i]]`, so each leaf's
     /// points occupy a dense range per coordinate. Every leaf's range
     /// is padded to a [`LANES`](crate::simd::LANES) multiple with
     /// [`PAD_COORD`](crate::simd::PAD_COORD) sentinels so the SIMD
     /// sweeps read whole lane groups without tail handling. Baked by
     /// the build's reorder pass; empty for an empty tree.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an f16-row tree ([`build_f16`](KdTree::build_f16)),
+    /// which keeps no `f32` copy of its leaves.
     pub fn leaf_soa(&self) -> (&[f32], &[f32], &[f32]) {
-        (&self.leaf_x, &self.leaf_y, &self.leaf_z)
+        match &self.rows {
+            LeafRows::F32(r) => (&r.x, &r.y, &r.z),
+            // lint: allow(panic-free-serving) — documented `# Panics`
+            // contract; the baseline handles refuse an f16-row tree
+            // when they are constructed.
+            LeafRows::F16(_) => panic!("{F16_ROWS_ONLY}"),
+        }
+    }
+
+    /// The leaf-contiguous binary16 rows `(x, y, z)` of an f16-row
+    /// tree: slot `i` holds the raw bit patterns of
+    /// `Half::from_f32` of `points()[vind()[i]]`, padded like
+    /// [`leaf_soa`](KdTree::leaf_soa) with
+    /// [`PAD_HALF`](crate::simd::PAD_HALF).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an `f32`-row tree.
+    pub fn leaf_halves(&self) -> (&[u16], &[u16], &[u16]) {
+        match &self.rows {
+            LeafRows::F16(r) => (&r.x, &r.y, &r.z),
+            // lint: allow(panic-free-serving) — documented `# Panics`
+            // contract: only the compressed layers read halves, and
+            // they build f16-row trees.
+            LeafRows::F32(_) => panic!("f16 leaf rows of an f32-row KdTree; build with build_f16"),
+        }
+    }
+
+    /// The construction-time check of the baseline scan handles.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the fix, unless the tree holds `f32` rows.
+    pub fn assert_f32_rows(&self) {
+        // lint: allow(debug-assert-discipline) — misuse guard checked
+        // once per handle, in release builds too: a baseline scan over
+        // f16 rows has no exact coordinates to read.
+        assert!(self.rows.layout() == RowLayout::F32, "{F16_ROWS_ONLY}");
     }
 
     /// The number of `vind`/SoA slots leaf `leaf` owns from its
@@ -489,19 +560,17 @@ impl KdTree {
     /// Validates the lane-padding invariant the SIMD sweeps rely on:
     /// every leaf's slots between its live count and its
     /// [footprint](KdTree::leaf_slot_footprint) hold the `vind`
-    /// sentinel and [`PAD_COORD`](crate::simd::PAD_COORD) in all three
-    /// SoA rows, footprints stay inside the arrays, and the rows are
-    /// the same length. A test/debug aid — the builders and the
-    /// mutation layer maintain the invariant.
+    /// sentinel and the layout's `+∞` sentinel in all three rows,
+    /// footprints stay inside the arrays, and the rows are the same
+    /// length. A test/debug aid — the builders and the mutation layer
+    /// maintain the invariant.
     ///
     /// # Panics
     ///
     /// Panics describing the first violation found.
     pub fn assert_lane_padding(&self) {
         let slots = self.vind.len();
-        assert_eq!(self.leaf_x.len(), slots, "x row length");
-        assert_eq!(self.leaf_y.len(), slots, "y row length");
-        assert_eq!(self.leaf_z.len(), slots, "z row length");
+        assert_eq!(self.rows.lens(), [slots; 3], "row lengths");
         for (id, node) in self.nodes.iter().enumerate() {
             let Node::Leaf { start, count } = *node else {
                 continue;
@@ -517,12 +586,7 @@ impl KdTree {
                     self.vind[i], PAD_SLOT,
                     "leaf {id} slot {i}: vind not padded"
                 );
-                assert!(
-                    self.leaf_x[i] == PAD_COORD
-                        && self.leaf_y[i] == PAD_COORD
-                        && self.leaf_z[i] == PAD_COORD,
-                    "leaf {id} slot {i}: SoA rows not padded"
-                );
+                assert!(self.rows.is_pad(i), "leaf {id} slot {i}: rows not padded");
             }
         }
     }
@@ -757,7 +821,8 @@ mod tests {
     }
 
     /// The index buffers a build leaves behind hold no spare capacity,
-    /// in the sequential and the parallel builder: the median node pool
+    /// in the sequential and the parallel builder of either row
+    /// layout (an f16-row tree holds no f32 rows at all): the median node pool
     /// and `vind` are sized before they are filled, the
     /// sliding-midpoint pool is trimmed afterwards.
     #[test]
@@ -769,16 +834,33 @@ mod tests {
                     max_leaf_points: m,
                     split_rule: rule,
                 };
-                let seq = KdTree::build(grid_cloud(side), cfg, &mut sim);
-                let par = KdTree::build_parallel(grid_cloud(side), cfg, 2);
-                for (builder, tree) in [("build", seq), ("build_parallel", par)] {
+                let trees = [
+                    ("build", KdTree::build(grid_cloud(side), cfg, &mut sim)),
+                    (
+                        "build_parallel",
+                        KdTree::build_parallel(grid_cloud(side), cfg, 2),
+                    ),
+                    (
+                        "build_f16",
+                        KdTree::build_f16(grid_cloud(side), cfg, &mut sim),
+                    ),
+                    (
+                        "build_parallel_f16",
+                        KdTree::build_parallel_f16(grid_cloud(side), cfg, 2),
+                    ),
+                ];
+                for (builder, tree) in trees {
                     let what = format!("{builder} {rule:?} {side}² m {m}");
+                    let f16 = builder.ends_with("f16");
+                    assert_eq!(tree.row_layout() == RowLayout::F16, f16, "layout, {what}");
                     assert_eq!(tree.nodes.capacity(), tree.nodes.len(), "nodes, {what}");
                     assert_eq!(tree.meta.capacity(), tree.meta.len(), "meta, {what}");
                     assert_eq!(tree.vind.capacity(), tree.vind.len(), "vind, {what}");
-                    for row in [&tree.leaf_x, &tree.leaf_y, &tree.leaf_z] {
-                        assert_eq!(row.capacity(), row.len(), "leaf rows, {what}");
-                    }
+                    assert_eq!(
+                        tree.rows.capacities(),
+                        tree.rows.lens(),
+                        "leaf rows, {what}"
+                    );
                     if rule == SplitRule::Median {
                         assert_eq!(tree.nodes.len(), median_node_count(side * side, m));
                     }

@@ -134,6 +134,28 @@ impl KdTree {
         self.garbage_slots += 1 + rng.below(7);
         true
     }
+
+    /// Chaos hook: flips the low bit of one live slot's leaf row on one
+    /// axis — the `f32` mantissa or the f16 mantissa, whichever layout
+    /// the tree holds. Returns `false` on a tree without live slots.
+    ///
+    /// Guaranteed to surface as a `SoaMismatch` (f32 rows) or
+    /// `F16Mismatch` (f16 rows) violation.
+    pub fn chaos_flip_row(&mut self, rng: &mut ChaosRng) -> bool {
+        let slots: Vec<usize> = reachable_matching(self, Node::is_leaf)
+            .into_iter()
+            .flat_map(|id| match self.nodes[id as usize] {
+                Node::Leaf { start, count } => start as usize..(start + count) as usize,
+                Node::Interior { .. } => 0..0,
+            })
+            .collect();
+        if slots.is_empty() {
+            return false;
+        }
+        let i = slots[rng.below(slots.len())];
+        self.rows.flip_low_bit(i, rng.below(3));
+        true
+    }
 }
 
 #[cfg(test)]
@@ -195,6 +217,25 @@ mod tests {
                 t.audit()
                     .iter()
                     .any(|v| v.kind == ViolationKind::Accounting),
+                "seed {seed}"
+            );
+
+            let mut t = tree(400);
+            assert!(t.chaos_flip_row(&mut rng), "seed {seed}");
+            assert!(
+                t.audit()
+                    .iter()
+                    .any(|v| v.kind == ViolationKind::SoaMismatch),
+                "seed {seed}"
+            );
+            let cloud = t.points().to_vec();
+            let mut t =
+                KdTree::build_f16(cloud, KdTreeConfig::default(), &mut SimEngine::disabled());
+            assert!(t.chaos_flip_row(&mut rng), "seed {seed}");
+            assert!(
+                t.audit()
+                    .iter()
+                    .any(|v| v.kind == ViolationKind::F16Mismatch),
                 "seed {seed}"
             );
         }

@@ -81,9 +81,7 @@ impl KdTree {
         if self.nodes.is_empty() {
             // Nothing reachable: drop any stray state outright.
             self.vind.clear();
-            self.leaf_x.clear();
-            self.leaf_y.clear();
-            self.leaf_z.clear();
+            self.rows.clear();
             self.meta.clear();
             self.free_nodes.clear();
             self.dirty_nodes.clear();
@@ -108,9 +106,6 @@ impl KdTree {
         let mut nodes = Vec::with_capacity(order.len());
         let mut meta = Vec::with_capacity(order.len());
         let mut vind = Vec::with_capacity(old_slots - self.garbage_slots);
-        let mut leaf_x = Vec::with_capacity(vind.capacity());
-        let mut leaf_y = Vec::with_capacity(vind.capacity());
-        let mut leaf_z = Vec::with_capacity(vind.capacity());
         for &old_id in &order {
             let new_id = nodes.len() as NodeId;
             let node = match self.nodes[old_id as usize] {
@@ -129,9 +124,6 @@ impl KdTree {
                             sim.exec(OpClass::IntAlu, 2);
                         }
                         vind.push(idx);
-                        leaf_x.push(self.leaf_x[i]);
-                        leaf_y.push(self.leaf_y[i]);
-                        leaf_z.push(self.leaf_z[i]);
                     }
                     Node::Leaf {
                         start: new_start,
@@ -167,10 +159,9 @@ impl KdTree {
         );
         self.nodes = nodes;
         self.meta = meta;
+        // The rows move with their slots, bits untouched.
+        self.rows = self.rows.permuted(&slot_map, vind.len());
         self.vind = vind;
-        self.leaf_x = leaf_x;
-        self.leaf_y = leaf_y;
-        self.leaf_z = leaf_z;
         self.garbage_slots = 0;
         self.free_nodes.clear();
         // Renumber (don't drop) the pending dirty log: a layered cache
@@ -188,15 +179,16 @@ impl KdTree {
     }
 
     /// Host-side structural memory footprint, in bytes: the point
-    /// cloud, the `vind`/SoA slot arrays (including garbage), the node
-    /// pool and its per-node metadata. The observability hook of the
-    /// long-stream soak bench — what compaction bounds.
+    /// cloud, the `vind` and leaf-row slot arrays (including garbage;
+    /// 4 B of `vind` plus 12 B of `f32` or 6 B of f16 rows per slot),
+    /// the node pool and its per-node metadata. The observability hook
+    /// of the long-stream soak bench — what compaction bounds.
     pub fn resident_bytes(&self) -> u64 {
         let slots = self.vind.len() as u64;
         let nodes = self.nodes.len() as u64;
         self.points.len() as u64 * 12
             + self.alive.len() as u64
-            + slots * (4 + 3 * 4)
+            + slots * (4 + self.rows.bytes_per_slot())
             + nodes * (NODE_BYTES + std::mem::size_of::<crate::mutate::NodeMeta>() as u64)
     }
 }

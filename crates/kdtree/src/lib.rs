@@ -20,6 +20,13 @@
 //!   points are inspected. [`BaselineLeafProcessor`] is the PCL `f32`
 //!   path; the `bonsai-core` crate plugs in the compressed path, which is
 //!   the paper's entire contribution.
+//! * **One leaf layout per tree** — the leaf-contiguous rows the fast
+//!   sweeps read are exact `f32` ([`KdTree::build`], 12 B per slot) or
+//!   raw binary16 ([`KdTree::build_f16`], 6 B per slot, the layout a
+//!   `bonsai-core` `BonsaiTree` serves from), never both
+//!   ([`RowLayout`]). Every builder and mutation writes the tree's own
+//!   layout; the baseline scan handles refuse an f16-row tree when
+//!   they are constructed.
 //!
 //! # Examples
 //!
@@ -47,6 +54,7 @@ mod knn;
 mod mutate;
 mod node;
 mod parts;
+mod rows;
 mod scratch;
 mod search;
 pub mod simd;
@@ -60,5 +68,6 @@ pub use compact::CompactRemap;
 pub use costs::TraversalCosts;
 pub use mutate::{MutationStats, ALPHA_BALANCE};
 pub use node::{LeafId, Node, NodeId};
+pub use rows::RowLayout;
 pub use scratch::{QueryBatch, SearchScratch};
 pub use search::{query_is_searchable, radius_is_searchable, LeafProcessor, Neighbor, SearchStats};

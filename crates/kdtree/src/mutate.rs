@@ -27,8 +27,9 @@
 //! ([`KdTree::garbage_slots`] counts them); retired node-pool slots are
 //! recycled through a free list. Every touched node id is appended to a
 //! dirty log ([`KdTree::drain_dirty_nodes`]) that layered caches — the
-//! compressed-leaf directory and f16 shell rows of `bonsai-core` —
-//! consume to re-bake **only** the touched leaves.
+//! leaf headers and compressed-leaf directory of `bonsai-core` —
+//! consume to re-bake **only** the touched leaves. The leaf rows
+//! themselves, `f32` or f16, are written here, eagerly.
 //!
 //! Mutations never change per-point search semantics: membership and
 //! reported `dist_sq` bits depend only on a point's coordinates (and,
@@ -62,7 +63,7 @@ use bonsai_sim::{Kernel, OpClass, SimEngine};
 use crate::build::{sites, KdTree};
 use crate::node::{Node, NodeId, NODE_BYTES};
 use crate::parts::{build_subtree, resolve_build_threads, SubtreeConfig, PAD_SLOT};
-use crate::simd::{lane_padded, PAD_COORD};
+use crate::simd::lane_padded;
 
 /// Fraction of a subtree's live points one child may hold before the
 /// subtree is rebuilt (ikd-Tree's α_bal; Cai et al. use 0.7).
@@ -289,8 +290,10 @@ impl KdTree {
         let last = (start + count - 1) as usize;
         // Swap-remove inside the leaf: SoA rows stay dense, no
         // tombstone ever reaches a scan loop.
+        // The moved point is read from `points`, the exact copy every
+        // row layout mirrors.
         self.vind[slot] = self.vind[last];
-        let moved = Point3::new(self.leaf_x[last], self.leaf_y[last], self.leaf_z[last]);
+        let moved = self.points[self.vind[last] as usize];
         self.write_soa_slot(sim, slot, moved);
         sim.store(self.vind_entry_addr(slot as u32), 4);
         // Re-pad the vacated tail slot: it may sit inside the lane
@@ -298,9 +301,7 @@ impl KdTree {
         // read its stale coordinates otherwise. Layout upkeep, no
         // simulated events (like the build-time pads).
         self.vind[last] = PAD_SLOT;
-        self.leaf_x[last] = PAD_COORD;
-        self.leaf_y[last] = PAD_COORD;
-        self.leaf_z[last] = PAD_COORD;
+        self.rows.set_pad(last);
         let cap = self.meta[leaf as usize].cap;
         self.set_leaf(sim, leaf, start, count - 1, cap);
 
@@ -426,14 +427,11 @@ impl KdTree {
         self.dirty_nodes.push(id);
     }
 
-    /// Appends one live slot (`vind` + SoA rows) at the end.
+    /// Appends one live slot (`vind` + leaf rows) at the end.
     fn push_point_slot(&mut self, sim: &mut SimEngine, idx: u32) {
         let slot = self.vind.len() as u32;
         self.vind.push(idx);
-        let p = self.points[idx as usize];
-        self.leaf_x.push(p.x);
-        self.leaf_y.push(p.y);
-        self.leaf_z.push(p.z);
+        self.rows.push_point(self.points[idx as usize]);
         sim.store(self.vind_entry_addr(slot), 4);
         sim.store(self.reordered_point_addr(slot), 12);
         sim.exec(OpClass::IntAlu, 2);
@@ -444,16 +442,12 @@ impl KdTree {
     /// lane group covering the tail can never produce a hit.
     fn pad_slots(&mut self, n: usize) {
         self.vind.resize(self.vind.len() + n, PAD_SLOT);
-        self.leaf_x.resize(self.leaf_x.len() + n, PAD_COORD);
-        self.leaf_y.resize(self.leaf_y.len() + n, PAD_COORD);
-        self.leaf_z.resize(self.leaf_z.len() + n, PAD_COORD);
+        self.rows.pad_to(self.vind.len());
     }
 
-    /// Overwrites SoA slot `slot` with `p`'s coordinates.
+    /// Overwrites row slot `slot` with `p`'s coordinates.
     fn write_soa_slot(&mut self, sim: &mut SimEngine, slot: usize, p: Point3) {
-        self.leaf_x[slot] = p.x;
-        self.leaf_y[slot] = p.y;
-        self.leaf_z[slot] = p.z;
+        self.rows.set_point(slot, p);
         sim.store(self.reordered_point_addr(slot as u32), 12);
     }
 

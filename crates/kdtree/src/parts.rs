@@ -24,7 +24,8 @@ use bonsai_sim::SimEngine;
 
 use crate::build::{itertools_partition, BuildStats, KdTree, KdTreeConfig, SplitRule};
 use crate::node::{Node, NodeId, NODE_BYTES};
-use crate::simd::{lane_padded, LANES, PAD_COORD};
+use crate::rows::{LeafRows, RowLayout};
+use crate::simd::{lane_padded, LANES};
 // The padding sentinel for leaf slack/lane tails in `order` and the
 // tree's `vind`; defined (publicly) by the lane-engine module, since
 // the SIMD sweeps and layered caches are what the sentinel protects.
@@ -253,6 +254,7 @@ pub(crate) fn resolve_build_threads(threads: usize) -> usize {
 pub(crate) fn build_tree_parallel(
     points: Vec<Point3>,
     cfg: KdTreeConfig,
+    layout: RowLayout,
     threads: usize,
 ) -> KdTree {
     assert!(
@@ -289,29 +291,12 @@ pub(crate) fn build_tree_parallel(
         (parts.nodes, parts.order, parts.stats)
     };
 
-    let mut leaf_x = Vec::with_capacity(vind.len());
-    let mut leaf_y = Vec::with_capacity(vind.len());
-    let mut leaf_z = Vec::with_capacity(vind.len());
-    for &idx in &vind {
-        if idx == PAD_SLOT {
-            leaf_x.push(PAD_COORD);
-            leaf_y.push(PAD_COORD);
-            leaf_z.push(PAD_COORD);
-            continue;
-        }
-        let p = points[idx as usize];
-        leaf_x.push(p.x);
-        leaf_y.push(p.y);
-        leaf_z.push(p.z);
-    }
-
+    let rows = LeafRows::bake(layout, &points, &vind);
     let mut tree = KdTree {
         points,
         vind,
         nodes,
-        leaf_x,
-        leaf_y,
-        leaf_z,
+        rows,
         cfg,
         stats,
         alive: vec![true; n],
@@ -363,6 +348,16 @@ mod tests {
                     "seed {seed} threads {threads}"
                 );
                 assert_eq!(par.build_stats(), seq.build_stats());
+                let seq16 = KdTree::build_f16(cloud.clone(), KdTreeConfig::default(), &mut sim);
+                let par16 =
+                    KdTree::build_parallel_f16(cloud.clone(), KdTreeConfig::default(), threads);
+                assert_eq!(par16.nodes(), seq.nodes(), "seed {seed} threads {threads}");
+                assert_eq!(par16.vind(), seq.vind(), "seed {seed} threads {threads}");
+                assert_eq!(
+                    par16.leaf_halves(),
+                    seq16.leaf_halves(),
+                    "seed {seed} threads {threads}"
+                );
             }
         }
     }

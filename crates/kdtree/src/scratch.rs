@@ -306,20 +306,12 @@ impl KdTree {
         let total: u64 = visited.iter().map(|&(_, _, c)| c as u64).sum();
         stats.points_inspected += total;
         stats.point_bytes_loaded += total * 12;
-        if crate::simd::sweep_baseline_visited(
-            &self.leaf_x,
-            &self.leaf_y,
-            &self.leaf_z,
-            &self.vind,
-            visited,
-            query,
-            r_sq,
-            out,
-        ) {
+        let (xs, ys, zs) = self.leaf_soa();
+        if crate::simd::sweep_baseline_visited(xs, ys, zs, &self.vind, visited, query, r_sq, out) {
             return;
         }
         for &(_, start, count) in visited {
-            self.scan_leaf_scalar(start, count, query, r_sq, out);
+            self.scan_leaf_scalar((xs, ys, zs), start, count, query, r_sq, out);
         }
     }
 
@@ -330,6 +322,7 @@ impl KdTree {
     #[inline]
     fn scan_leaf_scalar(
         &self,
+        (xs, ys, zs): (&[f32], &[f32], &[f32]),
         start: u32,
         count: u32,
         query: Point3,
@@ -338,9 +331,9 @@ impl KdTree {
     ) {
         let lo = start as usize;
         let n = count as usize;
-        let xs = &self.leaf_x[lo..lo + n];
-        let ys = &self.leaf_y[lo..lo + n];
-        let zs = &self.leaf_z[lo..lo + n];
+        let xs = &xs[lo..lo + n];
+        let ys = &ys[lo..lo + n];
+        let zs = &zs[lo..lo + n];
         let vind = &self.vind[lo..lo + n];
         for i in 0..n {
             let dx = xs[i] - query.x;
@@ -416,7 +409,7 @@ mod tests {
         let tree = KdTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
         let mut scratch = SearchScratch::new();
         let mut fast_out = Vec::new();
-        let mut proc = BaselineLeafProcessor::new(&mut sim);
+        let mut proc = BaselineLeafProcessor::new(&mut sim, &tree);
         let mut slow_out = Vec::new();
         for (qi, r) in [(0usize, 0.9f32), (77, 2.5), (1500, 0.2), (1999, 8.0)] {
             let mut fast_stats = SearchStats::default();

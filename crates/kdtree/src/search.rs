@@ -18,7 +18,12 @@ use crate::scratch::{Frame, SearchScratch};
 pub struct Neighbor {
     /// Index into the original point cloud.
     pub index: u32,
-    /// Squared euclidean distance to the query.
+    /// Squared euclidean distance to the query: the exact `f32` `d²`
+    /// from a baseline scan. A compressed (Bonsai) scan reports `d²`
+    /// only for points it re-checked through the exact fallback; a
+    /// point it accepted from its f16 approximation reports that
+    /// approximation's `d′²`, within the Eq. 11 bound of `d²`.
+    /// Membership and order are exact either way.
     pub dist_sq: f32,
 }
 
@@ -317,7 +322,7 @@ impl KdTree {
     /// ```
     pub fn radius_search_simple(&self, query: Point3, radius: f32) -> Vec<Neighbor> {
         let mut sim = SimEngine::disabled();
-        let mut proc = BaselineLeafProcessor::new(&mut sim);
+        let mut proc = BaselineLeafProcessor::new(&mut sim, self);
         let mut out = Vec::new();
         let mut stats = SearchStats::default();
         self.radius_search(&mut sim, &mut proc, query, radius, &mut out, &mut stats);
@@ -425,7 +430,7 @@ mod tests {
                 tree.radius_search_simple(q, r).is_empty(),
                 "radius {r} must find nothing"
             );
-            let mut proc = BaselineLeafProcessor::new(&mut sim);
+            let mut proc = BaselineLeafProcessor::new(&mut sim, &tree);
             let mut out = vec![Neighbor {
                 index: 0,
                 dist_sq: 0.0,
@@ -456,7 +461,7 @@ mod tests {
                 tree.radius_search_simple(q, 2.0).is_empty(),
                 "query {q:?} must find nothing"
             );
-            let mut proc = BaselineLeafProcessor::new(&mut sim);
+            let mut proc = BaselineLeafProcessor::new(&mut sim, &tree);
             let mut out = vec![Neighbor {
                 index: 0,
                 dist_sq: 0.0,
@@ -499,7 +504,7 @@ mod tests {
         let cloud = random_cloud(1000, 8, 50.0);
         let mut sim = SimEngine::disabled();
         let tree = KdTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
-        let mut proc = BaselineLeafProcessor::new(&mut sim);
+        let mut proc = BaselineLeafProcessor::new(&mut sim, &tree);
         let mut out = Vec::new();
         let mut stats = SearchStats::default();
         tree.radius_search(&mut sim, &mut proc, cloud[0], 2.0, &mut out, &mut stats);
@@ -514,7 +519,7 @@ mod tests {
         let cloud = random_cloud(5000, 2, 200.0);
         let mut sim = SimEngine::disabled();
         let tree = KdTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
-        let mut proc = BaselineLeafProcessor::new(&mut sim);
+        let mut proc = BaselineLeafProcessor::new(&mut sim, &tree);
         let mut out = Vec::new();
         let mut stats = SearchStats::default();
         tree.radius_search(&mut sim, &mut proc, cloud[10], 1.0, &mut out, &mut stats);
@@ -532,7 +537,7 @@ mod tests {
         let cloud = random_cloud(500, 4, 40.0);
         let mut sim = SimEngine::new(&bonsai_sim::CpuConfig::a72_like());
         let tree = KdTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
-        let mut proc = BaselineLeafProcessor::new(&mut sim);
+        let mut proc = BaselineLeafProcessor::new(&mut sim, &tree);
         let mut out = Vec::new();
         let mut stats = SearchStats::default();
         tree.radius_search(&mut sim, &mut proc, cloud[5], 3.0, &mut out, &mut stats);

@@ -47,10 +47,14 @@ pub const LANES: usize = 8;
 /// finite radius from any query, so a padded lane can never match.
 pub const PAD_COORD: f32 = f32::INFINITY;
 
+/// Sentinel of padding slots in f16 leaf rows: binary16 `+∞`, the
+/// [`PAD_COORD`] of the compressed tree's layout.
+pub const PAD_HALF: u16 = 0x7C00;
+
 /// Sentinel `vind()` entry of padding slots. No live slot ever holds
-/// it (cloud indices are dense `u32`s far below it), so layered caches
-/// (the f16 rows of `bonsai-core`) use it to recognize padding when
-/// they mirror the layout.
+/// it (cloud indices are dense `u32`s far below it), so the auditors
+/// and the compressed layers of `bonsai-core` use it to recognize
+/// padding.
 pub const PAD_SLOT: u32 = u32::MAX;
 
 /// Rounds a leaf's point count up to its lane-padded slot footprint.

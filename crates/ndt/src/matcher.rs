@@ -103,7 +103,9 @@ enum Walker<'a> {
 impl<'a> Walker<'a> {
     fn new(sim: &mut SimEngine, tree: &'a CentroidTree, machine: &'a mut Machine) -> Walker<'a> {
         match tree {
-            CentroidTree::Baseline(tree) => Walker::Baseline(tree, BaselineLeafProcessor::new(sim)),
+            CentroidTree::Baseline(tree) => {
+                Walker::Baseline(tree, BaselineLeafProcessor::new(sim, tree))
+            }
             CentroidTree::Bonsai(tree) => Walker::Bonsai(
                 tree.kd_tree(),
                 BonsaiLeafProcessor::new(tree.directory(), machine),

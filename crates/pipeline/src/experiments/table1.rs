@@ -67,7 +67,7 @@ impl Table1Result {
         for &idx in &frames[..take] {
             let cloud = pipeline.preprocess(&mut sim, &runner.raw_frame(idx));
             let tree = KdTree::build(cloud, cfg.cluster.tree, &mut sim);
-            let mut base_proc = BaselineLeafProcessor::new(&mut sim);
+            let mut base_proc = BaselineLeafProcessor::new(&mut sim, &tree);
             let mut reduced_procs: Vec<ReducedUncheckedProcessor> = ReducedFormat::ALL
                 .iter()
                 .map(|&f| ReducedUncheckedProcessor::new(&mut sim, f))

@@ -605,7 +605,7 @@ mod tests {
     use std::sync::mpsc;
 
     use bonsai_core::{BonsaiTree, ShardConfig, ShardRouter};
-    use bonsai_kdtree::KdTreeConfig;
+    use bonsai_kdtree::{KdTree, KdTreeConfig};
     use bonsai_sim::SimEngine;
 
     fn urban_cloud(n: usize, seed: u64) -> Vec<Point3> {
@@ -753,7 +753,7 @@ mod tests {
         let mut sim = SimEngine::disabled();
         let tree = BonsaiTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
         let expect = tree.radius_search_simple(cloud[11], 0.8);
-        let baseline = tree.kd_tree().clone();
+        let baseline = KdTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
         let publisher = Arc::new(EpochPublisher::new(tree));
         let server = Server::new(publisher, ServeConfig::default());
         let got = server.radius_query(cloud[11], 0.8).expect("served");

@@ -14,7 +14,7 @@ use std::cell::Cell;
 
 use kd_bonsai::core::{BonsaiTree, RadiusSearchEngine, RouterSnapshot, ShardConfig, ShardRouter};
 use kd_bonsai::geom::{Point3, Pose};
-use kd_bonsai::kdtree::{KdTreeConfig, QueryBatch, SearchScratch, SearchStats};
+use kd_bonsai::kdtree::{KdTree, KdTreeConfig, QueryBatch, SearchScratch, SearchStats};
 use kd_bonsai::ndt::{NdtConfig, NdtMap, NdtMatcher, NdtSearchMode};
 use kd_bonsai::sim::SimEngine;
 
@@ -108,9 +108,10 @@ fn warm_engine_batches_allocate_nothing_in_both_modes() {
     let cloud = urban_cloud(4000);
     let mut sim = SimEngine::disabled();
     let tree = BonsaiTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
+    let base = KdTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
     let queries: Vec<Point3> = cloud.iter().step_by(7).copied().collect();
     for engine in [
-        RadiusSearchEngine::baseline(tree.kd_tree()),
+        RadiusSearchEngine::baseline(&base),
         RadiusSearchEngine::bonsai(&tree),
     ] {
         let mut batch = QueryBatch::new();

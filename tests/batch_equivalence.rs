@@ -9,7 +9,9 @@ use kd_bonsai::cluster::TreeMode;
 use kd_bonsai::core::{BonsaiTree, RadiusSearchEngine, SoftwareCodecProcessor};
 use kd_bonsai::geom::Point3;
 use kd_bonsai::isa::Machine;
-use kd_bonsai::kdtree::{BaselineLeafProcessor, KdTreeConfig, Neighbor, QueryBatch, SearchStats};
+use kd_bonsai::kdtree::{
+    BaselineLeafProcessor, KdTree, KdTreeConfig, Neighbor, QueryBatch, SearchStats,
+};
 use kd_bonsai::sim::SimEngine;
 use proptest::prelude::*;
 
@@ -26,9 +28,11 @@ fn sorted(mut hits: Vec<Neighbor>) -> Vec<(u32, f32)> {
 }
 
 /// Per-query reference: the instrumented search path of `mode` with a
-/// disabled simulator, exactly as the seed issued queries.
+/// disabled simulator, exactly as the seed issued queries. Baseline
+/// mode searches `base`, the f32-row tree of the same points.
 fn per_query_reference(
     tree: &BonsaiTree,
+    base: &KdTree,
     mode: TreeMode,
     queries: &[Point3],
     radius: f32,
@@ -36,21 +40,16 @@ fn per_query_reference(
     let mut sim = SimEngine::disabled();
     let mut machine = Machine::new();
     let mut software = SoftwareCodecProcessor::new(&mut sim, tree.directory());
-    let mut baseline = BaselineLeafProcessor::new(&mut sim);
+    let mut baseline = BaselineLeafProcessor::new(&mut sim, base);
     let mut total = SearchStats::default();
     let mut results = Vec::with_capacity(queries.len());
     for &q in queries {
         let mut out = Vec::new();
         let mut stats = SearchStats::default();
         match mode {
-            TreeMode::Baseline => tree.kd_tree().radius_search(
-                &mut sim,
-                &mut baseline,
-                q,
-                radius,
-                &mut out,
-                &mut stats,
-            ),
+            TreeMode::Baseline => {
+                base.radius_search(&mut sim, &mut baseline, q, radius, &mut out, &mut stats)
+            }
             TreeMode::Bonsai => {
                 tree.radius_search(&mut sim, &mut machine, q, radius, &mut out, &mut stats)
             }
@@ -69,9 +68,13 @@ fn per_query_reference(
     (results, total)
 }
 
-fn engine_for<'t>(tree: &'t BonsaiTree, mode: TreeMode) -> RadiusSearchEngine<'t> {
+fn engine_for<'t>(
+    tree: &'t BonsaiTree,
+    base: &'t KdTree,
+    mode: TreeMode,
+) -> RadiusSearchEngine<'t> {
     match mode {
-        TreeMode::Baseline => RadiusSearchEngine::baseline(tree.kd_tree()),
+        TreeMode::Baseline => RadiusSearchEngine::baseline(base),
         TreeMode::Bonsai => RadiusSearchEngine::bonsai(tree),
         TreeMode::SoftwareCodec => RadiusSearchEngine::bonsai(tree),
     }
@@ -98,11 +101,12 @@ proptest! {
         let cfg = KdTreeConfig { max_leaf_points: leaf, ..KdTreeConfig::default() };
         let mut sim = SimEngine::disabled();
         let tree = BonsaiTree::build(cloud.clone(), cfg, &mut sim);
+        let base = KdTree::build(cloud.clone(), cfg, &mut sim);
         let queries: Vec<Point3> = cloud.iter().step_by(stride).copied().collect();
 
         for mode in MODES {
-            let (reference, ref_stats) = per_query_reference(&tree, mode, &queries, radius);
-            let engine = engine_for(&tree, mode);
+            let (reference, ref_stats) = per_query_reference(&tree, &base, mode, &queries, radius);
+            let engine = engine_for(&tree, &base, mode);
             let mut batch = QueryBatch::new();
             engine.search_batch(&queries, radius, &mut batch);
             prop_assert_eq!(batch.num_queries(), queries.len());
@@ -129,9 +133,10 @@ proptest! {
     ) {
         let mut sim = SimEngine::disabled();
         let tree = BonsaiTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
+        let base = KdTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
 
         for mode in [TreeMode::Baseline, TreeMode::Bonsai] {
-            let engine = engine_for(&tree, mode);
+            let engine = engine_for(&tree, &base, mode);
             let mut sequential = QueryBatch::new();
             engine.search_batch(&cloud, radius, &mut sequential);
             let mut parallel = QueryBatch::new();

@@ -21,7 +21,7 @@ use kd_bonsai::core::{
 use kd_bonsai::geom::Point3;
 use kd_bonsai::isa::Machine;
 use kd_bonsai::kdtree::{
-    BaselineLeafProcessor, KdTreeConfig, Neighbor, QueryBatch, SearchScratch, SearchStats,
+    BaselineLeafProcessor, KdTree, KdTreeConfig, Neighbor, QueryBatch, SearchScratch, SearchStats,
 };
 use kd_bonsai::sim::SimEngine;
 
@@ -31,10 +31,28 @@ const MODES: [TreeMode; 3] = [
     TreeMode::SoftwareCodec,
 ];
 
+/// The compressed tree and the baseline tree over the same points:
+/// the build is deterministic, so both have the same shape, and each
+/// mode searches the tree that holds its leaf rows.
+struct Trees {
+    bonsai: BonsaiTree,
+    base: KdTree,
+}
+
+impl Trees {
+    fn build(cloud: &[Point3]) -> Trees {
+        let mut sim = SimEngine::disabled();
+        Trees {
+            bonsai: BonsaiTree::build(cloud.to_vec(), KdTreeConfig::default(), &mut sim),
+            base: KdTree::build(cloud.to_vec(), KdTreeConfig::default(), &mut sim),
+        }
+    }
+}
+
 /// One query through the instrumented (seed-style) search path of a
 /// mode, returning the hits and the stats it recorded.
 fn instrumented_search(
-    tree: &BonsaiTree,
+    trees: &Trees,
     mode: TreeMode,
     query: Point3,
     radius: f32,
@@ -42,10 +60,12 @@ fn instrumented_search(
     let mut sim = SimEngine::disabled();
     let mut out = Vec::new();
     let mut stats = SearchStats::default();
+    let tree = &trees.bonsai;
     match mode {
         TreeMode::Baseline => {
-            let mut proc = BaselineLeafProcessor::new(&mut sim);
-            tree.kd_tree()
+            let mut proc = BaselineLeafProcessor::new(&mut sim, &trees.base);
+            trees
+                .base
                 .radius_search(&mut sim, &mut proc, query, radius, &mut out, &mut stats);
         }
         TreeMode::Bonsai => {
@@ -61,11 +81,11 @@ fn instrumented_search(
     (out, stats)
 }
 
-fn engine_for<'t>(tree: &'t BonsaiTree, mode: TreeMode) -> RadiusSearchEngine<'t> {
+fn engine_for(trees: &Trees, mode: TreeMode) -> RadiusSearchEngine<'_> {
     match mode {
-        TreeMode::Baseline => RadiusSearchEngine::baseline(tree.kd_tree()),
-        TreeMode::Bonsai => RadiusSearchEngine::bonsai(tree),
-        TreeMode::SoftwareCodec => RadiusSearchEngine::bonsai(tree),
+        TreeMode::Baseline => RadiusSearchEngine::baseline(&trees.base),
+        TreeMode::Bonsai => RadiusSearchEngine::bonsai(&trees.bonsai),
+        TreeMode::SoftwareCodec => RadiusSearchEngine::bonsai(&trees.bonsai),
     }
 }
 
@@ -90,8 +110,7 @@ fn brute_force(cloud: &[Point3], q: Point3, r: f32) -> Vec<u32> {
 /// Every mode, every front-end: membership equals brute force for the
 /// given cloud/query/radius, and all three modes agree.
 fn pin_all_modes(cloud: &[Point3], query: Point3, radius: f32, label: &str) {
-    let mut sim = SimEngine::disabled();
-    let tree = BonsaiTree::build(cloud.to_vec(), KdTreeConfig::default(), &mut sim);
+    let tree = Trees::build(cloud);
     let expect = brute_force(cloud, query, radius);
     let mut scratch = SearchScratch::new();
     let mut out = Vec::new();
@@ -144,8 +163,7 @@ fn lane_cloud(n: usize) -> Vec<Point3> {
 #[test]
 fn negative_radius_regression_all_modes() {
     let cloud = lane_cloud(600);
-    let mut sim = SimEngine::disabled();
-    let tree = BonsaiTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
+    let tree = Trees::build(&cloud);
     let query = cloud[111];
     let radius = 0.7f32;
 
@@ -190,8 +208,7 @@ fn negative_radius_regression_all_modes() {
 #[test]
 fn non_finite_and_zero_radii_are_empty_all_modes() {
     let cloud = lane_cloud(300);
-    let mut sim = SimEngine::disabled();
-    let tree = BonsaiTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
+    let tree = Trees::build(&cloud);
     for mode in MODES {
         for r in [0.0f32, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
             let (hits, stats) = instrumented_search(&tree, mode, cloud[5], r);
@@ -245,7 +262,7 @@ const NON_FINITE_QUERIES: [Point3; 4] = [
 fn non_finite_query_centers_are_empty_all_modes() {
     let cloud = lane_cloud(400);
     let mut sim = SimEngine::disabled();
-    let tree = BonsaiTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
+    let tree = Trees::build(&cloud);
     let mut scratch = SearchScratch::new();
     let mut out = Vec::new();
     for q in NON_FINITE_QUERIES {
@@ -262,10 +279,10 @@ fn non_finite_query_centers_are_empty_all_modes() {
         }
         // kNN: the worst offender pre-guard.
         assert!(
-            tree.kd_tree().knn(&mut sim, q, 7).is_empty(),
+            tree.bonsai.kd_tree().knn(&mut sim, q, 7).is_empty(),
             "knn found neighbors at {q:?}"
         );
-        assert!(tree.kd_tree().nearest(&mut sim, q).is_none());
+        assert!(tree.bonsai.kd_tree().nearest(&mut sim, q).is_none());
     }
     // Batched: one empty result range per query, zero aggregate stats.
     for mode in MODES {
@@ -396,8 +413,7 @@ fn f16_saturating_coordinates_pin_every_mode() {
 
     // The saturated points really do exercise the fallback: a Bonsai
     // search around them must recompute at least one point.
-    let mut sim = SimEngine::disabled();
-    let tree = BonsaiTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
+    let tree = Trees::build(&cloud);
     let (_, stats) = instrumented_search(
         &tree,
         TreeMode::Bonsai,
@@ -509,12 +525,15 @@ fn update_on_empty_tree_behaves_like_build() {
     assert!(!grown.has_pending_rebake());
 
     let built = BonsaiTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
+    // The inserts took indices 0..120, so the baseline tree over the
+    // cloud indexes the same points.
+    let base_tree = KdTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
     for (qi, &q) in cloud.iter().step_by(11).enumerate() {
         for r in [0.05f32, 0.8, 5.0] {
             let got = sorted_indices(&grown.radius_search_simple(q, r));
             let expect = sorted_indices(&built.radius_search_simple(q, r));
             assert_eq!(got, expect, "query {qi} r {r}");
-            let base = sorted_indices(&grown.kd_tree().radius_search_simple(q, r));
+            let base = sorted_indices(&base_tree.radius_search_simple(q, r));
             assert_eq!(got, base, "query {qi} r {r}: modes diverge");
         }
     }
@@ -550,12 +569,16 @@ fn full_deletion_then_reinsertion_stays_consistent() {
     let cloud = lane_cloud(90);
     let mut sim = SimEngine::disabled();
     let mut tree = BonsaiTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
+    let mut base = KdTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
     let removed: Vec<u32> = (0..90).collect();
     tree.update(&mut sim, &[], &removed);
+    for &idx in &removed {
+        base.delete(&mut sim, idx);
+    }
     assert_eq!(tree.kd_tree().num_live(), 0);
     for r in [0.5f32, 100.0] {
         assert!(tree.radius_search_simple(cloud[0], r).is_empty());
-        assert!(tree.kd_tree().radius_search_simple(cloud[0], r).is_empty());
+        assert!(base.radius_search_simple(cloud[0], r).is_empty());
     }
     let p = Point3::new(2.0, 2.0, 0.5);
     let idx = tree.update(&mut sim, &[p], &[])[0];

@@ -15,7 +15,7 @@
 use kd_bonsai::cluster::TreeMode;
 use kd_bonsai::core::{BonsaiTree, RadiusSearchEngine, ShardConfig, ShardRouter};
 use kd_bonsai::geom::Point3;
-use kd_bonsai::kdtree::{KdTreeConfig, Neighbor, SearchScratch, SearchStats};
+use kd_bonsai::kdtree::{KdTree, KdTreeConfig, Neighbor, SearchScratch, SearchStats};
 use kd_bonsai::sim::SimEngine;
 use proptest::prelude::*;
 
@@ -39,10 +39,59 @@ fn arb_ops(max: usize) -> impl Strategy<Value = Vec<(u8, usize)>> {
     prop::collection::vec((0u8..6, 0usize..10_000), 4..max)
 }
 
-fn engine_for<'t>(tree: &'t BonsaiTree, mode: TreeMode) -> RadiusSearchEngine<'t> {
-    match mode {
-        TreeMode::Baseline => RadiusSearchEngine::baseline(tree.kd_tree()),
-        TreeMode::Bonsai | TreeMode::SoftwareCodec => RadiusSearchEngine::bonsai(tree),
+/// The compressed tree and the baseline tree over the same points,
+/// mutated in lockstep. Build, mutation and compaction are
+/// deterministic and do not depend on the row layout, so both keep
+/// the same shape and hand out the same indices; each mode searches
+/// the tree that holds its leaf rows.
+struct Trees {
+    bonsai: BonsaiTree,
+    base: KdTree,
+}
+
+impl Trees {
+    fn build(cloud: Vec<Point3>, cfg: KdTreeConfig, sim: &mut SimEngine) -> Trees {
+        Trees {
+            base: KdTree::build(cloud.clone(), cfg, sim),
+            bonsai: BonsaiTree::build(cloud, cfg, sim),
+        }
+    }
+
+    fn kd(&self) -> &KdTree {
+        self.bonsai.kd_tree()
+    }
+
+    fn insert(&mut self, sim: &mut SimEngine, p: Point3) -> Option<u32> {
+        let idx = self.bonsai.insert(sim, p);
+        assert_eq!(self.base.insert(sim, p), idx, "sibling trees diverged");
+        idx
+    }
+
+    fn delete(&mut self, sim: &mut SimEngine, idx: u32) -> bool {
+        let deleted = self.bonsai.delete(sim, idx);
+        assert_eq!(
+            self.base.delete(sim, idx),
+            deleted,
+            "sibling trees diverged"
+        );
+        deleted
+    }
+
+    fn commit(&mut self, sim: &mut SimEngine) {
+        self.bonsai.commit(sim);
+        self.base.drain_dirty_nodes();
+    }
+
+    fn compact(&mut self, sim: &mut SimEngine) -> usize {
+        self.base.compact(sim);
+        self.bonsai.compact(sim)
+    }
+
+    fn engine(&self, mode: TreeMode) -> RadiusSearchEngine<'_> {
+        match mode {
+            TreeMode::Baseline => RadiusSearchEngine::baseline(&self.base),
+            TreeMode::Bonsai | TreeMode::SoftwareCodec => RadiusSearchEngine::bonsai(&self.bonsai),
+        }
     }
 }
 
@@ -78,7 +127,7 @@ fn compaction_is_bit_invisible_in_all_three_modes() {
         .map(|_| Point3::new((next() - 0.5) * 80.0, (next() - 0.5) * 80.0, next() * 3.0))
         .collect();
     let mut sim = SimEngine::disabled();
-    let mut tree = BonsaiTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
+    let mut tree = Trees::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
     for round in 0..4usize {
         for k in 0..300 {
             tree.delete(&mut sim, ((round * 17 + k * 7) % cloud.len()) as u32);
@@ -89,18 +138,18 @@ fn compaction_is_bit_invisible_in_all_three_modes() {
         }
         tree.commit(&mut sim);
     }
-    assert!(tree.kd_tree().garbage_slots() > 0, "churn never fragmented");
+    assert!(tree.kd().garbage_slots() > 0, "churn never fragmented");
 
     let queries: Vec<Point3> = cloud.iter().step_by(53).copied().collect();
     let mut scratch = SearchScratch::new();
     let mut out = Vec::new();
-    let capture = |tree: &BonsaiTree,
+    let capture = |tree: &Trees,
                    scratch: &mut SearchScratch,
                    out: &mut Vec<Neighbor>|
      -> Vec<(Vec<Neighbor>, SearchStats)> {
         let mut all = Vec::new();
         for mode in MODES {
-            let engine = engine_for(tree, mode);
+            let engine = tree.engine(mode);
             for &q in &queries {
                 let mut stats = SearchStats::default();
                 engine.search_one(q, 1.8, scratch, out, &mut stats);
@@ -109,7 +158,7 @@ fn compaction_is_bit_invisible_in_all_three_modes() {
         }
         let mut sim = SimEngine::disabled();
         for &q in &queries {
-            all.push((tree.kd_tree().knn(&mut sim, q, 9), SearchStats::default()));
+            all.push((tree.kd().knn(&mut sim, q, 9), SearchStats::default()));
         }
         all
     };
@@ -117,8 +166,10 @@ fn compaction_is_bit_invisible_in_all_three_modes() {
     let before = capture(&tree, &mut scratch, &mut out);
     let reclaimed = tree.compact(&mut sim);
     assert!(reclaimed > 0);
-    assert_eq!(tree.kd_tree().garbage_slots(), 0);
-    tree.assert_lane_padding();
+    assert_eq!(tree.kd().garbage_slots(), 0);
+    assert_eq!(tree.base.garbage_slots(), 0);
+    tree.bonsai.assert_lane_padding();
+    tree.base.assert_lane_padding();
     let after = capture(&tree, &mut scratch, &mut out);
     assert_eq!(before.len(), after.len());
     for (i, (b, a)) in before.iter().zip(&after).enumerate() {
@@ -142,9 +193,9 @@ proptest! {
     ) {
         let cfg = KdTreeConfig { max_leaf_points: leaf, ..KdTreeConfig::default() };
         let mut sim = SimEngine::disabled();
-        // The mutated single tree (covers all three modes: its kd tree
-        // serves Baseline, its directory Bonsai/SoftwareCodec)…
-        let mut tree = BonsaiTree::build(cloud.clone(), cfg, &mut sim);
+        // The mutated single trees (the f32-row tree serves Baseline,
+        // the compressed one Bonsai/SoftwareCodec)…
+        let mut tree = Trees::build(cloud.clone(), cfg, &mut sim);
         // …and the mutated routers (bonsai also serves software-codec).
         let shard_cfg = ShardConfig::with_shards(shards);
         let mut router_base = ShardRouter::baseline(&cloud, cfg, shard_cfg);
@@ -197,7 +248,7 @@ proptest! {
                     }
                 }
                 1 => {
-                    let idx = (arg % tree.kd_tree().points().len()) as u32;
+                    let idx = (arg % tree.kd().points().len()) as u32;
                     let a = tree.delete(&mut sim, idx);
                     // Only live points have a current router index (a
                     // dead one's slot may have been recycled), so the
@@ -221,7 +272,8 @@ proptest! {
                         // comparison below, and the lane-padding
                         // invariant must hold right after the repack.
                         tree.compact(&mut sim);
-                        tree.assert_lane_padding();
+                        tree.bonsai.assert_lane_padding();
+                        tree.base.assert_lane_padding();
                         if router_base.num_shards() > 0 {
                             let s = arg % router_base.num_shards();
                             router_base.rebuild_shard(s);
@@ -244,10 +296,10 @@ proptest! {
                             max_shards: 8,
                             ..kd_bonsai::core::ShardPolicy::default()
                         };
-                        let live: Vec<u32> = tree.kd_tree().live_indices().collect();
+                        let live: Vec<u32> = tree.kd().live_indices().collect();
                         if !live.is_empty() {
                             let hot_at = live[arg % live.len()];
-                            let hot = tree.kd_tree().points()[hot_at as usize];
+                            let hot = tree.kd().points()[hot_at as usize];
                             let hot_queries = [hot; 24];
                             let mut b = kd_bonsai::kdtree::QueryBatch::new();
                             for _ in 0..3 {
@@ -288,7 +340,7 @@ proptest! {
                                     .iter()
                                     .filter_map(|&g| r2t.get(g as usize))
                                     .filter(|&&t| t != u32::MAX)
-                                    .map(|&t| coord(tree.kd_tree().points()[t as usize]))
+                                    .map(|&t| coord(tree.kd().points()[t as usize]))
                                     .collect();
                                 if !c.is_empty() {
                                     c.sort_unstable_by(f32::total_cmp);
@@ -307,20 +359,22 @@ proptest! {
                     // Deep-audit checkpoint: every commit, compaction
                     // and shard rebuild must leave the full invariant
                     // web certified.
-                    let audit = tree.audit();
+                    let audit = tree.bonsai.audit();
                     prop_assert!(audit.is_empty(), "step {}: tree audit: {:?}", step, audit);
+                    let audit = tree.base.audit();
+                    prop_assert!(audit.is_empty(), "step {}: baseline tree audit: {:?}", step, audit);
                     let audit = router_base.audit();
                     prop_assert!(audit.is_empty(), "step {}: baseline router audit: {:?}", step, audit);
                     let audit = router_bonsai.audit();
                     prop_assert!(audit.is_empty(), "step {}: bonsai router audit: {:?}", step, audit);
 
-                    let live: Vec<u32> = tree.kd_tree().live_indices().collect();
-                    prop_assert_eq!(live.len(), tree.kd_tree().num_live());
+                    let live: Vec<u32> = tree.kd().live_indices().collect();
+                    prop_assert_eq!(live.len(), tree.kd().num_live());
                     prop_assert_eq!(live.len(), router_base.num_points());
                     prop_assert_eq!(live.len(), router_bonsai.num_points());
                     let live_pts: Vec<Point3> =
-                        live.iter().map(|&i| tree.kd_tree().points()[i as usize]).collect();
-                    let fresh = BonsaiTree::build(live_pts.clone(), cfg, &mut sim);
+                        live.iter().map(|&i| tree.kd().points()[i as usize]).collect();
+                    let fresh = Trees::build(live_pts.clone(), cfg, &mut sim);
 
                     // Queries: live points, a recently deleted point's
                     // coordinates, and an unreachable probe.
@@ -330,8 +384,8 @@ proptest! {
                     queries.push(Point3::new(1.0e4, -1.0e4, 1.0e4));
 
                     for mode in MODES {
-                        let engine = engine_for(&tree, mode);
-                        let fresh_engine = engine_for(&fresh, mode);
+                        let engine = tree.engine(mode);
+                        let fresh_engine = fresh.engine(mode);
                         let (router, r2t) = match mode {
                             TreeMode::Baseline => (&router_base, &r2t_base),
                             _ => (&router_bonsai, &r2t_bonsai),
@@ -416,8 +470,8 @@ proptest! {
                     // their recomputed distances instead).
                     let k = 1 + arg % 8;
                     for (qi, &q) in queries.iter().enumerate() {
-                        let got = tree.kd_tree().knn(&mut sim, q, k);
-                        let expect = fresh.kd_tree().knn(&mut sim, q, k);
+                        let got = tree.kd().knn(&mut sim, q, k);
+                        let expect = fresh.kd().knn(&mut sim, q, k);
                         let dist_bits = |nn: &[Neighbor]| -> Vec<u32> {
                             nn.iter().map(|n| n.dist_sq.to_bits()).collect()
                         };
@@ -429,10 +483,10 @@ proptest! {
                         prop_assert_eq!(got.len(), k.min(live.len()), "step {} query {}", step, qi);
                         for n in &got {
                             prop_assert!(
-                                tree.kd_tree().is_live(n.index),
+                                tree.kd().is_live(n.index),
                                 "step {}: knn returned dead point {}", step, n.index
                             );
-                            let d = tree.kd_tree().points()[n.index as usize]
+                            let d = tree.kd().points()[n.index as usize]
                                 .distance_squared(q);
                             prop_assert_eq!(
                                 d.to_bits(), n.dist_sq.to_bits(),
@@ -443,7 +497,7 @@ proptest! {
                         // routed/engine radius results' closest hit by
                         // construction; pin the degenerate k=0 contract
                         // while we are here.
-                        prop_assert!(tree.kd_tree().knn(&mut sim, q, 0).is_empty());
+                        prop_assert!(tree.kd().knn(&mut sim, q, 0).is_empty());
                     }
                 }
             }

@@ -6,9 +6,11 @@
 //! new size). The bytes a build leaves behind on the calling thread —
 //! everything the returned tree owns, allocator-requested capacity
 //! included — must match `resident_bytes()` within 1 %, for the plain
-//! `KdTree` and for the compressed `BonsaiTree`, on preprocessed frames
-//! of the paper drive. Unused `Vec` capacity counts here and not in
-//! `resident_bytes()`, so this also gates exact-capacity index buffers.
+//! `KdTree` and for the compressed `BonsaiTree` — before and after its
+//! directory is baked on demand — on preprocessed frames of the paper
+//! drive, and the compressed tree must be the smaller index. Unused
+//! `Vec` capacity counts here and not in `resident_bytes()`, so this
+//! also gates exact-capacity index buffers.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -132,12 +134,40 @@ fn resident_bytes_account_for_the_heap_each_index_holds() {
         // the tree keeps is counted too.
         let (kd, held) = heap_held(|| KdTree::build(pts.clone(), cfg, &mut sim));
         assert_accounted(&format!("frame {k} KdTree"), n, held, kd.resident_bytes());
+        let kd_resident = kd.resident_bytes();
         drop(kd);
         let (bonsai, held) = heap_held(|| BonsaiTree::build(pts.clone(), cfg, &mut sim));
         assert_accounted(
             &format!("frame {k} BonsaiTree"),
             n,
             held,
+            bonsai.resident_bytes(),
+        );
+        // One copy of the leaves, half as wide: the compressed index
+        // is the smaller one.
+        assert!(
+            bonsai.resident_bytes() < kd_resident,
+            "frame {k}: BonsaiTree {:.2} B/pt is not below KdTree {:.2} B/pt",
+            bonsai.resident_bytes() as f64 / n as f64,
+            kd_resident as f64 / n as f64,
+        );
+        // The directory is baked on demand; once it is, the tree holds
+        // it and reports it.
+        let before = bonsai.resident_bytes();
+        let ((), dir_held) = heap_held(|| {
+            bonsai.directory();
+        });
+        assert!(dir_held > 0, "frame {k}: the directory was baked already");
+        assert_accounted(
+            &format!("frame {k} lazily baked directory"),
+            n,
+            dir_held,
+            bonsai.resident_bytes() - before,
+        );
+        assert_accounted(
+            &format!("frame {k} BonsaiTree with its directory"),
+            n,
+            held + dir_held,
             bonsai.resident_bytes(),
         );
     }

@@ -9,7 +9,7 @@
 
 use kd_bonsai::core::{BonsaiTree, EngineMode, RadiusSearchEngine, ShardConfig, ShardRouter};
 use kd_bonsai::geom::Point3;
-use kd_bonsai::kdtree::{KdTreeConfig, Neighbor, QueryBatch, SearchStats};
+use kd_bonsai::kdtree::{KdTree, KdTreeConfig, Neighbor, QueryBatch, SearchStats};
 use kd_bonsai::sim::SimEngine;
 use proptest::prelude::*;
 
@@ -27,10 +27,28 @@ fn sorted(mut hits: Vec<Neighbor>) -> Vec<Neighbor> {
 
 const MODES: [EngineMode; 2] = [EngineMode::Baseline, EngineMode::Compressed];
 
-fn engine_for<'t>(tree: &'t BonsaiTree, mode: EngineMode) -> RadiusSearchEngine<'t> {
-    match mode {
-        EngineMode::Baseline => RadiusSearchEngine::baseline(tree.kd_tree()),
-        EngineMode::Compressed => RadiusSearchEngine::bonsai(tree),
+/// The single tree a mode searches: a `KdTree` (f32 leaf rows) for
+/// baseline, a `BonsaiTree` (f16 leaf rows) for compressed. Both have
+/// the same shape, since the build is deterministic.
+enum ModeTree {
+    Baseline(KdTree),
+    Compressed(BonsaiTree),
+}
+
+impl ModeTree {
+    fn build(cloud: Vec<Point3>, cfg: KdTreeConfig, mode: EngineMode) -> ModeTree {
+        let mut sim = SimEngine::disabled();
+        match mode {
+            EngineMode::Baseline => ModeTree::Baseline(KdTree::build(cloud, cfg, &mut sim)),
+            EngineMode::Compressed => ModeTree::Compressed(BonsaiTree::build(cloud, cfg, &mut sim)),
+        }
+    }
+
+    fn engine(&self) -> RadiusSearchEngine<'_> {
+        match self {
+            ModeTree::Baseline(tree) => RadiusSearchEngine::baseline(tree),
+            ModeTree::Compressed(tree) => RadiusSearchEngine::bonsai(tree),
+        }
     }
 }
 
@@ -67,13 +85,12 @@ proptest! {
         stride in 1usize..4,
     ) {
         let cfg = KdTreeConfig { max_leaf_points: leaf, ..KdTreeConfig::default() };
-        let mut sim = SimEngine::disabled();
-        let tree = BonsaiTree::build(cloud.clone(), cfg, &mut sim);
         let queries = query_set(&cloud, stride);
         let r_sq = radius * radius;
 
         for mode in MODES {
-            let engine = engine_for(&tree, mode);
+            let tree = ModeTree::build(cloud.clone(), cfg, mode);
+            let engine = tree.engine();
             let router = router_for(&cloud, cfg, mode, shards);
             prop_assert!(router.num_shards() <= shards);
             prop_assert_eq!(router.num_points(), cloud.len());
@@ -99,9 +116,8 @@ proptest! {
             for (s, bounds) in router.shard_bounds().enumerate() {
                 let shard_cloud: Vec<Point3> =
                     router.shard_points(s).iter().map(|&i| cloud[i as usize]).collect();
-                let mut sim = SimEngine::disabled();
-                let shard_tree = BonsaiTree::build(shard_cloud, cfg, &mut sim);
-                let shard_engine = engine_for(&shard_tree, mode);
+                let shard_tree = ModeTree::build(shard_cloud, cfg, mode);
+                let shard_engine = shard_tree.engine();
                 let routed: Vec<Point3> = queries
                     .iter()
                     .copied()
@@ -124,10 +140,9 @@ proptest! {
         radius in 0.05f32..8.0,
     ) {
         let cfg = KdTreeConfig::default();
-        let mut sim = SimEngine::disabled();
-        let tree = BonsaiTree::build(cloud.clone(), cfg, &mut sim);
         for mode in MODES {
-            let engine = engine_for(&tree, mode);
+            let tree = ModeTree::build(cloud.clone(), cfg, mode);
+            let engine = tree.engine();
             let router = router_for(&cloud, cfg, mode, 1);
             prop_assert_eq!(router.num_shards(), 1);
 
@@ -158,10 +173,9 @@ proptest! {
         radius in 0.5f32..60.0,
     ) {
         let cfg = KdTreeConfig::default();
-        let mut sim = SimEngine::disabled();
-        let tree = BonsaiTree::build(cloud.clone(), cfg, &mut sim);
         for mode in MODES {
-            let engine = engine_for(&tree, mode);
+            let tree = ModeTree::build(cloud.clone(), cfg, mode);
+            let engine = tree.engine();
             let router = router_for(&cloud, cfg, mode, 64);
             prop_assert_eq!(router.num_shards(), cloud.len());
             prop_assert!(router.shard_sizes().all(|s| s == 1));

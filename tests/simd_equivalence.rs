@@ -17,7 +17,9 @@
 use kd_bonsai::core::{BonsaiTree, RadiusSearchEngine};
 use kd_bonsai::geom::Point3;
 use kd_bonsai::kdtree::simd::{self, LaneBackend};
-use kd_bonsai::kdtree::{KdTreeConfig, Neighbor, Node, QueryBatch, SearchScratch, SearchStats};
+use kd_bonsai::kdtree::{
+    KdTree, KdTreeConfig, Neighbor, Node, QueryBatch, SearchScratch, SearchStats,
+};
 use kd_bonsai::sim::SimEngine;
 use proptest::prelude::*;
 
@@ -36,10 +38,28 @@ enum Mode {
 
 const MODES: [Mode; 2] = [Mode::Baseline, Mode::Bonsai];
 
-fn engine_for(tree: &BonsaiTree, mode: Mode) -> RadiusSearchEngine<'_> {
-    match mode {
-        Mode::Baseline => RadiusSearchEngine::baseline(tree.kd_tree()),
-        Mode::Bonsai => RadiusSearchEngine::bonsai(tree),
+/// The compressed tree and the baseline tree over the same points,
+/// mutated in lockstep. Build and mutation are deterministic and do
+/// not depend on the row layout, so both keep the same shape; each
+/// mode sweeps the tree that holds its rows.
+struct Trees {
+    bonsai: BonsaiTree,
+    base: KdTree,
+}
+
+impl Trees {
+    fn build(cloud: &[Point3], cfg: KdTreeConfig, sim: &mut SimEngine) -> Trees {
+        Trees {
+            bonsai: BonsaiTree::build(cloud.to_vec(), cfg, sim),
+            base: KdTree::build(cloud.to_vec(), cfg, sim),
+        }
+    }
+
+    fn engine(&self, mode: Mode) -> RadiusSearchEngine<'_> {
+        match mode {
+            Mode::Baseline => RadiusSearchEngine::baseline(&self.base),
+            Mode::Bonsai => RadiusSearchEngine::bonsai(&self.bonsai),
+        }
     }
 }
 
@@ -68,16 +88,16 @@ fn run_engine(
 }
 
 /// Asserts SIMD ≡ scalar (bits, order, stats) for every mode on the
-/// committed `tree`. `ov` must already be held by the caller so the
+/// committed `trees`. `ov` must already be held by the caller so the
 /// flip is race-free.
 fn assert_simd_equals_scalar(
     ov: &simd::ScalarOverride,
-    tree: &BonsaiTree,
+    trees: &Trees,
     queries: &[Point3],
     radius: f32,
 ) {
     for mode in MODES {
-        let engine = engine_for(tree, mode);
+        let engine = trees.engine(mode);
         ov.set(true);
         let (scalar_hits, scalar_stats) = run_engine(&engine, queries, radius);
         ov.set(false);
@@ -103,10 +123,11 @@ proptest! {
         let ov = simd::scalar_override();
         let cfg = KdTreeConfig { max_leaf_points: leaf, ..KdTreeConfig::default() };
         let mut sim = SimEngine::disabled();
-        let tree = BonsaiTree::build(cloud.clone(), cfg, &mut sim);
-        tree.assert_lane_padding();
+        let trees = Trees::build(&cloud, cfg, &mut sim);
+        trees.bonsai.assert_lane_padding();
+        trees.base.assert_lane_padding();
         let queries: Vec<Point3> = cloud.iter().step_by(3).copied().collect();
-        assert_simd_equals_scalar(&ov, &tree, &queries, radius);
+        assert_simd_equals_scalar(&ov, &trees, &queries, radius);
     }
 
     /// Churned trees: after interleaved inserts and deletes (padding
@@ -123,18 +144,23 @@ proptest! {
         let ov = simd::scalar_override();
         let cfg = KdTreeConfig { max_leaf_points: leaf, ..KdTreeConfig::default() };
         let mut sim = SimEngine::disabled();
-        let mut tree = BonsaiTree::build(cloud.clone(), cfg, &mut sim);
+        let mut trees = Trees::build(&cloud, cfg, &mut sim);
         for (k, &p) in extra.iter().enumerate() {
-            tree.insert(&mut sim, p);
-            tree.kd_tree().assert_lane_padding();
+            trees.bonsai.insert(&mut sim, p);
+            trees.base.insert(&mut sim, p);
+            trees.bonsai.assert_lane_padding();
+            trees.base.assert_lane_padding();
             let victim = ((k * del_stride * 13) % cloud.len()) as u32;
-            tree.delete(&mut sim, victim);
-            tree.kd_tree().assert_lane_padding();
+            trees.bonsai.delete(&mut sim, victim);
+            trees.base.delete(&mut sim, victim);
+            trees.bonsai.assert_lane_padding();
+            trees.base.assert_lane_padding();
         }
-        tree.commit(&mut sim);
-        tree.assert_lane_padding();
+        trees.bonsai.commit(&mut sim);
+        trees.base.drain_dirty_nodes();
+        trees.bonsai.assert_lane_padding();
         let queries: Vec<Point3> = cloud.iter().chain(extra.iter()).step_by(4).copied().collect();
-        assert_simd_equals_scalar(&ov, &tree, &queries, radius);
+        assert_simd_equals_scalar(&ov, &trees, &queries, radius);
     }
 }
 
@@ -154,9 +180,9 @@ fn sweep_leaf_kernel_is_backend_independent() {
         })
         .collect();
     let mut sim = SimEngine::disabled();
-    let tree = BonsaiTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
-    let leaves: Vec<(u32, u32, u32)> = tree
-        .kd_tree()
+    let trees = Trees::build(&cloud, KdTreeConfig::default(), &mut sim);
+    let leaves: Vec<(u32, u32, u32)> = trees
+        .base
         .nodes()
         .iter()
         .enumerate()
@@ -167,7 +193,7 @@ fn sweep_leaf_kernel_is_backend_independent() {
         .collect();
     let ov = simd::scalar_override();
     for mode in MODES {
-        let engine = engine_for(&tree, mode);
+        let engine = trees.engine(mode);
         for &q in &[cloud[17], cloud[2000], Point3::new(0.0, 0.0, 0.0)] {
             for visit in &leaves {
                 let leaf = visit.0;

@@ -18,7 +18,7 @@ use kd_bonsai::core::{
     BonsaiTree, EngineMode, Epoch, EpochPublisher, RouterSnapshot, ShardConfig, ShardRouter,
 };
 use kd_bonsai::geom::Point3;
-use kd_bonsai::kdtree::{KdTreeConfig, Neighbor, SearchScratch, SearchStats};
+use kd_bonsai::kdtree::{KdTree, KdTreeConfig, Neighbor, SearchScratch, SearchStats};
 use kd_bonsai::serve::{EpochIndex, ServeConfig, Server};
 use kd_bonsai::sim::SimEngine;
 use proptest::prelude::*;
@@ -219,7 +219,8 @@ proptest! {
         let cfg = KdTreeConfig { max_leaf_points: leaf, ..KdTreeConfig::default() };
         let mut sim = SimEngine::disabled();
         let mut tree = BonsaiTree::build(cloud.clone(), cfg, &mut sim);
-        let baseline = EpochPublisher::new(tree.kd_tree().clone());
+        let mut base = KdTree::build(cloud.clone(), cfg, &mut sim);
+        let baseline = EpochPublisher::new(base.clone());
         let bonsai = EpochPublisher::new(tree.clone());
         let (baseline_pin, bonsai_pin) = (baseline.pin(), bonsai.pin());
         let queries: Vec<Point3> = cloud.iter().step_by(7).copied().collect();
@@ -227,17 +228,21 @@ proptest! {
         let frozen_baseline = answers(baseline_pin.value(), &queries, radius, &mut scratch);
         let frozen_bonsai = answers(bonsai_pin.value(), &queries, radius, &mut scratch);
 
-        // Mutate the source tree hard; the published clones must not
+        // Mutate the source trees hard; the published clones must not
         // notice.
         for (i, &p) in extra.iter().enumerate() {
             if i % 3 == 0 {
                 tree.delete(&mut sim, (i % cloud.len()) as u32);
+                base.delete(&mut sim, (i % cloud.len()) as u32);
             } else {
                 tree.insert(&mut sim, p);
+                base.insert(&mut sim, p);
             }
         }
         tree.commit(&mut sim);
         tree.compact(&mut sim);
+        base.drain_dirty_nodes();
+        base.compact(&mut sim);
 
         let checks = [
             ("baseline", answers(baseline_pin.value(), &queries, radius, &mut scratch), &frozen_baseline),
