@@ -20,7 +20,7 @@ use bonsai_core::{
     BonsaiTree, CompactionPolicy, RadiusSearchEngine, ShardConfig, ShardPolicy, ShardRouter,
 };
 use bonsai_isa::Machine;
-use bonsai_kdtree::{simd, KdTree, KdTreeConfig, QueryBatch, SearchStats};
+use bonsai_kdtree::{simd, KdTree, KdTreeConfig, Neighbor, QueryBatch, SearchStats};
 use bonsai_sim::SimEngine;
 
 const RADIUS: f32 = BATCH_RADIUS;
@@ -30,6 +30,16 @@ const SHARDS: usize = 8;
 
 /// Runs `work` repeatedly for ~`budget_ms` after one untimed warm-up
 /// round, returning `(rounds, elapsed_seconds)`.
+/// What two trees that cut the same points into different leaves must
+/// agree on: `(index, dist_sq bits)` when `exact`, else the indices in
+/// order — a compressed conclusive hit reports the `d′²` of its
+/// leaf-relative f16 half, which depends on its leaf's origin.
+fn comparable(exact: bool, hits: &[Neighbor]) -> Vec<(u32, Option<u32>)> {
+    hits.iter()
+        .map(|n| (n.index, exact.then_some(n.dist_sq.to_bits())))
+        .collect()
+}
+
 fn measure_rounds(budget_ms: u64, mut work: impl FnMut() -> usize) -> (u64, f64) {
     let mut checksum = work();
     let start = Instant::now();
@@ -339,8 +349,9 @@ fn main() {
         let router_parallel_qps = router_qps;
 
         // Exactness spot check: the router must reproduce the
-        // single-tree engine's neighbor sets bit-for-bit (the router
-        // emits canonical ascending-index order).
+        // single-tree engine's neighbor sets (the router emits
+        // canonical ascending-index order; compressed approximate
+        // distances follow each shard's leaf origins).
         router.search_batch(&queries, RADIUS, &mut batch);
         for (i, &q) in queries.iter().enumerate().step_by(37) {
             let mut expect = if baseline {
@@ -349,7 +360,11 @@ fn main() {
                 tree.radius_search_simple(q, RADIUS)
             };
             expect.sort_unstable_by_key(|n| n.index);
-            assert_eq!(batch.results(i), &expect[..], "{mode} query {i} diverged");
+            assert_eq!(
+                comparable(baseline, batch.results(i)),
+                comparable(baseline, &expect),
+                "{mode} query {i} diverged"
+            );
         }
 
         println!(
@@ -454,9 +469,10 @@ fn main() {
     });
     let adaptive_report = adaptive_router.load_report();
 
-    // Exactness: the adapted topology answers the skewed stream
-    // bit-identically to the static router (both canonical ascending
-    // global order — same cloud, same indices).
+    // Exactness: the adapted topology answers the skewed stream with
+    // the static router's neighbours (both canonical ascending global
+    // order — same cloud, same indices; the split shards' leaf origins
+    // move compressed approximate distances).
     {
         let mut expect = QueryBatch::new();
         static_snap.search_batch(&skew, RADIUS, &mut expect);
@@ -465,8 +481,8 @@ fn main() {
             .search_batch(&skew, RADIUS, &mut batch);
         for i in 0..skew.len() {
             assert_eq!(
-                batch.results(i),
-                expect.results(i),
+                comparable(false, batch.results(i)),
+                comparable(false, expect.results(i)),
                 "adaptive skew query {i} diverged"
             );
         }
@@ -667,8 +683,8 @@ fn main() {
                     let mut want = expect.results(i).to_vec();
                     want.sort_unstable_by_key(|n| n.index);
                     assert_eq!(
-                        batch.results(i),
-                        &want[..],
+                        comparable(mode == "baseline", batch.results(i)),
+                        comparable(mode == "baseline", &want),
                         "{mode} scalar={scalar} adaptive probe {i} diverged"
                     );
                 }
@@ -828,7 +844,11 @@ fn main() {
                     n.index = live_ids[n.index as usize];
                 }
                 expect.sort_unstable_by_key(|n| n.index);
-                assert_eq!(got, expect, "churn {pct}% query {qi} diverged");
+                assert_eq!(
+                    comparable(false, &got),
+                    comparable(false, &expect),
+                    "churn {pct}% query {qi} diverged"
+                );
             }
         }
 
@@ -936,7 +956,11 @@ fn main() {
                     n.index = sorted_live[n.index as usize];
                 }
                 expect.sort_unstable_by_key(|n| n.index);
-                assert_eq!(batch.results(i), &expect[..], "{label} probe {i} diverged");
+                assert_eq!(
+                    comparable(false, batch.results(i)),
+                    comparable(false, &expect),
+                    "{label} probe {i} diverged"
+                );
             }
         }
 

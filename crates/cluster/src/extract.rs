@@ -460,7 +460,7 @@ pub(crate) fn router_for(
 /// Clusters are **identical** to the single-tree extraction for every
 /// mode — euclidean clusters are the connected components of the
 /// tolerance graph, and the router's per-query neighbor sets are
-/// bit-identical to the single-tree engine's. `build_stats` aggregates
+/// the single-tree engine's. `build_stats` aggregates
 /// the shard trees (leaf/interior sums, deepest shard), and
 /// `search_stats` counts the per-shard traversal work the router
 /// actually performed.

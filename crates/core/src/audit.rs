@@ -2,9 +2,10 @@
 //!
 //! [`BonsaiTree::audit`] extends the underlying
 //! [`KdTree::audit`](bonsai_kdtree::KdTree::audit) walk — which already
-//! certifies the f16 leaf rows bit for bit against the f16 encodings of
-//! their points (**F16Mismatch**) — to the structures this crate adds
-//! on top of the tree, both reported as **DirectoryBytes**:
+//! certifies every leaf origin against the grid rule (**LeafOrigin**)
+//! and the f16 leaf rows bit for bit against the leaf-relative f16
+//! encodings of their points (**F16Mismatch**) — to the structures this
+//! crate adds on top of the tree, both reported as **DirectoryBytes**:
 //!
 //! * **Leaf headers** — the table covers every node; every live leaf's
 //!   header holds the flags and slice count the codec derives from the
@@ -15,7 +16,8 @@
 //!   sound (slice-aligned offset, byte range inside the array, point
 //!   count matching the leaf, header flags matching the recorded
 //!   flags, recorded length matching the codec's size formula) and
-//!   whose decoded coordinates are the f16 bits of the leaf's points;
+//!   whose decoded coordinates are the f16 bits of the leaf's points
+//!   relative to its origin;
 //!   no empty leaf, interior node or out-of-pool id holds a structure.
 //!
 //! Like the tree-level auditor, the walk never panics on corrupt
@@ -23,25 +25,25 @@
 //! touched, and the structure is only decoded once its recorded length
 //! provably matches what the bit reader will consume.
 
-use bonsai_floatfmt::Half;
+use bonsai_geom::Point3;
 use bonsai_isa::{codec, CoordFlags, MAX_POINTS, SLICE_BYTES};
 use bonsai_kdtree::simd::PAD_SLOT;
-use bonsai_kdtree::{AuditViolation, KdTree, Node, ViolationKind};
+use bonsai_kdtree::{encode_halves, AuditViolation, KdTree, Node, ViolationKind};
 
 use crate::directory::CompressedDirectory;
 use crate::tree::{leaf_header, BonsaiTree};
 
-/// The f16 encodings of the points under slots `s..s + c`, or `None`
-/// when a slot holds no valid point (the tree audit reports those).
-fn point_halves(t: &KdTree, s: usize, c: usize) -> Option<[[u16; 3]; MAX_POINTS]> {
+/// The f16 encodings, against `origin`, of the points under slots
+/// `s..s + c`, or `None` when a slot holds no valid point (the tree
+/// audit reports those).
+fn point_halves(t: &KdTree, s: usize, c: usize, origin: Point3) -> Option<[[u16; 3]; MAX_POINTS]> {
     let mut halves = [[0u16; 3]; MAX_POINTS];
     for (k, i) in (s..s + c).enumerate() {
         let idx = *t.vind().get(i)?;
         if idx == PAD_SLOT {
             return None;
         }
-        let p = t.points().get(idx as usize)?;
-        halves[k] = [p.x, p.y, p.z].map(|c| Half::from_f32(c).to_bits());
+        halves[k] = encode_halves(*t.points().get(idx as usize)?, origin);
     }
     Some(halves)
 }
@@ -87,9 +89,13 @@ impl BonsaiTree {
         }
         for (id, (node, &header)) in t.nodes().iter().zip(headers).enumerate() {
             let want = match *node {
-                Node::Leaf { start, count } if (1..=MAX_POINTS as u32).contains(&count) => {
+                Node::Leaf {
+                    start,
+                    count,
+                    origin,
+                } if (1..=MAX_POINTS as u32).contains(&count) => {
                     let (s, c) = (start as usize, count as usize);
-                    match point_halves(t, s, c) {
+                    match point_halves(t, s, c, origin) {
                         Some(halves) => leaf_header(&halves[..c]),
                         None => continue,
                     }
@@ -127,7 +133,12 @@ impl BonsaiTree {
                 }
                 continue;
             }
-            let Node::Leaf { start, count } = *node else {
+            let Node::Leaf {
+                start,
+                count,
+                origin,
+            } = *node
+            else {
                 continue;
             };
             let (s, c) = (start as usize, count as usize);
@@ -242,19 +253,15 @@ impl BonsaiTree {
                 continue;
             }
             // …and only now, a decode compare: the structure must hold
-            // exactly the f16 bits of the leaf's points, in slot order.
+            // exactly the f16 bits of the leaf's points relative to its
+            // origin, in slot order.
             codec::decompress(dir.bytes_of(id32), c, &mut decoded);
             for (k, i) in (s..s + c).enumerate() {
                 let idx = t.vind()[i];
                 if idx == PAD_SLOT || (idx as usize) >= t.points().len() {
                     continue;
                 }
-                let p = t.points()[idx as usize];
-                let want = [
-                    Half::from_f32(p.x).to_bits(),
-                    Half::from_f32(p.y).to_bits(),
-                    Half::from_f32(p.z).to_bits(),
-                ];
+                let want = encode_halves(t.points()[idx as usize], origin);
                 if decoded[k] != want {
                     out.push(
                         AuditViolation::new(

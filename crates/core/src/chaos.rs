@@ -6,9 +6,9 @@
 //! two families:
 //!
 //! * **State faults** corrupt live serving structures between frames —
-//!   f16 bit flips, scrambled leaf `vind` slots, corrupted leaf
-//!   headers, broken global→shard directory entries, skewed
-//!   dividers and garbage counters. Each maps to the
+//!   f16 bit flips, skewed leaf origins, scrambled leaf `vind` slots,
+//!   corrupted leaf headers, broken global→shard directory entries,
+//!   skewed dividers and garbage counters. Each maps to the
 //!   [`ViolationKind`] the audit is contracted to report for it
 //!   ([`FaultKind::expected_violation`]).
 //! * **Frame faults** mangle the *input* stream — dropped, duplicated
@@ -29,6 +29,9 @@ use crate::shard::ShardRouter;
 pub enum FaultKind {
     /// Flip the low mantissa bit of one f16 row.
     F16BitFlip,
+    /// Shift one leaf's origin off the grid its box dictates (the f16
+    /// rows stay encoded against the old origin).
+    LeafOriginSkew,
     /// Duplicate one `vind` entry inside a leaf (breaking the
     /// slot ↔ point bijection).
     VindScramble,
@@ -53,8 +56,9 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// Every fault class.
-    pub const ALL: [FaultKind; 9] = [
+    pub const ALL: [FaultKind; 10] = [
         FaultKind::F16BitFlip,
+        FaultKind::LeafOriginSkew,
         FaultKind::VindScramble,
         FaultKind::DirectoryTruncate,
         FaultKind::ShardDirectoryBreak,
@@ -66,8 +70,9 @@ impl FaultKind {
     ];
 
     /// The state-corrupting classes (each audit-detectable).
-    pub const STATE: [FaultKind; 6] = [
+    pub const STATE: [FaultKind; 7] = [
         FaultKind::F16BitFlip,
+        FaultKind::LeafOriginSkew,
         FaultKind::VindScramble,
         FaultKind::DirectoryTruncate,
         FaultKind::ShardDirectoryBreak,
@@ -97,6 +102,7 @@ impl FaultKind {
     pub fn expected_violation(self) -> Option<ViolationKind> {
         match self {
             FaultKind::F16BitFlip => Some(ViolationKind::F16Mismatch),
+            FaultKind::LeafOriginSkew => Some(ViolationKind::LeafOrigin),
             FaultKind::VindScramble => Some(ViolationKind::SlotBijection),
             FaultKind::DirectoryTruncate => Some(ViolationKind::DirectoryBytes),
             FaultKind::ShardDirectoryBreak => Some(ViolationKind::ShardDirectory),
@@ -158,6 +164,7 @@ impl FaultPlan {
     pub fn inject(&mut self, router: &mut ShardRouter, kind: FaultKind) -> Option<usize> {
         match kind {
             FaultKind::F16BitFlip => router.chaos_flip_f16(&mut self.rng),
+            FaultKind::LeafOriginSkew => router.chaos_skew_origin(&mut self.rng),
             FaultKind::VindScramble => router.chaos_duplicate_vind(&mut self.rng),
             FaultKind::DirectoryTruncate => router.chaos_corrupt_header(&mut self.rng),
             FaultKind::ShardDirectoryBreak => router.chaos_break_directory(&mut self.rng),

@@ -222,11 +222,13 @@ impl<'t> RadiusSearchEngine<'t> {
 /// processors load (deletions can hollow a leaf out completely — it
 /// owns no structure and contributes nothing) — then
 /// classifies: the SIMD lane path when a gather-capable backend is
-/// active, otherwise the scalar reference loop. Both evaluate, per
-/// point in visit order then ascending slot order, the same
-/// f16-approximate arithmetic as the SQDWE lanes — diff from the
-/// approximate coordinate, squared distance and Eq. 11 error
-/// accumulated x → y → z in `f32` — and run the identical
+/// active, otherwise the scalar reference loop. Both translate the
+/// query into each visited leaf's frame (`query − origin`, once per
+/// visit) and evaluate, per point in visit order then ascending slot
+/// order, the same f16-approximate arithmetic as the SQDWE lanes —
+/// diff from the approximate leaf-relative coordinate, squared
+/// distance and Eq. 11 error accumulated x → y → z in `f32` — and run
+/// the identical
 /// LUT/shell/fallback tail ([`classify_candidate`]), so membership,
 /// `dist_sq` bits, hit order and [`SearchStats`] never depend on the
 /// backend.
@@ -243,18 +245,17 @@ fn sweep_compressed(
         stats.points_inspected += count as u64;
         stats.point_bytes_loaded += header_bytes(headers[leaf as usize]) as u64;
     }
-    let halves = bonsai.kd_tree().leaf_halves();
-    let vind = bonsai.kd_tree().vind();
-    let points = bonsai.kd_tree().points();
+    let tree = bonsai.kd_tree();
     let lut = error_rom();
-    if sweep_compressed_visited(halves, vind, points, lut, visited, query, r_sq, out, stats) {
+    if sweep_compressed_visited(tree, lut, visited, query, r_sq, out, stats) {
         return;
     }
-    let (x_row, y_row, z_row) = halves;
+    let ((x_row, y_row, z_row), vind, points) = (tree.leaf_halves(), tree.vind(), tree.points());
     // Scalar reference path (also the no-`simd` build): slice windows
     // hoisted to one exact length per leaf so the loop body indexes
     // without bounds checks; each half decodes exactly to its `f32`.
-    for &(_, start, count) in visited {
+    for &(leaf, start, count) in visited {
+        let q = query - tree.origin_of(leaf);
         let (start, count) = (start as usize, count as usize);
         let ax = &x_row[start..start + count];
         let ay = &y_row[start..start + count];
@@ -266,9 +267,9 @@ fn sweep_compressed(
                 Half::from_bits(ay[i]),
                 Half::from_bits(az[i]),
             );
-            let dx = query.x - hx.to_f32();
-            let dy = query.y - hy.to_f32();
-            let dz = query.z - hz.to_f32();
+            let dx = q.x - hx.to_f32();
+            let dy = q.y - hy.to_f32();
+            let dz = q.z - hz.to_f32();
             let d_sq = dx * dx + dy * dy + dz * dz;
             classify_candidate(
                 d_sq,

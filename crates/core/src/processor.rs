@@ -40,10 +40,12 @@ const FALLBACK_INT_OPS: u64 = 3;
 const RESULT_BYTES: u32 = 8;
 
 /// The K-D Bonsai leaf-inspection path (Section IV-C): fetch the leaf's
-/// compressed structure with `LDDCP`, compute distances and error bounds
-/// with `SQDWEL`/`SQDWEH` + vector adds, classify through the uncertainty
-/// shell, and re-compute the rare inconclusive points from the original
-/// `f32` data.
+/// compressed structure with `LDDCP`, translate the query into the
+/// leaf's frame (`q − origin`, one vector subtract per visit — the
+/// structure holds leaf-relative halves; see [`crate::shell`]), compute
+/// distances and error bounds with `SQDWEL`/`SQDWEH` + vector adds,
+/// classify through the uncertainty shell, and re-compute the rare
+/// inconclusive points from the original `f32` data.
 ///
 /// Result membership is **identical to the baseline** (guaranteed by the
 /// shell; property-tested). Reported distances are the f16-accurate
@@ -125,10 +127,16 @@ impl LeafProcessor for BonsaiLeafProcessor<'_> {
             bytes,
         );
 
+        // The structure holds `p − origin`: translate the query into the
+        // leaf's frame once per visit — one vector subtract over the
+        // (x, y, z) lanes, charged beside the SQDWE work.
+        let q = query - tree.origin_of(leaf);
+        sim.exec(OpClass::VecAlu, 1);
+
         // Distance and error accumulation, one coordinate at a time.
         let groups = (count as usize).div_ceil(4);
         for c in 0..3 {
-            self.machine.broadcast_f32(sim, V_QUERY, query[c]);
+            self.machine.broadcast_f32(sim, V_QUERY, q[c]);
             for g in 0..groups {
                 let src = V_PTS + 2 * c + g / 2;
                 let half = if g % 2 == 0 {

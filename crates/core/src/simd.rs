@@ -3,9 +3,12 @@
 //! The hardware `SQDWE` instruction evaluates the f16-approximate
 //! squared distance *and* the Eq. 11 error accumulation across many
 //! lanes at once; this module reproduces that split in software over
-//! the lane-padded raw binary16 SoA rows (6 B per slot) a
+//! the lane-padded, leaf-relative binary16 SoA rows (6 B per slot) a
 //! [`BonsaiTree`](crate::BonsaiTree) keeps as its only copy of the
-//! leaves. The AVX2 kernel loads 8 halves
+//! leaves: each half is `f16(p − o)` against its leaf's origin `o`, so
+//! the query is translated once per leaf visit (`q − o`, broadcast to
+//! the lanes) and every lane then works in the leaf's frame. The AVX2
+//! kernel loads 8 halves
 //! per row with one 128-bit load and decodes them in-register with
 //! F16C `vcvtph2ps` — exact, so every lane sees the `f32` value the
 //! scalar [`Half::to_f32`](bonsai_floatfmt::Half::to_f32) decode
@@ -41,13 +44,9 @@
 use bonsai_floatfmt::PartErrorMem;
 use bonsai_geom::Point3;
 use bonsai_kdtree::simd::{active_backend, LaneBackend, LeafVisit};
-use bonsai_kdtree::{Neighbor, SearchStats};
+use bonsai_kdtree::{KdTree, Neighbor, SearchStats};
 
 use crate::shell::{classify, ShellClass};
-
-/// A tree's f16 leaf rows `(x, y, z)`
-/// ([`KdTree::leaf_halves`](bonsai_kdtree::KdTree::leaf_halves)).
-pub(crate) type HalfRows<'a> = (&'a [u16], &'a [u16], &'a [u16]);
 
 /// One candidate's scalar classification tail — the code the scalar
 /// reference loop runs per point, and the code a SIMD kernel's
@@ -107,20 +106,18 @@ fn recompute_candidate(
 }
 
 /// Vectorized compressed sweep of a query's collected leaf visits
-/// (each `(leaf, start, count)`, swept in order; the classification
+/// over `tree`'s f16 rows (each `(leaf, start, count)`, swept in order
+/// with the query translated by the leaf's origin; the classification
 /// work of all visits runs through **one** backend dispatch with the
 /// lane constants and gather bases hoisted). Returns `false` without
 /// touching `out`/`stats` when no gather-capable backend is active —
 /// the caller then runs the scalar reference loop.
 #[allow(unused_variables)] // non-AVX2 builds use none of the inputs
 #[allow(clippy::needless_return)] // the return closes the x86_64 cfg arm
-#[allow(clippy::too_many_arguments)] // the flattened sweep state
 #[allow(clippy::ptr_arg)] // the lane kernel pushes; non-AVX2 builds never touch `out`
 #[inline]
 pub(crate) fn sweep_compressed_visited(
-    halves: HalfRows<'_>,
-    vind: &[u32],
-    points: &[Point3],
+    tree: &KdTree,
     lut: &PartErrorMem,
     visited: &[LeafVisit],
     query: Point3,
@@ -133,6 +130,7 @@ pub(crate) fn sweep_compressed_visited(
     }
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
+        let (halves, vind) = (tree.leaf_halves(), tree.vind());
         for &(_, start, count) in visited {
             let hi = start as usize + bonsai_kdtree::simd::lane_padded(count as usize);
             // lint: allow(debug-assert-discipline) — this assert *is*
@@ -151,7 +149,7 @@ pub(crate) fn sweep_compressed_visited(
         // SAFETY: row bounds asserted above; AVX2 and F16C presence
         // established by the backend detection.
         unsafe {
-            avx2::sweep(halves, vind, points, visited, query, r_sq, out, stats);
+            avx2::sweep(tree, visited, query, r_sq, out, stats);
         }
         return true;
     }
@@ -164,7 +162,7 @@ pub(crate) fn sweep_compressed_visited(
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod avx2 {
     use super::*;
-    use crate::shell::SHELL_SLACK_ULPS;
+    use crate::shell::{SHELL_SLACK_ULPS, T_ERR_WIDEN};
     use bonsai_kdtree::simd::lane_padded;
     use core::arch::x86_64::*;
 
@@ -173,29 +171,32 @@ mod avx2 {
     /// Caller guarantees every visit's lane-padded footprint is within
     /// every f16 row and `vind`, and that AVX2 and F16C are available.
     #[target_feature(enable = "avx2,f16c")]
-    #[allow(clippy::too_many_arguments)] // the flattened sweep state
     pub(super) unsafe fn sweep(
-        (hx, hy, hz): HalfRows<'_>,
-        vind: &[u32],
-        points: &[Point3],
+        tree: &KdTree,
         visited: &[LeafVisit],
         query: Point3,
         r_sq: f32,
         out: &mut Vec<Neighbor>,
         stats: &mut SearchStats,
     ) {
+        let ((hx, hy, hz), vind, points) = (tree.leaf_halves(), tree.vind(), tree.points());
         let (px, py, pz) = (hx.as_ptr(), hy.as_ptr(), hz.as_ptr());
-        let qx = _mm256_set1_ps(query.x);
-        let qy = _mm256_set1_ps(query.y);
-        let qz = _mm256_set1_ps(query.z);
         let rs = _mm256_set1_ps(r_sq);
         let abs_mask = _mm256_set1_ps(f32::from_bits(0x7FFF_FFFF));
         // `16 · ε` is a power of two, so pre-multiplying it is exact
         // and the per-lane `slack` bits match the scalar
         // `SHELL_SLACK_ULPS * f32::EPSILON * max(d′², r²)`.
         let slack_coef = _mm256_set1_ps(SHELL_SLACK_ULPS * f32::EPSILON);
-        let e31 = _mm256_set1_epi32(31);
-        for &(_, start, count) in visited {
+        let widen = _mm256_set1_ps(T_ERR_WIDEN);
+        for &(leaf, start, count) in visited {
+            // The query in the leaf's frame: one subtract per axis per
+            // visit, the scalar `query − origin` bits broadcast.
+            let q = query - tree.origin_of(leaf);
+            let (qx, qy, qz) = (
+                _mm256_set1_ps(q.x),
+                _mm256_set1_ps(q.y),
+                _mm256_set1_ps(q.z),
+            );
             let (start, count) = (start as usize, count as usize);
             let mut g = 0;
             while g < lane_padded(count) {
@@ -225,13 +226,17 @@ mod avx2 {
                 // Eq. 9 per coordinate with in-register ROM synthesis: the
                 // `part_error_mem` entries are all exact powers of two
                 // (`two_max_delta[e] = 2^(max(e,1)−25)`, `max_delta_sq[e] =
-                // 2^(2·max(e,1)−52)`, overflow row `e = 31` forced to ∞
-                // below), so each lane builds them by exponent-field bit
+                // 2^(2·max(e,1)−52)`), so each lane builds them by exponent-field bit
                 // arithmetic instead of a memory gather — bit-identical to
                 // the ROM (asserted by `synthesized_rom_matches_lut`), an
                 // order of magnitude cheaper than `vgatherdps`. Then
                 // `two_max_delta · |A − B′| + max_delta_sq`, accumulated
-                // x → y → z like the scalar sum.
+                // x → y → z like the scalar sum. The overflow row `e = 31`
+                // (infinite in the ROM) needs no patch: such a half decodes
+                // to ±∞ or NaN, so its `|A − B′|` — hence `t_err` and the
+                // shell half-width — is non-finite, which fails both
+                // ordered compares below exactly like the scalar
+                // classify's forced Recompute.
                 // SAFETY: `part_error_lanes` is register-only and needs
                 // only AVX2, enabled here.
                 let t_err = unsafe {
@@ -243,23 +248,16 @@ mod avx2 {
                         part_error_lanes(iz, _mm256_and_ps(dz, abs_mask)),
                     )
                 };
-                // Overflowed-f16 rows (exponent field 31) have an infinite
-                // bound: force those lanes non-finite so they classify
-                // Recompute exactly like the scalar LUT path.
-                let any31 = _mm256_or_si256(
-                    _mm256_or_si256(_mm256_cmpeq_epi32(ix, e31), _mm256_cmpeq_epi32(iy, e31)),
-                    _mm256_cmpeq_epi32(iz, e31),
+                // Eq. 12 with the documented translation widening and
+                // f32 slack, `t_err · T_ERR_WIDEN + slack` like the scalar
+                // classify. `max_ps(d, rs)` returns its second operand on
+                // a NaN `d`, matching Rust's `f32::max`; non-finite `t`
+                // fails both ordered compares, which is exactly the
+                // scalar classify's forced Recompute.
+                let t = _mm256_add_ps(
+                    _mm256_mul_ps(t_err, widen),
+                    _mm256_mul_ps(slack_coef, _mm256_max_ps(d, rs)),
                 );
-                let t_err = _mm256_blendv_ps(
-                    t_err,
-                    _mm256_set1_ps(f32::INFINITY),
-                    _mm256_castsi256_ps(any31),
-                );
-                // Eq. 12 with the documented f32 slack. `max_ps(d, rs)`
-                // returns its second operand on a NaN `d`, matching Rust's
-                // `f32::max`; non-finite `t` fails both ordered compares,
-                // which is exactly the scalar classify's forced Recompute.
-                let t = _mm256_add_ps(t_err, _mm256_mul_ps(slack_coef, _mm256_max_ps(d, rs)));
                 let m_in =
                     _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LE_OQ>(d, _mm256_sub_ps(rs, t))) as u32;
                 let m_out =
@@ -342,8 +340,8 @@ mod avx2 {
     /// synthesized from the exponent fields:
     /// `2^(max(e,1)−25) · adiff + 2^(2·max(e,1)−52)` — float-bit
     /// construction of exact powers of two, so the products and sums
-    /// are bit-identical to the LUT path for every conclusive row
-    /// (the ∞ row 31 is patched afterwards by the caller).
+    /// are bit-identical to the LUT path for every conclusive row (on
+    /// the ∞ row 31 the lane's `adiff` is itself non-finite).
     ///
     /// # Safety
     ///
@@ -372,8 +370,10 @@ mod tests {
 
     /// The in-register ROM synthesis of the AVX2 kernel must agree
     /// with `part_error_mem` bit for bit on every conclusive row, and
-    /// the overflow row must be non-finite (the kernel patches those
-    /// lanes to ∞, which classifies Recompute exactly like the LUT).
+    /// the overflow row must be non-finite in the LUT. The kernel's
+    /// synthesized row 31 is finite, but a half with exponent field 31
+    /// decodes to ±∞ or NaN, so the lane's `|A − B′|` and error term
+    /// are non-finite and it classifies Recompute exactly like the LUT.
     #[test]
     fn synthesized_rom_matches_lut() {
         let lut = PartErrorMem::new();
@@ -391,6 +391,19 @@ mod tests {
         }
         assert!(!lut.lookup(31).two_max_delta.is_finite());
         assert!(!lut.lookup(31).max_delta_sq.is_finite());
+        // The synthesized row 31 is finite; the lane term is not, for
+        // every exponent-31 half (±∞, NaN) against any query coordinate.
+        let (two31, sq31) = (
+            f32::from_bits((31 + 102) << 23),
+            f32::from_bits((2 * 31 + 75) << 23),
+        );
+        for bits in [0x7C00u16, 0xFC00, 0x7C01, 0xFE00, 0x7FFF] {
+            let b = bonsai_floatfmt::Half::from_bits(bits).to_f32();
+            for a in [0.0f32, -3.5, 1.0e30, f32::INFINITY, f32::NEG_INFINITY] {
+                let term = two31 * (a - b).abs() + sq31;
+                assert!(!term.is_finite(), "{bits:#06x} against {a}: {term}");
+            }
+        }
     }
 
     /// The AVX2 kernel's in-register decode must agree with the scalar

@@ -80,6 +80,12 @@ impl LeafProcessor for SoftwareCodecProcessor<'_> {
             &mut decoded,
         );
 
+        // The structure holds `p − origin`: translate the query into the
+        // leaf's frame once per visit (one vector subtract, as in the
+        // LDDCP path).
+        let q = query - tree.origin_of(leaf);
+        sim.exec(OpClass::VecAlu, 1);
+
         for i in 0..count {
             let p16 = decoded[i as usize];
             // Scalar distance + error-bound evaluation: per coordinate a
@@ -88,7 +94,7 @@ impl LeafProcessor for SoftwareCodecProcessor<'_> {
             let mut t_err = 0.0f32;
             for c in 0..3 {
                 let b = p16[c];
-                let diff = query[c] - b;
+                let diff = q[c] - b;
                 d_sq += diff * diff;
                 let exp_field = Half::from_f32(b).exponent_field();
                 sim.load(self.lut_addr + exp_field as u64 * 8, 8);

@@ -34,7 +34,7 @@ pub(crate) fn header_bytes(header: u8) -> usize {
 /// The header of node `id` of `tree`, computed from its f16 rows
 /// (`halves` is scratch).
 fn node_header(tree: &KdTree, id: usize, halves: &mut [[u16; 3]; MAX_POINTS]) -> u8 {
-    let Node::Leaf { start, count } = tree.nodes()[id] else {
+    let Node::Leaf { start, count, .. } = tree.nodes()[id] else {
         return 0;
     };
     if count == 0 {
@@ -51,6 +51,17 @@ fn node_header(tree: &KdTree, id: usize, halves: &mut [[u16; 3]; MAX_POINTS]) ->
 
 /// A k-d tree whose leaves are stored once, as Bonsai's f16
 /// approximations, with exact `f32` fallbacks read from the cloud.
+///
+/// The halves are **leaf-relative**: slot `i` of leaf `L` holds
+/// [`encode_halves`](bonsai_kdtree::encode_halves)`(p, o)`, the f16
+/// bits of `p − o` against the leaf's grid
+/// [origin](bonsai_kdtree::Node::Leaf::origin) `o`, so every axis of a
+/// leaf shares one sign and exponent and the f16 step follows the
+/// leaf's extent wherever it sits — map-frame clouds kilometres from
+/// the origin compress (and classify conclusively) as well as
+/// ego-centred ones. Searches translate the query by `o` once per leaf
+/// visit; the [shell](crate::shell) bound covers the rounding of both
+/// translations.
 ///
 /// The tree holds, per point of a drive frame (≈1.2 `vind` slots and
 /// ≈0.18 nodes per point once leaves are lane-padded):
@@ -208,20 +219,8 @@ impl BonsaiTree {
         directory.reserve_exact(self.headers.iter().map(|&h| header_bytes(h)).sum());
         let mut machine = Machine::new();
         let prev = sim.set_kernel(Kernel::Compress);
-        for (id, node) in nodes.iter().enumerate() {
-            if let Node::Leaf { start, count } = *node {
-                if count > 0 {
-                    compress_leaf_structure(
-                        sim,
-                        &mut machine,
-                        &self.tree,
-                        &mut directory,
-                        id as u32,
-                        start,
-                        count,
-                    );
-                }
-            }
+        for id in 0..nodes.len() {
+            compress_leaf_structure(sim, &mut machine, &self.tree, &mut directory, id as u32);
         }
         sim.set_kernel(prev);
         directory
@@ -286,11 +285,7 @@ impl BonsaiTree {
                 // The old structure, if any, becomes garbage in the
                 // array; a live leaf gets a freshly encoded one.
                 d.clear(id);
-                if let Node::Leaf { start, count } = self.tree.nodes()[id as usize] {
-                    if count > 0 {
-                        compress_leaf_structure(sim, &mut machine, &self.tree, d, id, start, count);
-                    }
-                }
+                compress_leaf_structure(sim, &mut machine, &self.tree, d, id);
             }
             rebaked += usize::from(header != 0);
         }
@@ -535,6 +530,13 @@ impl BonsaiTree {
         !self.tree.has_dirty_nodes() && self.tree.chaos_flip_row(rng)
     }
 
+    /// Shifts one live leaf's origin off its grid (see
+    /// [`KdTree::chaos_skew_origin`]) — the audit's origin-rule check
+    /// catches it, and the stale f16 rows no longer match.
+    pub fn chaos_skew_origin(&mut self, rng: &mut bonsai_kdtree::ChaosRng) -> bool {
+        !self.tree.has_dirty_nodes() && self.tree.chaos_skew_origin(rng)
+    }
+
     /// Flips one bit of one live leaf's header — the audit recomputes
     /// every header from the leaf's points and catches it.
     pub fn chaos_corrupt_header(&mut self, rng: &mut bonsai_kdtree::ChaosRng) -> bool {
@@ -558,16 +560,32 @@ impl BonsaiTree {
 /// the point load inside the instruction), `CPRZPB`, `STZPB` into the
 /// directory's next free slice, then the leaf-field/next-free update.
 /// Shared by the whole-tree pass and the incremental per-dirty-leaf
-/// re-bake (whose caller clears the leaf's old entry first).
+/// re-bake (whose caller clears the leaf's old entry first); interior
+/// nodes and empty leaves get no structure.
+///
+/// The buffer receives the leaf-relative coordinates `p − o`, so the
+/// structure holds exactly the leaf's f16 rows. The subtraction is
+/// modelled inside `LDSPZPB`'s `f32 → f16` convert stage, at no extra
+/// charge: the origin is a per-leaf constant next to the
+/// leaf-field reads the sequence already pays for.
 fn compress_leaf_structure(
     sim: &mut SimEngine,
     machine: &mut Machine,
     tree: &KdTree,
     directory: &mut CompressedDirectory,
     id: u32,
-    start: u32,
-    count: u32,
 ) {
+    let Node::Leaf {
+        start,
+        count,
+        origin,
+    } = tree.nodes()[id as usize]
+    else {
+        return;
+    };
+    if count == 0 {
+        return;
+    }
     for (slot, i) in (start..start + count).enumerate() {
         sim.load(tree.vind_entry_addr(i), 4);
         sim.exec(OpClass::IntAlu, 2);
@@ -576,7 +594,7 @@ fn compress_leaf_structure(
             sim,
             slot,
             tree.point_addr(idx),
-            tree.points()[idx as usize].to_array(),
+            (tree.points()[idx as usize] - origin).to_array(),
         );
     }
     machine.cprzpb(sim, count as usize);
@@ -591,8 +609,46 @@ fn compress_leaf_structure(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bonsai_floatfmt::Half;
     use bonsai_isa::codec;
+    use bonsai_kdtree::encode_halves;
+
+    /// Every live leaf's compressed structure decodes to the f16 bits of
+    /// its points relative to its origin, in slot order.
+    fn assert_structures_decode_to_leaves(tree: &BonsaiTree) {
+        for (id, node) in tree.kd_tree().nodes().iter().enumerate() {
+            let Node::Leaf {
+                start,
+                count,
+                origin,
+            } = *node
+            else {
+                continue;
+            };
+            if count == 0 {
+                continue;
+            }
+            let r = tree
+                .directory()
+                .leaf_ref(id as u32)
+                .unwrap_or_else(|| panic!("live leaf {id} has no structure"));
+            assert_eq!(r.num_pts as u32, count, "leaf {id}");
+            let mut decoded = [[0u16; 3]; 16];
+            codec::decompress(
+                tree.directory().bytes_of(id as u32),
+                count as usize,
+                &mut decoded,
+            );
+            for (slot, i) in (start..start + count).enumerate() {
+                let idx = tree.kd_tree().vind()[i as usize] as usize;
+                let p = tree.kd_tree().points()[idx];
+                assert_eq!(
+                    decoded[slot],
+                    encode_halves(p, origin),
+                    "leaf {id} slot {slot}"
+                );
+            }
+        }
+    }
 
     fn urban_like_cloud(n: usize, seed: u64) -> Vec<Point3> {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -625,31 +681,8 @@ mod tests {
     #[test]
     fn directory_structures_decode_to_the_leaf_points() {
         let mut sim = SimEngine::disabled();
-        let cloud = urban_like_cloud(500, 2);
-        let tree = BonsaiTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
-        for (id, node) in tree.kd_tree().nodes().iter().enumerate() {
-            let Node::Leaf { start, count } = node else {
-                continue;
-            };
-            let r = tree.directory().leaf_ref(id as u32).unwrap();
-            let mut decoded = [[0u16; 3]; 16];
-            codec::decompress(
-                tree.directory().bytes_of(id as u32),
-                r.num_pts as usize,
-                &mut decoded,
-            );
-            for (slot, i) in (*start..start + count).enumerate() {
-                let idx = tree.kd_tree().vind()[i as usize] as usize;
-                let p = cloud[idx];
-                for c in 0..3 {
-                    assert_eq!(
-                        decoded[slot][c],
-                        Half::from_f32(p[c]).to_bits(),
-                        "leaf {id} slot {slot} coord {c}"
-                    );
-                }
-            }
-        }
+        let tree = BonsaiTree::build(urban_like_cloud(500, 2), KdTreeConfig::default(), &mut sim);
+        assert_structures_decode_to_leaves(&tree);
     }
 
     #[test]
@@ -673,6 +706,28 @@ mod tests {
         );
     }
 
+    /// Leaf-relative halves make compression position-independent: the
+    /// same clustered cloud compresses to the same ratio at the origin
+    /// and moved 5 km out, where absolute halves would need a 4 m f16
+    /// step.
+    #[test]
+    fn compression_ratio_is_position_independent() {
+        let cloud = urban_like_cloud(20_000, 3);
+        let offset = Point3::new(5000.0, -5000.0, 40.0);
+        let ratio = |cloud: Vec<Point3>| {
+            let mut sim = SimEngine::disabled();
+            let tree = BonsaiTree::build(cloud, KdTreeConfig::default(), &mut sim);
+            tree.compression_stats().compression_ratio()
+        };
+        let at_origin = ratio(cloud.clone());
+        let at_5km = ratio(cloud.iter().map(|&p| p + offset).collect());
+        eprintln!("compression ratio: {at_origin:.4} at the origin, {at_5km:.4} at 5 km");
+        assert!(
+            (at_5km - at_origin).abs() <= 0.01 * at_origin,
+            "ratio {at_origin} at the origin vs {at_5km} at 5 km"
+        );
+    }
+
     #[test]
     fn build_charges_compress_kernel() {
         let mut sim = SimEngine::new(&bonsai_sim::CpuConfig::a72_like());
@@ -686,8 +741,31 @@ mod tests {
         assert!(sim.kernel_counters(Kernel::Build).micro_ops() > 0);
     }
 
+    /// The origin of the leaf holding each point of `tree`.
+    fn origins_by_point(tree: &BonsaiTree) -> Vec<Point3> {
+        let kd = tree.kd_tree();
+        let mut origins = vec![Point3::ZERO; kd.points().len()];
+        for node in kd.nodes() {
+            if let Node::Leaf {
+                start,
+                count,
+                origin,
+            } = *node
+            {
+                for &idx in &kd.vind()[start as usize..(start + count) as usize] {
+                    origins[idx as usize] = origin;
+                }
+            }
+        }
+        origins
+    }
+
     /// Incremental mutations + commit must reproduce a from-scratch
-    /// build over the live points bit-for-bit (sorted; index remapped).
+    /// build over the live points (sorted; index remapped): the same
+    /// neighbours, and bit-identical `dist_sq` for every hit whose leaf
+    /// has the same origin in both trees — a point's approximate
+    /// distance depends on its own coordinates and its leaf's origin
+    /// only, and the grid rule keeps many origins stable under churn.
     #[test]
     fn incremental_updates_match_fresh_build_bit_for_bit() {
         let cloud = urban_like_cloud(2500, 7);
@@ -705,6 +783,8 @@ mod tests {
             .map(|&i| tree.kd_tree().points()[i as usize])
             .collect();
         let fresh = BonsaiTree::build(live_pts, KdTreeConfig::default(), &mut sim);
+        let (mutated_origins, fresh_origins) = (origins_by_point(&tree), origins_by_point(&fresh));
+        let (mut compared, mut total) = (0, 0);
         for (qi, q) in urban_like_cloud(20, 9).into_iter().enumerate() {
             let mut got: Vec<(u32, u32)> = tree
                 .radius_search_simple(q, 1.5)
@@ -712,14 +792,26 @@ mod tests {
                 .map(|n| (n.index, n.dist_sq.to_bits()))
                 .collect();
             got.sort_unstable();
-            let mut expect: Vec<(u32, u32)> = fresh
+            let mut expect: Vec<(u32, u32, u32)> = fresh
                 .radius_search_simple(q, 1.5)
                 .iter()
-                .map(|n| (live[n.index as usize], n.dist_sq.to_bits()))
+                .map(|n| (live[n.index as usize], n.dist_sq.to_bits(), n.index))
                 .collect();
             expect.sort_unstable();
-            assert_eq!(got, expect, "query {qi}");
+            assert_eq!(got.len(), expect.len(), "query {qi}");
+            for (&(idx, bits), &(want_idx, want_bits, fresh_idx)) in got.iter().zip(&expect) {
+                assert_eq!(idx, want_idx, "query {qi}");
+                total += 1;
+                if mutated_origins[idx as usize] == fresh_origins[fresh_idx as usize] {
+                    assert_eq!(bits, want_bits, "query {qi} point {idx}");
+                    compared += 1;
+                }
+            }
         }
+        assert!(
+            compared * 4 > total,
+            "only {compared} hits of {total} shared a leaf origin"
+        );
     }
 
     /// The lazy re-bake touches only dirty leaves: a single insert
@@ -756,37 +848,7 @@ mod tests {
             tree.insert(&mut sim, p).unwrap();
         }
         tree.commit(&mut sim);
-        for (id, node) in tree.kd_tree().nodes().iter().enumerate() {
-            let Node::Leaf { start, count } = *node else {
-                continue;
-            };
-            if count == 0 {
-                continue;
-            }
-            let Some(r) = tree.directory().leaf_ref(id as u32) else {
-                // Retired pool slots are empty leaves and were skipped
-                // above; a live leaf must own a structure.
-                panic!("live leaf {id} has no structure");
-            };
-            assert_eq!(r.num_pts as u32, count, "leaf {id}");
-            let mut decoded = [[0u16; 3]; 16];
-            codec::decompress(
-                tree.directory().bytes_of(id as u32),
-                count as usize,
-                &mut decoded,
-            );
-            for (slot, i) in (start..start + count).enumerate() {
-                let idx = tree.kd_tree().vind()[i as usize] as usize;
-                let p = tree.kd_tree().points()[idx];
-                for c in 0..3 {
-                    assert_eq!(
-                        decoded[slot][c],
-                        Half::from_f32(p[c]).to_bits(),
-                        "leaf {id} slot {slot} coord {c}"
-                    );
-                }
-            }
-        }
+        assert_structures_decode_to_leaves(&tree);
     }
 
     /// Churns a compressed tree until it fragments. Its directory is
@@ -856,36 +918,7 @@ mod tests {
         let mut tree = churned_bonsai(700, 31);
         let mut sim = SimEngine::disabled();
         tree.compact(&mut sim);
-        for (id, node) in tree.kd_tree().nodes().iter().enumerate() {
-            let Node::Leaf { start, count } = *node else {
-                continue;
-            };
-            if count == 0 {
-                continue;
-            }
-            let r = tree
-                .directory()
-                .leaf_ref(id as u32)
-                .expect("live leaf lost its structure in the repack");
-            assert_eq!(r.num_pts as u32, count, "leaf {id}");
-            let mut decoded = [[0u16; 3]; 16];
-            codec::decompress(
-                tree.directory().bytes_of(id as u32),
-                count as usize,
-                &mut decoded,
-            );
-            for (slot, i) in (start..start + count).enumerate() {
-                let idx = tree.kd_tree().vind()[i as usize] as usize;
-                let p = tree.kd_tree().points()[idx];
-                for c in 0..3 {
-                    assert_eq!(
-                        decoded[slot][c],
-                        Half::from_f32(p[c]).to_bits(),
-                        "leaf {id} slot {slot} coord {c}"
-                    );
-                }
-            }
-        }
+        assert_structures_decode_to_leaves(&tree);
         // The compacted tree keeps mutating + committing cleanly.
         tree.insert(&mut sim, Point3::new(0.5, 0.5, 0.5)).unwrap();
         tree.commit(&mut sim);

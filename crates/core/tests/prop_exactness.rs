@@ -101,7 +101,8 @@ proptest! {
     }
 
     /// Compression is lossless at the f16 level: every decoded leaf
-    /// coordinate equals the f16 conversion of the original point.
+    /// coordinate equals the f16 conversion of the original point
+    /// relative to its leaf's origin.
     #[test]
     fn directory_is_f16_exact(cloud in arb_cloud(150)) {
         let mut sim = SimEngine::disabled();
@@ -113,7 +114,7 @@ proptest! {
                 r.num_pts as usize,
                 &mut decoded,
             );
-            let bonsai_kdtree::Node::Leaf { start, count } =
+            let bonsai_kdtree::Node::Leaf { start, count, origin } =
                 tree.kd_tree().nodes()[leaf_id as usize]
             else {
                 panic!("directory ref for a non-leaf");
@@ -123,7 +124,7 @@ proptest! {
                 for c in 0..3 {
                     prop_assert_eq!(
                         decoded[slot][c],
-                        bonsai_floatfmt::Half::from_f32(cloud[idx][c]).to_bits()
+                        bonsai_floatfmt::Half::from_f32(cloud[idx][c] - origin[c]).to_bits()
                     );
                 }
             }

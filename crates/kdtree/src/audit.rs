@@ -29,7 +29,11 @@
 //!   slot-parallel.
 //! * **SoaMismatch** / **F16Mismatch** — the leaf-contiguous rows are
 //!   bit-identical to the points they mirror: the exact `f32`
-//!   coordinates, or for an f16-row tree their binary16 encodings.
+//!   coordinates, or for an f16-row tree the binary16 encodings of
+//!   `p − origin` against the leaf's origin.
+//! * **LeafOrigin** — every leaf's origin is, bit for bit,
+//!   [`leaf_origin`](crate::leaf_origin) of its live points' box (zero
+//!   for an empty leaf).
 //! * **Accounting** — subtree live/leaf meta counters, `num_live`
 //!   versus the alive mask, and `garbage_slots` versus the slots no
 //!   leaf owns.
@@ -41,9 +45,11 @@
 use std::collections::HashSet;
 use std::fmt;
 
+use bonsai_geom::Point3;
+
 use crate::build::KdTree;
 use crate::node::{Node, NodeId};
-use crate::rows::RowLayout;
+use crate::rows::{leaf_origin, RowLayout};
 use crate::simd::{lane_padded, PAD_SLOT};
 
 /// The invariant class an [`AuditViolation`] breaks. See
@@ -66,8 +72,11 @@ pub enum ViolationKind {
     /// A bookkeeping counter (subtree meta, `num_live`,
     /// `garbage_slots`) disagrees with a recount.
     Accounting,
-    /// An f16 row is not the f16 encoding of its point.
+    /// An f16 row is not the f16 encoding of its point relative to its
+    /// leaf's origin.
     F16Mismatch,
+    /// A leaf's origin is not the grid origin of its live points' box.
+    LeafOrigin,
     /// A leaf header, a compressed-directory reference or its bytes
     /// are unsound (emitted by `bonsai-core`).
     DirectoryBytes,
@@ -86,6 +95,7 @@ impl fmt::Display for ViolationKind {
             ViolationKind::SoaMismatch => "soa-mismatch",
             ViolationKind::Accounting => "accounting",
             ViolationKind::F16Mismatch => "f16-mismatch",
+            ViolationKind::LeafOrigin => "leaf-origin",
             ViolationKind::DirectoryBytes => "directory-bytes",
             ViolationKind::ShardDirectory => "shard-directory",
         };
@@ -282,7 +292,11 @@ impl<'a> TreeAuditor<'a> {
     fn walk(&mut self, id: NodeId) -> SubtreeFacts {
         self.visited[id as usize] = true;
         match self.tree.nodes()[id as usize] {
-            Node::Leaf { start, count } => self.walk_leaf(id, start, count),
+            Node::Leaf {
+                start,
+                count,
+                origin,
+            } => self.walk_leaf(id, start, count, origin),
             Node::Interior {
                 axis,
                 split_val,
@@ -387,7 +401,7 @@ impl<'a> TreeAuditor<'a> {
         }
     }
 
-    fn walk_leaf(&mut self, id: NodeId, start: u32, count: u32) -> SubtreeFacts {
+    fn walk_leaf(&mut self, id: NodeId, start: u32, count: u32, origin: Point3) -> SubtreeFacts {
         let t = self.tree;
         let slots = t.vind.len();
         let mut facts = SubtreeFacts::empty();
@@ -424,7 +438,7 @@ impl<'a> TreeAuditor<'a> {
             // slots that exist, and claim ownership of none (the
             // global accounting will flag the fallout too).
             for i in s..slots.min(s + c) {
-                self.audit_live_slot(id, i, &mut facts);
+                self.audit_live_slot(id, i, origin, &mut facts);
             }
             return facts;
         }
@@ -443,7 +457,21 @@ impl<'a> TreeAuditor<'a> {
             }
         }
         for i in s..s + c {
-            self.audit_live_slot(id, i, &mut facts);
+            self.audit_live_slot(id, i, origin, &mut facts);
+        }
+        let want = if facts.live == 0 {
+            Point3::ZERO
+        } else {
+            leaf_origin(Point3::from(facts.min), Point3::from(facts.max))
+        };
+        if origin.to_array().map(f32::to_bits) != want.to_array().map(f32::to_bits) {
+            self.push(
+                AuditViolation::new(
+                    ViolationKind::LeafOrigin,
+                    format!("origin {origin:?} is not the grid origin {want:?} of the leaf's box"),
+                )
+                .at_node(id),
+            );
         }
         for i in s + c..s + fp {
             if t.vind[i] != PAD_SLOT {
@@ -474,8 +502,9 @@ impl<'a> TreeAuditor<'a> {
     }
 
     /// Audits one live leaf slot: index validity, liveness, uniqueness,
-    /// SoA row fidelity; folds the point into `facts`.
-    fn audit_live_slot(&mut self, id: NodeId, i: usize, facts: &mut SubtreeFacts) {
+    /// SoA row fidelity against the leaf's `origin`; folds the point
+    /// into `facts`.
+    fn audit_live_slot(&mut self, id: NodeId, i: usize, origin: Point3, facts: &mut SubtreeFacts) {
         let t = self.tree;
         self.live_slots += 1;
         let idx = t.vind[i];
@@ -522,7 +551,7 @@ impl<'a> TreeAuditor<'a> {
             );
         }
         self.point_seen[idx as usize] = true;
-        if self.rows_ok && !t.rows.holds(i, p) {
+        if self.rows_ok && !t.rows.holds(i, p, origin) {
             let kind = match t.rows.layout() {
                 RowLayout::F32 => ViolationKind::SoaMismatch,
                 RowLayout::F16 => ViolationKind::F16Mismatch,
@@ -717,7 +746,7 @@ mod tests {
             .nodes
             .iter()
             .find_map(|n| match *n {
-                Node::Leaf { start, count } if count >= 2 => Some((start, count)),
+                Node::Leaf { start, count, .. } if count >= 2 => Some((start, count)),
                 _ => None,
             })
             .expect("a multi-point leaf");

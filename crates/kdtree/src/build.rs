@@ -5,7 +5,7 @@ use crate::costs::TraversalCosts;
 use crate::mutate::{MutationStats, NodeMeta};
 use crate::node::{Node, NodeId, NODE_BYTES};
 use crate::parts::PAD_SLOT;
-use crate::rows::{LeafRows, RowLayout};
+use crate::rows::{leaf_origin, LeafRows, RowLayout};
 use crate::simd::{lane_padded, LANES};
 
 /// How an interior node chooses its split threshold.
@@ -81,8 +81,8 @@ pub struct KdTree {
     /// sweep over three dense rows instead of an indexed gather. This
     /// is the host-side realization of FLANN's `reorder=true` matrix
     /// the simulated layout already modelled, in the tree's one
-    /// [`RowLayout`]: exact `f32` for [`KdTree::build`], binary16 for
-    /// [`KdTree::build_f16`].
+    /// [`RowLayout`]: exact `f32` for [`KdTree::build`], leaf-relative
+    /// binary16 for [`KdTree::build_f16`].
     pub(crate) rows: LeafRows,
     pub(crate) cfg: KdTreeConfig,
     pub(crate) stats: BuildStats,
@@ -141,10 +141,13 @@ impl KdTree {
     }
 
     /// [`build`](KdTree::build) with binary16 leaf rows: the tree a
-    /// `bonsai-core` `BonsaiTree` serves from. Shape, `vind` order and
-    /// simulator events are identical to [`build`](KdTree::build)'s;
-    /// only the host copy of the leaves is half as wide, and it is the
-    /// only copy — baseline scans
+    /// `bonsai-core` `BonsaiTree` serves from. Each leaf's rows hold the
+    /// halves of its points *relative to the leaf's origin*
+    /// ([`leaf_origin`](crate::leaf_origin)), so the f16 step follows
+    /// the leaf's extent, not its distance from the map origin. Shape,
+    /// `vind` order, leaf origins and simulator events are identical
+    /// to [`build`](KdTree::build)'s; only the host copy of the leaves
+    /// is half as wide, and it is the only copy — baseline scans
     /// ([`BaselineLeafProcessor`](crate::BaselineLeafProcessor), the
     /// baseline `RadiusSearchEngine`) refuse such a tree.
     pub fn build_f16(points: Vec<Point3>, cfg: KdTreeConfig, sim: &mut SimEngine) -> KdTree {
@@ -222,7 +225,7 @@ impl KdTree {
                     sim.exec(OpClass::IntAlu, 2);
                 }
             }
-            tree.rows = LeafRows::bake(layout, &tree.points, &tree.vind);
+            tree.rows = LeafRows::bake(layout, &tree.points, &tree.vind, &tree.nodes);
             sim.set_kernel(prev);
         }
         tree.rebuild_meta();
@@ -273,6 +276,7 @@ impl KdTree {
                 Node::Leaf {
                     start: lo as u32,
                     count: count as u32,
+                    origin: leaf_origin(bbox.min, bbox.max),
                 },
             );
         }
@@ -292,7 +296,7 @@ impl KdTree {
         sim.exec(OpClass::IntAlu, costs.build_per_node);
 
         // Reserve the slot so children are numbered after their parent.
-        let id = self.push_node(sim, Node::Leaf { start: 0, count: 0 });
+        let id = self.push_node(sim, Node::EMPTY_LEAF);
         let left = self.build_range(sim, costs, lo, mid, depth + 1);
         let right = self.build_range(sim, costs, mid, hi, depth + 1);
         self.stats.num_leaves -= 1; // The placeholder was counted as a leaf.
@@ -321,7 +325,7 @@ impl KdTree {
             .iter()
             .enumerate()
             .filter_map(|(id, n)| match *n {
-                Node::Leaf { start, count } => Some((start, count, id as NodeId)),
+                Node::Leaf { start, count, .. } => Some((start, count, id as NodeId)),
                 Node::Interior { .. } => None,
             })
             .collect();
@@ -336,10 +340,9 @@ impl KdTree {
             let new_start = vind.len() as u32;
             vind.extend_from_slice(&dense[start as usize..(start + count) as usize]);
             vind.resize(new_start as usize + lane_padded(count as usize), PAD_SLOT);
-            self.nodes[id as usize] = Node::Leaf {
-                start: new_start,
-                count,
-            };
+            if let Node::Leaf { start, .. } = &mut self.nodes[id as usize] {
+                *start = new_start;
+            }
         }
         self.vind = vind;
     }
@@ -510,8 +513,10 @@ impl KdTree {
     }
 
     /// The leaf-contiguous binary16 rows `(x, y, z)` of an f16-row
-    /// tree: slot `i` holds the raw bit patterns of
-    /// `Half::from_f32` of `points()[vind()[i]]`, padded like
+    /// tree: live slot `i` of leaf `L` holds
+    /// [`encode_halves`](crate::encode_halves)`(points()[vind()[i]],
+    /// o)` — the raw bits of `f16(p − o)` per axis, `o` the leaf's
+    /// [`origin`](Node::Leaf::origin) — padded like
     /// [`leaf_soa`](KdTree::leaf_soa) with
     /// [`PAD_HALF`](crate::simd::PAD_HALF).
     ///
@@ -538,6 +543,17 @@ impl KdTree {
         // once per handle, in release builds too: a baseline scan over
         // f16 rows has no exact coordinates to read.
         assert!(self.rows.layout() == RowLayout::F32, "{F16_ROWS_ONLY}");
+    }
+
+    /// The [origin](Node::Leaf::origin) leaf `leaf`'s f16 rows are
+    /// relative to — the point compressed scans translate the query by
+    /// once per visit; `Point3::ZERO` for an interior node.
+    #[inline]
+    pub fn origin_of(&self, leaf: NodeId) -> Point3 {
+        match self.nodes[leaf as usize] {
+            Node::Leaf { origin, .. } => origin,
+            Node::Interior { .. } => Point3::ZERO,
+        }
     }
 
     /// The number of `vind`/SoA slots leaf `leaf` owns from its
@@ -572,7 +588,7 @@ impl KdTree {
         let slots = self.vind.len();
         assert_eq!(self.rows.lens(), [slots; 3], "row lengths");
         for (id, node) in self.nodes.iter().enumerate() {
-            let Node::Leaf { start, count } = *node else {
+            let Node::Leaf { start, count, .. } = *node else {
                 continue;
             };
             let fp = self.leaf_slot_footprint(id as NodeId) as usize;
@@ -686,7 +702,7 @@ mod tests {
         let tree = KdTree::build(grid_cloud(20), KdTreeConfig::default(), &mut sim);
         let mut seen = vec![false; tree.points().len()];
         for node in tree.nodes() {
-            if let Node::Leaf { start, count } = node {
+            if let Node::Leaf { start, count, .. } = node {
                 for i in *start..(start + count) {
                     let idx = tree.vind()[i as usize] as usize;
                     assert!(!seen[idx], "point {idx} in two leaves");
@@ -723,7 +739,7 @@ mod tests {
         // <= div_low <= split_val <= div_high <= all right coords.
         fn collect(tree: &KdTree, id: NodeId, out: &mut Vec<u32>) {
             match tree.nodes()[id as usize] {
-                Node::Leaf { start, count } => {
+                Node::Leaf { start, count, .. } => {
                     out.extend_from_slice(&tree.vind()[start as usize..(start + count) as usize])
                 }
                 Node::Interior { left, right, .. } => {

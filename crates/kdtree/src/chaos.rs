@@ -91,7 +91,7 @@ impl KdTree {
             return false;
         }
         let id = leaves[rng.below(leaves.len())];
-        let Node::Leaf { start, count } = self.nodes[id as usize] else {
+        let Node::Leaf { start, count, .. } = self.nodes[id as usize] else {
             return false;
         };
         let a = rng.below(count as usize);
@@ -145,7 +145,7 @@ impl KdTree {
         let slots: Vec<usize> = reachable_matching(self, Node::is_leaf)
             .into_iter()
             .flat_map(|id| match self.nodes[id as usize] {
-                Node::Leaf { start, count } => start as usize..(start + count) as usize,
+                Node::Leaf { start, count, .. } => start as usize..(start + count) as usize,
                 Node::Interior { .. } => 0..0,
             })
             .collect();
@@ -155,6 +155,33 @@ impl KdTree {
         let i = slots[rng.below(slots.len())];
         self.rows.flip_low_bit(i, rng.below(3));
         true
+    }
+
+    /// Chaos hook: shifts one live leaf's origin on one axis off the
+    /// grid its box dictates — the shape a torn write to the leaf's
+    /// union-reused fields takes. The rows keep their old encoding, so
+    /// a compressed scan would translate the query by the wrong point.
+    /// Returns `false` on a tree without live leaves.
+    ///
+    /// Guaranteed to surface as a `LeafOrigin` violation (plus an
+    /// `F16Mismatch` on f16 rows).
+    pub fn chaos_skew_origin(&mut self, rng: &mut ChaosRng) -> bool {
+        let leaves = reachable_matching(
+            self,
+            |n| matches!(n, Node::Leaf { count, .. } if *count >= 1),
+        );
+        if leaves.is_empty() {
+            return false;
+        }
+        let id = leaves[rng.below(leaves.len())];
+        let axis = rng.below(3);
+        if let Node::Leaf { origin, .. } = &mut self.nodes[id as usize] {
+            // An offset that survives f32 rounding at any magnitude.
+            origin[axis] += origin[axis].abs().max(1.0);
+            true
+        } else {
+            false
+        }
     }
 }
 
@@ -238,6 +265,27 @@ mod tests {
                     .any(|v| v.kind == ViolationKind::F16Mismatch),
                 "seed {seed}"
             );
+
+            for layout_f16 in [false, true] {
+                let cloud = t.points().to_vec();
+                let cfg = KdTreeConfig::default();
+                let mut t = if layout_f16 {
+                    KdTree::build_f16(cloud, cfg, &mut SimEngine::disabled())
+                } else {
+                    KdTree::build(cloud, cfg, &mut SimEngine::disabled())
+                };
+                assert!(t.chaos_skew_origin(&mut rng), "seed {seed}");
+                let found = t.audit();
+                assert!(
+                    found.iter().any(|v| v.kind == ViolationKind::LeafOrigin),
+                    "seed {seed} f16 {layout_f16}: {found:?}"
+                );
+                assert_eq!(
+                    found.iter().any(|v| v.kind == ViolationKind::F16Mismatch),
+                    layout_f16,
+                    "seed {seed}: stale f16 rows against the skewed origin"
+                );
+            }
         }
     }
 }

@@ -109,7 +109,11 @@ impl KdTree {
         for &old_id in &order {
             let new_id = nodes.len() as NodeId;
             let node = match self.nodes[old_id as usize] {
-                Node::Leaf { start, count } => {
+                Node::Leaf {
+                    start,
+                    count,
+                    origin,
+                } => {
                     let fp = self.leaf_slot_footprint(old_id) as usize;
                     let new_start = vind.len() as u32;
                     for (k, i) in (start as usize..start as usize + fp).enumerate() {
@@ -128,6 +132,7 @@ impl KdTree {
                     Node::Leaf {
                         start: new_start,
                         count,
+                        origin,
                     }
                 }
                 Node::Interior {

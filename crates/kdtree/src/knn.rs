@@ -120,7 +120,7 @@ impl KdTree {
     ) {
         sim.load(self.node_addr(node_id), NODE_BYTES as u32);
         match self.nodes()[node_id as usize] {
-            Node::Leaf { start, count } => {
+            Node::Leaf { start, count, .. } => {
                 let prev = sim.set_kernel(Kernel::LeafScan);
                 for i in start..start + count {
                     let idx = self.vind()[i as usize];

@@ -22,8 +22,10 @@
 //!   the paper's entire contribution.
 //! * **One leaf layout per tree** — the leaf-contiguous rows the fast
 //!   sweeps read are exact `f32` ([`KdTree::build`], 12 B per slot) or
-//!   raw binary16 ([`KdTree::build_f16`], 6 B per slot, the layout a
-//!   `bonsai-core` `BonsaiTree` serves from), never both
+//!   leaf-relative binary16 ([`KdTree::build_f16`], 6 B per slot, the
+//!   layout a `bonsai-core` `BonsaiTree` serves from: the halves of
+//!   `p − o` against each leaf's grid [`leaf_origin`], so the f16 step
+//!   follows the leaf's extent anywhere on the map), never both
 //!   ([`RowLayout`]). Every builder and mutation writes the tree's own
 //!   layout; the baseline scan handles refuse an f16-row tree when
 //!   they are constructed.
@@ -68,6 +70,6 @@ pub use compact::CompactRemap;
 pub use costs::TraversalCosts;
 pub use mutate::{MutationStats, ALPHA_BALANCE};
 pub use node::{LeafId, Node, NodeId};
-pub use rows::RowLayout;
+pub use rows::{encode_halves, leaf_origin, RowLayout};
 pub use scratch::{QueryBatch, SearchScratch};
 pub use search::{query_is_searchable, radius_is_searchable, LeafProcessor, Neighbor, SearchStats};

@@ -29,14 +29,20 @@
 //! dirty log ([`KdTree::drain_dirty_nodes`]) that layered caches — the
 //! leaf headers and compressed-leaf directory of `bonsai-core` —
 //! consume to re-bake **only** the touched leaves. The leaf rows
-//! themselves, `f32` or f16, are written here, eagerly.
+//! themselves, `f32` or f16, are written here, eagerly: every change
+//! to a leaf's live points re-derives its
+//! [origin](crate::Node::Leaf::origin) and re-encodes its live slots,
+//! so f16 rows always hold the halves of `p − origin` for the leaf's
+//! current box.
 //!
-//! Mutations never change per-point search semantics: membership and
-//! reported `dist_sq` bits depend only on a point's coordinates (and,
-//! under Bonsai, its own f16 approximation), so any interleaving of
-//! inserts, deletes and searches yields neighbor sets bit-identical to
-//! a from-scratch rebuild over the same live points — property-tested
-//! at the workspace root (`tests/incremental_equivalence.rs`).
+//! Mutations never change per-point search semantics: membership
+//! depends only on a point's coordinates, so any interleaving of
+//! inserts, deletes and searches yields the neighbor sets of a
+//! from-scratch rebuild over the same live points — property-tested at
+//! the workspace root (`tests/incremental_equivalence.rs`). Exact
+//! `dist_sq` bits are shape-independent too; only the approximate
+//! `d′²` a compressed search reports for a conclusive hit also depends
+//! on the origin of the leaf holding the point.
 //!
 //! # Examples
 //!
@@ -57,12 +63,13 @@
 //! assert!(hits.iter().all(|n| n.index != 3)); // deleted point gone
 //! ```
 
-use bonsai_geom::Point3;
+use bonsai_geom::{Aabb, Point3};
 use bonsai_sim::{Kernel, OpClass, SimEngine};
 
 use crate::build::{sites, KdTree};
 use crate::node::{Node, NodeId, NODE_BYTES};
 use crate::parts::{build_subtree, resolve_build_threads, SubtreeConfig, PAD_SLOT};
+use crate::rows::leaf_origin;
 use crate::simd::lane_padded;
 
 /// Fraction of a subtree's live points one child may hold before the
@@ -140,7 +147,11 @@ impl KdTree {
             self.pad_slots(lane_padded(self.cfg.max_leaf_points) - 1);
             let root = self.alloc_node(
                 sim,
-                Node::Leaf { start, count: 1 },
+                Node::Leaf {
+                    start,
+                    count: 1,
+                    origin: Point3::ZERO,
+                },
                 NodeMeta {
                     live: 1,
                     leaves: 1,
@@ -148,6 +159,7 @@ impl KdTree {
                 },
             );
             debug_assert_eq!(root, 0);
+            self.rebake_leaf_rows(root);
             sim.set_kernel(prev);
             return Some(idx);
         }
@@ -210,7 +222,7 @@ impl KdTree {
 
         // Leaf-level placement: slack append, one-time relocation, or
         // split.
-        let Node::Leaf { start, count } = self.nodes[leaf as usize] else {
+        let Node::Leaf { start, count, .. } = self.nodes[leaf as usize] else {
             unreachable!("descent ends at a leaf");
         };
         let cap = self.meta[leaf as usize].cap;
@@ -218,7 +230,7 @@ impl KdTree {
             self.mut_stats.leaf_appends += 1;
             let slot = (start + count) as usize;
             self.vind[slot] = idx;
-            self.write_soa_slot(sim, slot, p);
+            sim.store(self.reordered_point_addr(slot as u32), 12);
             sim.store(self.vind_entry_addr(slot as u32), 4);
             self.set_leaf(sim, leaf, start, count + 1, cap);
         } else if (count as usize) < self.cfg.max_leaf_points {
@@ -279,7 +291,7 @@ impl KdTree {
             // fallback visits every leaf, so a live point is found.
             .expect("live point must be stored in some leaf");
 
-        let Node::Leaf { start, count } = self.nodes[leaf as usize] else {
+        let Node::Leaf { start, count, .. } = self.nodes[leaf as usize] else {
             unreachable!("locate ends at a leaf");
         };
         let slot = (start..start + count)
@@ -289,12 +301,11 @@ impl KdTree {
             .expect("leaf contains the located point") as usize;
         let last = (start + count - 1) as usize;
         // Swap-remove inside the leaf: SoA rows stay dense, no
-        // tombstone ever reaches a scan loop.
-        // The moved point is read from `points`, the exact copy every
-        // row layout mirrors.
+        // tombstone ever reaches a scan loop. The moved point's row is
+        // re-encoded from `points`, the exact copy every row layout
+        // mirrors, when `set_leaf` re-derives the shrunk leaf's origin.
         self.vind[slot] = self.vind[last];
-        let moved = self.points[self.vind[last] as usize];
-        self.write_soa_slot(sim, slot, moved);
+        sim.store(self.reordered_point_addr(slot as u32), 12);
         sim.store(self.vind_entry_addr(slot as u32), 4);
         // Re-pad the vacated tail slot: it may sit inside the lane
         // group covering the (shrunk) count, and a SIMD sweep would
@@ -427,11 +438,13 @@ impl KdTree {
         self.dirty_nodes.push(id);
     }
 
-    /// Appends one live slot (`vind` + leaf rows) at the end.
+    /// Appends one live slot at the end: its `vind` entry, and a row
+    /// slot the owning leaf's [`rebake_leaf_rows`](Self::rebake_leaf_rows)
+    /// encodes once the leaf's origin is known.
     fn push_point_slot(&mut self, sim: &mut SimEngine, idx: u32) {
         let slot = self.vind.len() as u32;
         self.vind.push(idx);
-        self.rows.push_point(self.points[idx as usize]);
+        self.rows.pad_to(self.vind.len());
         sim.store(self.vind_entry_addr(slot), 4);
         sim.store(self.reordered_point_addr(slot), 12);
         sim.exec(OpClass::IntAlu, 2);
@@ -445,16 +458,38 @@ impl KdTree {
         self.rows.pad_to(self.vind.len());
     }
 
-    /// Overwrites row slot `slot` with `p`'s coordinates.
-    fn write_soa_slot(&mut self, sim: &mut SimEngine, slot: usize, p: Point3) {
-        self.rows.set_point(slot, p);
-        sim.store(self.reordered_point_addr(slot as u32), 12);
+    /// Re-derives leaf `id`'s origin from its live points and
+    /// re-encodes every live row slot against it — the rows' half of
+    /// each change to a leaf's points. Host-layout upkeep with no
+    /// simulated events, like the padding: the leaf is dirty, and the
+    /// next re-bake charges its compressed structure.
+    fn rebake_leaf_rows(&mut self, id: NodeId) {
+        let Node::Leaf { start, count, .. } = self.nodes[id as usize] else {
+            return;
+        };
+        let slots = start as usize..(start + count) as usize;
+        let points = &self.points;
+        let live = self.vind[slots.clone()].iter().map(|&i| points[i as usize]);
+        let new_origin =
+            Aabb::from_points(live).map_or(Point3::ZERO, |b| leaf_origin(b.min, b.max));
+        if let Node::Leaf { origin, .. } = &mut self.nodes[id as usize] {
+            *origin = new_origin;
+        }
+        for i in slots {
+            let p = self.points[self.vind[i] as usize];
+            self.rows.set_point(i, p, new_origin);
+        }
     }
 
-    /// Rewrites leaf `id` in place and keeps its meta/dirty state
-    /// consistent.
+    /// Rewrites leaf `id` in place — range, origin and rows — and keeps
+    /// its meta/dirty state consistent.
     fn set_leaf(&mut self, sim: &mut SimEngine, id: NodeId, start: u32, count: u32, cap: u32) {
-        self.nodes[id as usize] = Node::Leaf { start, count };
+        self.nodes[id as usize] = Node::Leaf {
+            start,
+            count,
+            origin: Point3::ZERO,
+        };
+        self.rebake_leaf_rows(id);
         self.meta[id as usize] = NodeMeta {
             live: count,
             leaves: 1,
@@ -500,7 +535,7 @@ impl KdTree {
         } else {
             self.stats.num_interior -= 1;
         }
-        self.nodes[id as usize] = Node::Leaf { start: 0, count: 0 };
+        self.nodes[id as usize] = Node::EMPTY_LEAF;
         self.meta[id as usize] = NodeMeta::default();
         self.mark_dirty(id);
     }
@@ -537,7 +572,7 @@ impl KdTree {
     ) -> Option<NodeId> {
         sim.load(self.node_addr(node), NODE_BYTES as u32);
         match self.nodes[node as usize] {
-            Node::Leaf { start, count } => {
+            Node::Leaf { start, count, .. } => {
                 for i in start..start + count {
                     sim.load(self.vind_entry_addr(i), 4);
                     sim.exec(OpClass::IntAlu, 1);
@@ -578,7 +613,7 @@ impl KdTree {
     /// non-finite coordinates, which no divider bound can route).
     fn locate_exhaustive(&self, node: NodeId, idx: u32, path: &mut Vec<NodeId>) -> Option<NodeId> {
         match self.nodes[node as usize] {
-            Node::Leaf { start, count } => (start..start + count)
+            Node::Leaf { start, count, .. } => (start..start + count)
                 .any(|i| self.vind[i as usize] == idx)
                 .then_some(node),
             Node::Interior { left, right, .. } => {
@@ -609,7 +644,7 @@ impl KdTree {
     fn collect_subtree(&self, id: NodeId, ids: &mut Vec<NodeId>, pts: &mut Vec<u32>) {
         ids.push(id);
         match self.nodes[id as usize] {
-            Node::Leaf { start, count } => {
+            Node::Leaf { start, count, .. } => {
                 pts.extend_from_slice(&self.vind[start as usize..(start + count) as usize]);
             }
             Node::Interior { left, right, .. } => {
@@ -717,7 +752,7 @@ impl KdTree {
                 Some(id) => id,
                 None => {
                     let id = self.nodes.len() as NodeId;
-                    self.nodes.push(Node::Leaf { start: 0, count: 0 });
+                    self.nodes.push(Node::EMPTY_LEAF);
                     self.meta.push(NodeMeta::default());
                     id
                 }
@@ -727,9 +762,14 @@ impl KdTree {
         for (local, node) in parts.nodes.iter().enumerate() {
             let gid = map[local];
             let fixed = match *node {
-                Node::Leaf { start, count } => Node::Leaf {
+                Node::Leaf {
+                    start,
+                    count,
+                    origin,
+                } => Node::Leaf {
                     start: start + base_slot,
                     count,
+                    origin,
                 },
                 Node::Interior {
                     axis,
@@ -749,6 +789,7 @@ impl KdTree {
             };
             self.nodes[gid as usize] = fixed;
             if fixed.is_leaf() {
+                self.rebake_leaf_rows(gid);
                 self.stats.num_leaves += 1;
             } else {
                 self.stats.num_interior += 1;
@@ -768,6 +809,7 @@ impl KdTree {
         self.nodes[root as usize] = Node::Leaf {
             start: self.vind.len() as u32,
             count: 0,
+            origin: Point3::ZERO,
         };
         self.meta[root as usize] = NodeMeta {
             live: 0,
@@ -840,7 +882,7 @@ mod tests {
         let mut live_found = 0usize;
         fn walk(tree: &KdTree, id: NodeId, seen: &mut [bool], live: &mut usize) -> (u32, u32) {
             match tree.nodes()[id as usize] {
-                Node::Leaf { start, count } => {
+                Node::Leaf { start, count, .. } => {
                     let meta = tree.meta[id as usize];
                     assert_eq!(meta.live, count, "leaf {id} meta live");
                     assert!(count <= meta.cap.max(count), "leaf {id} cap");
@@ -874,7 +916,7 @@ mod tests {
                         out: &mut Vec<f32>,
                     ) {
                         match tree.nodes()[id as usize] {
-                            Node::Leaf { start, count } => {
+                            Node::Leaf { start, count, .. } => {
                                 for i in start..start + count {
                                     let idx = tree.vind()[i as usize];
                                     out.push(tree.points()[idx as usize][axis]);

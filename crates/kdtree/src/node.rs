@@ -1,4 +1,4 @@
-use bonsai_geom::Axis;
+use bonsai_geom::{Axis, Point3};
 
 /// Index of a node in the tree's node pool.
 pub type NodeId = u32;
@@ -12,9 +12,12 @@ pub type LeafId = u32;
 /// The paper's modified PCL reuses interior-node fields on leaves (via C
 /// unions) to store the compressed-structure reference without growing
 /// the tree. In Rust an `enum` expresses the same storage: both variants
-/// occupy one pool slot, and `bonsai-core` keeps its per-leaf reference
-/// in a side table indexed by [`LeafId`] whose footprint corresponds to
-/// those reused fields (accounted in the simulated layout).
+/// occupy one 24-byte pool slot, and `bonsai-core` keeps its per-leaf
+/// reference in a side table indexed by [`LeafId`] whose footprint
+/// corresponds to those reused fields (accounted in the simulated
+/// layout). A leaf spends the room its interior twin gives the split
+/// value and dividers on its f16 [`origin`](Node::Leaf::origin), so the
+/// pool does not grow.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Node {
     /// An interior node splitting space on `axis`.
@@ -40,6 +43,13 @@ pub enum Node {
         start: u32,
         /// Number of points in the leaf.
         count: u32,
+        /// The leaf's coordinate origin: f16 leaf rows hold
+        /// `f16(p − origin)`, and compressed scans translate the query
+        /// by it once per visit. Always
+        /// [`leaf_origin`](crate::leaf_origin) of the leaf's live
+        /// points (`Point3::ZERO` for an empty leaf), in both row
+        /// layouts.
+        origin: Point3,
     },
 }
 
@@ -48,6 +58,14 @@ impl Node {
     pub fn is_leaf(&self) -> bool {
         matches!(self, Node::Leaf { .. })
     }
+
+    /// An empty leaf (no slots, origin at zero): the placeholder of a
+    /// reserved or retired pool slot.
+    pub(crate) const EMPTY_LEAF: Node = Node::Leaf {
+        start: 0,
+        count: 0,
+        origin: Point3::ZERO,
+    };
 }
 
 /// Simulated size of one pool node in bytes.
@@ -64,7 +82,11 @@ mod tests {
 
     #[test]
     fn leaf_predicate() {
-        let leaf = Node::Leaf { start: 0, count: 5 };
+        let leaf = Node::Leaf {
+            start: 0,
+            count: 5,
+            origin: Point3::ZERO,
+        };
         let interior = Node::Interior {
             axis: Axis::X,
             split_val: 0.0,
@@ -79,8 +101,9 @@ mod tests {
 
     #[test]
     fn node_fits_declared_footprint() {
-        // The Rust enum must not be bigger than the simulated layout
-        // assumes (it is allowed to be smaller after niche packing).
-        assert!(std::mem::size_of::<Node>() as u64 <= NODE_BYTES + 8);
+        // The leaf origin rides in the room an interior node spends on
+        // its split value and dividers: the pool slot stays 24 bytes,
+        // exactly the simulated layout.
+        assert_eq!(std::mem::size_of::<Node>() as u64, NODE_BYTES);
     }
 }

@@ -24,7 +24,7 @@ use bonsai_sim::SimEngine;
 
 use crate::build::{itertools_partition, BuildStats, KdTree, KdTreeConfig, SplitRule};
 use crate::node::{Node, NodeId, NODE_BYTES};
-use crate::rows::{LeafRows, RowLayout};
+use crate::rows::{leaf_origin, LeafRows, RowLayout};
 use crate::simd::{lane_padded, LANES};
 // The padding sentinel for leaf slack/lane tails in `order` and the
 // tree's `vind`; defined (publicly) by the lane-engine module, since
@@ -97,10 +97,15 @@ fn build_rec(
             lane_padded(count)
         };
         order.resize(footprint, PAD_SLOT);
+        // lint: allow(panic-free-serving) — build recursion invariant:
+        // every partition range holds at least one point.
+        let bbox = Aabb::from_points(idxs.iter().map(|&i| points[i as usize]))
+            .expect("non-empty range has a bounding box");
         return SubtreeParts {
             nodes: vec![Node::Leaf {
                 start: 0,
                 count: count as u32,
+                origin: leaf_origin(bbox.min, bbox.max),
             }],
             order,
             stats: BuildStats {
@@ -181,9 +186,14 @@ fn build_rec(
 /// `slot_off`.
 fn shift_node(node: &Node, id_off: NodeId, slot_off: u32) -> Node {
     match *node {
-        Node::Leaf { start, count } => Node::Leaf {
+        Node::Leaf {
+            start,
+            count,
+            origin,
+        } => Node::Leaf {
             start: start + slot_off,
             count,
+            origin,
         },
         Node::Interior {
             axis,
@@ -291,7 +301,7 @@ pub(crate) fn build_tree_parallel(
         (parts.nodes, parts.order, parts.stats)
     };
 
-    let rows = LeafRows::bake(layout, &points, &vind);
+    let rows = LeafRows::bake(layout, &points, &vind, &nodes);
     let mut tree = KdTree {
         points,
         vind,
@@ -397,7 +407,7 @@ mod tests {
         );
         let mut seen = vec![false; cloud.len()];
         for node in &parts.nodes {
-            if let Node::Leaf { start, count } = *node {
+            if let Node::Leaf { start, count, .. } = *node {
                 assert!(count as usize <= m);
                 for s in start..start + count {
                     let idx = parts.order[s as usize];
@@ -425,7 +435,7 @@ mod tests {
         let parts = build_subtree(&cloud, &mut idxs, cfg);
         let mut slots = 0usize;
         for node in &parts.nodes {
-            if let Node::Leaf { start, count } = *node {
+            if let Node::Leaf { start, count, .. } = *node {
                 assert_eq!(start as usize % LANES, 0, "leaf starts lane-aligned");
                 slots += lane_padded(count as usize);
                 for s in start + count..start + lane_padded(count as usize) as u32 {

@@ -9,9 +9,37 @@
 //!   exact `f32` coordinates, 12 B per slot, swept by the baseline
 //!   scans;
 //! * [`RowLayout::F16`] — the tree under a `bonsai-core` `BonsaiTree`
-//!   ([`KdTree::build_f16`]): the raw binary16 bit patterns of the
-//!   coordinates, 6 B per slot, swept by the compressed shell scan.
-//!   Exact fallbacks read `points`, so no `f32` copy is kept.
+//!   ([`KdTree::build_f16`]): **leaf-relative** binary16 halves, 6 B
+//!   per slot, swept by the compressed shell scan. Slot `i` of leaf
+//!   `L` holds [`encode_halves`]`(points[vind[i]], origin(L))`, the
+//!   raw bits of `f16(p − o)` per axis, where `o` is the leaf's
+//!   [`origin`](crate::Node::Leaf::origin). Exact fallbacks read
+//!   `points`, so no `f32` copy is kept.
+//!
+//! # Leaf origins
+//!
+//! f16 of an *absolute* coordinate has a 1 m step past 1024 m and
+//! saturates past 65 504 m, so a map-frame leaf far from the origin
+//! would fall back to `f32` on nearly every point. The paper's premise
+//! (Sec. III-A) is that a leaf's points share sign and exponent because
+//! leaves are small; [`leaf_origin`] makes that hold anywhere on the
+//! map. Per axis, with `[lo, hi]` the leaf's live-point box:
+//!
+//! ```text
+//! E = 2^⌈log2 max(hi − lo, 2⁻²⁰·max(|lo|, |hi|), 2⁻¹⁵)⌉
+//! o = (⌊lo / (E/2)⌋ − 4) · E/2
+//! ```
+//!
+//! so `lo − o ∈ [2E, 2.5E)` and every `p − o ∈ [2E, 3.5E)`: one binade
+//! per axis, whose sign and exponent the ZipPts codec stores once, and
+//! an f16 step of `E·2⁻⁹` wherever the leaf sits. The two floors keep
+//! `|lo / (E/2)| ≤ 2²¹`, so `o` is computed exactly and is an exact
+//! `f32`, and keep `2E` an f16 normal. A leaf whose extent passes
+//! 16 384 m, or whose box is not finite, gets `o = 0`; its halves may
+//! then overflow to f16 `∞`, which forces the exact fallback, as a
+//! saturating absolute coordinate did before. The rounding of `p − o`
+//! and of the per-visit query translation `q − o` is covered by the
+//! shell test's error bound (see `bonsai-core`'s `shell` module).
 //!
 //! Every slot operation of the builders and the mutation layer writes
 //! through [`LeafRows`], so the layout never forks the code that keeps
@@ -24,7 +52,74 @@
 use bonsai_floatfmt::Half;
 use bonsai_geom::Point3;
 
+use crate::node::Node;
 use crate::simd::{PAD_COORD, PAD_HALF};
+
+/// The origin rule of the module docs for a leaf whose live points span
+/// the box `[lo, hi]`; `Point3::ZERO` for an empty leaf is the
+/// builders' convention (no box).
+///
+/// # Examples
+///
+/// ```
+/// use bonsai_geom::Point3;
+/// use bonsai_kdtree::leaf_origin;
+///
+/// // A 0.4 m leaf 5 km out: E = 0.5, so every relative coordinate
+/// // lies in [1, 1.75) — one f16 binade with a 2⁻¹⁰ m step.
+/// let lo = Point3::new(5000.1, -3200.3, 12.0);
+/// let hi = Point3::new(5000.5, -3200.0, 12.2);
+/// let o = leaf_origin(lo, hi);
+/// for (l, h, o) in [(lo.x, hi.x, o.x), (lo.y, hi.y, o.y)] {
+///     assert!(l - o >= 1.0 && h - o < 1.75);
+/// }
+/// ```
+pub fn leaf_origin(lo: Point3, hi: Point3) -> Point3 {
+    Point3::new(
+        axis_origin(lo.x, hi.x),
+        axis_origin(lo.y, hi.y),
+        axis_origin(lo.z, hi.z),
+    )
+}
+
+/// One axis of [`leaf_origin`], evaluated in `f64`, where every step is
+/// exact for `f32` inputs.
+fn axis_origin(lo: f32, hi: f32) -> f32 {
+    if !(lo.is_finite() && hi.is_finite() && lo <= hi) {
+        return 0.0;
+    }
+    let (lo, hi) = (f64::from(lo), f64::from(hi));
+    let magnitude = lo.abs().max(hi.abs());
+    let e = pow2_at_least(
+        (hi - lo)
+            .max(magnitude * 2f64.powi(-20))
+            .max(2f64.powi(-15)),
+    );
+    if e > 2f64.powi(14) {
+        // 2E would overflow f16: the leaf's halves saturate whatever
+        // the origin, so keep the absolute encoding.
+        return 0.0;
+    }
+    let grid = e / 2.0;
+    (((lo / grid).floor() - 4.0) * grid) as f32
+}
+
+/// The smallest power of two `≥ x`, for a positive normal `x`.
+fn pow2_at_least(x: f64) -> f64 {
+    let bits = x.to_bits();
+    let exp = (bits >> 52) & 0x7FF;
+    let exact = bits & ((1u64 << 52) - 1) == 0;
+    f64::from_bits((exp + u64::from(!exact)) << 52)
+}
+
+/// The f16 leaf-row encoding of point `p` in a leaf whose origin is
+/// `origin`: the raw binary16 bits of `p − origin`, per axis (the
+/// subtraction in `f32`, then one round-to-nearest-even conversion).
+/// The single encode site of the f16 rows, the compressed directory
+/// and the auditors.
+pub fn encode_halves(p: Point3, origin: Point3) -> [u16; 3] {
+    Rows::<u16>::encode(p, origin)
+}
 
 /// The element type of a tree's leaf rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -40,21 +135,23 @@ pub enum RowLayout {
 pub(crate) trait Elem: Copy + PartialEq {
     /// The padding sentinel (`+∞` in the element's format).
     const PAD: Self;
-    /// Encodes one exact coordinate.
-    fn encode(c: f32) -> Self;
+    /// Encodes one exact coordinate `c` of a leaf whose origin on that
+    /// axis is `o`.
+    fn encode(c: f32, o: f32) -> Self;
 }
 
 impl Elem for f32 {
     const PAD: f32 = PAD_COORD;
-    fn encode(c: f32) -> f32 {
+    /// The exact coordinate: `f32` rows ignore the origin.
+    fn encode(c: f32, _o: f32) -> f32 {
         c
     }
 }
 
 impl Elem for u16 {
     const PAD: u16 = PAD_HALF;
-    fn encode(c: f32) -> u16 {
-        Half::from_f32(c).to_bits()
+    fn encode(c: f32, o: f32) -> u16 {
+        Half::from_f32(c - o).to_bits()
     }
 }
 
@@ -75,12 +172,6 @@ impl<T: Elem> Rows<T> {
         }
     }
 
-    fn push(&mut self, [x, y, z]: [T; 3]) {
-        self.x.push(x);
-        self.y.push(y);
-        self.z.push(z);
-    }
-
     fn set(&mut self, i: usize, [x, y, z]: [T; 3]) {
         self.x[i] = x;
         self.y[i] = y;
@@ -91,8 +182,12 @@ impl<T: Elem> Rows<T> {
         [self.x[i], self.y[i], self.z[i]]
     }
 
-    fn encode(p: Point3) -> [T; 3] {
-        [T::encode(p.x), T::encode(p.y), T::encode(p.z)]
+    fn encode(p: Point3, o: Point3) -> [T; 3] {
+        [
+            T::encode(p.x, o.x),
+            T::encode(p.y, o.y),
+            T::encode(p.z, o.z),
+        ]
     }
 
     fn pad_to(&mut self, n: usize) {
@@ -152,15 +247,22 @@ impl LeafRows {
         }
     }
 
-    /// Rows mirroring `vind` over `points` (padding slots get the
-    /// sentinel), sized exactly.
-    pub fn bake(layout: RowLayout, points: &[Point3], vind: &[u32]) -> LeafRows {
+    /// Rows mirroring `vind` over `points`, each leaf of `nodes`
+    /// encoded against its origin (slots no live leaf slot covers get
+    /// the sentinel), sized exactly.
+    pub fn bake(layout: RowLayout, points: &[Point3], vind: &[u32], nodes: &[Node]) -> LeafRows {
         let mut rows = LeafRows::with_capacity(layout, vind.len());
-        for &idx in vind {
-            if idx == crate::simd::PAD_SLOT {
-                rows.pad_to(rows.len() + 1);
-            } else {
-                rows.push_point(points[idx as usize]);
+        rows.pad_to(vind.len());
+        for node in nodes {
+            if let Node::Leaf {
+                start,
+                count,
+                origin,
+            } = *node
+            {
+                for i in start as usize..(start + count) as usize {
+                    rows.set_point(i, points[vind[i] as usize], origin);
+                }
             }
         }
         rows
@@ -197,11 +299,6 @@ impl LeafRows {
         }
     }
 
-    /// Appends one slot holding `p`.
-    pub fn push_point(&mut self, p: Point3) {
-        each_layout!(self, r => r.push(Rows::encode(p)))
-    }
-
     /// Grows the rows to `n` slots with padding sentinels (never
     /// shrinks).
     pub fn pad_to(&mut self, n: usize) {
@@ -210,9 +307,10 @@ impl LeafRows {
         }
     }
 
-    /// Overwrites slot `i` with `p`.
-    pub fn set_point(&mut self, i: usize, p: Point3) {
-        each_layout!(self, r => r.set(i, Rows::encode(p)))
+    /// Overwrites slot `i` with `p`'s encoding in a leaf whose origin
+    /// is `origin`.
+    pub fn set_point(&mut self, i: usize, p: Point3, origin: Point3) {
+        each_layout!(self, r => r.set(i, Rows::encode(p, origin)))
     }
 
     /// Overwrites slot `i` with the padding sentinel.
@@ -229,11 +327,12 @@ impl LeafRows {
         }
     }
 
-    /// Whether slot `i` holds exactly `p`'s encoding (bit for bit).
-    pub fn holds(&self, i: usize, p: Point3) -> bool {
+    /// Whether slot `i` holds exactly `p`'s encoding against `origin`
+    /// (bit for bit).
+    pub fn holds(&self, i: usize, p: Point3, origin: Point3) -> bool {
         match self {
             LeafRows::F32(r) => r.get(i).map(f32::to_bits) == [p.x, p.y, p.z].map(f32::to_bits),
-            LeafRows::F16(r) => r.get(i) == Rows::<u16>::encode(p),
+            LeafRows::F16(r) => r.get(i) == Rows::<u16>::encode(p, origin),
         }
     }
 
@@ -289,26 +388,79 @@ mod tests {
     #[test]
     fn both_layouts_encode_pad_and_permute_alike() {
         let p = Point3::new(1.5, -2.25, 1000.1);
+        let o = Point3::new(1.0, -3.0, 999.5);
         for layout in [RowLayout::F32, RowLayout::F16] {
             let mut rows = LeafRows::with_capacity(layout, 4);
-            rows.push_point(p);
             rows.pad_to(3);
+            rows.set_point(0, p, o);
             assert_eq!(rows.layout(), layout);
             assert_eq!(rows.len(), 3);
-            assert!(rows.holds(0, p) && !rows.is_pad(0));
+            assert!(rows.holds(0, p, o) && !rows.is_pad(0));
             assert!(rows.is_pad(1) && rows.is_pad(2));
             let moved = rows.permuted(&[2, crate::CompactRemap::DROPPED, 0], 3);
-            assert!(moved.holds(2, p) && moved.is_pad(0) && moved.is_pad(1));
+            assert!(moved.holds(2, p, o) && moved.is_pad(0) && moved.is_pad(1));
             rows.set_pad(0);
             assert!(rows.is_pad(0));
         }
-        // 1000.1 is not an f16 value: the f16 rows hold its rounding.
+        // The f16 rows hold the halves of p − o; the f32 rows ignore o.
         let mut half = LeafRows::with_capacity(RowLayout::F16, 1);
-        half.push_point(p);
+        half.pad_to(1);
+        half.set_point(0, p, o);
         let LeafRows::F16(r) = &half else {
             unreachable!()
         };
-        assert_eq!(r.z[0], Half::from_f32(1000.1).to_bits());
+        assert_eq!(r.z[0], Half::from_f32(1000.1 - 999.5).to_bits());
+        assert_eq!(r.get(0), encode_halves(p, o));
+        assert!(!half.holds(0, p, Point3::ZERO));
         assert_eq!(half.bytes_per_slot(), 6);
+    }
+
+    /// The grid rule of the module docs: one binade `[2E, 4E)` per
+    /// axis, an exact `f32` origin on the `E/2` grid, whatever the
+    /// offset of the leaf.
+    #[test]
+    fn origins_put_every_axis_in_one_binade() {
+        let mut state = 0x5EED_0F0A_1D00u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for trial in 0..20_000 {
+            let offset = (next() - 0.5) * 2.0e5 * [0.0, 1e-3, 1.0][trial % 3];
+            let extent = 10f64.powf(next() * 6.0 - 4.0) * f64::from(trial % 7 != 0);
+            let lo = (offset + (next() - 0.5) * 50.0) as f32;
+            let hi = (f64::from(lo) + extent) as f32;
+            let o = axis_origin(lo, hi);
+            let binade = Half::from_f32(lo - o).exponent_field();
+            for c in [lo, hi, 0.5 * (lo + hi)] {
+                let h = Half::from_f32(c - o);
+                assert_eq!(h.exponent_field(), binade, "lo {lo} hi {hi} o {o} c {c}");
+                assert_eq!(
+                    h.to_bits() >> 15,
+                    0,
+                    "negative: lo {lo} hi {hi} o {o} c {c}"
+                );
+                assert!(h.exponent_field() != 0, "subnormal: lo {lo} hi {hi} o {o}");
+            }
+            let e = pow2_at_least(
+                f64::from(hi - lo)
+                    .max(f64::from(lo.abs().max(hi.abs())) * 2f64.powi(-20))
+                    .max(2f64.powi(-15)),
+            );
+            assert_eq!(
+                f64::from(o) % (e / 2.0),
+                0.0,
+                "off grid: lo {lo} hi {hi} o {o}"
+            );
+            assert!(f64::from(lo - o) >= 2.0 * e && f64::from(lo - o) <= 2.5 * e);
+        }
+        // Non-finite and overflowing boxes keep the absolute encoding.
+        assert_eq!(axis_origin(f32::NEG_INFINITY, 1.0), 0.0);
+        assert_eq!(axis_origin(f32::NAN, 1.0), 0.0);
+        assert_eq!(axis_origin(-1e20, 1.0), 0.0);
+        assert_eq!(pow2_at_least(0.75), 1.0);
+        assert_eq!(pow2_at_least(4.0), 4.0);
     }
 }

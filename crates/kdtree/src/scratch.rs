@@ -247,7 +247,7 @@ impl KdTree {
             };
             stats.nodes_visited += 1;
             match self.nodes()[node as usize] {
-                Node::Leaf { start, count } => {
+                Node::Leaf { start, count, .. } => {
                     stats.leaf_visits += 1;
                     visited.push((node, start, count));
                 }

@@ -257,7 +257,7 @@ impl KdTree {
             sim.load(self.node_addr(node) + 12, (NODE_BYTES - 12) as u32);
 
             match self.nodes()[node as usize] {
-                Node::Leaf { start, count } => {
+                Node::Leaf { start, count, .. } => {
                     stats.leaf_visits += 1;
                     let prev = sim.set_kernel(Kernel::LeafScan);
                     processor.process_leaf(sim, self, node, start, count, query, r_sq, out, stats);

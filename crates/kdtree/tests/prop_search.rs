@@ -81,7 +81,7 @@ proptest! {
         let tree = KdTree::build(cloud.clone(), cfg, &mut sim);
         let mut seen = vec![0u8; cloud.len()];
         for node in tree.nodes() {
-            if let bonsai_kdtree::Node::Leaf { start, count } = node {
+            if let bonsai_kdtree::Node::Leaf { start, count, .. } = node {
                 prop_assert!(*count as usize <= leaf);
                 for i in *start..start + count {
                     seen[tree.vind()[i as usize] as usize] += 1;

@@ -478,8 +478,9 @@ mod tests {
     /// The regression oracle for the engine switch: an uninstrumented
     /// alignment (batched `RadiusSearchEngine`) returns the simulated
     /// one's (instrumented walker) `AlignResult` bit for bit, in both
-    /// modes, at the origin and at map-scale offsets where a third to
-    /// two thirds of the compressed distance checks fall back.
+    /// modes, at the origin and at map-scale offsets. Leaf-relative f16
+    /// rows keep the compressed distance checks conclusive kilometres
+    /// out: under 5 % fall back, at the origin and at 3–7 km alike.
     #[test]
     fn engine_path_equals_instrumented_walker_bit_for_bit() {
         let cloud = structured_cloud();
@@ -512,11 +513,8 @@ mod tests {
                     assert_eq!(engine, instrumented, "{mode:?} at {offset:?}, pass {pass}");
                 }
                 let fallbacks = instrumented.search_stats.fallback_ratio();
-                if mode == NdtSearchMode::Bonsai && offset != Point3::ZERO {
-                    assert!(
-                        (0.3..0.7).contains(&fallbacks),
-                        "{offset:?}: fallback share {fallbacks}"
-                    );
+                if mode == NdtSearchMode::Bonsai {
+                    assert!(fallbacks < 0.05, "{offset:?}: fallback share {fallbacks}");
                 }
             }
         }

@@ -46,7 +46,7 @@ impl Sec3aResult {
     /// Adds one tree's leaves to the census.
     pub fn absorb(&mut self, tree: &KdTree) {
         for node in tree.nodes() {
-            let Node::Leaf { start, count } = node else {
+            let Node::Leaf { start, count, .. } = node else {
                 continue;
             };
             self.leaves += 1;

@@ -820,10 +820,14 @@ mod tests {
             .value()
             .search_append(probe, 1.1, &mut scratch, &mut frozen, &mut stats);
         assert_eq!(frozen, before.neighbors, "pre-split epoch drifted");
-        // …while new requests ride the rebalanced topology, same hits.
+        // …while new requests ride the rebalanced topology, same hits
+        // (the split re-encodes leaves against new origins, so the
+        // approximate distances of compressed hits may move; membership
+        // and order may not).
         let after = server.radius_query(probe, 1.1).expect("served");
         assert!(after.epoch > 0);
-        assert_eq!(after.neighbors, before.neighbors);
+        let indices = |hits: &[Neighbor]| hits.iter().map(|n| n.index).collect::<Vec<_>>();
+        assert_eq!(indices(&after.neighbors), indices(&before.neighbors));
     }
 
     /// A baseline tree that blocks on a channel gate when asked about

@@ -14,7 +14,7 @@ use kd_bonsai::cluster::{
 };
 use kd_bonsai::core::{FaultKind, FaultPlan, ShardPolicy};
 use kd_bonsai::geom::Point3;
-use kd_bonsai::kdtree::{KdTreeConfig, QueryBatch};
+use kd_bonsai::kdtree::{KdTreeConfig, QueryBatch, ViolationKind};
 use kd_bonsai::lidar::{DrivingSequence, SequenceConfig};
 
 fn blob(center: Point3, n: usize, spread: f32, seed: u64) -> Vec<Point3> {
@@ -138,6 +138,45 @@ fn heal_restores_bit_identical_serving() {
                 "seed {seed} {kind:?}: healed clusters diverge from the clean twin"
             );
         }
+    }
+}
+
+/// A leaf origin knocked off its grid — the f16 rows still encode the
+/// points against the old origin, so a compressed scan would translate
+/// the query by the wrong point — is caught by the origin-rule check
+/// (and the stale rows by the f16 bit compare), and quarantine-and-
+/// rebuild restores serving identical to a never-corrupted twin.
+#[test]
+fn leaf_origin_skew_is_detected_and_healed() {
+    for seed in [4u64, 13, 29] {
+        let clean = churned_extractor(seed);
+        let mut ex = churned_extractor(seed);
+        let mut plan = FaultPlan::new(seed);
+        assert!(
+            ex.chaos_inject(&mut plan, FaultKind::LeafOriginSkew)
+                .is_some(),
+            "seed {seed}: no live leaf to skew"
+        );
+        let found = ex.audit();
+        for want in [ViolationKind::LeafOrigin, ViolationKind::F16Mismatch] {
+            assert!(
+                found.iter().any(|v| v.kind == want),
+                "seed {seed}: expected a {want} violation, audit found {found:?}"
+            );
+        }
+        let report = ex.heal();
+        assert!(
+            report.clean && !report.rebuilt.is_empty(),
+            "seed {seed}: {report:?}"
+        );
+        assert!(ex.audit().is_empty(), "seed {seed}: post-heal audit");
+        let healed = ex.extract(0.5, 1, 100_000);
+        assert!(healed.coverage.complete, "seed {seed}: coverage");
+        assert_eq!(
+            healed.clusters,
+            clean.extract(0.5, 1, 100_000).clusters,
+            "seed {seed}: healed clusters diverge from the clean twin"
+        );
     }
 }
 

@@ -377,9 +377,12 @@ fn single_point_cloud_pins_every_mode() {
     );
 }
 
-/// Coordinates beyond binary16's finite range (±65504) saturate the
-/// f16-approximate SoA rows to ±∞. The error-bound LUT returns ∞ for
-/// exponent field 31, so every such point must take the exact-recompute
+/// Coordinates beyond binary16's finite range (±65504). The f16 rows
+/// hold halves relative to each leaf's origin, so a leaf of nearby
+/// points 66 km out stays finite; an f16 half saturates to ±∞ only when
+/// a leaf's *extent* overflows binary16 — the 1e20 point sharing a leaf
+/// with ordinary points. The error-bound LUT returns ∞ for exponent
+/// field 31, so every such point must take the exact-recompute
 /// fallback — membership stays pinned to the `f32` brute force.
 #[test]
 fn f16_saturating_coordinates_pin_every_mode() {
@@ -411,15 +414,16 @@ fn f16_saturating_coordinates_pin_every_mode() {
         pin_all_modes(&cloud, q, r, label);
     }
 
-    // The saturated points really do exercise the fallback: a Bonsai
-    // search around them must recompute at least one point.
-    let tree = Trees::build(&cloud);
-    let (_, stats) = instrumented_search(
-        &tree,
-        TreeMode::Bonsai,
-        Point3::new(66_000.0, 0.0, 0.0),
-        15.0,
-    );
+    // A leaf whose extent overflows f16 really does exercise the
+    // fallback: one leaf holding the 1e20 point and eight ordinary
+    // ones, searched near the ordinary ones, must recompute at least
+    // one point.
+    let mut mixed = vec![Point3::new(1.0e20, 1.0e20, 0.0)];
+    mixed.extend(lane_cloud(8));
+    pin_all_modes(&mixed, Point3::ZERO, 1.0, "overflowing leaf extent");
+    let tree = Trees::build(&mixed);
+    assert_eq!(tree.bonsai.kd_tree().build_stats().num_leaves, 1);
+    let (_, stats) = instrumented_search(&tree, TreeMode::Bonsai, Point3::ZERO, 1.0);
     assert!(
         stats.fallbacks > 0,
         "saturation did not hit the shell fallback"

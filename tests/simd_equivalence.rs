@@ -187,7 +187,7 @@ fn sweep_leaf_kernel_is_backend_independent() {
         .iter()
         .enumerate()
         .filter_map(|(id, n)| match *n {
-            Node::Leaf { start, count } => Some((id as u32, start, count)),
+            Node::Leaf { start, count, .. } => Some((id as u32, start, count)),
             Node::Interior { .. } => None,
         })
         .collect();
