@@ -16,9 +16,11 @@ use bonsai_bench::workload::{
     batch_queries, collect_sweep_sets, skewed_queries, urban_cloud, BATCH_CLOUD, BATCH_QUERIES,
     BATCH_RADIUS, SKEW_STD, SWEEP_RADIUS,
 };
+use bonsai_core::shell::check_compressed_hits;
 use bonsai_core::{
     BonsaiTree, CompactionPolicy, RadiusSearchEngine, ShardConfig, ShardPolicy, ShardRouter,
 };
+use bonsai_geom::Point3;
 use bonsai_isa::Machine;
 use bonsai_kdtree::{simd, KdTree, KdTreeConfig, Neighbor, QueryBatch, SearchStats};
 use bonsai_sim::SimEngine;
@@ -28,18 +30,46 @@ const RADIUS: f32 = BATCH_RADIUS;
 /// Shards of the sharded serving rows.
 const SHARDS: usize = 8;
 
-/// Runs `work` repeatedly for ~`budget_ms` after one untimed warm-up
-/// round, returning `(rounds, elapsed_seconds)`.
-/// What two trees that cut the same points into different leaves must
-/// agree on: `(index, dist_sq bits)` when `exact`, else the indices in
-/// order — a compressed conclusive hit reports the `d′²` of its
-/// leaf-relative f16 half, which depends on its leaf's origin.
-fn comparable(exact: bool, hits: &[Neighbor]) -> Vec<(u32, Option<u32>)> {
-    hits.iter()
-        .map(|n| (n.index, exact.then_some(n.dist_sq.to_bits())))
-        .collect()
+/// Panics unless `got` reproduces `want` for `query` (one index space,
+/// in which `points[i]` is point `i`, and one order): bit-identical
+/// `(index, dist_sq)` under baseline (`origins` is `None`). Under
+/// compression a conclusive hit reports the `d′²` of its leaf-relative
+/// f16 half, which depends on its leaf's origin, so trees that cut the
+/// same points into other leaves are held to
+/// [`check_compressed_hits`], `origins` giving the leaf origin of
+/// every point in `got`'s and in `want`'s tree.
+fn assert_same_hits(
+    query: Point3,
+    points: &[Point3],
+    got: &[Neighbor],
+    want: &[Neighbor],
+    origins: Option<(&[Point3], &[Point3])>,
+    what: &str,
+) {
+    match origins {
+        None => assert_eq!(got, want, "{what} diverged"),
+        Some((got_origins, want_origins)) => {
+            let checked =
+                check_compressed_hits(query, RADIUS, points, got, got_origins, want, want_origins);
+            if let Err(e) = checked {
+                panic!("{what} diverged: {e:?}");
+            }
+        }
+    }
 }
 
+/// Leaf origins moved to another index space: `origins[i]` lands at
+/// `map[i]` of a table of `len` entries.
+fn remap_origins(origins: &[Point3], map: &[u32], len: usize) -> Vec<Point3> {
+    let mut out = vec![Point3::ZERO; len];
+    for (&o, &to) in origins.iter().zip(map) {
+        out[to as usize] = o;
+    }
+    out
+}
+
+/// Runs `work` repeatedly for ~`budget_ms` after one untimed warm-up
+/// round, returning `(rounds, elapsed_seconds)`.
 fn measure_rounds(budget_ms: u64, mut work: impl FnMut() -> usize) -> (u64, f64) {
     let mut checksum = work();
     let start = Instant::now();
@@ -353,6 +383,7 @@ fn main() {
         // canonical ascending-index order; compressed approximate
         // distances follow each shard's leaf origins).
         router.search_batch(&queries, RADIUS, &mut batch);
+        let origins = (!baseline).then(|| (router.point_origins(), tree.kd_tree().point_origins()));
         for (i, &q) in queries.iter().enumerate().step_by(37) {
             let mut expect = if baseline {
                 base_tree.radius_search_simple(q, RADIUS)
@@ -360,10 +391,13 @@ fn main() {
                 tree.radius_search_simple(q, RADIUS)
             };
             expect.sort_unstable_by_key(|n| n.index);
-            assert_eq!(
-                comparable(baseline, batch.results(i)),
-                comparable(baseline, &expect),
-                "{mode} query {i} diverged"
+            assert_same_hits(
+                q,
+                &cloud,
+                batch.results(i),
+                &expect,
+                origins.as_ref().map(|(g, w)| (&g[..], &w[..])),
+                &format!("{mode} query {i}"),
             );
         }
 
@@ -476,14 +510,17 @@ fn main() {
     {
         let mut expect = QueryBatch::new();
         static_snap.search_batch(&skew, RADIUS, &mut expect);
-        adaptive_router
-            .snapshot()
-            .search_batch(&skew, RADIUS, &mut batch);
-        for i in 0..skew.len() {
-            assert_eq!(
-                comparable(false, batch.results(i)),
-                comparable(false, expect.results(i)),
-                "adaptive skew query {i} diverged"
+        let adapted = adaptive_router.snapshot();
+        adapted.search_batch(&skew, RADIUS, &mut batch);
+        let origins = (adapted.point_origins(), static_snap.point_origins());
+        for (i, &q) in skew.iter().enumerate() {
+            assert_same_hits(
+                q,
+                &acloud,
+                batch.results(i),
+                expect.results(i),
+                Some((&origins.0, &origins.1)),
+                &format!("adaptive skew query {i}"),
             );
         }
     }
@@ -675,17 +712,22 @@ fn main() {
                 RadiusSearchEngine::bonsai(&tree)
             };
             let mut expect = QueryBatch::new();
+            let origins = (mode == "bonsai")
+                .then(|| (r.snapshot().point_origins(), tree.kd_tree().point_origins()));
             for &scalar in &[true, false] {
                 ov.set(scalar);
                 engine.search_batch(&probes, RADIUS, &mut expect);
                 r.snapshot().search_batch(&probes, RADIUS, &mut batch);
-                for (i, _) in probes.iter().enumerate() {
+                for (i, &q) in probes.iter().enumerate() {
                     let mut want = expect.results(i).to_vec();
                     want.sort_unstable_by_key(|n| n.index);
-                    assert_eq!(
-                        comparable(mode == "baseline", batch.results(i)),
-                        comparable(mode == "baseline", &want),
-                        "{mode} scalar={scalar} adaptive probe {i} diverged"
+                    assert_same_hits(
+                        q,
+                        &cloud,
+                        batch.results(i),
+                        &want,
+                        origins.as_ref().map(|(g, w)| (&g[..], &w[..])),
+                        &format!("{mode} scalar={scalar} adaptive probe {i}"),
                     );
                 }
             }
@@ -836,6 +878,11 @@ fn main() {
                 .map(|&i| tree.kd_tree().points()[i as usize])
                 .collect();
             let fresh = BonsaiTree::build(live_pts, KdTreeConfig::default(), &mut sim);
+            let points = tree.kd_tree().points();
+            let origins = (
+                tree.kd_tree().point_origins(),
+                remap_origins(&fresh.kd_tree().point_origins(), &live_ids, points.len()),
+            );
             for (qi, &q) in queries.iter().enumerate().step_by(257) {
                 let mut got = tree.radius_search_simple(q, RADIUS);
                 got.sort_unstable_by_key(|n| n.index);
@@ -844,10 +891,13 @@ fn main() {
                     n.index = live_ids[n.index as usize];
                 }
                 expect.sort_unstable_by_key(|n| n.index);
-                assert_eq!(
-                    comparable(false, &got),
-                    comparable(false, &expect),
-                    "churn {pct}% query {qi} diverged"
+                assert_same_hits(
+                    q,
+                    points,
+                    &got,
+                    &expect,
+                    Some((&origins.0, &origins.1)),
+                    &format!("churn {pct}% query {qi}"),
                 );
             }
         }
@@ -947,6 +997,15 @@ fn main() {
             let live_pts: Vec<_> = pairs.iter().map(|&(_, p)| p).collect();
             let mut sim = SimEngine::disabled();
             let fresh = BonsaiTree::build(live_pts, KdTreeConfig::default(), &mut sim);
+            let len = sorted_live.last().map_or(0, |&g| g as usize + 1);
+            let mut points = vec![Point3::ZERO; len];
+            for &(g, p) in &pairs {
+                points[g as usize] = p;
+            }
+            let origins = (
+                router.snapshot().point_origins(),
+                remap_origins(&fresh.kd_tree().point_origins(), &sorted_live, len),
+            );
             let mut batch = QueryBatch::new();
             let probes: Vec<_> = queries.iter().copied().step_by(97).collect();
             router.snapshot().search_batch(&probes, RADIUS, &mut batch);
@@ -956,10 +1015,13 @@ fn main() {
                     n.index = sorted_live[n.index as usize];
                 }
                 expect.sort_unstable_by_key(|n| n.index);
-                assert_eq!(
-                    comparable(false, batch.results(i)),
-                    comparable(false, &expect),
-                    "{label} probe {i} diverged"
+                assert_same_hits(
+                    q,
+                    &points,
+                    batch.results(i),
+                    &expect,
+                    Some((&origins.0, &origins.1)),
+                    &format!("{label} probe {i}"),
                 );
             }
         }

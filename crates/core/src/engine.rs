@@ -39,7 +39,7 @@ pub enum EngineMode {
 
 /// The error-bound ROM (`part_error_mem`, Fig. 7): built on first use
 /// and shared by every engine, router and snapshot in the process.
-fn error_rom() -> &'static PartErrorMem {
+pub(crate) fn error_rom() -> &'static PartErrorMem {
     static ROM: OnceLock<PartErrorMem> = OnceLock::new();
     ROM.get_or_init(PartErrorMem::new)
 }

@@ -23,8 +23,11 @@
 //! for both modes (Baseline / Bonsai). A compressed conclusive hit
 //! reports the `d′²` of its *leaf-relative* f16 half, which also
 //! depends on the origin of the leaf holding the point, so shard trees
-//! may report other approximate distances than one tree (each within
-//! the shell's bound of the exact one). Hits are emitted in ascending
+//! may report other approximate distances than one tree: each is
+//! exactly what the point's own leaf reports, within the shell's bound
+//! of the exact one, and bit-identical wherever the leaf origins agree
+//! ([`check_compressed_hits`](crate::shell::check_compressed_hits),
+//! with [`RouterSnapshot::point_origins`]). Hits are emitted in ascending
 //! global point index, a canonical order that is independent of the
 //! shard layout (a single tree emits leaf order instead, so compare
 //! after sorting). Traversal *counters* are aggregated per shard: they
@@ -1767,6 +1770,30 @@ impl RouterSnapshot {
         coverage_of(&self.shards)
     }
 
+    /// The origin of the leaf holding each live point, indexed by
+    /// global index ([`KdTree::point_origins`] through every shard's
+    /// local → global map; `Point3::ZERO` for an index no live point
+    /// holds).
+    pub fn point_origins(&self) -> Vec<Point3> {
+        let len = self
+            .shards
+            .iter()
+            .flat_map(|s| s.global.iter())
+            .max()
+            .map_or(0, |&g| g as usize + 1);
+        let mut origins = vec![Point3::ZERO; len];
+        for shard in &self.shards {
+            let kd = shard.tree.kd();
+            for (local, origin) in kd.point_origins().into_iter().enumerate() {
+                match shard.global.get(local) {
+                    Some(&g) if kd.is_live(local as u32) => origins[g as usize] = origin,
+                    _ => {}
+                }
+            }
+        }
+        origins
+    }
+
     /// The typed no-coverage gate of the serving boundary:
     /// [`QueryError::NoCoverage`] exactly when the snapshot is
     /// non-empty and **every** shard is quarantined — the one state
@@ -2173,10 +2200,11 @@ impl ShardRouter {
         })
     }
 
-    /// Shifts one live leaf's origin off its grid.
+    /// Shifts one live leaf's origin off its grid (Bonsai shards only:
+    /// baseline scans never read an origin).
     pub fn chaos_skew_origin(&mut self, rng: &mut bonsai_kdtree::ChaosRng) -> Option<usize> {
         self.chaos_try(rng, |t, rng| match t {
-            ShardTree::Baseline(k) => k.chaos_skew_origin(rng),
+            ShardTree::Baseline(_) => false,
             ShardTree::Bonsai(b) => b.chaos_skew_origin(rng),
         })
     }
@@ -2376,6 +2404,7 @@ fn build_shards(
 mod tests {
     use super::*;
     use crate::adapt::find_best_split_plane;
+    use crate::shell::check_compressed_hits;
     use crate::RadiusSearchEngine;
 
     fn urban_cloud(n: usize, seed: u64) -> Vec<Point3> {
@@ -2403,13 +2432,39 @@ mod tests {
         hits
     }
 
-    /// Neighbour indices, in order. A compressed hit classified from
-    /// its leaf-relative half reports a `d′²` that depends on its
-    /// leaf's origin, so trees whose leaves differ (sharded vs single,
-    /// mutated vs fresh, before vs after a split or a rebuild) agree on
-    /// membership and order, not on approximate distances.
-    fn indices(hits: &[Neighbor]) -> Vec<u32> {
-        hits.iter().map(|n| n.index).collect()
+    /// Asserts that two trees over the same points — sharded vs
+    /// single, mutated vs fresh, before vs after a split or a rebuild —
+    /// answered `query` alike: a compressed hit classified from its
+    /// leaf-relative half reports a `d′²` that depends on its leaf's
+    /// origin, so each side is held to what its own leaves report
+    /// ([`check_compressed_hits`]); `got` and `want` pair the hits with
+    /// the leaf origins of every point (global index space).
+    #[track_caller]
+    fn assert_same_hits(
+        query: Point3,
+        radius: f32,
+        points: &[Point3],
+        got: (&[Neighbor], &[Point3]),
+        want: (&[Neighbor], &[Point3]),
+        what: &str,
+    ) {
+        if let Err(e) = check_compressed_hits(query, radius, points, got.0, got.1, want.0, want.1) {
+            panic!("{what}: {e:?}");
+        }
+    }
+
+    /// Every live point of `router`, indexed by global index.
+    fn global_points(router: &ShardRouter) -> Vec<Point3> {
+        let mut points = vec![Point3::ZERO; router.locs.len()];
+        for shard in &router.shards {
+            let kd = shard.tree.kd();
+            for (local, &global) in shard.global.iter().enumerate() {
+                if kd.is_live(local as u32) {
+                    points[global as usize] = kd.points()[local];
+                }
+            }
+        }
+        points
     }
 
     #[test]
@@ -2676,6 +2731,12 @@ mod tests {
         let mut sim = SimEngine::disabled();
         let fresh = BonsaiTree::build(live_pts, KdTreeConfig::default(), &mut sim);
         let engine = RadiusSearchEngine::bonsai(&fresh);
+        let points = global_points(&router);
+        let router_origins = router.snapshot().point_origins();
+        let mut fresh_origins = vec![Point3::ZERO; points.len()];
+        for (i, o) in fresh.kd_tree().point_origins().into_iter().enumerate() {
+            fresh_origins[live[i].0 as usize] = o;
+        }
 
         let mut scratch = SearchScratch::new();
         let mut got = Vec::new();
@@ -2694,7 +2755,14 @@ mod tests {
                     })
                     .collect(),
             );
-            assert_eq!(indices(&got), indices(&remapped), "query {qi}");
+            assert_same_hits(
+                q,
+                1.4,
+                &points,
+                (&got, &router_origins),
+                (&remapped, &fresh_origins),
+                &format!("query {qi}"),
+            );
         }
     }
 
@@ -2854,6 +2922,8 @@ mod tests {
         let mut before = QueryBatch::new();
         router.snapshot().search_batch(&queries, 1.3, &mut before);
         let bytes_before = router.resident_bytes();
+        let points = global_points(&router);
+        let origins_before = router.snapshot().point_origins();
 
         for i in 0..router.num_shards() {
             router.rebuild_shard(i);
@@ -2865,11 +2935,15 @@ mod tests {
         );
         let mut after = QueryBatch::new();
         router.snapshot().search_batch(&queries, 1.3, &mut after);
+        let origins_after = router.snapshot().point_origins();
         for i in 0..before.num_queries() {
-            assert_eq!(
-                indices(after.results(i)),
-                indices(before.results(i)),
-                "query {i} moved"
+            assert_same_hits(
+                queries[i],
+                1.3,
+                &points,
+                (after.results(i), &origins_after),
+                (before.results(i), &origins_before),
+                &format!("query {i} moved"),
             );
         }
 
@@ -3113,16 +3187,21 @@ mod tests {
         let engine = RadiusSearchEngine::bonsai(&tree);
         let mut expect_batch = QueryBatch::new();
         engine.search_batch(&queries, 1.3, &mut expect_batch);
+        let tree_origins = tree.kd_tree().point_origins();
         let check = |router: &ShardRouter, label: &str| {
             let audit = router.audit();
             assert!(audit.is_empty(), "{label}: {audit:?}");
             let mut batch = QueryBatch::new();
             router.snapshot().search_batch(&queries, 1.3, &mut batch);
+            let router_origins = router.snapshot().point_origins();
             for i in 0..batch.num_queries() {
-                assert_eq!(
-                    indices(batch.results(i)),
-                    indices(&sorted(expect_batch.results(i).to_vec())),
-                    "{label} query {i}"
+                assert_same_hits(
+                    queries[i],
+                    1.3,
+                    &cloud,
+                    (batch.results(i), &router_origins),
+                    (&sorted(expect_batch.results(i).to_vec()), &tree_origins),
+                    &format!("{label} query {i}"),
                 );
             }
         };
@@ -3280,11 +3359,18 @@ mod tests {
         engine.search_batch(&queries, 1.2, &mut single);
         let mut routed = QueryBatch::new();
         router.snapshot().search_batch(&queries, 1.2, &mut routed);
+        let (router_origins, tree_origins) = (
+            router.snapshot().point_origins(),
+            tree.kd_tree().point_origins(),
+        );
         for i in 0..single.num_queries() {
-            assert_eq!(
-                indices(routed.results(i)),
-                indices(&sorted(single.results(i).to_vec())),
-                "query {i} diverged after adaptation"
+            assert_same_hits(
+                queries[i],
+                1.2,
+                &cloud,
+                (routed.results(i), &router_origins),
+                (&sorted(single.results(i).to_vec()), &tree_origins),
+                &format!("query {i} diverged after adaptation"),
             );
         }
     }

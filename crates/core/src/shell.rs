@@ -59,6 +59,10 @@
 //! a leaf of extent `≤ E` anywhere on the map, instead of 1 m past
 //! 1 km and 4 m past 4 km.
 
+use bonsai_floatfmt::Half;
+use bonsai_geom::Point3;
+use bonsai_kdtree::{encode_halves, Neighbor};
+
 /// Shell-widening headroom in units of `f32::EPSILON × max(d′², r²)`.
 pub const SHELL_SLACK_ULPS: f32 = 16.0;
 
@@ -111,12 +115,184 @@ pub fn classify(d_sq_approx: f32, t_err: f32, r_sq: f32) -> ShellClass {
     }
 }
 
+/// The compressed scans' arithmetic for one candidate: `point` in a
+/// leaf whose origin is `origin`, seen from `query`. Returns `d′²`,
+/// the squared distance from the translated query `query − origin` to
+/// the point's leaf-relative half ([`encode_halves`]), and its Eq. 11
+/// bound `Tεsd` — the `f32` expressions, in the order, that the AVX2
+/// and scalar sweeps evaluate (diffs, then `(dx² + dy²) + dz²`, then
+/// the error terms summed x → y → z).
+pub fn leaf_relative_inputs(query: Point3, point: Point3, origin: Point3) -> (f32, f32) {
+    let lut = crate::engine::error_rom();
+    let h = encode_halves(point, origin).map(Half::from_bits);
+    let q = query - origin;
+    let d = [
+        q.x - h[0].to_f32(),
+        q.y - h[1].to_f32(),
+        q.z - h[2].to_f32(),
+    ];
+    let d_sq = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+    let t_err = lut.max_squared_difference_error(d[0].abs(), h[0].exponent_field())
+        + lut.max_squared_difference_error(d[1].abs(), h[1].exponent_field())
+        + lut.max_squared_difference_error(d[2].abs(), h[2].exponent_field());
+    (d_sq, t_err)
+}
+
+/// The `dist_sq` a compressed scan reports for `point` in a leaf whose
+/// origin is `origin`: `d′²` when the shell classifies it
+/// [`In`](ShellClass::In), the exact `f32` `d²` when an inconclusive
+/// candidate's fallback finds it within `r_sq`, and `None` when it is
+/// not a hit.
+pub fn reported_dist_sq(query: Point3, point: Point3, origin: Point3, r_sq: f32) -> Option<f32> {
+    let (d_sq, t_err) = leaf_relative_inputs(query, point, origin);
+    match classify(d_sq, t_err, r_sq) {
+        ShellClass::In => Some(d_sq),
+        ShellClass::Out => None,
+        ShellClass::Recompute => {
+            let exact = point.distance_squared(query);
+            (exact <= r_sq).then_some(exact)
+        }
+    }
+}
+
+/// How two compressed answers to one query disagree (see
+/// [`check_compressed_hits`]). `side` names the answer at fault:
+/// `"got"` or `"want"`.
+#[derive(Debug, Clone, PartialEq)]
+pub enum HitMismatch {
+    /// The answers name different points, or the same points in a
+    /// different order.
+    Neighbours {
+        /// The indices of `got`.
+        got: Vec<u32>,
+        /// The indices of `want`.
+        want: Vec<u32>,
+    },
+    /// A hit's `dist_sq` is not what its own leaf reports
+    /// ([`reported_dist_sq`]; `None`: the leaf reports no hit).
+    Report {
+        /// The answer at fault.
+        side: &'static str,
+        /// The point.
+        index: u32,
+        /// The reported distance.
+        dist_sq: f32,
+        /// The origin of the point's leaf in that answer's tree.
+        origin: Point3,
+        /// What that leaf reports.
+        expected: Option<f32>,
+    },
+    /// A conclusive hit's `d′²` lies outside `Tεsd·T_ERR_WIDEN + 8ε·d′²`
+    /// of the true `d²`.
+    Bound {
+        /// The answer at fault.
+        side: &'static str,
+        /// The point.
+        index: u32,
+        /// The reported approximate distance.
+        d_sq: f32,
+        /// The true squared distance, in `f64`.
+        truth: f64,
+        /// The bound it broke.
+        bound: f64,
+    },
+    /// Both trees give the point's leaf the same origin, yet the two
+    /// `dist_sq` differ.
+    SameOrigin {
+        /// The point.
+        index: u32,
+        /// The shared origin.
+        origin: Point3,
+        /// `got`'s distance.
+        got: f32,
+        /// `want`'s distance.
+        want: f32,
+    },
+}
+
+/// Checks one compressed query's hits from two trees over the same
+/// points — shards against one tree, a mutated tree against a fresh
+/// rebuild — as strictly as leaf-relative halves allow. Both lists use
+/// one index space, in which `points[i]` is point `i`, and one order;
+/// `got_origins[i]` and `want_origins[i]` are the origins of the
+/// leaves holding point `i` in each tree
+/// ([`KdTree::point_origins`](bonsai_kdtree::KdTree::point_origins),
+/// [`RouterSnapshot::point_origins`](crate::RouterSnapshot::point_origins)).
+///
+/// The hits must name the same points in the same order. Each side's
+/// `dist_sq` must be, bit for bit, [`reported_dist_sq`] in its own
+/// leaf's frame: the exact `f32` `d²` of a fallback, or the `d′²` of a
+/// conclusive hit, which must also lie within
+/// `Tεsd·T_ERR_WIDEN + 8ε·d′²` of the true `d²` (the bound of the
+/// module docs). Where both trees give the point's leaf the same
+/// origin, the two `dist_sq` must be bit-identical.
+pub fn check_compressed_hits(
+    query: Point3,
+    radius: f32,
+    points: &[Point3],
+    got: &[Neighbor],
+    got_origins: &[Point3],
+    want: &[Neighbor],
+    want_origins: &[Point3],
+) -> Result<(), HitMismatch> {
+    let indices = |hits: &[Neighbor]| hits.iter().map(|n| n.index).collect::<Vec<u32>>();
+    if indices(got) != indices(want) {
+        return Err(HitMismatch::Neighbours {
+            got: indices(got),
+            want: indices(want),
+        });
+    }
+    let r_sq = radius * radius;
+    let bits = |o: Point3| o.to_array().map(f32::to_bits);
+    for (g, w) in got.iter().zip(want) {
+        let (index, p) = (g.index, points[g.index as usize]);
+        let (go, wo) = (got_origins[index as usize], want_origins[index as usize]);
+        for (side, hit, origin) in [("got", g, go), ("want", w, wo)] {
+            let expected = reported_dist_sq(query, p, origin, r_sq);
+            if expected.map(f32::to_bits) != Some(hit.dist_sq.to_bits()) {
+                return Err(HitMismatch::Report {
+                    side,
+                    index,
+                    dist_sq: hit.dist_sq,
+                    origin,
+                    expected,
+                });
+            }
+            let (d_sq, t_err) = leaf_relative_inputs(query, p, origin);
+            if classify(d_sq, t_err, r_sq) == ShellClass::In {
+                let truth: f64 = (0..3)
+                    .map(|a| (f64::from(query[a]) - f64::from(p[a])).powi(2))
+                    .sum();
+                let bound = f64::from(t_err * T_ERR_WIDEN)
+                    + 8.0 * f64::from(f32::EPSILON) * f64::from(d_sq);
+                if (truth - f64::from(d_sq)).abs() > bound {
+                    return Err(HitMismatch::Bound {
+                        side,
+                        index,
+                        d_sq,
+                        truth,
+                        bound,
+                    });
+                }
+            }
+        }
+        if bits(go) == bits(wo) && g.dist_sq.to_bits() != w.dist_sq.to_bits() {
+            return Err(HitMismatch::SameOrigin {
+                index,
+                origin: go,
+                got: g.dist_sq,
+                want: w.dist_sq,
+            });
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bonsai_floatfmt::{Half, PartErrorMem};
-    use bonsai_geom::Point3;
-    use bonsai_kdtree::{encode_halves, leaf_origin};
+    use bonsai_floatfmt::PartErrorMem;
+    use bonsai_kdtree::leaf_origin;
 
     /// A deterministic uniform stream in `[0, 1)`.
     fn stream(seed: u64) -> impl FnMut() -> f64 {
@@ -149,20 +325,6 @@ mod tests {
             |(lo, hi), &p| (lo.min(p), hi.max(p)),
         );
         (pts, leaf_origin(lo, hi))
-    }
-
-    /// The compressed kernels' per-point arithmetic against a leaf
-    /// origin: translate the query, diff from the decoded relative
-    /// half, `(dx² + dy²) + dz²` and the Eq. 11 sum x → y → z.
-    fn relative_shell_inputs(lut: &PartErrorMem, q: Point3, p: Point3, o: Point3) -> (f32, f32) {
-        let halves = encode_halves(p, o).map(Half::from_bits);
-        let qr = q - o;
-        let d = [0, 1, 2].map(|c| qr[c] - halves[c].to_f32());
-        let d_sq = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-        let t_err = (0..3)
-            .map(|c| lut.max_squared_difference_error(d[c].abs(), halves[c].exponent_field()))
-            .fold(0.0, |acc, t| acc + t);
-        (d_sq, t_err)
     }
 
     #[test]
@@ -258,7 +420,6 @@ mod tests {
     /// is that of a leaf at the origin.
     #[test]
     fn conclusive_answers_match_baseline_at_map_offsets() {
-        let lut = PartErrorMem::new();
         let mut next = stream(0x0FF5_E75E_ED00);
         let mut recomputes = [0u64; 2];
         let mut trials = [0u64; 2];
@@ -274,7 +435,7 @@ mod tests {
                 (next() as f32 - 0.5) * scale,
                 (next() as f32 - 0.5) * scale * 0.2,
             );
-            let (d_sq, t_err) = relative_shell_inputs(&lut, q, p, o);
+            let (d_sq, t_err) = leaf_relative_inputs(q, p, o);
             let d_base = p.distance_squared(q);
             let r_sq = d_base * (0.9 + 0.2 * next() as f32) + 1e-6;
             let baseline_in = d_base <= r_sq;
@@ -304,7 +465,6 @@ mod tests {
     /// a factor of two of each other).
     #[test]
     fn query_translation_is_exact_or_covered_by_the_bound() {
-        let lut = PartErrorMem::new();
         let mut next = stream(0x7A4E_51A7_E000);
         let mut inexact_near = 0u64;
         for trial in 0..200_000usize {
@@ -348,7 +508,7 @@ mod tests {
                 inexact_near += u64::from(!translations_exact);
             }
             for &p in &pts {
-                let (d_sq, t_err) = relative_shell_inputs(&lut, q, p, o);
+                let (d_sq, t_err) = leaf_relative_inputs(q, p, o);
                 let truth: f64 = (0..3)
                     .map(|a| (f64::from(q[a]) - f64::from(p[a])).powi(2))
                     .sum();

@@ -609,6 +609,7 @@ fn compress_leaf_structure(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shell::check_compressed_hits;
     use bonsai_isa::codec;
     use bonsai_kdtree::encode_halves;
 
@@ -741,29 +742,12 @@ mod tests {
         assert!(sim.kernel_counters(Kernel::Build).micro_ops() > 0);
     }
 
-    /// The origin of the leaf holding each point of `tree`.
-    fn origins_by_point(tree: &BonsaiTree) -> Vec<Point3> {
-        let kd = tree.kd_tree();
-        let mut origins = vec![Point3::ZERO; kd.points().len()];
-        for node in kd.nodes() {
-            if let Node::Leaf {
-                start,
-                count,
-                origin,
-            } = *node
-            {
-                for &idx in &kd.vind()[start as usize..(start + count) as usize] {
-                    origins[idx as usize] = origin;
-                }
-            }
-        }
-        origins
-    }
-
     /// Incremental mutations + commit must reproduce a from-scratch
     /// build over the live points (sorted; index remapped): the same
-    /// neighbours, and bit-identical `dist_sq` for every hit whose leaf
-    /// has the same origin in both trees — a point's approximate
+    /// neighbours, each `dist_sq` what its own leaf reports
+    /// ([`check_compressed_hits`]), and bit-identical `dist_sq` for
+    /// every hit whose leaf has the same origin in both trees — at
+    /// least a quarter of them here: a point's approximate
     /// distance depends on its own coordinates and its leaf's origin
     /// only, and the grid rule keeps many origins stable under churn.
     #[test]
@@ -783,27 +767,39 @@ mod tests {
             .map(|&i| tree.kd_tree().points()[i as usize])
             .collect();
         let fresh = BonsaiTree::build(live_pts, KdTreeConfig::default(), &mut sim);
-        let (mutated_origins, fresh_origins) = (origins_by_point(&tree), origins_by_point(&fresh));
+        let points = tree.kd_tree().points();
+        let mutated_origins = tree.kd_tree().point_origins();
+        let mut fresh_origins = vec![Point3::ZERO; points.len()];
+        for (i, o) in fresh.kd_tree().point_origins().into_iter().enumerate() {
+            fresh_origins[live[i] as usize] = o;
+        }
         let (mut compared, mut total) = (0, 0);
         for (qi, q) in urban_like_cloud(20, 9).into_iter().enumerate() {
-            let mut got: Vec<(u32, u32)> = tree
+            let mut got = tree.radius_search_simple(q, 1.5);
+            got.sort_unstable_by_key(|n| n.index);
+            let mut expect: Vec<Neighbor> = fresh
                 .radius_search_simple(q, 1.5)
                 .iter()
-                .map(|n| (n.index, n.dist_sq.to_bits()))
+                .map(|n| Neighbor {
+                    index: live[n.index as usize],
+                    dist_sq: n.dist_sq,
+                })
                 .collect();
-            got.sort_unstable();
-            let mut expect: Vec<(u32, u32, u32)> = fresh
-                .radius_search_simple(q, 1.5)
-                .iter()
-                .map(|n| (live[n.index as usize], n.dist_sq.to_bits(), n.index))
-                .collect();
-            expect.sort_unstable();
-            assert_eq!(got.len(), expect.len(), "query {qi}");
-            for (&(idx, bits), &(want_idx, want_bits, fresh_idx)) in got.iter().zip(&expect) {
-                assert_eq!(idx, want_idx, "query {qi}");
+            expect.sort_unstable_by_key(|n| n.index);
+            let checked = check_compressed_hits(
+                q,
+                1.5,
+                points,
+                &got,
+                &mutated_origins,
+                &expect,
+                &fresh_origins,
+            );
+            assert_eq!(checked, Ok(()), "query {qi}");
+            for (g, w) in got.iter().zip(&expect) {
                 total += 1;
-                if mutated_origins[idx as usize] == fresh_origins[fresh_idx as usize] {
-                    assert_eq!(bits, want_bits, "query {qi} point {idx}");
+                if mutated_origins[g.index as usize] == fresh_origins[w.index as usize] {
+                    assert_eq!(g.dist_sq.to_bits(), w.dist_sq.to_bits(), "query {qi}");
                     compared += 1;
                 }
             }

@@ -31,9 +31,9 @@
 //!   bit-identical to the points they mirror: the exact `f32`
 //!   coordinates, or for an f16-row tree the binary16 encodings of
 //!   `p − origin` against the leaf's origin.
-//! * **LeafOrigin** — every leaf's origin is, bit for bit,
-//!   [`leaf_origin`](crate::leaf_origin) of its live points' box (zero
-//!   for an empty leaf).
+//! * **LeafOrigin** — every f16-row leaf's origin is, bit for bit,
+//!   [`leaf_origin`](crate::leaf_origin) of its live points' box; an
+//!   empty leaf's and every `f32`-row leaf's is zero.
 //! * **Accounting** — subtree live/leaf meta counters, `num_live`
 //!   versus the alive mask, and `garbage_slots` versus the slots no
 //!   leaf owns.
@@ -49,7 +49,7 @@ use bonsai_geom::Point3;
 
 use crate::build::KdTree;
 use crate::node::{Node, NodeId};
-use crate::rows::{leaf_origin, RowLayout};
+use crate::rows::RowLayout;
 use crate::simd::{lane_padded, PAD_SLOT};
 
 /// The invariant class an [`AuditViolation`] breaks. See
@@ -462,7 +462,9 @@ impl<'a> TreeAuditor<'a> {
         let want = if facts.live == 0 {
             Point3::ZERO
         } else {
-            leaf_origin(Point3::from(facts.min), Point3::from(facts.max))
+            t.rows
+                .layout()
+                .origin(Point3::from(facts.min), Point3::from(facts.max))
         };
         if origin.to_array().map(f32::to_bits) != want.to_array().map(f32::to_bits) {
             self.push(

@@ -5,7 +5,7 @@ use crate::costs::TraversalCosts;
 use crate::mutate::{MutationStats, NodeMeta};
 use crate::node::{Node, NodeId, NODE_BYTES};
 use crate::parts::PAD_SLOT;
-use crate::rows::{leaf_origin, LeafRows, RowLayout};
+use crate::rows::{LeafRows, RowLayout};
 use crate::simd::{lane_padded, LANES};
 
 /// How an interior node chooses its split threshold.
@@ -145,8 +145,9 @@ impl KdTree {
     /// halves of its points *relative to the leaf's origin*
     /// ([`leaf_origin`](crate::leaf_origin)), so the f16 step follows
     /// the leaf's extent, not its distance from the map origin. Shape,
-    /// `vind` order, leaf origins and simulator events are identical
-    /// to [`build`](KdTree::build)'s; only the host copy of the leaves
+    /// `vind` order and simulator events are identical to
+    /// [`build`](KdTree::build)'s (whose `f32` rows keep every origin
+    /// at zero); only the host copy of the leaves
     /// is half as wide, and it is the only copy — baseline scans
     /// ([`BaselineLeafProcessor`](crate::BaselineLeafProcessor), the
     /// baseline `RadiusSearchEngine`) refuse such a tree.
@@ -276,7 +277,7 @@ impl KdTree {
                 Node::Leaf {
                     start: lo as u32,
                     count: count as u32,
-                    origin: leaf_origin(bbox.min, bbox.max),
+                    origin: self.rows.layout().origin(bbox.min, bbox.max),
                 },
             );
         }
@@ -554,6 +555,27 @@ impl KdTree {
             Node::Leaf { origin, .. } => origin,
             Node::Interior { .. } => Point3::ZERO,
         }
+    }
+
+    /// The origin of the leaf holding each point, indexed like
+    /// [`points`](KdTree::points) (`Point3::ZERO` for a deleted point) —
+    /// the frame in which a compressed scan classified each hit it
+    /// reports.
+    pub fn point_origins(&self) -> Vec<Point3> {
+        let mut origins = vec![Point3::ZERO; self.points.len()];
+        for node in &self.nodes {
+            if let Node::Leaf {
+                start,
+                count,
+                origin,
+            } = *node
+            {
+                for &idx in &self.vind[start as usize..(start + count) as usize] {
+                    origins[idx as usize] = origin;
+                }
+            }
+        }
+        origins
     }
 
     /// The number of `vind`/SoA slots leaf `leaf` owns from its

@@ -158,7 +158,8 @@ impl KdTree {
     }
 
     /// Chaos hook: shifts one live leaf's origin on one axis off the
-    /// grid its box dictates — the shape a torn write to the leaf's
+    /// value its layout dictates (the grid origin of its box on f16
+    /// rows, zero on `f32` rows) — the shape a torn write to the leaf's
     /// union-reused fields takes. The rows keep their old encoding, so
     /// a compressed scan would translate the query by the wrong point.
     /// Returns `false` on a tree without live leaves.

@@ -29,11 +29,12 @@
 //! dirty log ([`KdTree::drain_dirty_nodes`]) that layered caches — the
 //! leaf headers and compressed-leaf directory of `bonsai-core` —
 //! consume to re-bake **only** the touched leaves. The leaf rows
-//! themselves, `f32` or f16, are written here, eagerly: every change
-//! to a leaf's live points re-derives its
-//! [origin](crate::Node::Leaf::origin) and re-encodes its live slots,
-//! so f16 rows always hold the halves of `p − origin` for the leaf's
-//! current box.
+//! themselves, `f32` or f16, are written here, eagerly: a mutation
+//! writes the slots it touches, and under f16 rows every change to a
+//! leaf's live points re-derives its
+//! [origin](crate::Node::Leaf::origin) and, when the origin moved,
+//! re-encodes the leaf's live slots, so f16 rows always hold the
+//! halves of `p − origin` for the leaf's current box.
 //!
 //! Mutations never change per-point search semantics: membership
 //! depends only on a point's coordinates, so any interleaving of
@@ -63,13 +64,12 @@
 //! assert!(hits.iter().all(|n| n.index != 3)); // deleted point gone
 //! ```
 
-use bonsai_geom::{Aabb, Point3};
+use bonsai_geom::Point3;
 use bonsai_sim::{Kernel, OpClass, SimEngine};
 
 use crate::build::{sites, KdTree};
 use crate::node::{Node, NodeId, NODE_BYTES};
 use crate::parts::{build_subtree, resolve_build_threads, SubtreeConfig, PAD_SLOT};
-use crate::rows::leaf_origin;
 use crate::simd::lane_padded;
 
 /// Fraction of a subtree's live points one child may hold before the
@@ -159,7 +159,7 @@ impl KdTree {
                 },
             );
             debug_assert_eq!(root, 0);
-            self.rebake_leaf_rows(root);
+            self.write_leaf_rows(root, None);
             sim.set_kernel(prev);
             return Some(idx);
         }
@@ -232,7 +232,7 @@ impl KdTree {
             self.vind[slot] = idx;
             sim.store(self.reordered_point_addr(slot as u32), 12);
             sim.store(self.vind_entry_addr(slot as u32), 4);
-            self.set_leaf(sim, leaf, start, count + 1, cap);
+            self.set_leaf(sim, leaf, start, count + 1, cap, Some(slot));
         } else if (count as usize) < self.cfg.max_leaf_points {
             // Packed build-time leaf: relocate once to a slack range
             // (lane-padded `m`-slot footprint).
@@ -252,6 +252,7 @@ impl KdTree {
                 new_start,
                 count + 1,
                 self.cfg.max_leaf_points as u32,
+                None,
             );
         } else {
             // Full leaf: split into a fresh slack subtree.
@@ -301,9 +302,9 @@ impl KdTree {
             .expect("leaf contains the located point") as usize;
         let last = (start + count - 1) as usize;
         // Swap-remove inside the leaf: SoA rows stay dense, no
-        // tombstone ever reaches a scan loop. The moved point's row is
-        // re-encoded from `points`, the exact copy every row layout
-        // mirrors, when `set_leaf` re-derives the shrunk leaf's origin.
+        // tombstone ever reaches a scan loop. `set_leaf` writes the
+        // moved point's row from `points`, the exact copy every row
+        // layout mirrors.
         self.vind[slot] = self.vind[last];
         sim.store(self.reordered_point_addr(slot as u32), 12);
         sim.store(self.vind_entry_addr(slot as u32), 4);
@@ -314,7 +315,7 @@ impl KdTree {
         self.vind[last] = PAD_SLOT;
         self.rows.set_pad(last);
         let cap = self.meta[leaf as usize].cap;
-        self.set_leaf(sim, leaf, start, count - 1, cap);
+        self.set_leaf(sim, leaf, start, count - 1, cap, Some(slot));
 
         self.alive[idx as usize] = false;
         self.num_live -= 1;
@@ -439,8 +440,9 @@ impl KdTree {
     }
 
     /// Appends one live slot at the end: its `vind` entry, and a row
-    /// slot the owning leaf's [`rebake_leaf_rows`](Self::rebake_leaf_rows)
-    /// encodes once the leaf's origin is known.
+    /// slot the owning leaf's [`write_leaf_rows`](Self::write_leaf_rows)
+    /// or [`encode_leaf_rows`](Self::encode_leaf_rows) fills once the
+    /// leaf's origin is known.
     fn push_point_slot(&mut self, sim: &mut SimEngine, idx: u32) {
         let slot = self.vind.len() as u32;
         self.vind.push(idx);
@@ -458,38 +460,81 @@ impl KdTree {
         self.rows.pad_to(self.vind.len());
     }
 
-    /// Re-derives leaf `id`'s origin from its live points and
-    /// re-encodes every live row slot against it — the rows' half of
-    /// each change to a leaf's points. Host-layout upkeep with no
-    /// simulated events, like the padding: the leaf is dirty, and the
-    /// next re-bake charges its compressed structure.
-    fn rebake_leaf_rows(&mut self, id: NodeId) {
-        let Node::Leaf { start, count, .. } = self.nodes[id as usize] else {
+    /// Re-derives leaf `id`'s origin from its live points — for f16
+    /// rows; an `f32`-row leaf keeps `Point3::ZERO` — and writes its
+    /// live row slots: every one when `touched` is `None` or the origin
+    /// moved, else only slot `touched` (if still live). The rows' half
+    /// of each change to a leaf's points; host-layout upkeep with no
+    /// simulated events (the callers charge their slot stores).
+    fn write_leaf_rows(&mut self, id: NodeId, touched: Option<usize>) {
+        let Node::Leaf {
+            start,
+            count,
+            origin,
+        } = self.nodes[id as usize]
+        else {
             return;
         };
         let slots = start as usize..(start + count) as usize;
         let points = &self.points;
-        let live = self.vind[slots.clone()].iter().map(|&i| points[i as usize]);
-        let new_origin =
-            Aabb::from_points(live).map_or(Point3::ZERO, |b| leaf_origin(b.min, b.max));
-        if let Node::Leaf { origin, .. } = &mut self.nodes[id as usize] {
-            *origin = new_origin;
+        let fresh = self
+            .rows
+            .layout()
+            .origin_of(self.vind[slots.clone()].iter().map(|&i| points[i as usize]));
+        let moved = fresh.to_array().map(f32::to_bits) != origin.to_array().map(f32::to_bits);
+        if moved {
+            if let Node::Leaf { origin, .. } = &mut self.nodes[id as usize] {
+                *origin = fresh;
+            }
         }
-        for i in slots {
-            let p = self.points[self.vind[i] as usize];
-            self.rows.set_point(i, p, new_origin);
+        match touched {
+            Some(i) if !moved => {
+                if i < slots.end {
+                    let p = self.points[self.vind[i] as usize];
+                    self.rows.set_point(i, p, fresh);
+                }
+            }
+            _ => self.encode_leaf_rows(id),
         }
     }
 
-    /// Rewrites leaf `id` in place — range, origin and rows — and keeps
-    /// its meta/dirty state consistent.
-    fn set_leaf(&mut self, sim: &mut SimEngine, id: NodeId, start: u32, count: u32, cap: u32) {
-        self.nodes[id as usize] = Node::Leaf {
+    /// Writes every live row slot of leaf `id` against the leaf's
+    /// current origin.
+    fn encode_leaf_rows(&mut self, id: NodeId) {
+        let Node::Leaf {
             start,
             count,
-            origin: Point3::ZERO,
+            origin,
+        } = self.nodes[id as usize]
+        else {
+            return;
         };
-        self.rebake_leaf_rows(id);
+        for i in start as usize..(start + count) as usize {
+            let p = self.points[self.vind[i] as usize];
+            self.rows.set_point(i, p, origin);
+        }
+    }
+
+    /// Rewrites leaf `id`'s slot range in place, writes its rows
+    /// ([`write_leaf_rows`](Self::write_leaf_rows) with `touched`) and
+    /// keeps its meta/dirty state consistent.
+    #[allow(clippy::too_many_arguments)] // the leaf's full new state
+    fn set_leaf(
+        &mut self,
+        sim: &mut SimEngine,
+        id: NodeId,
+        start: u32,
+        count: u32,
+        cap: u32,
+        touched: Option<usize>,
+    ) {
+        if let Node::Leaf {
+            start: s, count: c, ..
+        } = &mut self.nodes[id as usize]
+        {
+            (*s, *c) = (start, count);
+        }
+        self.write_leaf_rows(id, touched);
         self.meta[id as usize] = NodeMeta {
             live: count,
             leaves: 1,
@@ -730,6 +775,7 @@ impl KdTree {
             &mut pts,
             SubtreeConfig {
                 tree: rebuild_cfg,
+                layout: self.rows.layout(),
                 slack: true,
                 threads,
             },
@@ -789,7 +835,8 @@ impl KdTree {
             };
             self.nodes[gid as usize] = fixed;
             if fixed.is_leaf() {
-                self.rebake_leaf_rows(gid);
+                // The parts builder set the origin for this layout.
+                self.encode_leaf_rows(gid);
                 self.stats.num_leaves += 1;
             } else {
                 self.stats.num_interior += 1;

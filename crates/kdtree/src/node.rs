@@ -45,10 +45,11 @@ pub enum Node {
         count: u32,
         /// The leaf's coordinate origin: f16 leaf rows hold
         /// `f16(p − origin)`, and compressed scans translate the query
-        /// by it once per visit. Always
+        /// by it once per visit. In an f16-row tree always
         /// [`leaf_origin`](crate::leaf_origin) of the leaf's live
-        /// points (`Point3::ZERO` for an empty leaf), in both row
-        /// layouts.
+        /// points (`Point3::ZERO` for an empty leaf); in an `f32`-row
+        /// tree always `Point3::ZERO` (its rows are exact and never
+        /// read it).
         origin: Point3,
     },
 }

@@ -24,7 +24,7 @@ use bonsai_sim::SimEngine;
 
 use crate::build::{itertools_partition, BuildStats, KdTree, KdTreeConfig, SplitRule};
 use crate::node::{Node, NodeId, NODE_BYTES};
-use crate::rows::{leaf_origin, LeafRows, RowLayout};
+use crate::rows::{LeafRows, RowLayout};
 use crate::simd::{lane_padded, LANES};
 // The padding sentinel for leaf slack/lane tails in `order` and the
 // tree's `vind`; defined (publicly) by the lane-engine module, since
@@ -56,6 +56,9 @@ pub(crate) struct SubtreeParts {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SubtreeConfig {
     pub tree: KdTreeConfig,
+    /// The row layout the leaves are built for, which sets their
+    /// origins ([`RowLayout::origin_of`]).
+    pub layout: RowLayout,
     /// Pad every leaf's `order` range to the full (lane-padded)
     /// `max_leaf_points` capacity so later inserts append in place
     /// instead of relocating the leaf. The initial full build stays
@@ -97,15 +100,14 @@ fn build_rec(
             lane_padded(count)
         };
         order.resize(footprint, PAD_SLOT);
-        // lint: allow(panic-free-serving) — build recursion invariant:
-        // every partition range holds at least one point.
-        let bbox = Aabb::from_points(idxs.iter().map(|&i| points[i as usize]))
-            .expect("non-empty range has a bounding box");
+        let origin = cfg
+            .layout
+            .origin_of(idxs.iter().map(|&i| points[i as usize]));
         return SubtreeParts {
             nodes: vec![Node::Leaf {
                 start: 0,
                 count: count as u32,
-                origin: leaf_origin(bbox.min, bbox.max),
+                origin,
             }],
             order,
             stats: BuildStats {
@@ -291,6 +293,7 @@ pub(crate) fn build_tree_parallel(
             &mut idxs,
             SubtreeConfig {
                 tree: cfg,
+                layout,
                 slack: false,
                 threads: resolve_build_threads(threads),
             },
@@ -361,7 +364,11 @@ mod tests {
                 let seq16 = KdTree::build_f16(cloud.clone(), KdTreeConfig::default(), &mut sim);
                 let par16 =
                     KdTree::build_parallel_f16(cloud.clone(), KdTreeConfig::default(), threads);
-                assert_eq!(par16.nodes(), seq.nodes(), "seed {seed} threads {threads}");
+                assert_eq!(
+                    par16.nodes(),
+                    seq16.nodes(),
+                    "seed {seed} threads {threads}"
+                );
                 assert_eq!(par16.vind(), seq.vind(), "seed {seed} threads {threads}");
                 assert_eq!(
                     par16.leaf_halves(),
@@ -394,6 +401,7 @@ mod tests {
         let mut idxs: Vec<u32> = (0..cloud.len() as u32).collect();
         let cfg = SubtreeConfig {
             tree: KdTreeConfig::default(),
+            layout: RowLayout::F16,
             slack: true,
             threads: 1,
         };
@@ -429,6 +437,7 @@ mod tests {
         let mut idxs: Vec<u32> = (0..cloud.len() as u32).collect();
         let cfg = SubtreeConfig {
             tree: KdTreeConfig::default(),
+            layout: RowLayout::F16,
             slack: false,
             threads: 1,
         };

@@ -7,7 +7,7 @@
 //!
 //! * [`RowLayout::F32`] — the baseline tree ([`KdTree::build`]): the
 //!   exact `f32` coordinates, 12 B per slot, swept by the baseline
-//!   scans;
+//!   scans (its leaves' origins stay `Point3::ZERO`, unread);
 //! * [`RowLayout::F16`] — the tree under a `bonsai-core` `BonsaiTree`
 //!   ([`KdTree::build_f16`]): **leaf-relative** binary16 halves, 6 B
 //!   per slot, swept by the compressed shell scan. Slot `i` of leaf
@@ -23,7 +23,8 @@
 //! would fall back to `f32` on nearly every point. The paper's premise
 //! (Sec. III-A) is that a leaf's points share sign and exponent because
 //! leaves are small; [`leaf_origin`] makes that hold anywhere on the
-//! map. Per axis, with `[lo, hi]` the leaf's live-point box:
+//! map. Per axis of an f16-row leaf, with `[lo, hi]` the leaf's
+//! live-point box:
 //!
 //! ```text
 //! E = 2^⌈log2 max(hi − lo, 2⁻²⁰·max(|lo|, |hi|), 2⁻¹⁵)⌉
@@ -50,7 +51,7 @@
 //! [`KdTree::build_f16`]: crate::KdTree::build_f16
 
 use bonsai_floatfmt::Half;
-use bonsai_geom::Point3;
+use bonsai_geom::{Aabb, Point3};
 
 use crate::node::Node;
 use crate::simd::{PAD_COORD, PAD_HALF};
@@ -126,9 +127,32 @@ pub fn encode_halves(p: Point3, origin: Point3) -> [u16; 3] {
 pub enum RowLayout {
     /// Exact `f32` coordinates (the baseline tree).
     F32,
-    /// Raw binary16 bit patterns of the coordinates (the compressed
-    /// tree's only copy of its leaves).
+    /// Raw binary16 bit patterns of the leaf-relative coordinates (the
+    /// compressed tree's only copy of its leaves).
     F16,
+}
+
+impl RowLayout {
+    /// The origin a leaf whose live points span `[lo, hi]` gets in this
+    /// layout: [`leaf_origin`] for f16 rows, `Point3::ZERO` for `f32`
+    /// rows, which hold exact coordinates and never read it.
+    pub(crate) fn origin(self, lo: Point3, hi: Point3) -> Point3 {
+        match self {
+            RowLayout::F32 => Point3::ZERO,
+            RowLayout::F16 => leaf_origin(lo, hi),
+        }
+    }
+
+    /// [`origin`](Self::origin) of the box of `points`
+    /// (`Point3::ZERO` for none).
+    pub(crate) fn origin_of(self, points: impl IntoIterator<Item = Point3>) -> Point3 {
+        match self {
+            RowLayout::F32 => Point3::ZERO,
+            RowLayout::F16 => {
+                Aabb::from_points(points).map_or(Point3::ZERO, |b| leaf_origin(b.min, b.max))
+            }
+        }
+    }
 }
 
 /// One row element: how a coordinate is stored and what pads a slot.

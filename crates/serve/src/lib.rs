@@ -821,13 +821,21 @@ mod tests {
             .search_append(probe, 1.1, &mut scratch, &mut frozen, &mut stats);
         assert_eq!(frozen, before.neighbors, "pre-split epoch drifted");
         // …while new requests ride the rebalanced topology, same hits
-        // (the split re-encodes leaves against new origins, so the
-        // approximate distances of compressed hits may move; membership
-        // and order may not).
+        // (the split re-encodes leaves against new origins, so each
+        // compressed hit's distance is held to what its own leaf
+        // reports, and to bit equality where the origin is unchanged).
         let after = server.radius_query(probe, 1.1).expect("served");
         assert!(after.epoch > 0);
-        let indices = |hits: &[Neighbor]| hits.iter().map(|n| n.index).collect::<Vec<_>>();
-        assert_eq!(indices(&after.neighbors), indices(&before.neighbors));
+        let checked = bonsai_core::shell::check_compressed_hits(
+            probe,
+            1.1,
+            &cloud,
+            &after.neighbors,
+            &router.snapshot().point_origins(),
+            &before.neighbors,
+            &pinned.value().point_origins(),
+        );
+        assert_eq!(checked, Ok(()), "post-split hits diverged");
     }
 
     /// A baseline tree that blocks on a channel gate when asked about

@@ -11,19 +11,23 @@
 //! frames (ego-centred) and on the same frames moved to map-scale
 //! offsets, and asserts:
 //!
-//! * every *In* hit reports `d′²`, and `|d′² − d²|` is within the
-//!   shell half-width its classification relied on
-//!   (`t_err · T_ERR_WIDEN` plus the `f32` slack);
+//! * every *In* hit reports `d′²`, and `|d′² − d²|` (against the true
+//!   `d²`, evaluated in `f64`) is within `t_err · T_ERR_WIDEN + 8ε·d′²`,
+//!   the bound `shell`'s module docs prove for the leaf-relative
+//!   arithmetic;
 //! * every fallback hit reports the exact `f32` `d²`, bit for bit;
 //! * conclusive hits occur at every offset: leaf-relative halves keep
 //!   the f16 step at the leaf's scale wherever the cloud sits.
+//!
+//! The replay is `shell::leaf_relative_inputs`, so this test also pins
+//! that oracle (which the cross-topology tests check hits against) to
+//! the engine bit for bit.
 
 use kd_bonsai::cluster::{ClusterParams, FramePipeline};
-use kd_bonsai::core::shell::{classify, ShellClass, SHELL_SLACK_ULPS, T_ERR_WIDEN};
+use kd_bonsai::core::shell::{classify, leaf_relative_inputs, ShellClass, T_ERR_WIDEN};
 use kd_bonsai::core::{BonsaiTree, RadiusSearchEngine};
-use kd_bonsai::floatfmt::{Half, PartErrorMem};
 use kd_bonsai::geom::Point3;
-use kd_bonsai::kdtree::{encode_halves, KdTreeConfig, Node, QueryBatch};
+use kd_bonsai::kdtree::{KdTreeConfig, QueryBatch};
 use kd_bonsai::lidar::{DrivingSequence, SequenceConfig};
 use kd_bonsai::sim::SimEngine;
 
@@ -38,46 +42,8 @@ fn drive_frames() -> Vec<Vec<Point3>> {
         .collect()
 }
 
-/// The origin of the leaf holding each point of `tree`.
-fn leaf_origins(tree: &BonsaiTree) -> Vec<Point3> {
-    let kd = tree.kd_tree();
-    let mut origins = vec![Point3::ZERO; kd.points().len()];
-    for node in kd.nodes() {
-        if let Node::Leaf {
-            start,
-            count,
-            origin,
-        } = *node
-        {
-            for &idx in &kd.vind()[start as usize..(start + count) as usize] {
-                origins[idx as usize] = origin;
-            }
-        }
-    }
-    origins
-}
-
-/// The compressed sweep's arithmetic for one candidate in a leaf whose
-/// origin is `o`: the approximate squared distance and its Eq. 11
-/// error bound.
-fn approx_and_bound(lut: &PartErrorMem, p: Point3, o: Point3, q: Point3) -> (f32, f32) {
-    let h = encode_halves(p, o).map(Half::from_bits);
-    let q = q - o;
-    let d = [
-        q.x - h[0].to_f32(),
-        q.y - h[1].to_f32(),
-        q.z - h[2].to_f32(),
-    ];
-    let d_sq = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-    let t_err = lut.max_squared_difference_error(d[0].abs(), h[0].exponent_field())
-        + lut.max_squared_difference_error(d[1].abs(), h[1].exponent_field())
-        + lut.max_squared_difference_error(d[2].abs(), h[2].exponent_field());
-    (d_sq, t_err)
-}
-
 #[test]
 fn compressed_hits_report_bounded_or_exact_distances() {
-    let lut = PartErrorMem::new();
     let radius = ClusterParams::default().tolerance;
     let offsets = [
         Point3::new(0.0, 0.0, 0.0),
@@ -90,7 +56,7 @@ fn compressed_hits_report_bounded_or_exact_distances() {
             let cloud: Vec<Point3> = frame.iter().map(|&p| p + offset).collect();
             let mut sim = SimEngine::disabled();
             let tree = BonsaiTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
-            let origins = leaf_origins(&tree);
+            let origins = tree.kd_tree().point_origins();
             let queries: Vec<Point3> = cloud.iter().step_by(13).copied().collect();
             for r in [radius, 1.0] {
                 let mut batch = QueryBatch::new();
@@ -100,19 +66,21 @@ fn compressed_hits_report_bounded_or_exact_distances() {
                         let p = cloud[hit.index as usize];
                         let exact = p.distance_squared(q);
                         let origin = origins[hit.index as usize];
-                        let (approx, t_err) = approx_and_bound(&lut, p, origin, q);
+                        let (approx, t_err) = leaf_relative_inputs(q, p, origin);
                         let at = format!("offset {offset:?} r {r} query {qi} point {}", hit.index);
                         match classify(approx, t_err, r * r) {
                             ShellClass::In => {
                                 in_hits[o] += 1;
                                 assert_eq!(hit.dist_sq.to_bits(), approx.to_bits(), "{at}");
-                                let err = (f64::from(approx) - f64::from(exact)).abs();
-                                let shell = f64::from(t_err * T_ERR_WIDEN)
-                                    + f64::from(SHELL_SLACK_ULPS * f32::EPSILON)
-                                        * f64::from(approx.max(r * r));
+                                let truth: f64 = (0..3)
+                                    .map(|a| (f64::from(q[a]) - f64::from(p[a])).powi(2))
+                                    .sum();
+                                let err = (f64::from(approx) - truth).abs();
+                                let bound = f64::from(t_err * T_ERR_WIDEN)
+                                    + 8.0 * f64::from(f32::EPSILON) * f64::from(approx);
                                 assert!(
-                                    err <= shell,
-                                    "{at}: |d′² − d²| = {err:e} exceeds the shell {shell:e}"
+                                    err <= bound,
+                                    "{at}: |d′² − d²| = {err:e} exceeds the bound {bound:e}"
                                 );
                             }
                             ShellClass::Recompute => {

@@ -11,9 +11,13 @@
 //! coordinates, never on the tree shape the mutations produced, and so
 //! do the baseline's `dist_sq` bits. Under Bonsai a conclusive hit
 //! reports the `d′²` of its leaf-relative f16 half, which also depends
-//! on the origin of the leaf the point sits in — see [`keyed`].
+//! on the origin of the leaf the point sits in, so compressed hits are
+//! held to `shell::check_compressed_hits`: the same neighbours, each
+//! `dist_sq` exactly what its own leaf reports (and within the shell
+//! bound), bit-identical wherever both trees share the leaf origin.
 
 use kd_bonsai::cluster::TreeMode;
+use kd_bonsai::core::shell::check_compressed_hits;
 use kd_bonsai::core::{BonsaiTree, RadiusSearchEngine, ShardConfig, ShardRouter};
 use kd_bonsai::geom::Point3;
 use kd_bonsai::kdtree::{KdTree, KdTreeConfig, Neighbor, SearchScratch, SearchStats};
@@ -96,21 +100,32 @@ impl Trees {
     }
 }
 
-/// Canonical comparable form across tree shapes: ascending index,
-/// with the exact dist bits under baseline. Under Bonsai only the
-/// index: a conclusive hit's `d′²` comes from its leaf-relative half,
-/// and a mutated tree and a fresh rebuild put points in different
-/// leaves, with different origins.
-fn keyed(mode: TreeMode, hits: &[Neighbor]) -> Vec<(u32, Option<u32>)> {
-    let mut v: Vec<(u32, Option<u32>)> = hits
+/// Canonical comparable form: ascending index, exact dist bits.
+fn keyed(hits: &[Neighbor]) -> Vec<(u32, u32)> {
+    let mut v: Vec<(u32, u32)> = hits
         .iter()
-        .map(|n| {
-            let bits = (mode == TreeMode::Baseline).then_some(n.dist_sq.to_bits());
-            (n.index, bits)
-        })
+        .map(|n| (n.index, n.dist_sq.to_bits()))
         .collect();
     v.sort_unstable();
     v
+}
+
+/// `hits` in ascending index order.
+fn sorted(mut hits: Vec<Neighbor>) -> Vec<Neighbor> {
+    hits.sort_unstable_by_key(|n| n.index);
+    hits
+}
+
+/// Leaf origins indexed in another index space: `origins[i]` lands at
+/// `map[i]` (`u32::MAX` entries are skipped) of a table of `len`.
+fn remap_origins(origins: &[Point3], map: &[u32], len: usize) -> Vec<Point3> {
+    let mut out = vec![Point3::ZERO; len];
+    for (&o, &to) in origins.iter().zip(map) {
+        if to != u32::MAX {
+            out[to as usize] = o;
+        }
+    }
+    out
 }
 
 /// The compaction acceptance contract, stated directly (the property
@@ -391,6 +406,18 @@ proptest! {
                     queries.push(extra[arg % extra.len()]);
                     queries.push(Point3::new(1.0e4, -1.0e4, 1.0e4));
 
+                    // Compressed hits are checked in each tree's own
+                    // leaf frames: the origins of the leaves holding
+                    // every point, in the mutated tree's index space.
+                    let points = tree.kd().points();
+                    let tree_origins = tree.kd().point_origins();
+                    let fresh_origins =
+                        remap_origins(&fresh.kd().point_origins(), &live, points.len());
+                    let router_origins = remap_origins(
+                        &router_bonsai.snapshot().point_origins(),
+                        &r2t_bonsai,
+                        points.len(),
+                    );
                     for mode in MODES {
                         let engine = tree.engine(mode);
                         let fresh_engine = fresh.engine(mode);
@@ -401,26 +428,35 @@ proptest! {
                         for (qi, &q) in queries.iter().enumerate() {
                             let mut stats = SearchStats::default();
                             engine.search_one(q, radius, &mut scratch, &mut out, &mut stats);
-                            let got = keyed(mode, &out);
+                            let got = sorted(out.clone());
 
                             let mut fresh_stats = SearchStats::default();
                             fresh_engine.search_one(
                                 q, radius, &mut scratch, &mut out, &mut fresh_stats);
-                            let expect: Vec<(u32, Option<u32>)> = {
-                                let remapped: Vec<Neighbor> = out
-                                    .iter()
+                            let expect = sorted(
+                                out.iter()
                                     .map(|n| Neighbor {
                                         index: live[n.index as usize],
                                         dist_sq: n.dist_sq,
                                     })
-                                    .collect();
-                                keyed(mode, &remapped)
-                            };
-                            prop_assert_eq!(
-                                &got, &expect,
-                                "{:?} step {} query {}: mutated tree vs fresh rebuild",
-                                mode, step, qi
+                                    .collect(),
                             );
+                            if mode == TreeMode::Baseline {
+                                prop_assert_eq!(
+                                    keyed(&got), keyed(&expect),
+                                    "{:?} step {} query {}: mutated tree vs fresh rebuild",
+                                    mode, step, qi
+                                );
+                            } else {
+                                let check = check_compressed_hits(
+                                    q, radius, points, &got, &tree_origins, &expect, &fresh_origins,
+                                );
+                                prop_assert!(
+                                    check.is_ok(),
+                                    "{:?} step {} query {}: mutated tree vs fresh rebuild: {:?}",
+                                    mode, step, qi, check
+                                );
+                            }
 
                             let mut router_stats = SearchStats::default();
                             router.search_one(
@@ -428,18 +464,31 @@ proptest! {
                             // Router hits arrive in the router's own
                             // (recycling) index space; map back to the
                             // tree's before comparing.
-                            let router_hits: Vec<Neighbor> = out
-                                .iter()
-                                .map(|n| Neighbor {
-                                    index: r2t[n.index as usize],
-                                    dist_sq: n.dist_sq,
-                                })
-                                .collect();
-                            prop_assert_eq!(
-                                keyed(mode, &router_hits), expect,
-                                "{:?} step {} query {}: mutated router vs fresh rebuild",
-                                mode, step, qi
+                            let router_hits = sorted(
+                                out.iter()
+                                    .map(|n| Neighbor {
+                                        index: r2t[n.index as usize],
+                                        dist_sq: n.dist_sq,
+                                    })
+                                    .collect(),
                             );
+                            if mode == TreeMode::Baseline {
+                                prop_assert_eq!(
+                                    keyed(&router_hits), keyed(&expect),
+                                    "{:?} step {} query {}: mutated router vs fresh rebuild",
+                                    mode, step, qi
+                                );
+                            } else {
+                                let check = check_compressed_hits(
+                                    q, radius, points, &router_hits, &router_origins, &expect,
+                                    &fresh_origins,
+                                );
+                                prop_assert!(
+                                    check.is_ok(),
+                                    "{:?} step {} query {}: mutated router vs fresh rebuild: {:?}",
+                                    mode, step, qi, check
+                                );
+                            }
                         }
                     }
 

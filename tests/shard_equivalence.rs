@@ -4,11 +4,12 @@
 //! and shard counts (including K=1 and K larger than the point count),
 //! the router's per-query neighbor sets are those of the single-tree
 //! `RadiusSearchEngine` (bit-identical `(index, dist_sq)` under
-//! baseline; see [`comparable`] for compression), its aggregated
+//! baseline; see [`same_hits`] for compression), its aggregated
 //! `SearchStats`
 //! equal the sum of independently rebuilt per-shard engines over the
 //! routed queries, and queries outside every shard's box do no work.
 
+use kd_bonsai::core::shell::check_compressed_hits;
 use kd_bonsai::core::{BonsaiTree, EngineMode, RadiusSearchEngine, ShardConfig, ShardRouter};
 use kd_bonsai::geom::Point3;
 use kd_bonsai::kdtree::{KdTree, KdTreeConfig, Neighbor, QueryBatch, SearchStats};
@@ -27,19 +28,46 @@ fn sorted(mut hits: Vec<Neighbor>) -> Vec<Neighbor> {
     hits
 }
 
-/// What a router must reproduce of the single tree's hits: the
-/// `(index, dist_sq)` bits under baseline; under compression the
-/// indices, in order. A conclusive compressed hit reports the `d′²` of
+/// One query batch answered by the router and by the single tree, with
+/// the origin of the leaf holding each point in either.
+struct Answers<'a> {
+    router: &'a QueryBatch,
+    router_origins: Vec<Point3>,
+    single: &'a QueryBatch,
+    single_origins: Vec<Point3>,
+}
+
+/// Whether the router reproduced the single tree's hits for query `i`
+/// (both in ascending index order): the `(index, dist_sq)` bits under
+/// baseline. Under compression a conclusive hit reports the `d′²` of
 /// its leaf-relative f16 half, which depends on the origin of the leaf
-/// holding the point, and shard trees cut the cloud into other leaves
-/// (exact fallback hits and membership never depend on the leaf).
-fn comparable(mode: EngineMode, hits: &[Neighbor]) -> Vec<(u32, Option<u32>)> {
-    hits.iter()
-        .map(|n| {
-            let bits = (mode == EngineMode::Baseline).then_some(n.dist_sq.to_bits());
-            (n.index, bits)
-        })
-        .collect()
+/// holding the point, and shard trees cut the cloud into other leaves:
+/// [`check_compressed_hits`] then holds each side to what its own leaf
+/// reports, and to bit equality where the two leaves share an origin.
+fn same_hits(
+    mode: EngineMode,
+    answers: &Answers<'_>,
+    cloud: &[Point3],
+    queries: &[Point3],
+    radius: f32,
+    i: usize,
+) -> Result<(), String> {
+    let routed = answers.router.results(i);
+    let single = sorted(answers.single.results(i).to_vec());
+    match mode {
+        EngineMode::Baseline if routed == &single[..] => Ok(()),
+        EngineMode::Baseline => Err(format!("{routed:?} vs {single:?}")),
+        EngineMode::Compressed => check_compressed_hits(
+            queries[i],
+            radius,
+            cloud,
+            routed,
+            &answers.router_origins,
+            &single,
+            &answers.single_origins,
+        )
+        .map_err(|e| format!("{e:?}")),
+    }
 }
 
 const MODES: [EngineMode; 2] = [EngineMode::Baseline, EngineMode::Compressed];
@@ -67,6 +95,13 @@ impl ModeTree {
             ModeTree::Compressed(tree) => RadiusSearchEngine::bonsai(tree),
         }
     }
+
+    fn point_origins(&self) -> Vec<Point3> {
+        match self {
+            ModeTree::Baseline(tree) => tree.point_origins(),
+            ModeTree::Compressed(tree) => tree.kd_tree().point_origins(),
+        }
+    }
 }
 
 fn router_for(cloud: &[Point3], cfg: KdTreeConfig, mode: EngineMode, shards: usize) -> ShardRouter {
@@ -90,7 +125,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(25))]
 
     /// The router's merged, canonically ordered results carry the same
-    /// neighbor sets as the single-tree engine ([`comparable`]), and
+    /// neighbor sets as the single-tree engine ([`same_hits`]), and
     /// its aggregate stats equal the sum of per-shard engines over the
     /// queries routed to each shard.
     #[test]
@@ -118,12 +153,15 @@ proptest! {
             router.snapshot().search_batch(&queries, radius, &mut sharded);
 
             prop_assert_eq!(sharded.num_queries(), single.num_queries());
+            let answers = Answers {
+                router: &sharded,
+                router_origins: router.snapshot().point_origins(),
+                single: &single,
+                single_origins: tree.point_origins(),
+            };
             for i in 0..single.num_queries() {
-                prop_assert_eq!(
-                    comparable(mode, sharded.results(i)),
-                    comparable(mode, &sorted(single.results(i).to_vec())),
-                    "{:?} K={} query {}", mode, shards, i
-                );
+                let same = same_hits(mode, &answers, &cloud, &queries, radius, i);
+                prop_assert!(same.is_ok(), "{:?} K={} query {}: {:?}", mode, shards, i, same);
             }
 
             // Aggregation: rebuild each shard's engine independently
@@ -201,12 +239,15 @@ proptest! {
             engine.search_batch(&cloud, radius, &mut single);
             let mut sharded = QueryBatch::new();
             router.snapshot().search_batch(&cloud, radius, &mut sharded);
+            let answers = Answers {
+                router: &sharded,
+                router_origins: router.snapshot().point_origins(),
+                single: &single,
+                single_origins: tree.point_origins(),
+            };
             for i in 0..single.num_queries() {
-                prop_assert_eq!(
-                    comparable(mode, sharded.results(i)),
-                    comparable(mode, &sorted(single.results(i).to_vec())),
-                    "{:?} query {}", mode, i
-                );
+                let same = same_hits(mode, &answers, &cloud, &cloud, radius, i);
+                prop_assert!(same.is_ok(), "{:?} query {}: {:?}", mode, i, same);
             }
         }
     }
