@@ -1,11 +1,14 @@
 //! Criterion micro-benchmarks of the leaf-sweep kernels: the scalar
-//! reference loop vs. the runtime-detected SIMD backend
-//! (`kdtree::simd::active_backend()`), for the baseline `f32` sweep
-//! and the compressed (f16 + error-shell) sweep, over the visit lists
-//! real queries produce on the 20k-point urban cloud (collected once
-//! up front, so only the sweep kernel is timed). Throughput is points
-//! inspected per iteration; the backend comparison runs inside one
-//! binary through the process-wide scalar override.
+//! reference loop vs. the kernel the runtime-detected backend selects
+//! for each sweep (`RadiusSearchEngine::sweep_kernel`; an AVX-512 host
+//! runs the 16-lane compressed kernel and the AVX2 baseline kernel),
+//! for the baseline `f32` sweep and the compressed (f16 + error-shell)
+//! sweep, over the visit lists real queries produce on the 20k-point
+//! urban cloud (collected once up front, so only the sweep kernel is
+//! timed). Each row id names the kernel it ran (`bonsai_simd_avx512`).
+//! Throughput is points inspected per iteration; the backend
+//! comparison runs inside one binary through the process-wide scalar
+//! override.
 
 use bonsai_bench::workload::{
     batch_queries, collect_sweep_sets, urban_cloud, BATCH_CLOUD, SWEEP_RADIUS,
@@ -38,10 +41,10 @@ fn bench_leaf_sweep(c: &mut Criterion) {
         } else {
             RadiusSearchEngine::bonsai(&tree)
         };
-        let backend = simd::active_backend();
+        let kernel = engine.sweep_kernel();
         for (label, force_scalar) in [
             ("scalar".to_string(), true),
-            (format!("simd_{backend}"), false),
+            (format!("simd_{kernel}"), false),
         ] {
             ov.set(force_scalar);
             group.bench_function(format!("{mode}_{label}"), |b| {

@@ -2,13 +2,18 @@
 //! seed-style per-query path vs. batched vs. batched + threads, on the
 //! 20k-point urban cloud (host performance; the acceptance target is
 //! ≥ 2× batched throughput over per-query).
+//!
+//! The `*_traverse` rows time `KdTree::collect_leaves_in_radius` alone
+//! over the same queries, so `*_batched` minus `*_traverse` is the
+//! leaf-sweep share of a query (the `leaf_sweep` bench times the
+//! kernels on their own).
 
 use bonsai_bench::workload::{
     batch_queries, urban_cloud, BATCH_CLOUD, BATCH_QUERIES, BATCH_RADIUS,
 };
 use bonsai_core::{BonsaiTree, RadiusSearchEngine};
 use bonsai_isa::Machine;
-use bonsai_kdtree::{KdTree, KdTreeConfig, QueryBatch, SearchStats};
+use bonsai_kdtree::{KdTree, KdTreeConfig, QueryBatch, SearchScratch, SearchStats};
 use bonsai_sim::SimEngine;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
@@ -55,6 +60,27 @@ fn bench_batched(c: &mut Criterion) {
         } else {
             RadiusSearchEngine::bonsai(&tree)
         };
+        // The traversal half of the two-phase search on its own.
+        group.bench_function(format!("{name}_traverse"), |b| {
+            let mut scratch = SearchScratch::new();
+            let mut visited = Vec::new();
+            let mut stats = SearchStats::default();
+            b.iter(|| {
+                let mut total = 0usize;
+                for &q in &queries {
+                    engine.tree().collect_leaves_in_radius(
+                        q,
+                        RADIUS,
+                        &mut scratch,
+                        &mut stats,
+                        &mut visited,
+                    );
+                    total += visited.len();
+                }
+                total
+            })
+        });
+
         group.bench_function(format!("{name}_batched"), |b| {
             let mut batch = QueryBatch::new();
             b.iter(|| {

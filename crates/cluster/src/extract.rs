@@ -87,8 +87,7 @@ pub fn extract_euclidean_clusters(
     assert!(tolerance > 0.0, "cluster tolerance must be positive");
     if !sim.is_enabled() {
         // Production path: no events to record, so drain the BFS
-        // through the batch engine (and, with the `parallel` feature,
-        // across worker threads). Output is identical to the
+        // through the batch engine. Output is identical to the
         // instrumented path below — euclidean clusters are the
         // connected components of the tolerance graph, independent of
         // traversal order, and the engine's per-query results are
@@ -246,55 +245,6 @@ pub fn extract_euclidean_clusters(
     }
 }
 
-/// Frontier size past which a BFS round fans out across threads. Below
-/// this the scoped-thread setup costs more than the searches.
-#[cfg(feature = "parallel")]
-const PARALLEL_FRONTIER_MIN: usize = 512;
-
-/// A whole-batch radius searcher the BFS can drain frontiers through:
-/// the single-tree engine or a shard-router snapshot, with the same
-/// sequential/parallel split.
-pub(crate) trait FrontierSearcher {
-    fn batch_seq(&self, queries: &[Point3], radius: f32, batch: &mut QueryBatch);
-    #[cfg(feature = "parallel")]
-    fn batch_par(&self, queries: &[Point3], radius: f32, batch: &mut QueryBatch);
-}
-
-impl FrontierSearcher for RadiusSearchEngine<'_> {
-    fn batch_seq(&self, queries: &[Point3], radius: f32, batch: &mut QueryBatch) {
-        self.search_batch(queries, radius, batch);
-    }
-    #[cfg(feature = "parallel")]
-    fn batch_par(&self, queries: &[Point3], radius: f32, batch: &mut QueryBatch) {
-        self.search_batch_parallel(queries, radius, batch, 0);
-    }
-}
-
-impl FrontierSearcher for bonsai_core::RouterSnapshot {
-    fn batch_seq(&self, queries: &[Point3], radius: f32, batch: &mut QueryBatch) {
-        self.search_batch(queries, radius, batch);
-    }
-    #[cfg(feature = "parallel")]
-    fn batch_par(&self, queries: &[Point3], radius: f32, batch: &mut QueryBatch) {
-        self.search_batch_parallel(queries, radius, batch, 0);
-    }
-}
-
-/// Searches one BFS frontier, in parallel when the frontier is large
-/// enough to amortize thread startup.
-pub(crate) fn search_frontier<S: FrontierSearcher>(
-    searcher: &S,
-    queries: &[Point3],
-    tolerance: f32,
-    batch: &mut QueryBatch,
-) {
-    #[cfg(feature = "parallel")]
-    if queries.len() >= PARALLEL_FRONTIER_MIN {
-        return searcher.batch_par(queries, tolerance, batch);
-    }
-    searcher.batch_seq(queries, tolerance, batch);
-}
-
 /// The level-synchronous BFS shared by the batched, sharded and
 /// streaming extractions: grows each cluster by answering one whole
 /// frontier of radius queries per round through `search` (any batch
@@ -369,9 +319,8 @@ where
 /// The uninstrumented production form of [`extract_euclidean_clusters`]:
 /// identical clusters, but the BFS drains its frontier through the
 /// batch radius-search engine — each round answers every frontier
-/// point's neighborhood query in one allocation-free batch (fanned out
-/// across threads with the `parallel` feature) instead of issuing one
-/// fully-independent search per point.
+/// point's neighborhood query in one allocation-free batch instead of
+/// issuing one fully-independent search per point.
 ///
 /// [`extract_euclidean_clusters`] dispatches here by itself whenever
 /// its [`SimEngine`] is disabled; call this directly when no simulator
@@ -425,7 +374,7 @@ pub fn extract_euclidean_clusters_batched(
         min_cluster_size,
         max_cluster_size,
         &mut search_stats,
-        |queries, batch| search_frontier(&engine, queries, tolerance, batch),
+        |queries, batch| engine.search_batch(queries, tolerance, batch),
     );
 
     ClusterOutput {
@@ -506,7 +455,7 @@ pub fn extract_euclidean_clusters_sharded(
         min_cluster_size,
         max_cluster_size,
         &mut search_stats,
-        |queries, batch| search_frontier(&snapshot, queries, tolerance, batch),
+        |queries, batch| snapshot.search_batch(queries, tolerance, batch),
     );
 
     ClusterOutput {

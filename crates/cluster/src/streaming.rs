@@ -30,9 +30,7 @@ use bonsai_core::{
 use bonsai_geom::Point3;
 use bonsai_kdtree::{AuditViolation, KdTreeConfig, SearchStats};
 
-use crate::extract::{
-    bfs_connected_clusters, router_for, search_frontier, ClusterOutput, TreeMode,
-};
+use crate::extract::{bfs_connected_clusters, router_for, ClusterOutput, TreeMode};
 use crate::pipeline::PipelineError;
 
 /// One frame's difference against the live point set: coordinates to
@@ -457,7 +455,7 @@ impl StreamingExtractor {
             min_cluster_size,
             max_cluster_size,
             &mut search_stats,
-            |queries, batch| search_frontier(&snapshot, queries, tolerance, batch),
+            |queries, batch| snapshot.search_batch(queries, tolerance, batch),
         );
         ClusterOutput {
             clusters,

@@ -17,13 +17,13 @@
 
 use std::sync::OnceLock;
 
-use bonsai_floatfmt::{Half, PartErrorMem};
+use bonsai_floatfmt::PartErrorMem;
 use bonsai_geom::Point3;
 use bonsai_kdtree::{KdTree, Neighbor, QueryBatch, SearchScratch, SearchStats};
 
-use bonsai_kdtree::simd::LeafVisit;
+use bonsai_kdtree::simd::{LaneBackend, LeafVisit};
 
-use crate::simd::{classify_candidate, sweep_compressed_visited};
+use crate::simd::{compressed_sweep_kernel, sweep_compressed_visited, HalfRows};
 use crate::tree::{header_bytes, BonsaiTree};
 
 /// Which leaf representation the engine scans.
@@ -169,6 +169,17 @@ impl<'t> RadiusSearchEngine<'t> {
         });
     }
 
+    /// The leaf-sweep kernel this engine's searches run right now:
+    /// the baseline sweep runs AVX2 on an AVX-512 host, the compressed
+    /// sweep runs the scalar kernel on SSE2/NEON (see
+    /// [`LaneBackend`]).
+    pub fn sweep_kernel(&self) -> LaneBackend {
+        match self.bonsai {
+            None => bonsai_kdtree::simd::baseline_sweep_kernel(),
+            Some(_) => compressed_sweep_kernel(),
+        }
+    }
+
     /// Sweeps a collected visit list — `(leaf, start, count)` triples
     /// from [`KdTree::collect_leaves_in_radius`] (or hand-built over
     /// leaf nodes) — through this engine's leaf kernel: one backend
@@ -220,18 +231,17 @@ impl<'t> RadiusSearchEngine<'t> {
 /// list. It first counts each visited leaf's inspection work through
 /// its leaf header — the bytes of the compressed structure the leaf
 /// processors load (deletions can hollow a leaf out completely — it
-/// owns no structure and contributes nothing) — then
-/// classifies: the SIMD lane path when a gather-capable backend is
-/// active, otherwise the scalar reference loop. Both translate the
+/// owns no structure and contributes nothing) — then classifies
+/// through the compressed kernel the active backend selects (AVX-512,
+/// AVX2 or the scalar reference loop). Every kernel translates the
 /// query into each visited leaf's frame (`query − origin`, once per
-/// visit) and evaluate, per point in visit order then ascending slot
+/// visit) and evaluates, per point in visit order then ascending slot
 /// order, the same f16-approximate arithmetic as the SQDWE lanes —
 /// diff from the approximate leaf-relative coordinate, squared
-/// distance and Eq. 11 error accumulated x → y → z in `f32` — and run
-/// the identical
-/// LUT/shell/fallback tail ([`classify_candidate`]), so membership,
-/// `dist_sq` bits, hit order and [`SearchStats`] never depend on the
-/// backend.
+/// distance and Eq. 11 error accumulated x → y → z in `f32` — and runs
+/// the identical LUT/shell/fallback tail ([`classify_candidate`](crate::simd::classify_candidate)),
+/// so membership, `dist_sq` bits, hit order and [`SearchStats`] never
+/// depend on the backend.
 fn sweep_compressed(
     bonsai: &BonsaiTree,
     visited: &[LeafVisit],
@@ -245,50 +255,8 @@ fn sweep_compressed(
         stats.points_inspected += count as u64;
         stats.point_bytes_loaded += header_bytes(headers[leaf as usize]) as u64;
     }
-    let tree = bonsai.kd_tree();
-    let lut = error_rom();
-    if sweep_compressed_visited(tree, lut, visited, query, r_sq, out, stats) {
-        return;
-    }
-    let ((x_row, y_row, z_row), vind, points) = (tree.leaf_halves(), tree.vind(), tree.points());
-    // Scalar reference path (also the no-`simd` build): slice windows
-    // hoisted to one exact length per leaf so the loop body indexes
-    // without bounds checks; each half decodes exactly to its `f32`.
-    for &(leaf, start, count) in visited {
-        let q = query - tree.origin_of(leaf);
-        let (start, count) = (start as usize, count as usize);
-        let ax = &x_row[start..start + count];
-        let ay = &y_row[start..start + count];
-        let az = &z_row[start..start + count];
-        let vw = &vind[start..start + count];
-        for i in 0..count {
-            let (hx, hy, hz) = (
-                Half::from_bits(ax[i]),
-                Half::from_bits(ay[i]),
-                Half::from_bits(az[i]),
-            );
-            let dx = q.x - hx.to_f32();
-            let dy = q.y - hy.to_f32();
-            let dz = q.z - hz.to_f32();
-            let d_sq = dx * dx + dy * dy + dz * dz;
-            classify_candidate(
-                d_sq,
-                dx.abs(),
-                dy.abs(),
-                dz.abs(),
-                hx.exponent_field(),
-                hy.exponent_field(),
-                hz.exponent_field(),
-                vw[i],
-                points,
-                lut,
-                query,
-                r_sq,
-                out,
-                stats,
-            );
-        }
-    }
+    let rows = HalfRows::of(bonsai.kd_tree());
+    sweep_compressed_visited(rows, error_rom(), visited, query, r_sq, out, stats);
 }
 
 #[cfg(test)]

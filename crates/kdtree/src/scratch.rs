@@ -8,6 +8,8 @@
 //! and the per-query offset table all retain their capacity across
 //! calls.
 
+use std::hint::select_unpredictable;
+
 use bonsai_geom::Point3;
 
 use crate::build::KdTree;
@@ -42,6 +44,20 @@ pub(crate) enum Frame {
     },
 }
 
+/// One frame of the fast walker's stack
+/// ([`KdTree::collect_leaves_in_radius`]): a node whose cell lies
+/// within `min_dist_sq` of the query, with the per-axis contributions
+/// to that distance. The instrumented walker keeps its own [`Frame`]s.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct WalkFrame {
+    /// Node to visit.
+    node: NodeId,
+    /// Exact squared distance from the query to the node's cell.
+    min_dist_sq: f32,
+    /// Per-axis contributions to `min_dist_sq`.
+    side: [f32; 3],
+}
+
 /// Reusable per-thread radius-search state.
 ///
 /// Create one per worker (or borrow one from a [`QueryBatch`]) and pass
@@ -70,7 +86,10 @@ pub(crate) enum Frame {
 /// ```
 #[derive(Debug, Default)]
 pub struct SearchScratch {
+    /// The instrumented walker's stack.
     pub(crate) frames: Vec<Frame>,
+    /// The fast walker's stack.
+    walk: Vec<WalkFrame>,
     /// Reusable visit buffer of the two-phase (collect-then-sweep)
     /// searches; borrowed out via
     /// [`take_visited`](SearchScratch::take_visited) so the traversal
@@ -88,6 +107,7 @@ impl SearchScratch {
     pub fn with_depth(depth: usize) -> SearchScratch {
         SearchScratch {
             frames: Vec::with_capacity(2 * depth + 2),
+            walk: Vec::with_capacity(depth + 1),
             visited: Vec::new(),
         }
     }
@@ -209,6 +229,18 @@ impl KdTree {
     /// one backend dispatch cover the whole query without paying for
     /// the event model.
     ///
+    /// The walk is shaped for the branch predictor. An interior node
+    /// descends straight into its near child (no push/pop round trip)
+    /// and picks near child, far child and divider gap with selects.
+    /// It then always writes the far child's frame (node, cell
+    /// distance, per-axis parts) to the top of a plain-struct stack and
+    /// keeps it only when the far cell reaches the ball, by advancing
+    /// the stack pointer by `(far_dist_sq <= r²) as usize`. What is
+    /// left to mispredict is the leaf/interior test of each node. The
+    /// stack holds at most one frame per level above the current node,
+    /// so it is sized from the tree's `max_depth` and grows only if a
+    /// node lies deeper than that.
+    ///
     /// A non-positive or non-finite `radius` — or a non-finite query
     /// center — visits nothing, matching the instrumented search's
     /// up-front rejection of degenerate queries.
@@ -222,34 +254,34 @@ impl KdTree {
         visited: &mut Vec<crate::simd::LeafVisit>,
     ) {
         visited.clear();
-        if self.nodes().is_empty()
+        let nodes = self.nodes();
+        if nodes.is_empty()
             || !crate::search::radius_is_searchable(radius)
             || !crate::search::query_is_searchable(query)
         {
             return;
         }
         let r_sq = radius * radius;
-        let frames = &mut scratch.frames;
-        frames.clear();
-        frames.push(Frame::Visit {
-            node: 0,
-            min_dist_sq: 0.0,
-            side: [0.0; 3],
-        });
-        while let Some(frame) = frames.pop() {
-            let Frame::Visit {
-                node,
-                min_dist_sq,
-                side,
-            } = frame
-            else {
-                unreachable!("fast traversal pushes no FarCheck frames");
-            };
-            stats.nodes_visited += 1;
-            match self.nodes()[node as usize] {
+        let q = [query.x, query.y, query.z];
+        let stack = &mut scratch.walk;
+        let depth = self.build_stats().max_depth as usize + 1;
+        if stack.len() < depth {
+            stack.resize(depth, WalkFrame::default());
+        }
+        let mut sp = 0usize;
+        let mut cur = WalkFrame::default();
+        let mut nodes_visited = 0u64;
+        let opaque = std::hint::black_box([0u32; 2]);
+        loop {
+            nodes_visited += 1;
+            match nodes[cur.node as usize] {
                 Node::Leaf { start, count, .. } => {
-                    stats.leaf_visits += 1;
-                    visited.push((node, start, count));
+                    visited.push((cur.node, start, count));
+                    if sp == 0 {
+                        break;
+                    }
+                    sp -= 1;
+                    cur = stack[sp];
                 }
                 Node::Interior {
                     axis,
@@ -259,32 +291,37 @@ impl KdTree {
                     left,
                     right,
                 } => {
-                    let val = query[axis];
-                    let (near, far, gap) = if val <= split_val {
-                        (left, right, div_high - val)
-                    } else {
-                        (right, left, val - div_low)
-                    };
-                    let gap = gap.max(0.0);
+                    let a = axis.index();
+                    let val = q[a];
+                    let go_left = val <= split_val;
+                    let near = select_unpredictable(go_left, left, right);
+                    let far = select_unpredictable(go_left, right, left);
+                    // `div_high − val` going left, `val − div_low` going
+                    // right.
+                    let gap = pick(go_left, div_high - val, val - div_low, opaque).max(0.0);
                     let cut = gap * gap;
-                    let far_dist_sq = min_dist_sq - side[axis.index()] + cut;
-                    if far_dist_sq <= r_sq {
-                        let mut far_side = side;
-                        far_side[axis.index()] = cut;
-                        frames.push(Frame::Visit {
-                            node: far,
-                            min_dist_sq: far_dist_sq,
-                            side: far_side,
-                        });
+                    let far_dist_sq = cur.min_dist_sq - cur.side[a] + cut;
+                    let [s0, s1, s2] = cur.side;
+                    let far_frame = WalkFrame {
+                        node: far,
+                        min_dist_sq: far_dist_sq,
+                        side: [
+                            pick(a == 0, cut, s0, opaque),
+                            pick(a == 1, cut, s1, opaque),
+                            pick(a == 2, cut, s2, opaque),
+                        ],
+                    };
+                    match stack.get_mut(sp) {
+                        Some(slot) => *slot = far_frame,
+                        None => stack.push(far_frame),
                     }
-                    frames.push(Frame::Visit {
-                        node: near,
-                        min_dist_sq,
-                        side,
-                    });
+                    sp += (far_dist_sq <= r_sq) as usize;
+                    cur.node = near;
                 }
             }
         }
+        stats.nodes_visited += nodes_visited;
+        stats.leaf_visits += visited.len() as u64;
     }
 
     /// Sweeps collected leaf visits in baseline `f32` precision,
@@ -348,6 +385,23 @@ impl KdTree {
             }
         }
     }
+}
+
+/// `if c { a } else { b }` on floats, without a branch. The fast
+/// walker's selects follow the descent direction, which the branch
+/// predictor misses about as often as it hits, and x86 has no scalar
+/// float `cmov`, so the compiler lowers a float select to exactly that
+/// branch. `pick` selects the bit patterns instead, each xor-ed with
+/// its own word of `opaque` — zeros the compiler cannot see through
+/// (`black_box`), without which it folds the integer select back into
+/// the float one. The xors change no bits.
+#[inline(always)]
+fn pick(c: bool, a: f32, b: f32, opaque: [u32; 2]) -> f32 {
+    f32::from_bits(select_unpredictable(
+        c,
+        a.to_bits() ^ opaque[0],
+        b.to_bits() ^ opaque[1],
+    ))
 }
 
 /// The two-phase baseline search the in-crate tests pin: collect the
@@ -550,6 +604,159 @@ mod tests {
         assert_eq!(batch.num_queries(), queries.len());
         assert_eq!(batch.total_matches(), 0);
         assert_eq!(*batch.stats(), SearchStats::default());
+    }
+
+    /// Records the leaves the instrumented walker hands its processor,
+    /// in visit order.
+    #[derive(Default)]
+    struct VisitRecorder(Vec<crate::simd::LeafVisit>);
+
+    impl crate::search::LeafProcessor for VisitRecorder {
+        fn process_leaf(
+            &mut self,
+            _sim: &mut SimEngine,
+            _tree: &KdTree,
+            leaf: crate::node::LeafId,
+            start: u32,
+            count: u32,
+            _query: Point3,
+            _r_sq: f32,
+            _out: &mut Vec<Neighbor>,
+            _stats: &mut SearchStats,
+        ) {
+            self.0.push((leaf, start, count));
+        }
+    }
+
+    /// Asserts the fast walker visits exactly the leaves the
+    /// instrumented walker does, in the same order, with the same
+    /// `nodes_visited` and `leaf_visits`.
+    fn assert_same_walk(tree: &KdTree, query: Point3, radius: f32, scratch: &mut SearchScratch) {
+        let mut sim = SimEngine::disabled();
+        let mut rec = VisitRecorder::default();
+        let (mut slow_out, mut slow_stats) = (Vec::new(), SearchStats::default());
+        let mut slow_scratch = SearchScratch::new();
+        tree.radius_search_scratch(
+            &mut sim,
+            &mut rec,
+            query,
+            radius,
+            &mut slow_out,
+            &mut slow_stats,
+            &mut slow_scratch,
+        );
+        let (mut visited, mut fast_stats) = (Vec::new(), SearchStats::default());
+        tree.collect_leaves_in_radius(query, radius, scratch, &mut fast_stats, &mut visited);
+        assert_eq!(visited, rec.0, "visit list, query {query:?} r {radius}");
+        assert_eq!(
+            (fast_stats.nodes_visited, fast_stats.leaf_visits),
+            (slow_stats.nodes_visited, slow_stats.leaf_visits),
+            "traversal counters, query {query:?} r {radius}"
+        );
+    }
+
+    /// Every interior node of `tree` as `(axis, split_val, div_low,
+    /// div_high)`.
+    fn splits(tree: &KdTree) -> Vec<(bonsai_geom::Axis, f32, f32, f32)> {
+        tree.nodes()
+            .iter()
+            .filter_map(|n| match *n {
+                Node::Interior {
+                    axis,
+                    split_val,
+                    div_low,
+                    div_high,
+                    ..
+                } => Some((axis, split_val, div_low, div_high)),
+                Node::Leaf { .. } => None,
+            })
+            .collect()
+    }
+
+    /// The fast walker's selects and always-written far frame against
+    /// the instrumented walker on the boundary cases of its compares:
+    /// queries exactly on a split value, far cells exactly at `r²`,
+    /// zero-gap dividers, and a tree deepened by inserts past the depth
+    /// its scratch was sized for.
+    #[test]
+    fn fast_walk_matches_instrumented_walk_on_ties() {
+        let mut sim = SimEngine::disabled();
+        let cloud = random_cloud(1200, 41, 30.0);
+        let tree = KdTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
+        let mut scratch = SearchScratch::new();
+        for (k, &(axis, split_val, div_low, div_high)) in splits(&tree).iter().enumerate() {
+            let mut q = cloud[k % cloud.len()];
+            // On the split value: `val <= split_val` goes left.
+            q[axis] = split_val;
+            for r in [0.05f32, 0.4, 1.5] {
+                assert_same_walk(&tree, q, r, &mut scratch);
+            }
+            // Far cell exactly at r²: the gap itself as the radius makes
+            // `cut == r²` bit for bit, so at the root `far_dist_sq == r²`.
+            for (val, gap) in [
+                (div_low, div_high - div_low),
+                (div_high, div_high - div_low),
+            ] {
+                q[axis] = val;
+                if gap > 0.0 {
+                    assert_same_walk(&tree, q, gap, &mut scratch);
+                }
+            }
+        }
+        // The root's far cell at exactly r² (min_dist_sq and side are
+        // still zero there).
+        let (root_axis, root_split, _, root_high) = splits(&tree)[0];
+        let mut q = cloud[0];
+        q[root_axis] = root_split;
+        let gap = root_high - root_split;
+        assert!(gap > 0.0, "the root divider has a gap in a random cloud");
+        assert_same_walk(&tree, q, gap, &mut scratch);
+
+        // Duplicates straddling splits: dividers with div_low ==
+        // split_val == div_high, so every gap is zero.
+        let mut dup = Vec::new();
+        for i in 0..400 {
+            let v = (i % 5) as f32;
+            dup.push(Point3::new(v, v * 0.5, (i % 3) as f32));
+        }
+        let dup_tree = KdTree::build(dup.clone(), KdTreeConfig::default(), &mut sim);
+        assert!(
+            splits(&dup_tree)
+                .iter()
+                .any(|&(_, s, lo, hi)| lo == s && hi == s),
+            "the duplicate cloud has zero-gap dividers"
+        );
+        for &q in dup.iter().take(15) {
+            for r in [1e-3f32, 0.5, 1.0, 2.0] {
+                assert_same_walk(&dup_tree, q, r, &mut scratch);
+            }
+        }
+
+        // Deepen a tree by inserts: the scratch sized for the built
+        // depth must grow with the tree.
+        let mut deep = KdTree::build(cloud[..64].to_vec(), KdTreeConfig::default(), &mut sim);
+        let built = deep.build_stats().max_depth as usize;
+        let mut small = SearchScratch::with_depth(built);
+        for i in 0..600 {
+            let t = i as f32 * 1e-3;
+            deep.insert(&mut sim, Point3::new(1.0 + t, 2.0 - t, 0.5 + t * 0.5));
+        }
+        let grown = deep.build_stats().max_depth as usize;
+        assert!(
+            grown > built,
+            "inserts deepened the tree: {built} → {grown}"
+        );
+        for k in 0..40 {
+            let t = k as f32 * 0.015;
+            let q = Point3::new(1.0 + t, 2.0 - t, 0.5 + t * 0.5);
+            for r in [0.01f32, 0.1, 3.0] {
+                assert_same_walk(&deep, q, r, &mut small);
+            }
+        }
+        assert!(
+            small.walk.len() > built + 1,
+            "the walk stack grew past the built depth"
+        );
     }
 
     #[test]

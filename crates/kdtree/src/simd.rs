@@ -7,12 +7,29 @@
 //!
 //! * the lane geometry ([`LANES`], [`lane_padded`]) and the padding
 //!   sentinel ([`PAD_COORD`]) every leaf's SoA tail is filled with,
-//! * runtime backend selection ([`active_backend`]): AVX2 or SSE2 on
-//!   `x86_64`, NEON on `aarch64`, detected once per process, plus a
-//!   scalar fallback that is byte-for-byte the pre-SIMD loop,
+//! * runtime backend selection ([`active_backend`]): AVX-512 (F + BW +
+//!   VL with F16C), AVX2 (with F16C) or SSE2 on `x86_64`, NEON on
+//!   `aarch64`, detected once per process, plus a scalar fallback that
+//!   is byte-for-byte the pre-SIMD loop,
 //! * the vectorized baseline leaf sweep, used by
-//!   `KdTree::sweep_leaf_visits` over collected [`LeafVisit`] lists (the compressed sweep lives in
-//!   `bonsai-core`, built on the same geometry and dispatch).
+//!   `KdTree::sweep_leaf_visits` over collected [`LeafVisit`] lists.
+//!
+//! # Kernels
+//!
+//! The baseline `f32` sweep has three lane kernels
+//! ([`baseline_sweep_kernel`]): AVX2 (8 lanes, two groups per step,
+//! shuffle-table hit compaction through `compact_hits_avx2`), SSE2
+//! and NEON (4 lanes, run twice per group). An AVX-512 host runs the
+//! AVX2 kernel; [`LaneBackend::Avx512`] is a superset of
+//! [`LaneBackend::Avx2`] at every dispatch site. All of them read whole
+//! lane groups, padding lanes included.
+//!
+//! The compressed sweep lives in `bonsai-core` and has an AVX-512
+//! kernel (16 lanes, one group per ≤16-point leaf), an AVX2 kernel
+//! (8 lanes) and a scalar one. Its AVX-512 kernel loads each f16 row
+//! with a masked load of exactly the leaf's `count` slots, so it reads
+//! no padding lanes; its AVX2 kernel reads them and masks them out of
+//! classification.
 //!
 //! # Bit-identical by construction
 //!
@@ -75,6 +92,11 @@ pub const fn lane_padded(n: usize) -> usize {
 /// Which lane implementation [`active_backend`] resolved to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LaneBackend {
+    /// 16-wide `core::arch::x86_64` AVX-512 (F + BW + VL, with F16C):
+    /// a superset of [`Avx2`](LaneBackend::Avx2). The compressed sweep
+    /// of `bonsai-core` has a 16-lane kernel for it; the baseline
+    /// sweep runs its AVX2 kernel.
+    Avx512,
     /// 8-wide `core::arch::x86_64` AVX2 (with F16C, which the
     /// compressed sweep's in-register f16 decode needs).
     Avx2,
@@ -91,6 +113,7 @@ pub enum LaneBackend {
 impl fmt::Display for LaneBackend {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
+            LaneBackend::Avx512 => "avx512",
             LaneBackend::Avx2 => "avx2",
             LaneBackend::Sse2 => "sse2",
             LaneBackend::Neon => "neon",
@@ -108,9 +131,17 @@ pub fn detected_backend() -> LaneBackend {
         {
             // The compressed sweep decodes its f16 rows with F16C
             // `vcvtph2ps`; every AVX2 part Intel and AMD ship has it.
-            if std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("f16c")
+            // Its AVX-512 kernel loads rows with masked 16-bit loads
+            // (BW + VL).
+            let avx2 = std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("f16c");
+            if avx2
+                && std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx512bw")
+                && std::arch::is_x86_feature_detected!("avx512vl")
             {
+                LaneBackend::Avx512
+            } else if avx2 {
                 LaneBackend::Avx2
             } else {
                 LaneBackend::Sse2
@@ -125,6 +156,16 @@ pub fn detected_backend() -> LaneBackend {
             LaneBackend::Scalar
         }
     })
+}
+
+/// The kernel the baseline `f32` sweep runs under the active backend:
+/// [`active_backend`], except that an AVX-512 host runs the AVX2
+/// kernel (there is no 512-bit baseline sweep).
+pub fn baseline_sweep_kernel() -> LaneBackend {
+    match active_backend() {
+        LaneBackend::Avx512 => LaneBackend::Avx2,
+        b => b,
+    }
 }
 
 static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
@@ -215,7 +256,7 @@ pub(crate) fn sweep_baseline_visited(
     r_sq: f32,
     out: &mut Vec<Neighbor>,
 ) -> bool {
-    let backend = active_backend();
+    let backend = baseline_sweep_kernel();
     if backend == LaneBackend::Scalar {
         return false;
     }
@@ -243,7 +284,7 @@ pub(crate) fn sweep_baseline_visited(
                 LaneBackend::Sse2 => {
                     x86::sweep_visited_sse2(xs, ys, zs, vind, visited, query, r_sq, out)
                 }
-                _ => unreachable!("x86_64 detects Avx2 or Sse2"),
+                _ => unreachable!("the x86_64 baseline sweep runs Avx2 or Sse2"),
             }
         }
         return true;
@@ -651,9 +692,13 @@ mod tests {
         let a = detected_backend();
         let b = detected_backend();
         assert_eq!(a, b, "detection is cached");
+        eprintln!("detected lane backend: {a}");
         assert!(!a.to_string().is_empty());
         #[cfg(target_arch = "x86_64")]
-        assert!(matches!(a, LaneBackend::Avx2 | LaneBackend::Sse2));
+        assert!(matches!(
+            a,
+            LaneBackend::Avx512 | LaneBackend::Avx2 | LaneBackend::Sse2
+        ));
     }
 
     #[test]
