@@ -27,8 +27,7 @@
 
 use bonsai_geom::Point3;
 use bonsai_isa::{codec, CoordFlags, MAX_POINTS, SLICE_BYTES};
-use bonsai_kdtree::simd::PAD_SLOT;
-use bonsai_kdtree::{encode_halves, AuditViolation, KdTree, Node, ViolationKind};
+use bonsai_kdtree::{encode_halves, AuditViolation, KdTree, Node, ViolationKind, PAD_SLOT};
 
 use crate::directory::CompressedDirectory;
 use crate::tree::{leaf_header, BonsaiTree};

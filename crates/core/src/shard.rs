@@ -201,7 +201,7 @@ impl PointLoc {
 /// [`rebuild_shard`](ShardRouter::rebuild_shard).
 ///
 /// A shard's **waste** is its tree's abandoned `vind`/SoA slots
-/// (`garbage_slots`, lane-padded footprints) plus its dead points
+/// (`garbage_slots`) plus its dead points
 /// (deleted entries still occupying the point array); its **footprint**
 /// is total slots plus total points. The shard is rebuilt when
 /// `waste ≥ garbage_ratio · footprint` and the footprint is at least

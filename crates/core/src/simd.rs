@@ -12,21 +12,24 @@
 //! # Kernels
 //!
 //! [`sweep_compressed_visited`] dispatches one query's whole visit list
-//! to one of three kernels ([`compressed_sweep_kernel`]):
+//! to one of three kernels ([`compressed_sweep_kernel`]). Leaves are
+//! packed (no padding follows a leaf's last slot), so each kernel
+//! finishes its own tail and reads nothing past `start + count`:
 //!
 //! * **AVX-512** (F + BW + VL, with F16C; [`LaneBackend::Avx512`]): one
 //!   16-lane group covers a whole ≤16-point leaf. Each row loads with
-//!   a masked 16-bit load of exactly the leaf's `count` halves, so the
-//!   kernel reads no padding lanes and nothing past `start + count`.
-//!   The halves decode with `vcvtph2ps` on zmm, classification lands
-//!   in `__mmask16` masks, and conclusive hits leave through
+//!   a masked 16-bit load of exactly the leaf's `count` halves. The
+//!   halves decode with `vcvtph2ps` on zmm, classification lands in
+//!   `__mmask16` masks, and conclusive hits leave through
 //!   `vpcompressd` / `vcompressps` and one `vpermt2d` interleave per 8
 //!   hits.
 //! * **AVX2** (with F16C; [`LaneBackend::Avx2`]): 8 halves per row with
-//!   one 128-bit load, so a leaf takes `lane_padded(count) / 8` groups
-//!   and the padding lanes are masked out of classification; hits
-//!   leave through the shared shuffle-table compaction
-//!   (`bonsai_kdtree::simd::compact_hits_avx2`).
+//!   one 128-bit load; a leaf's last, partial group instead copies its
+//!   live halves into a zeroed 8-half stack group per row, and its dead
+//!   lanes are masked out of classification. Hits leave through the
+//!   shared shuffle-table compaction
+//!   (`bonsai_kdtree::simd::compact_hits_avx2`), which loads only the
+//!   hit lanes' `vind` entries.
 //! * **Scalar** ([`sweep_scalar`]): the reference loop, run per point
 //!   through [`classify_candidate`] — everywhere else.
 //!
@@ -194,40 +197,29 @@ pub(crate) fn sweep_compressed_visited(
 ) {
     match compressed_sweep_kernel() {
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        LaneBackend::Avx512 => {
+        kernel @ (LaneBackend::Avx512 | LaneBackend::Avx2) => {
             let slots = rows.slots();
             for &(_, start, count) in visited {
                 // lint: allow(debug-assert-discipline) — this assert
-                // *is* the bounds contract of the unsafe AVX-512 kernel
-                // below; eliding it in release builds would turn a
-                // baking bug into UB.
+                // *is* the bounds contract of the unsafe kernels below;
+                // eliding it in release builds would turn a baking bug
+                // into UB.
                 assert!(
                     start as usize + count as usize <= slots,
                     "compressed sweep past the f16 rows: start {start} count {count} rows {slots}"
                 );
             }
             // SAFETY: every visit's live range was asserted within the
-            // rows and `vind` above; AVX-512 F/BW/VL and F16C presence
-            // established by the backend detection.
-            unsafe { avx512::sweep(&rows, visited, query, r_sq, out, stats) }
-        }
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        LaneBackend::Avx2 => {
-            let slots = rows.slots();
-            for &(_, start, count) in visited {
-                // lint: allow(debug-assert-discipline) — this assert
-                // *is* the bounds contract of the unsafe AVX2 kernel
-                // below; eliding it in release builds would turn a
-                // baking bug into UB.
-                assert!(
-                    start as usize + bonsai_kdtree::simd::lane_padded(count as usize) <= slots,
-                    "compressed sweep past the f16 rows: start {start} count {count} rows {slots}"
-                );
+            // rows and `vind` above; the kernel's features (AVX-512
+            // F/BW/VL or AVX2, with F16C) were established by the
+            // backend detection.
+            unsafe {
+                if kernel == LaneBackend::Avx512 {
+                    avx512::sweep(&rows, visited, query, r_sq, out, stats)
+                } else {
+                    avx2::sweep(&rows, visited, query, r_sq, out, stats)
+                }
             }
-            // SAFETY: every visit's lane-padded footprint was asserted
-            // within the rows and `vind` above; AVX2 and F16C presence
-            // established by the backend detection.
-            unsafe { avx2::sweep(&rows, visited, query, r_sq, out, stats) }
         }
         _ => sweep_scalar(&rows, lut, visited, query, r_sq, out, stats),
     }
@@ -287,13 +279,13 @@ fn sweep_scalar(
 mod avx2 {
     use super::*;
     use crate::shell::{SHELL_SLACK_ULPS, T_ERR_WIDEN};
-    use bonsai_kdtree::simd::lane_padded;
     use core::arch::x86_64::*;
 
     /// # Safety
     ///
-    /// Caller guarantees every visit's lane-padded footprint is within
-    /// every f16 row and `vind`, and that AVX2 and F16C are available.
+    /// Caller guarantees every visit's live range `start..start +
+    /// count` is within every f16 row and `vind`, and that AVX2 and
+    /// F16C are available.
     #[target_feature(enable = "avx2,f16c")]
     pub(super) unsafe fn sweep(
         rows: &HalfRows<'_>,
@@ -304,7 +296,6 @@ mod avx2 {
         stats: &mut SearchStats,
     ) {
         let (vind, points) = (rows.vind, rows.points);
-        let (px, py, pz) = (rows.x.as_ptr(), rows.y.as_ptr(), rows.z.as_ptr());
         let rs = _mm256_set1_ps(r_sq);
         let abs_mask = _mm256_set1_ps(f32::from_bits(0x7FFF_FFFF));
         // `16 · ε` is a power of two, so pre-multiplying it is exact
@@ -323,17 +314,32 @@ mod avx2 {
             );
             let (start, count) = (start as usize, count as usize);
             let mut g = 0;
-            while g < lane_padded(count) {
+            while g < count {
                 let base = start + g;
-                // SAFETY: `base..base + 8` is within every f16 row — the
-                // caller asserted each visit's lane-padded footprint
-                // against all three rows and `vind`; `decode_lanes` is
-                // register-only and needs AVX2 + F16C, enabled here.
+                let live = (count - g).min(8);
+                // A full group loads straight from the rows; the leaf's
+                // partial tail group is copied into zeroed stack halves
+                // first, so nothing past `start + count` is read.
+                let group = |row: &[u16]| -> __m128i {
+                    if live == 8 {
+                        // SAFETY: `base..base + 8` lies within the
+                        // leaf's live range, inside the row per the
+                        // caller's contract.
+                        unsafe { _mm_loadu_si128(row.as_ptr().add(base).cast()) }
+                    } else {
+                        let mut tail = [0u16; 8];
+                        tail[..live].copy_from_slice(&row[base..base + live]);
+                        // SAFETY: `tail` holds the 8 halves of the load.
+                        unsafe { _mm_loadu_si128(tail.as_ptr().cast()) }
+                    }
+                };
+                // SAFETY: `decode_lanes` is register-only and needs
+                // AVX2 + F16C, enabled here.
                 let ((ax, ix), (ay, iy), (az, iz)) = unsafe {
                     (
-                        decode_lanes(_mm_loadu_si128(px.add(base) as *const __m128i)),
-                        decode_lanes(_mm_loadu_si128(py.add(base) as *const __m128i)),
-                        decode_lanes(_mm_loadu_si128(pz.add(base) as *const __m128i)),
+                        decode_lanes(group(rows.x)),
+                        decode_lanes(group(rows.y)),
+                        decode_lanes(group(rows.z)),
                     )
                 };
                 // Same arithmetic, same order as the scalar loop and the
@@ -388,9 +394,8 @@ mod avx2 {
                     _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GT_OQ>(d, _mm256_add_ps(rs, t))) as u32;
                 // Conclusive-In lanes push their approximate distance;
                 // lanes that are neither In nor Out re-compute exactly —
-                // all in ascending slot order. Padding lanes are clipped
-                // by the live mask.
-                let live = (count - g).min(8);
+                // all in ascending slot order. Lanes past the count are
+                // clipped by the live mask.
                 let live_bits = 0xFFu32 >> (8 - live);
                 let m_in = m_in & live_bits;
                 let mut cand = (m_in | !m_out) & live_bits;
@@ -400,9 +405,10 @@ mod avx2 {
                     // conclusively): every candidate is a conclusive In,
                     // so the whole group compacts with vector stores.
                     if m_in != 0 {
-                        // SAFETY: `m_in` is live-masked to 8 bits and
-                        // `base..base + 8` is within `vind` (asserted
-                        // footprint); AVX2 is enabled on this fn.
+                        // SAFETY: `m_in` is live-masked to 8 bits, so
+                        // every hit lane's slot is within the leaf's
+                        // live range and `vind`; AVX2 is enabled on
+                        // this fn.
                         unsafe {
                             bonsai_kdtree::simd::compact_hits_avx2(
                                 vind.as_ptr(),
@@ -732,16 +738,18 @@ mod tests {
         }
     }
 
-    /// Hand-built f16 rows: leaves of every count 0..=16 plus a
+    /// Hand-built packed f16 rows: leaves of every count 0..=16 plus a
     /// 24-slot visit (two lane groups of the AVX-512 kernel), at a
     /// zero origin and at map offsets, with points spread across the
     /// shell so groups mix In, Out and Recompute lanes, and ±∞ / NaN
     /// halves (exponent field 31) planted in some live slots of the
     /// odd-numbered leaves (even ones stay free of them, so a large
-    /// radius makes whole groups of up to 16 conclusive hits). Padding
-    /// slots hold a poison point — a zero half whose `vind` names an
-    /// in-radius point — so a kernel that classified a padding lane
-    /// would report an extra hit.
+    /// radius makes whole groups of up to 16 conclusive hits). Each
+    /// leaf but the last is followed by 16 unvisited gap slots holding
+    /// a poison point — the query itself, encoded against that leaf's
+    /// origin, its `vind` naming the query point — so a kernel that
+    /// classified a lane past a leaf's `count` would report an extra
+    /// hit. The rows end right after the last live slot.
     struct Fixture {
         x: Vec<u16>,
         y: Vec<u16>,
@@ -775,8 +783,19 @@ mod tests {
             };
             let specials = [0x7C00u16, 0xFC00, 0x7E00, 0x7C01, 0xFE00];
             let counts: Vec<usize> = (0..=16).chain([24]).collect();
+            let mut prev_origin = None;
             for (leaf, &count) in counts.iter().enumerate() {
                 let origin = origin_base + Point3::new(leaf as f32 * 0.125, 0.0, -0.25);
+                if let Some(o) = prev_origin {
+                    let poison = bonsai_kdtree::encode_halves(center, o);
+                    for _ in 0..16 {
+                        f.x.push(poison[0]);
+                        f.y.push(poison[1]);
+                        f.z.push(poison[2]);
+                        f.vind.push(0);
+                    }
+                }
+                prev_origin = Some(origin);
                 let start = f.x.len();
                 for i in 0..count {
                     // A direction and a distance from the center: well
@@ -800,12 +819,6 @@ mod tests {
                     f.vind.push(f.points.len() as u32);
                     f.points.push(p);
                 }
-                for _ in count..bonsai_kdtree::simd::lane_padded(count) {
-                    f.x.push(0);
-                    f.y.push(0);
-                    f.z.push(0);
-                    f.vind.push(0);
-                }
                 f.nodes.push(Node::Leaf {
                     start: start as u32,
                     count: count as u32,
@@ -816,13 +829,12 @@ mod tests {
             f
         }
 
-        /// The rows, cut to `len` slots.
-        fn rows(&self, len: usize) -> HalfRows<'_> {
+        fn rows(&self) -> HalfRows<'_> {
             HalfRows {
-                x: &self.x[..len],
-                y: &self.y[..len],
-                z: &self.z[..len],
-                vind: &self.vind[..len],
+                x: &self.x,
+                y: &self.y,
+                z: &self.z,
+                vind: &self.vind,
                 points: &self.points,
                 nodes: &self.nodes,
             }
@@ -855,8 +867,8 @@ mod tests {
     /// the dispatcher), agrees with the scalar kernel on hits, their
     /// `dist_sq` bits and order, and stats — over every leaf count,
     /// exponent-31 and NaN halves, mixed In/Recompute groups and
-    /// map-offset origins. The AVX-512 kernel gets rows cut right after
-    /// the last live slot (its contract: it reads nothing past
+    /// map-offset origins, on packed rows with poison right after every
+    /// leaf (the kernels' contract: they read nothing past
     /// `start + count`).
     #[test]
     fn kernels_agree_bit_for_bit() {
@@ -867,21 +879,25 @@ mod tests {
             (Point3::new(-7000.0, 6500.75, -3.5), 3),
         ] {
             let f = Fixture::new(base, seed);
-            let &(_, last_start, last_count) = f.visits.last().expect("visits");
-            let live_end = (last_start + last_count) as usize;
+            // The poison is live: one slot past a leaf, the scalar
+            // kernel reports the query point.
+            let (leaf, start, count) = f.visits[5];
+            let (mut out, mut stats) = (Vec::new(), SearchStats::default());
+            sweep_scalar(
+                &f.rows(),
+                &lut,
+                &[(leaf, start, count + 1)],
+                f.center,
+                0.01,
+                &mut out,
+                &mut stats,
+            );
+            assert!(out.iter().any(|n| n.index == 0), "base {base:?}: poison");
             // Some leaf mixes conclusive In hits with exact fallbacks.
             let mixed = f.visits.iter().any(|&v| {
                 let (mut out, mut stats) = (Vec::new(), SearchStats::default());
                 let r_sq = 0.35f32 * 0.35;
-                sweep_scalar(
-                    &f.rows(f.x.len()),
-                    &lut,
-                    &[v],
-                    f.center,
-                    r_sq,
-                    &mut out,
-                    &mut stats,
-                );
+                sweep_scalar(&f.rows(), &lut, &[v], f.center, r_sq, &mut out, &mut stats);
                 stats.fallbacks > 0 && out.len() as u64 > stats.fallbacks
             });
             assert!(mixed, "base {base:?}: no leaf mixes In and Recompute lanes");
@@ -895,15 +911,7 @@ mod tests {
                 for radius in [0.1f32, 0.35, 0.5, 4.0] {
                     let (q, r_sq) = (f.center, radius * radius);
                     let (mut want, mut want_stats) = (Vec::new(), SearchStats::default());
-                    sweep_scalar(
-                        &f.rows(f.x.len()),
-                        &lut,
-                        visits,
-                        q,
-                        r_sq,
-                        &mut want,
-                        &mut want_stats,
-                    );
+                    sweep_scalar(&f.rows(), &lut, visits, q, r_sq, &mut want, &mut want_stats);
                     let check = |name: &str, out: &[Neighbor], stats: &SearchStats| {
                         assert_eq!(
                             bits(out),
@@ -916,41 +924,26 @@ mod tests {
                     {
                         if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("f16c") {
                             let (mut out, mut stats) = (poisoned(), SearchStats::default());
-                            // SAFETY: every visit's lane-padded footprint
-                            // lies within the full rows; AVX2 + F16C
-                            // detected.
+                            // SAFETY: every visit's live range lies
+                            // within the rows; AVX2 + F16C detected.
                             unsafe {
-                                avx2::sweep(
-                                    &f.rows(f.x.len()),
-                                    visits,
-                                    q,
-                                    r_sq,
-                                    &mut out,
-                                    &mut stats,
-                                )
+                                avx2::sweep(&f.rows(), visits, q, r_sq, &mut out, &mut stats)
                             };
                             check("avx2", &out, &stats);
                         }
                         if avx512_detected() {
                             let (mut out, mut stats) = (poisoned(), SearchStats::default());
-                            // SAFETY: every visit's live range ends at or
-                            // before `live_end`; AVX-512 F/BW/VL + F16C
+                            // SAFETY: every visit's live range lies
+                            // within the rows; AVX-512 F/BW/VL + F16C
                             // detected.
                             unsafe {
-                                avx512::sweep(
-                                    &f.rows(live_end),
-                                    visits,
-                                    q,
-                                    r_sq,
-                                    &mut out,
-                                    &mut stats,
-                                )
+                                avx512::sweep(&f.rows(), visits, q, r_sq, &mut out, &mut stats)
                             };
                             check("avx512", &out, &stats);
                         }
                     }
                     // Scalar-only builds run no kernel to check.
-                    let _ = (&check, live_end);
+                    let _ = &check;
                 }
             }
         }

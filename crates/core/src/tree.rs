@@ -63,8 +63,8 @@ fn node_header(tree: &KdTree, id: usize, halves: &mut [[u16; 3]; MAX_POINTS]) ->
 /// visit; the [shell](crate::shell) bound covers the rounding of both
 /// translations.
 ///
-/// The tree holds, per point of a drive frame (≈1.2 `vind` slots and
-/// ≈0.18 nodes per point once leaves are lane-padded):
+/// The tree holds, per point of a drive frame (one `vind` slot, since
+/// leaves are packed, and ≈0.18 nodes):
 ///
 /// | part | bytes |
 /// |---|---|
@@ -316,8 +316,8 @@ impl BonsaiTree {
     /// every [`SearchStats`](bonsai_kdtree::SearchStats) counter are
     /// bit-identical before and after in all three modes, while
     /// `garbage_slots()` drops to zero, the directory sheds the bytes
-    /// its incremental re-bakes abandoned, and the lane-padding
-    /// invariant holds. Returns the number of `vind` slots reclaimed.
+    /// its incremental re-bakes abandoned, and [`audit`](BonsaiTree::audit)
+    /// still comes back empty. Returns the number of `vind` slots reclaimed.
     ///
     /// Dead *points* keep their slots (cloud indices must stay stable
     /// for reported neighbors); the shard router's rolling
@@ -467,18 +467,6 @@ impl BonsaiTree {
         let mut stats = SearchStats::default();
         self.radius_search(&mut sim, &mut machine, query, radius, &mut out, &mut stats);
         out
-    }
-
-    /// Validates the lane-padding invariant of the tree and its f16
-    /// rows (see [`KdTree::assert_lane_padding`]). A test/debug aid,
-    /// callable with a pending commit — the rows are written eagerly
-    /// by every mutation.
-    ///
-    /// # Panics
-    ///
-    /// Panics describing the first violation found.
-    pub fn assert_lane_padding(&self) {
-        self.tree.assert_lane_padding();
     }
 
     /// Aggregate compression statistics, read from the leaf headers —
@@ -896,7 +884,7 @@ mod tests {
             tree.directory().total_bytes() < dir_bytes_before,
             "directory kept its replace() garbage"
         );
-        tree.assert_lane_padding();
+        assert!(tree.audit().is_empty(), "{:?}", tree.audit());
 
         for (qi, &q) in queries.iter().enumerate() {
             let mut out = Vec::new();
@@ -918,7 +906,7 @@ mod tests {
         // The compacted tree keeps mutating + committing cleanly.
         tree.insert(&mut sim, Point3::new(0.5, 0.5, 0.5)).unwrap();
         tree.commit(&mut sim);
-        tree.assert_lane_padding();
+        assert!(tree.audit().is_empty(), "{:?}", tree.audit());
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! Deep invariant auditor for a (possibly mutated) [`KdTree`].
 //!
 //! The mutation layer maintains a web of cross-array invariants — leaf
-//! slot ownership, lane padding, divider soundness, subtree meta
-//! counters, garbage accounting — that the test suite asserts with
-//! panicking helpers ([`KdTree::assert_lane_padding`] and the private
-//! `check_invariants` of the mutation tests). A *serving* stack needs
-//! the opposite contract: inspect a tree that may already be corrupted
-//! (bit flips, torn writes, harness-injected faults) and report what is
-//! wrong without crashing. [`TreeAuditor`] walks every structure with
-//! bounds-checked accesses only and returns typed
+//! slot ownership, divider soundness, subtree meta counters, garbage
+//! accounting — that the test suite asserts with panicking helpers
+//! (the private `check_invariants` of the mutation tests). A *serving*
+//! stack needs the opposite contract: inspect a tree that may already
+//! be corrupted (bit flips, torn writes, harness-injected faults) and
+//! report what is wrong without crashing. [`TreeAuditor`] walks every
+//! structure with bounds-checked accesses only and returns typed
 //! [`AuditViolation`]s — an empty vector certifies the full invariant
 //! web below:
 //!
@@ -21,12 +20,12 @@
 //!   coordinates `≥ div_high ≥ split_val` (exact, the pruning
 //!   soundness condition).
 //! * **SlotBijection** — live leaf slots and the live point set are in
-//!   bijection: no padded/dead/out-of-range index under a live slot, no
-//!   point in two slots, no live point missing from every leaf, no two
-//!   leaves claiming the same `vind` slot.
-//! * **LanePadding** — every leaf's padding tail holds the `vind`
-//!   sentinel and the row layout's `+∞` in all rows; rows are
-//!   slot-parallel.
+//!   bijection: no slack-marked/dead/out-of-range index under a live
+//!   slot, no point in two slots, no live point missing from every
+//!   leaf, no two leaves claiming the same `vind` slot, every leaf's
+//!   footprint inside the slot arrays, and every row as long as
+//!   `vind`. Slots past a leaf's `count` are not inspected: no sweep
+//!   reads them.
 //! * **SoaMismatch** / **F16Mismatch** — the leaf-contiguous rows are
 //!   bit-identical to the points they mirror: the exact `f32`
 //!   coordinates, or for an f16-row tree the binary16 encodings of
@@ -50,7 +49,7 @@ use bonsai_geom::Point3;
 use crate::build::KdTree;
 use crate::node::{Node, NodeId};
 use crate::rows::RowLayout;
-use crate::simd::{lane_padded, PAD_SLOT};
+use crate::PAD_SLOT;
 
 /// The invariant class an [`AuditViolation`] breaks. See
 /// [`KdTree::audit`] for the per-class contract.
@@ -62,11 +61,9 @@ pub enum ViolationKind {
     /// Interior divider bounds no longer bound their subtree (pruning
     /// would silently drop results).
     DividerOrder,
-    /// The live-slot ↔ live-point bijection is broken.
+    /// The live-slot ↔ live-point bijection is broken, or a leaf's
+    /// footprint or a row falls outside the slot arrays.
     SlotBijection,
-    /// A leaf's padding tail lost its sentinels (SIMD sweeps would read
-    /// stale lanes).
-    LanePadding,
     /// A leaf-contiguous SoA row disagrees with the point it mirrors.
     SoaMismatch,
     /// A bookkeeping counter (subtree meta, `num_live`,
@@ -91,7 +88,6 @@ impl fmt::Display for ViolationKind {
             ViolationKind::Structure => "structure",
             ViolationKind::DividerOrder => "divider-order",
             ViolationKind::SlotBijection => "slot-bijection",
-            ViolationKind::LanePadding => "lane-padding",
             ViolationKind::SoaMismatch => "soa-mismatch",
             ViolationKind::Accounting => "accounting",
             ViolationKind::F16Mismatch => "f16-mismatch",
@@ -267,7 +263,7 @@ impl<'a> TreeAuditor<'a> {
             if len != slots {
                 self.rows_ok = false;
                 self.push(AuditViolation::new(
-                    ViolationKind::LanePadding,
+                    ViolationKind::SlotBijection,
                     format!("{name} row holds {len} slots, vind holds {slots}"),
                 ));
             }
@@ -421,10 +417,10 @@ impl<'a> TreeAuditor<'a> {
         } else {
             0
         };
-        let fp = lane_padded(cap.max(count) as usize);
+        let fp = cap.max(count) as usize;
         let s = start as usize;
         let c = count as usize;
-        if c > fp || lane_padded(c) > fp || s.checked_add(fp).is_none_or(|end| end > slots) {
+        if s.checked_add(fp).is_none_or(|end| end > slots) {
             self.push(
                 AuditViolation::new(
                     ViolationKind::SlotBijection,
@@ -475,31 +471,6 @@ impl<'a> TreeAuditor<'a> {
                 .at_node(id),
             );
         }
-        for i in s + c..s + fp {
-            if t.vind[i] != PAD_SLOT {
-                self.push(
-                    AuditViolation::new(
-                        ViolationKind::LanePadding,
-                        format!(
-                            "padding slot {i} holds index {} instead of the sentinel",
-                            t.vind[i]
-                        ),
-                    )
-                    .at_node(id)
-                    .at_index(i as u32),
-                );
-            }
-            if self.rows_ok && !t.rows.is_pad(i) {
-                self.push(
-                    AuditViolation::new(
-                        ViolationKind::LanePadding,
-                        format!("padding slot {i} rows not sentinelled"),
-                    )
-                    .at_node(id)
-                    .at_index(i as u32),
-                );
-            }
-        }
         facts
     }
 
@@ -514,7 +485,7 @@ impl<'a> TreeAuditor<'a> {
             self.push(
                 AuditViolation::new(
                     ViolationKind::SlotBijection,
-                    format!("live slot {i} holds the padding sentinel"),
+                    format!("live slot {i} holds the slack marker"),
                 )
                 .at_node(id)
                 .at_index(i as u32),

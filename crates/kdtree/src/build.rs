@@ -1,12 +1,21 @@
+//! The instrumented sequential builder ([`KdTree::build`],
+//! [`KdTree::build_f16`]) and the tree's accessors.
+//!
+//! The build partitions `vind` in place, so each leaf's points end up
+//! in one contiguous range, and the leaves are packed back to back: a
+//! fresh tree holds exactly one `vind` slot and one row slot per point,
+//! like PCL's reordered matrix. The reorder pass then bakes the leaf
+//! rows in the tree's [`RowLayout`]. Lane width plays no part in the
+//! layout: the sweeps of [`simd`](crate::simd) finish each leaf's
+//! partial lane group themselves.
+
 use bonsai_geom::{Aabb, Axis, Point3};
 use bonsai_sim::{Kernel, OpClass, SimEngine};
 
 use crate::costs::TraversalCosts;
 use crate::mutate::{MutationStats, NodeMeta};
 use crate::node::{Node, NodeId, NODE_BYTES};
-use crate::parts::PAD_SLOT;
 use crate::rows::{LeafRows, RowLayout};
-use crate::simd::{lane_padded, LANES};
 
 /// How an interior node chooses its split threshold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -168,15 +177,13 @@ impl KdTree {
         );
         let n = points.len();
         let points_addr = sim.alloc(n as u64 * POINT_STRIDE, 64);
-        // The vind/reordered regions hold lane-padded leaf footprints:
-        // every leaf is non-empty and pads to at most LANES − 1 extra
-        // slots, so n · LANES slots bound any tree shape.
-        let padded_bound = n as u64 * LANES as u64;
-        let vind_addr = sim.alloc(padded_bound * 4, 64);
+        // The vind/reordered regions hold one slot per point: the
+        // builders pack every leaf exactly.
+        let vind_addr = sim.alloc(n as u64 * 4, 64);
         // Node-pool bound: every interior split leaves both sides
         // non-empty, so there are at most 2n − 1 nodes.
         let nodes_addr = sim.alloc((2 * n as u64 + 1) * NODE_BYTES, 64);
-        let reordered_addr = sim.alloc(padded_bound * REORDERED_STRIDE, 64);
+        let reordered_addr = sim.alloc(n as u64 * REORDERED_STRIDE, 64);
 
         let mut tree = KdTree {
             points,
@@ -209,22 +216,16 @@ impl KdTree {
             // pool is trimmed after the fact (one shrinking realloc; a
             // no-op on the exactly sized median pool).
             tree.nodes.shrink_to_fit();
-            tree.apply_lane_padding();
             // FLANN's reorder pass: copy the points into vind order so
             // leaf scans stream instead of gathering. Host-side this
             // bakes the leaf-contiguous rows the fast scans sweep, in
-            // the tree's layout; padding slots get the +∞ sentinel
-            // (layout upkeep, no simulated events — the paper's layout
-            // carries no pads). The events charge the 12-byte rows of
+            // the tree's layout. The events charge the 12-byte rows of
             // PCL's reordered matrix whatever the host layout.
-            for i in 0..tree.vind.len() {
-                let idx = tree.vind[i];
-                if idx != PAD_SLOT {
-                    sim.load(tree.vind_entry_addr(i as u32), 4);
-                    sim.load(tree.point_addr(idx), 12);
-                    sim.store(tree.reordered_point_addr(i as u32), 12);
-                    sim.exec(OpClass::IntAlu, 2);
-                }
+            for i in 0..n {
+                sim.load(tree.vind_entry_addr(i as u32), 4);
+                sim.load(tree.point_addr(tree.vind[i]), 12);
+                sim.store(tree.reordered_point_addr(i as u32), 12);
+                sim.exec(OpClass::IntAlu, 2);
             }
             tree.rows = LeafRows::bake(layout, &tree.points, &tree.vind, &tree.nodes);
             sim.set_kernel(prev);
@@ -311,41 +312,6 @@ impl KdTree {
             right,
         };
         id
-    }
-
-    /// Rewrites the freshly-built dense `vind` into the lane-padded
-    /// layout: every leaf's slot range grows to
-    /// [`lane_padded`]`(count)` slots, the tail filled with
-    /// [`PAD_SLOT`], and leaf `start` fields are rebased. Leaves are
-    /// laid out in the same (ascending-start) order as the dense
-    /// build, so the sequential and parallel builders produce
-    /// identical padded layouts.
-    fn apply_lane_padding(&mut self) {
-        let mut leaves: Vec<(u32, u32, NodeId)> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter_map(|(id, n)| match *n {
-                Node::Leaf { start, count, .. } => Some((start, count, id as NodeId)),
-                Node::Interior { .. } => None,
-            })
-            .collect();
-        leaves.sort_unstable_by_key(|&(start, _, _)| start);
-        let dense = std::mem::take(&mut self.vind);
-        let slots = leaves
-            .iter()
-            .map(|&(_, count, _)| lane_padded(count as usize))
-            .sum();
-        let mut vind = Vec::with_capacity(slots);
-        for (start, count, id) in leaves {
-            let new_start = vind.len() as u32;
-            vind.extend_from_slice(&dense[start as usize..(start + count) as usize]);
-            vind.resize(new_start as usize + lane_padded(count as usize), PAD_SLOT);
-            if let Node::Leaf { start, .. } = &mut self.nodes[id as usize] {
-                *start = new_start;
-            }
-        }
-        self.vind = vind;
     }
 
     /// Computes the bounding box of `vind[lo..hi]`, charging one index
@@ -477,9 +443,10 @@ impl KdTree {
         &self.points
     }
 
-    /// The reordered index array; leaves reference ranges of it. Slots
-    /// past a leaf's live count (its lane-padding tail) hold a
-    /// sentinel index no live slot ever carries.
+    /// The reordered index array; leaves reference ranges of it. A
+    /// fresh build packs every leaf exactly (one slot per point); the
+    /// unused slack slots of mutated leaves hold
+    /// [`PAD_SLOT`](crate::PAD_SLOT), an index no live slot carries.
     pub fn vind(&self) -> &[u32] {
         &self.vind
     }
@@ -493,11 +460,9 @@ impl KdTree {
 
     /// The leaf-contiguous `f32` point rows `(x, y, z)`: live slot `i`
     /// holds the coordinates of `points()[vind()[i]]`, so each leaf's
-    /// points occupy a dense range per coordinate. Every leaf's range
-    /// is padded to a [`LANES`](crate::simd::LANES) multiple with
-    /// [`PAD_COORD`](crate::simd::PAD_COORD) sentinels so the SIMD
-    /// sweeps read whole lane groups without tail handling. Baked by
-    /// the build's reorder pass; empty for an empty tree.
+    /// points occupy a dense range per coordinate. Slots outside every
+    /// leaf's live range are unspecified. Baked by the build's reorder
+    /// pass; empty for an empty tree.
     ///
     /// # Panics
     ///
@@ -517,9 +482,8 @@ impl KdTree {
     /// tree: live slot `i` of leaf `L` holds
     /// [`encode_halves`](crate::encode_halves)`(points()[vind()[i]],
     /// o)` — the raw bits of `f16(p − o)` per axis, `o` the leaf's
-    /// [`origin`](Node::Leaf::origin) — padded like
-    /// [`leaf_soa`](KdTree::leaf_soa) with
-    /// [`PAD_HALF`](crate::simd::PAD_HALF).
+    /// [`origin`](Node::Leaf::origin). Slots outside every leaf's live
+    /// range are unspecified, as in [`leaf_soa`](KdTree::leaf_soa).
     ///
     /// # Panics
     ///
@@ -579,8 +543,9 @@ impl KdTree {
     }
 
     /// The number of `vind`/SoA slots leaf `leaf` owns from its
-    /// `start`: its capacity rounded up to the lane multiple. Slots
-    /// beyond the live count hold padding sentinels.
+    /// `start`: its capacity — its `count` for a packed leaf,
+    /// `max_leaf_points` for a mutation-built slack leaf. Slots beyond
+    /// the live count are unused slack.
     ///
     /// # Panics
     ///
@@ -591,42 +556,7 @@ impl KdTree {
             // contract: callers pass leaf ids only.
             panic!("leaf_slot_footprint of interior node {leaf}");
         };
-        let cap = self.meta[leaf as usize].cap.max(count);
-        lane_padded(cap as usize) as u32
-    }
-
-    /// Validates the lane-padding invariant the SIMD sweeps rely on:
-    /// every leaf's slots between its live count and its
-    /// [footprint](KdTree::leaf_slot_footprint) hold the `vind`
-    /// sentinel and the layout's `+∞` sentinel in all three rows,
-    /// footprints stay inside the arrays, and the rows are the same
-    /// length. A test/debug aid — the builders and the mutation layer
-    /// maintain the invariant.
-    ///
-    /// # Panics
-    ///
-    /// Panics describing the first violation found.
-    pub fn assert_lane_padding(&self) {
-        let slots = self.vind.len();
-        assert_eq!(self.rows.lens(), [slots; 3], "row lengths");
-        for (id, node) in self.nodes.iter().enumerate() {
-            let Node::Leaf { start, count, .. } = *node else {
-                continue;
-            };
-            let fp = self.leaf_slot_footprint(id as NodeId) as usize;
-            let (s, c) = (start as usize, count as usize);
-            assert!(
-                c <= fp && lane_padded(c) <= fp && s + fp <= slots,
-                "leaf {id}: count {c} footprint {fp} start {s} of {slots} slots"
-            );
-            for i in s + c..s + fp {
-                assert_eq!(
-                    self.vind[i], PAD_SLOT,
-                    "leaf {id} slot {i}: vind not padded"
-                );
-                assert!(self.rows.is_pad(i), "leaf {id} slot {i}: rows not padded");
-            }
-        }
+        self.meta[leaf as usize].cap.max(count)
     }
 
     /// The node pool; index 0 is the root (when non-empty).

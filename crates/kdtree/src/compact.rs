@@ -2,7 +2,7 @@
 //! tree's `vind`/SoA slot arrays and node pool.
 //!
 //! Relocations and subtree rebuilds abandon their old slot ranges
-//! ([`KdTree::garbage_slots`] counts them, in lane-padded footprints)
+//! ([`KdTree::garbage_slots`] counts them)
 //! and retire node-pool slots into a free list. On a long churn stream
 //! neither is ever reclaimed, so the arrays grow without bound — the
 //! classic ikd-Tree fragmentation problem, which that paper solves with
@@ -12,11 +12,12 @@
 //! * every **reachable** node is renumbered in preorder (root stays 0,
 //!   parents before children — the numbering a fresh build produces)
 //!   and unreachable (free-list) pool slots are dropped;
-//! * every leaf's lane-padded slot footprint is copied to its new,
-//!   densely packed position, preserving the in-leaf point order and
-//!   each leaf's capacity (slack leaves keep their slack), so the
-//!   lane-padding invariant ([`KdTree::assert_lane_padding`]) holds by
-//!   construction and `garbage_slots()` drops to zero;
+//! * every leaf's slot footprint ([`KdTree::leaf_slot_footprint`]:
+//!   its `count` when packed, `max_leaf_points` with slack) is copied
+//!   to its new position, leaves back to back, preserving the in-leaf
+//!   point order and each leaf's capacity (slack leaves keep their
+//!   slack), so `vind` ends up exactly as long as the footprints sum
+//!   to and `garbage_slots()` drops to zero;
 //! * the returned [`CompactRemap`] records the old→new slot and node
 //!   renumbering so layered caches (the compressed directory and f16
 //!   rows of `bonsai-core`) can **move** their baked bytes instead of
@@ -63,7 +64,7 @@ impl KdTree {
     /// the old→new renumbering so layered caches can replay it.
     ///
     /// After the call `garbage_slots()` is 0, the free list is empty,
-    /// and [`assert_lane_padding`](KdTree::assert_lane_padding) holds.
+    /// and [`audit`](KdTree::audit) still comes back empty.
     /// Search results, their order and all [`SearchStats`] counters are
     /// bit-identical to the pre-compaction tree in every mode; only
     /// storage moved. Pending dirty-log entries are renumbered through
@@ -121,8 +122,8 @@ impl KdTree {
                         slot_map[i] = new_slot;
                         let idx = self.vind[i];
                         // Live slots move like the build's reorder pass;
-                        // padding slots are layout upkeep (no events).
-                        if idx != crate::parts::PAD_SLOT {
+                        // slack slots are layout upkeep (no events).
+                        if idx != crate::PAD_SLOT {
                             sim.load(self.reordered_point_addr(i as u32), 12);
                             sim.store(self.reordered_point_addr(new_slot), 12);
                             sim.exec(OpClass::IntAlu, 2);
@@ -249,7 +250,13 @@ mod tests {
         let remap = tree.compact(&mut sim);
         assert_eq!(tree.garbage_slots(), 0);
         assert!(tree.vind().len() < slots_before);
-        tree.assert_lane_padding();
+        assert!(tree.audit().is_empty(), "{:?}", tree.audit());
+        // Every leaf keeps its footprint, slack included, back to back.
+        let footprints: u32 = (0..tree.nodes().len() as NodeId)
+            .filter(|&id| tree.nodes()[id as usize].is_leaf())
+            .map(|id| tree.leaf_slot_footprint(id))
+            .sum();
+        assert_eq!(tree.vind().len(), footprints as usize);
         // Every live slot is mapped, every map target is in range and
         // unique.
         let mut seen = vec![false; tree.vind().len()];
@@ -289,7 +296,7 @@ mod tests {
 
         let mut sim = SimEngine::disabled();
         tree.compact(&mut sim);
-        tree.assert_lane_padding();
+        assert!(tree.audit().is_empty(), "{:?}", tree.audit());
 
         for (qi, &q) in queries.iter().enumerate() {
             let mut out = Vec::new();
@@ -318,7 +325,7 @@ mod tests {
             .radius_search_simple(cloud[5], 10.0)
             .iter()
             .all(|n| n.index != 5));
-        tree.assert_lane_padding();
+        assert!(tree.audit().is_empty(), "{:?}", tree.audit());
     }
 
     #[test]

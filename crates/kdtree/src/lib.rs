@@ -68,7 +68,7 @@ pub use build::{BuildStats, KdTree, KdTreeConfig, SplitRule};
 pub use chaos::ChaosRng;
 pub use compact::CompactRemap;
 pub use costs::TraversalCosts;
-pub use mutate::{MutationStats, ALPHA_BALANCE};
+pub use mutate::{MutationStats, ALPHA_BALANCE, PAD_SLOT};
 pub use node::{LeafId, Node, NodeId};
 pub use rows::{encode_halves, leaf_origin, RowLayout};
 pub use scratch::{QueryBatch, SearchScratch};

@@ -23,12 +23,16 @@
 //!   [`KdTree::build_parallel`], so large rebuilds fan out across
 //!   threads under the `parallel` feature.
 //!
-//! Relocations and rebuilds abandon their old `vind`/SoA slots
-//! ([`KdTree::garbage_slots`] counts them); retired node-pool slots are
-//! recycled through a free list. Every touched node id is appended to a
-//! dirty log ([`KdTree::drain_dirty_nodes`]) that layered caches — the
-//! leaf headers and compressed-leaf directory of `bonsai-core` —
-//! consume to re-bake **only** the touched leaves. The leaf rows
+//! Build-time leaves are packed (a leaf owns exactly its `count`
+//! slots); a leaf the mutation layer builds or relocates owns
+//! `max_leaf_points` slots, its unused slack marked [`PAD_SLOT`] in
+//! `vind` over unspecified rows. Relocations and rebuilds abandon
+//! their old `vind`/SoA slots ([`KdTree::garbage_slots`] counts them);
+//! retired node-pool slots are recycled through a free list. Every
+//! touched node id is appended to a dirty log
+//! ([`KdTree::drain_dirty_nodes`]) that layered caches — the leaf
+//! headers and compressed-leaf directory of `bonsai-core` — consume to
+//! re-bake **only** the touched leaves. The leaf rows
 //! themselves, `f32` or f16, are written here, eagerly: a mutation
 //! writes the slots it touches, and under f16 rows every change to a
 //! leaf's live points re-derives its
@@ -69,8 +73,13 @@ use bonsai_sim::{Kernel, OpClass, SimEngine};
 
 use crate::build::{sites, KdTree};
 use crate::node::{Node, NodeId, NODE_BYTES};
-use crate::parts::{build_subtree, resolve_build_threads, SubtreeConfig, PAD_SLOT};
-use crate::simd::lane_padded;
+use crate::parts::{build_subtree, resolve_build_threads, SubtreeConfig};
+
+/// The `vind` entry of an unused slack slot of a mutation-built leaf.
+/// No live slot ever holds it (cloud indices are dense `u32`s far below
+/// it), so compaction and the auditors use it to tell slack from live
+/// slots. The rows under a slack slot are unspecified.
+pub const PAD_SLOT: u32 = u32::MAX;
 
 /// Fraction of a subtree's live points one child may hold before the
 /// subtree is rebuilt (ikd-Tree's α_bal; Cai et al. use 0.7).
@@ -141,10 +150,10 @@ impl KdTree {
 
         if self.nodes.is_empty() {
             // Update on an empty tree behaves like a first build: one
-            // slack root leaf (lane-padded footprint).
+            // slack root leaf.
             let start = self.vind.len() as u32;
             self.push_point_slot(sim, idx);
-            self.pad_slots(lane_padded(self.cfg.max_leaf_points) - 1);
+            self.push_slack_slots(self.cfg.max_leaf_points - 1);
             let root = self.alloc_node(
                 sim,
                 Node::Leaf {
@@ -235,7 +244,7 @@ impl KdTree {
             self.set_leaf(sim, leaf, start, count + 1, cap, Some(slot));
         } else if (count as usize) < self.cfg.max_leaf_points {
             // Packed build-time leaf: relocate once to a slack range
-            // (lane-padded `m`-slot footprint).
+            // (an `m`-slot footprint).
             self.mut_stats.leaf_relocations += 1;
             let new_start = self.vind.len() as u32;
             for i in start..start + count {
@@ -244,8 +253,8 @@ impl KdTree {
                 self.push_point_slot(sim, moved);
             }
             self.push_point_slot(sim, idx);
-            self.pad_slots(lane_padded(self.cfg.max_leaf_points) - count as usize - 1);
-            self.garbage_slots += lane_padded(cap as usize);
+            self.push_slack_slots(self.cfg.max_leaf_points - count as usize - 1);
+            self.garbage_slots += cap as usize;
             self.set_leaf(
                 sim,
                 leaf,
@@ -308,12 +317,10 @@ impl KdTree {
         self.vind[slot] = self.vind[last];
         sim.store(self.reordered_point_addr(slot as u32), 12);
         sim.store(self.vind_entry_addr(slot as u32), 4);
-        // Re-pad the vacated tail slot: it may sit inside the lane
-        // group covering the (shrunk) count, and a SIMD sweep would
-        // read its stale coordinates otherwise. Layout upkeep, no
-        // simulated events (like the build-time pads).
+        // The vacated tail slot becomes slack (its rows are left as
+        // they are: no sweep reads past the count). Layout upkeep, no
+        // simulated events.
         self.vind[last] = PAD_SLOT;
-        self.rows.set_pad(last);
         let cap = self.meta[leaf as usize].cap;
         self.set_leaf(sim, leaf, start, count - 1, cap, Some(slot));
 
@@ -452,10 +459,9 @@ impl KdTree {
         sim.exec(OpClass::IntAlu, 2);
     }
 
-    /// Appends `n` padding slots (slack/lane tail of a mutation leaf):
-    /// `PAD_SLOT` indices and `+∞` sentinel coordinates, so a SIMD
-    /// lane group covering the tail can never produce a hit.
-    fn pad_slots(&mut self, n: usize) {
+    /// Appends `n` unused slack slots of a mutation leaf: `PAD_SLOT`
+    /// indices over unspecified rows.
+    fn push_slack_slots(&mut self, n: usize) {
         self.vind.resize(self.vind.len() + n, PAD_SLOT);
         self.rows.pad_to(self.vind.len());
     }
@@ -722,7 +728,7 @@ impl KdTree {
         // root, which the new subtree reuses), vind ranges abandoned.
         for &id in &ids {
             if let Node::Leaf { .. } = self.nodes[id as usize] {
-                self.garbage_slots += lane_padded(self.meta[id as usize].cap as usize);
+                self.garbage_slots += self.meta[id as usize].cap as usize;
             }
             sim.load(self.node_addr(id), NODE_BYTES as u32);
             self.retire_node(id);
@@ -786,7 +792,7 @@ impl KdTree {
         let base_slot = self.vind.len() as u32;
         for &o in &parts.order {
             if o == PAD_SLOT {
-                self.pad_slots(1);
+                self.push_slack_slots(1);
             } else {
                 self.push_point_slot(sim, o);
             }

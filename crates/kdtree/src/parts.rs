@@ -13,6 +13,11 @@
 //! two halves of a partition touch disjoint `order` ranges and build
 //! disjoint node sets.
 //!
+//! Packed parts (the whole-tree build) give every leaf exactly its
+//! `count` slots; slack parts (mutation rebuilds) give every leaf
+//! `max_leaf_points` slots, the unused ones marked
+//! [`PAD_SLOT`](crate::PAD_SLOT).
+//!
 //! The partitioning is byte-for-byte the sequential build's (same
 //! median selection, same sliding-midpoint fallback), so the assembled
 //! tree is **identical** to [`KdTree::build`]'s regardless of the
@@ -23,13 +28,9 @@ use bonsai_geom::{Aabb, Axis, Point3};
 use bonsai_sim::SimEngine;
 
 use crate::build::{itertools_partition, BuildStats, KdTree, KdTreeConfig, SplitRule};
+use crate::mutate::PAD_SLOT;
 use crate::node::{Node, NodeId, NODE_BYTES};
 use crate::rows::{LeafRows, RowLayout};
-use crate::simd::{lane_padded, LANES};
-// The padding sentinel for leaf slack/lane tails in `order` and the
-// tree's `vind`; defined (publicly) by the lane-engine module, since
-// the SIMD sweeps and layered caches are what the sentinel protects.
-pub(crate) use crate::simd::PAD_SLOT;
 
 /// Minimum points in a range before the builder forks a worker for one
 /// of its halves; below this the spawn costs more than the subtree.
@@ -43,9 +44,9 @@ pub(crate) struct SubtreeParts {
     /// Preorder node pool of the subtree.
     pub nodes: Vec<Node>,
     /// The `vind` arrangement of the subtree's points. Each leaf owns
-    /// a lane-padded footprint of consecutive slots —
-    /// `lane_padded(count)` packed, `lane_padded(max_leaf_points)`
-    /// with slack — the tail padded with [`PAD_SLOT`].
+    /// a footprint of consecutive slots — `count` packed,
+    /// `max_leaf_points` with slack, the unused slack holding
+    /// [`PAD_SLOT`].
     pub order: Vec<u32>,
     /// Shape statistics of the subtree (`max_depth` relative to its
     /// root).
@@ -59,11 +60,10 @@ pub(crate) struct SubtreeConfig {
     /// The row layout the leaves are built for, which sets their
     /// origins ([`RowLayout::origin_of`]).
     pub layout: RowLayout,
-    /// Pad every leaf's `order` range to the full (lane-padded)
-    /// `max_leaf_points` capacity so later inserts append in place
-    /// instead of relocating the leaf. The initial full build stays
-    /// packed apart from its lane-padding tails; only mutation-created
-    /// leaves carry slack.
+    /// Pad every leaf's `order` range to the full `max_leaf_points`
+    /// capacity so later inserts append in place instead of relocating
+    /// the leaf. The initial full build stays packed; only
+    /// mutation-created leaves carry slack.
     pub slack: bool,
     /// Worker threads the recursion may still fork (1 = sequential).
     pub threads: usize,
@@ -91,15 +91,11 @@ fn build_rec(
     let m = cfg.tree.max_leaf_points;
     if count <= m {
         let mut order = idxs.to_vec();
-        // Every leaf owns a lane-padded slot footprint; slack leaves
-        // additionally reserve the full `m`-point capacity so later
+        // Slack leaves reserve the full `m`-point capacity so later
         // inserts append in place.
-        let footprint = if cfg.slack {
-            lane_padded(m)
-        } else {
-            lane_padded(count)
-        };
-        order.resize(footprint, PAD_SLOT);
+        if cfg.slack {
+            order.resize(m, PAD_SLOT);
+        }
         let origin = cfg
             .layout
             .origin_of(idxs.iter().map(|&i| points[i as usize]));
@@ -277,12 +273,10 @@ pub(crate) fn build_tree_parallel(
     let n = points.len();
     let mut sim = SimEngine::disabled();
     let points_addr = sim.alloc(n as u64 * crate::build::POINT_STRIDE, 64);
-    // Same lane-padded bound as the instrumented build: each (non-
-    // empty) leaf pads to at most LANES − 1 extra slots.
-    let padded_bound = n as u64 * LANES as u64;
-    let vind_addr = sim.alloc(padded_bound * 4, 64);
+    // The instrumented build's regions: one slot per point.
+    let vind_addr = sim.alloc(n as u64 * 4, 64);
     let nodes_addr = sim.alloc((2 * n as u64 + 1) * NODE_BYTES, 64);
-    let reordered_addr = sim.alloc(padded_bound * crate::build::REORDERED_STRIDE, 64);
+    let reordered_addr = sim.alloc(n as u64 * crate::build::REORDERED_STRIDE, 64);
 
     let mut idxs: Vec<u32> = (0..n as u32).collect();
     let (nodes, vind, stats) = if n == 0 {
@@ -298,9 +292,8 @@ pub(crate) fn build_tree_parallel(
                 threads: resolve_build_threads(threads),
             },
         );
-        // `order` is the permuted range plus each leaf's lane-padding
-        // tail — exactly the layout the sequential build's padding
-        // pass produces.
+        // `order` is the permuted range, leaves packed back to back —
+        // exactly the sequential build's `vind`.
         (parts.nodes, parts.order, parts.stats)
     };
 
@@ -407,11 +400,10 @@ mod tests {
         };
         let parts = build_subtree(&cloud, &mut idxs, cfg);
         let m = cfg.tree.max_leaf_points;
-        let footprint = lane_padded(m);
         assert_eq!(
             parts.order.len(),
-            parts.stats.num_leaves as usize * footprint,
-            "every slack leaf owns a lane-padded m-slot footprint"
+            parts.stats.num_leaves as usize * m,
+            "every slack leaf owns an m-slot footprint"
         );
         let mut seen = vec![false; cloud.len()];
         for node in &parts.nodes {
@@ -423,7 +415,7 @@ mod tests {
                     assert!(!seen[idx as usize], "point {idx} twice");
                     seen[idx as usize] = true;
                 }
-                for s in start + count..start + footprint as u32 {
+                for s in start + count..start + m as u32 {
                     assert_eq!(parts.order[s as usize], PAD_SLOT);
                 }
             }
@@ -431,31 +423,65 @@ mod tests {
         assert!(seen.iter().all(|&s| s));
     }
 
+    /// Both builders, in both row layouts, pack every leaf exactly:
+    /// one slot per point, leaves tiling `0..n` with no gap. After churn
+    /// and [`KdTree::compact`] the slot arrays hold exactly the leaves'
+    /// footprints.
     #[test]
-    fn packed_parts_lane_pad_every_leaf() {
+    fn builders_pack_leaves_exactly_in_both_layouts() {
         let cloud = random_cloud(777, 11, 40.0);
-        let mut idxs: Vec<u32> = (0..cloud.len() as u32).collect();
-        let cfg = SubtreeConfig {
-            tree: KdTreeConfig::default(),
-            layout: RowLayout::F16,
-            slack: false,
-            threads: 1,
+        let cfg = KdTreeConfig::default();
+        let mut sim = SimEngine::disabled();
+        let trees = [
+            ("build", KdTree::build(cloud.clone(), cfg, &mut sim)),
+            ("build_f16", KdTree::build_f16(cloud.clone(), cfg, &mut sim)),
+            (
+                "build_parallel",
+                KdTree::build_parallel(cloud.clone(), cfg, 3),
+            ),
+            (
+                "build_parallel_f16",
+                KdTree::build_parallel_f16(cloud.clone(), cfg, 3),
+            ),
+        ];
+        let leaf_ids = |tree: &KdTree| -> Vec<NodeId> {
+            (0..tree.nodes().len() as NodeId)
+                .filter(|&id| tree.nodes()[id as usize].is_leaf())
+                .collect()
         };
-        let parts = build_subtree(&cloud, &mut idxs, cfg);
-        let mut slots = 0usize;
-        for node in &parts.nodes {
-            if let Node::Leaf { start, count, .. } = *node {
-                assert_eq!(start as usize % LANES, 0, "leaf starts lane-aligned");
-                slots += lane_padded(count as usize);
-                for s in start + count..start + lane_padded(count as usize) as u32 {
-                    assert_eq!(parts.order[s as usize], PAD_SLOT);
-                }
+        for (name, mut tree) in trees {
+            assert_eq!(tree.vind().len(), tree.points().len(), "{name}");
+            let mut ranges: Vec<(u32, u32)> = leaf_ids(&tree)
+                .into_iter()
+                .map(|id| {
+                    let Node::Leaf { start, count, .. } = tree.nodes()[id as usize] else {
+                        unreachable!()
+                    };
+                    assert_eq!(tree.leaf_slot_footprint(id), count, "{name}: leaf {id}");
+                    (start, count)
+                })
+                .collect();
+            ranges.sort_unstable();
+            let mut next = 0;
+            for (start, count) in ranges {
+                assert_eq!(start, next, "{name}: gap or overlap at slot {start}");
+                next += count;
             }
+            assert_eq!(next as usize, cloud.len(), "{name}");
+
+            for k in 0..120u32 {
+                tree.delete(&mut sim, k * 5);
+                tree.insert(&mut sim, cloud[k as usize] + Point3::new(0.01, 0.02, 0.0))
+                    .unwrap();
+            }
+            assert!(tree.garbage_slots() > 0, "{name}: churn never fragmented");
+            tree.compact(&mut sim);
+            let footprints: u32 = leaf_ids(&tree)
+                .into_iter()
+                .map(|id| tree.leaf_slot_footprint(id))
+                .sum();
+            assert_eq!(tree.vind().len(), footprints as usize, "{name}");
+            assert!(tree.audit().is_empty(), "{name}: {:?}", tree.audit());
         }
-        assert_eq!(parts.order.len(), slots);
-        assert_eq!(
-            parts.order.iter().filter(|&&o| o != PAD_SLOT).count(),
-            cloud.len()
-        );
     }
 }

@@ -44,8 +44,10 @@
 //!
 //! Every slot operation of the builders and the mutation layer writes
 //! through [`LeafRows`], so the layout never forks the code that keeps
-//! the rows in step with `vind`. Padding slots hold the layout's `+∞`
-//! sentinel ([`PAD_COORD`] or [`PAD_HALF`]).
+//! the rows in step with `vind`. Only a leaf's live slots
+//! `start..start + count` carry meaning: the contents of its slots past
+//! `count` (a mutated leaf's slack) are unspecified, and no sweep reads
+//! them.
 //!
 //! [`KdTree::build`]: crate::KdTree::build
 //! [`KdTree::build_f16`]: crate::KdTree::build_f16
@@ -54,7 +56,6 @@ use bonsai_floatfmt::Half;
 use bonsai_geom::{Aabb, Point3};
 
 use crate::node::Node;
-use crate::simd::{PAD_COORD, PAD_HALF};
 
 /// The origin rule of the module docs for a leaf whose live points span
 /// the box `[lo, hi]`; `Point3::ZERO` for an empty leaf is the
@@ -155,17 +156,14 @@ impl RowLayout {
     }
 }
 
-/// One row element: how a coordinate is stored and what pads a slot.
-pub(crate) trait Elem: Copy + PartialEq {
-    /// The padding sentinel (`+∞` in the element's format).
-    const PAD: Self;
+/// One row element: how a coordinate is stored.
+pub(crate) trait Elem: Copy + Default {
     /// Encodes one exact coordinate `c` of a leaf whose origin on that
     /// axis is `o`.
     fn encode(c: f32, o: f32) -> Self;
 }
 
 impl Elem for f32 {
-    const PAD: f32 = PAD_COORD;
     /// The exact coordinate: `f32` rows ignore the origin.
     fn encode(c: f32, _o: f32) -> f32 {
         c
@@ -173,7 +171,6 @@ impl Elem for f32 {
 }
 
 impl Elem for u16 {
-    const PAD: u16 = PAD_HALF;
     fn encode(c: f32, o: f32) -> u16 {
         Half::from_f32(c - o).to_bits()
     }
@@ -215,16 +212,16 @@ impl<T: Elem> Rows<T> {
     }
 
     fn pad_to(&mut self, n: usize) {
-        self.x.resize(n, T::PAD);
-        self.y.resize(n, T::PAD);
-        self.z.resize(n, T::PAD);
+        self.x.resize(n, T::default());
+        self.y.resize(n, T::default());
+        self.z.resize(n, T::default());
     }
 
     fn permuted(&self, slot_map: &[u32], new_len: usize) -> Rows<T> {
         let mut out = Rows {
-            x: vec![T::PAD; new_len],
-            y: vec![T::PAD; new_len],
-            z: vec![T::PAD; new_len],
+            x: vec![T::default(); new_len],
+            y: vec![T::default(); new_len],
+            z: vec![T::default(); new_len],
         };
         for (old, &new) in slot_map.iter().enumerate() {
             if new != crate::CompactRemap::DROPPED {
@@ -272,8 +269,8 @@ impl LeafRows {
     }
 
     /// Rows mirroring `vind` over `points`, each leaf of `nodes`
-    /// encoded against its origin (slots no live leaf slot covers get
-    /// the sentinel), sized exactly.
+    /// encoded against its origin (slots no live leaf slot covers are
+    /// left unspecified), sized exactly.
     pub fn bake(layout: RowLayout, points: &[Point3], vind: &[u32], nodes: &[Node]) -> LeafRows {
         let mut rows = LeafRows::with_capacity(layout, vind.len());
         rows.pad_to(vind.len());
@@ -323,8 +320,8 @@ impl LeafRows {
         }
     }
 
-    /// Grows the rows to `n` slots with padding sentinels (never
-    /// shrinks).
+    /// Grows the rows to `n` slots (never shrinks); the new slots'
+    /// contents are unspecified until a leaf writes them.
     pub fn pad_to(&mut self, n: usize) {
         if n > self.len() {
             each_layout!(self, r => r.pad_to(n))
@@ -335,20 +332,6 @@ impl LeafRows {
     /// is `origin`.
     pub fn set_point(&mut self, i: usize, p: Point3, origin: Point3) {
         each_layout!(self, r => r.set(i, Rows::encode(p, origin)))
-    }
-
-    /// Overwrites slot `i` with the padding sentinel.
-    pub fn set_pad(&mut self, i: usize) {
-        each_layout!(self, r => r.set(i, [Elem::PAD; 3]))
-    }
-
-    /// Whether slot `i` holds the padding sentinel in all three rows
-    /// (compared bit for bit).
-    pub fn is_pad(&self, i: usize) -> bool {
-        match self {
-            LeafRows::F32(r) => r.get(i).map(f32::to_bits) == [PAD_COORD.to_bits(); 3],
-            LeafRows::F16(r) => r.get(i) == [PAD_HALF; 3],
-        }
     }
 
     /// Whether slot `i` holds exactly `p`'s encoding against `origin`
@@ -370,8 +353,8 @@ impl LeafRows {
 
     /// The rows with every slot moved to `slot_map[old]`
     /// ([`CompactRemap::DROPPED`](crate::CompactRemap::DROPPED) slots
-    /// vanish); unfilled slots hold the sentinel. Bits move, nothing
-    /// is re-encoded.
+    /// vanish); unfilled slots are unspecified. Bits move, nothing is
+    /// re-encoded.
     pub fn permuted(&self, slot_map: &[u32], new_len: usize) -> LeafRows {
         match self {
             LeafRows::F32(r) => LeafRows::F32(r.permuted(slot_map, new_len)),
@@ -419,12 +402,10 @@ mod tests {
             rows.set_point(0, p, o);
             assert_eq!(rows.layout(), layout);
             assert_eq!(rows.len(), 3);
-            assert!(rows.holds(0, p, o) && !rows.is_pad(0));
-            assert!(rows.is_pad(1) && rows.is_pad(2));
+            assert!(rows.holds(0, p, o) && !rows.holds(1, p, o));
             let moved = rows.permuted(&[2, crate::CompactRemap::DROPPED, 0], 3);
-            assert!(moved.holds(2, p, o) && moved.is_pad(0) && moved.is_pad(1));
-            rows.set_pad(0);
-            assert!(rows.is_pad(0));
+            assert_eq!(moved.len(), 3);
+            assert!(moved.holds(2, p, o) && !moved.holds(0, p, o));
         }
         // The f16 rows hold the halves of p − o; the f32 rows ignore o.
         let mut half = LeafRows::with_capacity(RowLayout::F16, 1);

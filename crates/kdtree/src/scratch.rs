@@ -348,41 +348,8 @@ impl KdTree {
             return;
         }
         for &(_, start, count) in visited {
-            self.scan_leaf_scalar((xs, ys, zs), start, count, query, r_sq, out);
-        }
-    }
-
-    /// The scalar reference sweep of one leaf: slice windows hoisted
-    /// to one exact length so the loop body indexes without bounds
-    /// checks (this loop is the semantics both SIMD sweeps reproduce
-    /// bit for bit).
-    #[inline]
-    fn scan_leaf_scalar(
-        &self,
-        (xs, ys, zs): (&[f32], &[f32], &[f32]),
-        start: u32,
-        count: u32,
-        query: Point3,
-        r_sq: f32,
-        out: &mut Vec<Neighbor>,
-    ) {
-        let lo = start as usize;
-        let n = count as usize;
-        let xs = &xs[lo..lo + n];
-        let ys = &ys[lo..lo + n];
-        let zs = &zs[lo..lo + n];
-        let vind = &self.vind[lo..lo + n];
-        for i in 0..n {
-            let dx = xs[i] - query.x;
-            let dy = ys[i] - query.y;
-            let dz = zs[i] - query.z;
-            let d_sq = dx * dx + dy * dy + dz * dz;
-            if d_sq <= r_sq {
-                out.push(Neighbor {
-                    index: vind[i],
-                    dist_sq: d_sq,
-                });
-            }
+            let (lo, hi) = (start as usize, start as usize + count as usize);
+            crate::simd::scan_slots_scalar(xs, ys, zs, &self.vind, lo, hi, query, r_sq, out);
         }
     }
 }

@@ -2,11 +2,13 @@
 //!
 //! K-D Bonsai's `SQDWE` instruction evaluates many squared-distance
 //! lanes per cycle; the software reproduction gets the same effect by
-//! sweeping each leaf's lane-padded SoA rows eight `f32` lanes at a
-//! time. This module owns everything lane-shaped:
+//! sweeping each leaf's SoA rows eight `f32` lanes at a time. Leaves
+//! are packed (a leaf's slots are `start..start + count`, with no
+//! padding after them), so lane width is a concern of the kernels
+//! alone: each kernel finishes its own tail and reads nothing past
+//! `start + count`. This module owns everything lane-shaped:
 //!
-//! * the lane geometry ([`LANES`], [`lane_padded`]) and the padding
-//!   sentinel ([`PAD_COORD`]) every leaf's SoA tail is filled with,
+//! * the lane width ([`LANES`]),
 //! * runtime backend selection ([`active_backend`]): AVX-512 (F + BW +
 //!   VL with F16C), AVX2 (with F16C) or SSE2 on `x86_64`, NEON on
 //!   `aarch64`, detected once per process, plus a scalar fallback that
@@ -17,19 +19,22 @@
 //! # Kernels
 //!
 //! The baseline `f32` sweep has three lane kernels
-//! ([`baseline_sweep_kernel`]): AVX2 (8 lanes, two groups per step,
-//! shuffle-table hit compaction through `compact_hits_avx2`), SSE2
-//! and NEON (4 lanes, run twice per group). An AVX-512 host runs the
-//! AVX2 kernel; [`LaneBackend::Avx512`] is a superset of
-//! [`LaneBackend::Avx2`] at every dispatch site. All of them read whole
-//! lane groups, padding lanes included.
+//! ([`baseline_sweep_kernel`]). AVX2 (8 lanes) runs two full groups
+//! per step, then loads the rest of the leaf with `vmaskmovps` under
+//! its live-lane mask and ANDs the compare mask with the live bits;
+//! hits leave through the shuffle-table compaction
+//! `compact_hits_avx2`, whose `vind` load is masked to the hit lanes.
+//! SSE2 and NEON (4 lanes) run whole 4-lane groups, then a scalar
+//! remainder that evaluates the same expression in the same order. An
+//! AVX-512 host runs the AVX2 kernel; [`LaneBackend::Avx512`] is a
+//! superset of [`LaneBackend::Avx2`] at every dispatch site.
 //!
 //! The compressed sweep lives in `bonsai-core` and has an AVX-512
-//! kernel (16 lanes, one group per ≤16-point leaf), an AVX2 kernel
-//! (8 lanes) and a scalar one. Its AVX-512 kernel loads each f16 row
-//! with a masked load of exactly the leaf's `count` slots, so it reads
-//! no padding lanes; its AVX2 kernel reads them and masks them out of
-//! classification.
+//! kernel (16 lanes, one group per ≤16-point leaf, each row loaded
+//! with a masked load of exactly `count` halves), an AVX2 kernel (8
+//! lanes, the tail group's live halves copied into a zeroed stack
+//! group and the dead lanes masked out of classification) and a scalar
+//! one.
 //!
 //! # Bit-identical by construction
 //!
@@ -38,10 +43,10 @@
 //! FMA contraction, so the `dist_sq` a hit reports has the same bits
 //! whichever backend ran. Hits are compacted from the lane mask in
 //! ascending slot order, so the `Neighbor` *sequence* is identical
-//! too. Padding slots hold [`PAD_COORD`] (`+∞`): their squared
-//! distance is `+∞` (or NaN for a non-finite query), which no finite
-//! `r²` admits, so sentinels can never produce a hit and the tail of a
-//! partially-filled lane group costs nothing to mask.
+//! too. Lanes past a leaf's `count` are never read from the rows and
+//! are cleared from the hit mask, so they cannot produce a hit
+//! (`baseline_kernels_agree_bit_for_bit` plants in-radius points right
+//! after every leaf to check it).
 //!
 //! Everything here is compiled regardless of the `simd` cargo feature
 //! so layouts stay stable; without the feature (or on other
@@ -57,37 +62,9 @@ use bonsai_geom::Point3;
 use crate::search::Neighbor;
 
 /// Lanes per sweep step: the 8-wide `f32` vector the hardware SQDWE
-/// model and the AVX2 backend both use (narrower backends split it).
+/// model and the AVX2 backend both use (SSE2 and NEON run 4-lane
+/// groups).
 pub const LANES: usize = 8;
-
-/// Sentinel coordinate of padding slots (`+∞`): farther than any
-/// finite radius from any query, so a padded lane can never match.
-pub const PAD_COORD: f32 = f32::INFINITY;
-
-/// Sentinel of padding slots in f16 leaf rows: binary16 `+∞`, the
-/// [`PAD_COORD`] of the compressed tree's layout.
-pub const PAD_HALF: u16 = 0x7C00;
-
-/// Sentinel `vind()` entry of padding slots. No live slot ever holds
-/// it (cloud indices are dense `u32`s far below it), so the auditors
-/// and the compressed layers of `bonsai-core` use it to recognize
-/// padding.
-pub const PAD_SLOT: u32 = u32::MAX;
-
-/// Rounds a leaf's point count up to its lane-padded slot footprint.
-///
-/// # Examples
-///
-/// ```
-/// use bonsai_kdtree::simd::lane_padded;
-/// assert_eq!(lane_padded(0), 0);
-/// assert_eq!(lane_padded(7), 8);
-/// assert_eq!(lane_padded(8), 8);
-/// assert_eq!(lane_padded(15), 16);
-/// ```
-pub const fn lane_padded(n: usize) -> usize {
-    (n + LANES - 1) & !(LANES - 1)
-}
 
 /// Which lane implementation [`active_backend`] resolved to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -100,10 +77,11 @@ pub enum LaneBackend {
     /// 8-wide `core::arch::x86_64` AVX2 (with F16C, which the
     /// compressed sweep's in-register f16 decode needs).
     Avx2,
-    /// 4-wide `core::arch::x86_64` SSE2 (the `x86_64` baseline), run
-    /// twice per lane group.
+    /// 4-wide `core::arch::x86_64` SSE2 (the `x86_64` baseline), with
+    /// a scalar remainder per leaf.
     Sse2,
-    /// 4-wide `core::arch::aarch64` NEON, run twice per lane group.
+    /// 4-wide `core::arch::aarch64` NEON, with a scalar remainder per
+    /// leaf.
     Neon,
     /// The plain scalar loop (no `simd` feature, an unsupported
     /// architecture, or a [`scalar_override`] in force).
@@ -234,13 +212,13 @@ pub type LeafVisit = (u32, u32, u32);
 /// Vectorized baseline sweep over a query's collected leaf visits:
 /// for each visit, in order, pushes a [`Neighbor`] for every slot
 /// with `(x−q.x)² + (y−q.y)² + (z−q.z)² ≤ r_sq`, in ascending slot
-/// order, with bit-identical `dist_sq` to the scalar loop. Returns
-/// `false` without touching `out` when only the scalar backend is
-/// active (the caller then runs its scalar loop).
+/// order, with bit-identical `dist_sq` to the scalar loop
+/// ([`scan_slots_scalar`]). Returns `false` without touching `out`
+/// when only the scalar backend is active (the caller then runs its
+/// scalar loop).
 ///
-/// The rows and `vind` must cover each visit's lane-padded footprint,
-/// and slots beyond a leaf's `count` must hold [`PAD_COORD`] — the
-/// layout invariant the builders and the mutation layer maintain.
+/// The rows and `vind` must cover each visit's `start..start + count`;
+/// the kernels read nothing past it.
 #[allow(unused_variables)] // scalar-only builds use none of the inputs
 #[allow(clippy::needless_return)] // the returns close per-arch cfg arms
 #[allow(clippy::too_many_arguments)] // the flattened sweep state
@@ -260,15 +238,14 @@ pub(crate) fn sweep_baseline_visited(
     if backend == LaneBackend::Scalar {
         return false;
     }
+    let slots = xs.len().min(ys.len()).min(zs.len()).min(vind.len());
     for &(_, start, count) in visited {
-        let hi = start as usize + lane_padded(count as usize);
         // lint: allow(debug-assert-discipline) — this assert *is* the
         // bounds contract of the unsafe lane kernels below; eliding it
         // in release builds would turn a layout bug into UB.
         assert!(
-            hi <= xs.len() && hi <= ys.len() && hi <= zs.len() && hi <= vind.len(),
-            "leaf sweep past the SoA rows: start {start} count {count} rows {}",
-            xs.len()
+            start as usize + count as usize <= slots,
+            "leaf sweep past the SoA rows: start {start} count {count} rows {slots}"
         );
     }
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
@@ -301,6 +278,40 @@ pub(crate) fn sweep_baseline_visited(
     #[cfg(not(all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64"))))]
     {
         unreachable!("active_backend() is Scalar off x86_64/aarch64 or without the simd feature")
+    }
+}
+
+/// The scalar reference sweep of slots `lo..hi`: pushes a [`Neighbor`]
+/// for every slot with `(x−q.x)² + (y−q.y)² + (z−q.z)² ≤ r_sq`, in
+/// ascending slot order. The semantics every lane kernel reproduces
+/// bit for bit, the loop a scalar backend runs, and the remainder the
+/// 4-lane kernels finish a leaf with. Slice windows are hoisted to one
+/// exact length so the body indexes without bounds checks.
+#[allow(clippy::too_many_arguments)] // the flattened sweep state
+#[inline]
+pub(crate) fn scan_slots_scalar(
+    xs: &[f32],
+    ys: &[f32],
+    zs: &[f32],
+    vind: &[u32],
+    lo: usize,
+    hi: usize,
+    query: Point3,
+    r_sq: f32,
+    out: &mut Vec<Neighbor>,
+) {
+    let (xs, ys, zs, vind) = (&xs[lo..hi], &ys[lo..hi], &zs[lo..hi], &vind[lo..hi]);
+    for i in 0..hi - lo {
+        let dx = xs[i] - query.x;
+        let dy = ys[i] - query.y;
+        let dz = zs[i] - query.z;
+        let d_sq = dx * dx + dy * dy + dz * dz;
+        if d_sq <= r_sq {
+            out.push(Neighbor {
+                index: vind[i],
+                dist_sq: d_sq,
+            });
+        }
     }
 }
 
@@ -339,18 +350,19 @@ mod x86 {
     }
 
     /// Emits the hits of one 8-lane group in ascending lane order with
-    /// two vector stores: the distance lanes and the group's `vind`
-    /// entries are compacted through one shuffle-table permute, then
-    /// interleaved into `(index, dist_sq)` pairs — `Neighbor`'s
-    /// `repr(C)` layout — and written as whole registers (only the
-    /// first `popcount(mask)` pairs become visible via `set_len`).
-    /// Constant work per group however many lanes hit, where a
-    /// bit-scan loop pays per hit.
+    /// two vector stores: the distance lanes and the hit lanes' `vind`
+    /// entries (a masked load of just those lanes) are compacted
+    /// through one shuffle-table permute, then interleaved into
+    /// `(index, dist_sq)` pairs — `Neighbor`'s `repr(C)` layout — and
+    /// written as whole registers (only the first `popcount(mask)`
+    /// pairs become visible via `set_len`). Constant work per group
+    /// however many lanes hit, where a bit-scan loop pays per hit.
     ///
     /// # Safety
     ///
-    /// `mask` must be an 8-bit lane mask, slots `g..g + 8` must be
-    /// within `vind`, and AVX2 must be available.
+    /// `mask` must be an 8-bit lane mask, slot `g + j` must be within
+    /// `vind` for every set bit `j` of `mask`, and AVX2 must be
+    /// available.
     #[target_feature(enable = "avx2")]
     #[inline]
     pub unsafe fn compact_hits_avx2(
@@ -361,15 +373,20 @@ mod x86 {
         out: &mut Vec<Neighbor>,
     ) {
         let hits = mask.count_ones() as usize;
+        // Lane `j`'s load-mask sign bit is bit `j` of `mask`.
+        let lanes = _mm256_sllv_epi32(
+            _mm256_set1_epi32(mask as i32),
+            _mm256_setr_epi32(31, 30, 29, 28, 27, 26, 25, 24),
+        );
         // SAFETY: `mask` is an 8-bit lane mask, so it indexes the
-        // 256-entry `COMPACT` table, and slots `g..g + 8` are within
-        // `vind` per the function contract — the two unaligned loads
-        // read only owned memory.
+        // 256-entry `COMPACT` table, and the masked load reads only the
+        // hit lanes, which the function contract puts within `vind`
+        // (masked-off lanes are neither read nor faulted on).
         let (first, second) = unsafe {
             let perm = _mm256_loadu_si256(COMPACT[mask as usize].as_ptr() as *const __m256i);
             let dv = _mm256_castps_si256(_mm256_permutevar8x32_ps(d, perm));
             let iv = _mm256_permutevar8x32_epi32(
-                _mm256_loadu_si256(vind.add(g) as *const __m256i),
+                _mm256_maskload_epi32(vind.add(g) as *const i32, lanes),
                 perm,
             );
             // Interleave to (index, dist) pairs: unpack works per
@@ -398,7 +415,7 @@ mod x86 {
 
     /// # Safety
     ///
-    /// Caller guarantees every visit's lane-padded footprint is within
+    /// Caller guarantees every visit's `start..start + count` is within
     /// every slice and AVX2 is available.
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)] // the flattened sweep state
@@ -418,32 +435,44 @@ mod x86 {
         let qy = _mm256_set1_ps(query.y);
         let qz = _mm256_set1_ps(query.z);
         let rs = _mm256_set1_ps(r_sq);
+        let lane_ids = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
         for &(_, start, count) in visited {
-            let lo = start as usize;
-            let hi = lo + lane_padded(count as usize);
-            let mut g = lo;
-            // Two lane groups per step (a full default-size leaf):
-            // independent chains for the OoO core, one hit branch.
+            let hi = start as usize + count as usize;
+            let mut g = start as usize;
+            // Two full lane groups per step: independent chains for
+            // the OoO core, one hit branch.
             while g + 2 * LANES <= hi {
-                // SAFETY: `g + 2·LANES ≤ hi`, and the caller asserted
-                // `hi` is within every lane-padded SoA row.
+                // SAFETY: both groups lie within `g..hi`, inside every
+                // row per the caller's contract.
                 let (d0, d1) = unsafe {
                     (
-                        distance_lanes(px, py, pz, g, qx, qy, qz),
-                        distance_lanes(px, py, pz, g + LANES, qx, qy, qz),
+                        distance_lanes(
+                            _mm256_loadu_ps(px.add(g)),
+                            _mm256_loadu_ps(py.add(g)),
+                            _mm256_loadu_ps(pz.add(g)),
+                            qx,
+                            qy,
+                            qz,
+                        ),
+                        distance_lanes(
+                            _mm256_loadu_ps(px.add(g + LANES)),
+                            _mm256_loadu_ps(py.add(g + LANES)),
+                            _mm256_loadu_ps(pz.add(g + LANES)),
+                            qx,
+                            qy,
+                            qz,
+                        ),
                     )
                 };
                 // Ordered ≤: false for the NaN a non-finite query
-                // produces against the +∞ sentinel, exactly like the
-                // scalar `<=`.
+                // produces, exactly like the scalar `<=`.
                 let m0 = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LE_OQ>(d0, rs)) as u32;
                 let m1 = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LE_OQ>(d1, rs)) as u32;
                 if m0 | m1 != 0 {
                     let vp = vind.as_ptr();
                     // SAFETY: `m0`/`m1` are 8-bit movemask lane masks
-                    // and both groups lie within `vind` (same padded
-                    // footprint as the loads above); AVX2 is enabled
-                    // on this fn.
+                    // over the two in-bounds groups just loaded; AVX2
+                    // is enabled on this fn.
                     unsafe {
                         if m0 != 0 {
                             compact_hits_avx2(vp, g, d0, m0, out);
@@ -455,49 +484,54 @@ mod x86 {
                 }
                 g += 2 * LANES;
             }
-            if g < hi {
-                // SAFETY: `g < hi` with `hi` within every padded row,
-                // and the mask passed on is the compare's 8-bit lane
-                // mask over that same in-bounds group.
+            // The rest of the leaf (under 16 slots): one group at a
+            // time through its live-lane mask.
+            while g < hi {
+                let live = (hi - g).min(LANES);
+                let live_lanes = _mm256_cmpgt_epi32(_mm256_set1_epi32(live as i32), lane_ids);
+                // SAFETY: the masked loads read only the `live` slots
+                // `g..g + live`, within `g..hi` and so inside every
+                // row; the mask passed on keeps only those lanes.
                 unsafe {
-                    let d = distance_lanes(px, py, pz, g, qx, qy, qz);
-                    let mask = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LE_OQ>(d, rs)) as u32;
+                    let d = distance_lanes(
+                        _mm256_maskload_ps(px.add(g), live_lanes),
+                        _mm256_maskload_ps(py.add(g), live_lanes),
+                        _mm256_maskload_ps(pz.add(g), live_lanes),
+                        qx,
+                        qy,
+                        qz,
+                    );
+                    let mask = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LE_OQ>(d, rs)) as u32
+                        & (0xFF >> (LANES - live));
                     if mask != 0 {
                         compact_hits_avx2(vind.as_ptr(), g, d, mask, out);
                     }
                 }
+                g += LANES;
             }
         }
     }
 
-    /// One 8-lane squared-distance group at slot `g`, with the scalar
-    /// loop's exact association: `(dx² + dy²) + dz²`, no FMA.
+    /// One 8-lane squared-distance group over loaded coordinates, with
+    /// the scalar loop's exact association: `(dx² + dy²) + dz²`, no
+    /// FMA.
     ///
     /// # Safety
     ///
-    /// Caller guarantees slots `g..g + 8` are in bounds and AVX2 is
-    /// available.
+    /// Requires AVX2.
     #[target_feature(enable = "avx2")]
     #[inline]
-    #[allow(clippy::too_many_arguments)] // lane kernel plumbing
     unsafe fn distance_lanes(
-        px: *const f32,
-        py: *const f32,
-        pz: *const f32,
-        g: usize,
+        x: __m256,
+        y: __m256,
+        z: __m256,
         qx: __m256,
         qy: __m256,
         qz: __m256,
     ) -> __m256 {
-        // SAFETY: slots `g..g + 8` are in bounds per the contract, so
-        // each unaligned 8-lane load reads only owned row memory.
-        let (dx, dy, dz) = unsafe {
-            (
-                _mm256_sub_ps(_mm256_loadu_ps(px.add(g)), qx),
-                _mm256_sub_ps(_mm256_loadu_ps(py.add(g)), qy),
-                _mm256_sub_ps(_mm256_loadu_ps(pz.add(g)), qz),
-            )
-        };
+        let dx = _mm256_sub_ps(x, qx);
+        let dy = _mm256_sub_ps(y, qy);
+        let dz = _mm256_sub_ps(z, qz);
         _mm256_add_ps(
             _mm256_add_ps(_mm256_mul_ps(dx, dx), _mm256_mul_ps(dy, dy)),
             _mm256_mul_ps(dz, dz),
@@ -506,7 +540,7 @@ mod x86 {
 
     /// # Safety
     ///
-    /// Caller guarantees every visit's lane-padded footprint is within
+    /// Caller guarantees every visit's `start..start + count` is within
     /// every slice (SSE2 is part of the `x86_64` baseline).
     #[target_feature(enable = "sse2")]
     #[allow(clippy::too_many_arguments)] // the flattened sweep state
@@ -526,13 +560,12 @@ mod x86 {
         let qz = _mm_set1_ps(query.z);
         let rs = _mm_set1_ps(r_sq);
         for &(_, start, count) in visited {
-            let lo = start as usize;
-            let hi = lo + lane_padded(count as usize);
-            let mut g = lo;
-            while g < hi {
-                // SAFETY: `g..g + 4` is within the lane-padded rows
-                // the caller asserted, so the three unaligned 4-lane
-                // loads read only owned row memory.
+            let hi = start as usize + count as usize;
+            let mut g = start as usize;
+            while g + 4 <= hi {
+                // SAFETY: `g..g + 4` lies within `g..hi`, inside every
+                // row per the caller's contract, so the three unaligned
+                // 4-lane loads read only owned row memory.
                 let d = unsafe {
                     let dx = _mm_sub_ps(_mm_loadu_ps(px.add(g)), qx);
                     let dy = _mm_sub_ps(_mm_loadu_ps(py.add(g)), qy);
@@ -547,8 +580,8 @@ mod x86 {
                     let mut dv = [0.0f32; 4];
                     // SAFETY: `dv` is a 4-float stack buffer sized for
                     // the 4-lane store; the mask's set bits are `< 4`
-                    // with `g + j` within `vind` for each (same padded
-                    // footprint as the loads).
+                    // with `g + j` within `vind` for each (the group
+                    // just loaded).
                     unsafe {
                         _mm_storeu_ps(dv.as_mut_ptr(), d);
                         push_mask_hits(vind, g, mask, &dv, out);
@@ -556,6 +589,7 @@ mod x86 {
                 }
                 g += 4;
             }
+            scan_slots_scalar(xs, ys, zs, vind, g, hi, query, r_sq, out);
         }
     }
 }
@@ -568,7 +602,7 @@ mod aarch64 {
 
     /// # Safety
     ///
-    /// Caller guarantees every visit's lane-padded footprint is within
+    /// Caller guarantees every visit's `start..start + count` is within
     /// every slice (NEON is part of the `aarch64` baseline).
     #[target_feature(enable = "neon")]
     #[allow(clippy::too_many_arguments)] // the flattened sweep state
@@ -588,15 +622,14 @@ mod aarch64 {
         let qz = vdupq_n_f32(query.z);
         let rs = vdupq_n_f32(r_sq);
         for &(_, start, count) in visited {
-            let lo = start as usize;
-            let hi = lo + lane_padded(count as usize);
-            let mut g = lo;
-            while g < hi {
-                // SAFETY: `g..g + 4` is within the lane-padded rows
-                // the caller asserted, so the three 4-lane loads read
-                // only owned row memory. vmulq + vaddq, never vfmaq:
-                // FMA contraction would change result bits relative to
-                // the scalar loop.
+            let hi = start as usize + count as usize;
+            let mut g = start as usize;
+            while g + 4 <= hi {
+                // SAFETY: `g..g + 4` lies within `g..hi`, inside every
+                // row per the caller's contract, so the three 4-lane
+                // loads read only owned row memory. vmulq + vaddq,
+                // never vfmaq: FMA contraction would change result bits
+                // relative to the scalar loop.
                 let (d, le) = unsafe {
                     let dx = vsubq_f32(vld1q_f32(px.add(g)), qx);
                     let dy = vsubq_f32(vld1q_f32(py.add(g)), qy);
@@ -613,7 +646,7 @@ mod aarch64 {
                     // SAFETY: `dv`/`mv` are 4-lane stack buffers sized
                     // for the stores; the mask built from `mv` only
                     // sets bits `< 4`, each with `g + j` within `vind`
-                    // (same padded footprint as the loads).
+                    // (the group just loaded).
                     unsafe {
                         vst1q_f32(dv.as_mut_ptr(), d);
                         vst1q_u32(mv.as_mut_ptr(), le);
@@ -626,6 +659,7 @@ mod aarch64 {
                 }
                 g += 4;
             }
+            scan_slots_scalar(xs, ys, zs, vind, g, hi, query, r_sq, out);
         }
     }
 }
@@ -677,17 +711,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lane_padding_rounds_up_to_lane_multiples() {
-        for n in 0..64 {
-            let p = lane_padded(n);
-            assert!(
-                p >= n && p.is_multiple_of(LANES) && p < n + LANES,
-                "n {n} → {p}"
-            );
-        }
-    }
-
-    #[test]
     fn backend_is_stable_and_printable() {
         let a = detected_backend();
         let b = detected_backend();
@@ -722,30 +745,150 @@ mod tests {
         }
     }
 
+    /// Every compiled baseline kernel, called directly (not through
+    /// [`baseline_sweep_kernel`], so SSE2 runs on an AVX2 host too),
+    /// agrees with [`scan_slots_scalar`] on hits, their `dist_sq` bits
+    /// and order. Hand-built packed rows hold leaves of every count
+    /// 0..=16 plus a 24-point visit; each leaf but the last is followed
+    /// by unvisited gap slots holding a poison point at the query, in
+    /// radius for every radius, so a kernel that read past a leaf's
+    /// `count` would report an extra hit. The rows end right after the
+    /// last live slot.
     #[test]
-    fn sentinel_lanes_never_match() {
-        // A full +∞ pad group against a huge radius: no hits, whatever
-        // backend runs.
-        let xs = vec![PAD_COORD; LANES];
-        let ys = vec![PAD_COORD; LANES];
-        let zs = vec![PAD_COORD; LANES];
-        let vind = vec![u32::MAX; LANES];
-        let mut out = Vec::new();
-        // One visit of a leaf whose live points were all deleted down
-        // to a single slot, leaving 7 sentinel lanes in its group.
-        let ran = sweep_baseline_visited(
-            &xs,
-            &ys,
-            &zs,
-            &vind,
-            &[(0, 0, 1)],
-            Point3::new(0.0, 0.0, 0.0),
-            f32::MAX,
-            &mut out,
-        );
-        assert!(out.is_empty());
-        if cfg!(feature = "simd") && detected_backend() != LaneBackend::Scalar {
-            assert!(ran, "a vector backend should have taken the sweep");
+    fn baseline_kernels_agree_bit_for_bit() {
+        const POISON: u32 = 1 << 30;
+        let mut state = 0x5EED_BA5E_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f32 / (1u64 << 53) as f32
+        };
+        // Near the origin, so a dead lane that loads as zero would be in
+        // radius too.
+        let center = Point3::new(0.25, -0.5, 0.75);
+        let (mut xs, mut ys, mut zs) = (Vec::new(), Vec::new(), Vec::new());
+        let mut vind = Vec::new();
+        let mut visits: Vec<LeafVisit> = Vec::new();
+        let counts: Vec<u32> = (0..=16).chain([24]).collect();
+        for (leaf, &count) in counts.iter().enumerate() {
+            if leaf > 0 {
+                for _ in 0..LANES {
+                    xs.push(center.x);
+                    ys.push(center.y);
+                    zs.push(center.z);
+                    vind.push(POISON);
+                }
+            }
+            let start = vind.len() as u32;
+            for _ in 0..count {
+                let p = center + Point3::new(next() - 0.5, next() - 0.5, next() - 0.5) * 2.0;
+                xs.push(p.x);
+                ys.push(p.y);
+                zs.push(p.z);
+                vind.push(vind.len() as u32);
+            }
+            visits.push((leaf as u32, start, count));
         }
+        let scalar = |visits: &[LeafVisit], q: Point3, r_sq: f32| {
+            let mut out = Vec::new();
+            for &(_, start, count) in visits {
+                let (lo, hi) = (start as usize, (start + count) as usize);
+                scan_slots_scalar(&xs, &ys, &zs, &vind, lo, hi, q, r_sq, &mut out);
+            }
+            out
+        };
+        // The poison is live: one slot past a leaf, the scalar loop
+        // reports it.
+        let (_, start, count) = visits[3];
+        assert!(scalar(&[(3, start, count + 1)], center, 0.01)
+            .iter()
+            .any(|n| n.index == POISON));
+
+        let mut lists = vec![visits.clone()];
+        lists.push(visits.iter().rev().copied().collect());
+        lists.push(vec![
+            visits[17], visits[16], visits[17], visits[1], visits[0],
+        ]);
+        let queries = [
+            center,
+            center + Point3::new(0.3, -0.2, 0.1),
+            Point3::new(f32::NAN, 0.0, 0.0),
+        ];
+        for visits in &lists {
+            for q in queries {
+                // Radii below, inside and past the planted spread; the
+                // last admits whole leaves.
+                for radius in [0.1f32, 0.5, 0.9, 2.0] {
+                    let r_sq = radius * radius;
+                    let want = bits(&scalar(visits, q, r_sq));
+                    let check = |name: &str, out: &[Neighbor]| {
+                        assert_eq!(bits(out), want, "{name}: query {q:?} r {radius}");
+                    };
+                    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+                    {
+                        if std::arch::is_x86_feature_detected!("avx2") {
+                            let mut out = poisoned();
+                            // SAFETY: every visit's live range lies
+                            // within the rows; AVX2 detected.
+                            unsafe {
+                                x86::sweep_visited_avx2(
+                                    &xs, &ys, &zs, &vind, visits, q, r_sq, &mut out,
+                                )
+                            };
+                            check("avx2", &out);
+                        }
+                        let mut out = poisoned();
+                        // SAFETY: every visit's live range lies within
+                        // the rows; SSE2 is part of x86_64.
+                        unsafe {
+                            x86::sweep_visited_sse2(&xs, &ys, &zs, &vind, visits, q, r_sq, &mut out)
+                        };
+                        check("sse2", &out);
+                    }
+                    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
+                    {
+                        let mut out = poisoned();
+                        // SAFETY: every visit's live range lies within
+                        // the rows; NEON is part of aarch64.
+                        unsafe {
+                            aarch64::sweep_visited_neon(
+                                &xs, &ys, &zs, &vind, visits, q, r_sq, &mut out,
+                            )
+                        };
+                        check("neon", &out);
+                    }
+                    // Scalar-only builds run no kernel to check.
+                    let _ = &check;
+                }
+            }
+        }
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            eprintln!("note: no AVX2 on this host; AVX2 baseline kernel not checked");
+        }
+        #[cfg(not(all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64"))))]
+        eprintln!("note: no vector kernel compiled in; only the scalar loop ran");
+    }
+
+    /// Hits as `(index, dist_sq bits)`, so distances compare bit for
+    /// bit.
+    fn bits(out: &[Neighbor]) -> Vec<(u32, u32)> {
+        out.iter().map(|n| (n.index, n.dist_sq.to_bits())).collect()
+    }
+
+    /// An empty hit buffer whose spare capacity holds poison pairs, so
+    /// a kernel that exposes a pair it did not write reports garbage.
+    #[cfg(all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64")))]
+    fn poisoned() -> Vec<Neighbor> {
+        let mut out = vec![
+            Neighbor {
+                index: u32::MAX,
+                dist_sq: f32::NAN,
+            };
+            4096
+        ];
+        out.clear();
+        out
     }
 }

@@ -2,15 +2,15 @@
 //! sweeps must be **bit-identical** to the scalar reference path —
 //! same `Neighbor` values, same order, same aggregated `SearchStats` —
 //! in both engine modes, on fresh builds *and* across
-//! insert/delete churn, with the lane-padding invariant checked after
-//! every mutation.
+//! insert/delete churn, with the tree audit (slot ranges, row lengths,
+//! row contents) checked after every mutation.
 //!
 //! The comparison uses the process-wide scalar override
 //! (`kdtree::simd::scalar_override`), so a `--features simd` build
 //! really runs both paths; a `--no-default-features` build degenerates
-//! to scalar-vs-scalar and still validates the layout invariant. Leaf
-//! sizes cover every capacity the ZipPts buffer admits (1..=16 — the
-//! odd sizes exercise partially-filled tail lanes; 17 is rejected at
+//! to scalar-vs-scalar and still audits the layout. Leaf sizes cover
+//! every capacity the ZipPts buffer admits (1..=16 — the odd sizes
+//! exercise the kernels' partial tail groups; 17 is rejected at
 //! construction, pinned in `crates/kdtree`'s tests), so lane groups of
 //! every fill level run.
 
@@ -124,14 +124,14 @@ proptest! {
         let cfg = KdTreeConfig { max_leaf_points: leaf, ..KdTreeConfig::default() };
         let mut sim = SimEngine::disabled();
         let trees = Trees::build(&cloud, cfg, &mut sim);
-        trees.bonsai.assert_lane_padding();
-        trees.base.assert_lane_padding();
+        prop_assert!(trees.bonsai.audit().is_empty());
+        prop_assert!(trees.base.audit().is_empty());
         let queries: Vec<Point3> = cloud.iter().step_by(3).copied().collect();
         assert_simd_equals_scalar(&ov, &trees, &queries, radius);
     }
 
-    /// Churned trees: after interleaved inserts and deletes (padding
-    /// invariant checked after every single mutation) the committed
+    /// Churned trees: after interleaved inserts and deletes (audited
+    /// after every single mutation) the committed
     /// tree still sweeps identically under SIMD and scalar.
     #[test]
     fn simd_matches_scalar_after_churn(
@@ -148,17 +148,17 @@ proptest! {
         for (k, &p) in extra.iter().enumerate() {
             trees.bonsai.insert(&mut sim, p);
             trees.base.insert(&mut sim, p);
-            trees.bonsai.assert_lane_padding();
-            trees.base.assert_lane_padding();
+            prop_assert!(trees.bonsai.audit().is_empty());
+            prop_assert!(trees.base.audit().is_empty());
             let victim = ((k * del_stride * 13) % cloud.len()) as u32;
             trees.bonsai.delete(&mut sim, victim);
             trees.base.delete(&mut sim, victim);
-            trees.bonsai.assert_lane_padding();
-            trees.base.assert_lane_padding();
+            prop_assert!(trees.bonsai.audit().is_empty());
+            prop_assert!(trees.base.audit().is_empty());
         }
         trees.bonsai.commit(&mut sim);
         trees.base.drain_dirty_nodes();
-        trees.bonsai.assert_lane_padding();
+        prop_assert!(trees.bonsai.audit().is_empty());
         let queries: Vec<Point3> = cloud.iter().chain(extra.iter()).step_by(4).copied().collect();
         assert_simd_equals_scalar(&ov, &trees, &queries, radius);
     }
