@@ -1,9 +1,14 @@
 //! Criterion micro-benchmarks of tree construction: plain k-d tree vs
-//! Bonsai (tree + leaf compression), across cloud sizes.
+//! Bonsai (tree + leaf compression), across cloud sizes; and the two
+//! non-search passes of a paper-drive frame, the voxel grid and the
+//! uninstrumented f16 build.
 
+use bonsai_cluster::filters;
+use bonsai_cluster::{ClusterParams, FramePipeline};
 use bonsai_core::BonsaiTree;
 use bonsai_geom::Point3;
 use bonsai_kdtree::{KdTree, KdTreeConfig};
+use bonsai_lidar::{DrivingSequence, SequenceConfig};
 use bonsai_sim::SimEngine;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -48,5 +53,41 @@ fn bench_build(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_build);
+/// Frame 0 of the paper drive: the voxel grid runs over its cropped
+/// cloud, the tree is built over its preprocessed cloud, as in
+/// `FramePipeline::run`.
+fn bench_paper_frame(c: &mut Criterion) {
+    let raw = DrivingSequence::new(SequenceConfig::paper_drive()).frame(0);
+    let params = ClusterParams::default();
+    let mut sim = SimEngine::disabled();
+    let cropped = filters::crop(
+        &mut sim,
+        &raw,
+        params.crop_range,
+        params.crop_z_min,
+        params.crop_z_max,
+    );
+    let prepared = FramePipeline::new(params.clone()).preprocess(&mut sim, &raw);
+
+    let mut group = c.benchmark_group("paper_frame");
+    group.sample_size(20);
+    group.measurement_time(std::time::Duration::from_secs(3));
+    group.warm_up_time(std::time::Duration::from_millis(500));
+    group.throughput(Throughput::Elements(cropped.len() as u64));
+    group.bench_function("voxel_downsample", |b| {
+        b.iter(|| filters::voxel_downsample(&mut sim, &cropped, params.voxel_size).len())
+    });
+    group.throughput(Throughput::Elements(prepared.len() as u64));
+    // One worker: the split step alone, whatever the host's core count.
+    group.bench_function("build_parallel_f16", |b| {
+        b.iter(|| {
+            KdTree::build_parallel_f16(prepared.clone(), KdTreeConfig::default(), 1)
+                .nodes()
+                .len()
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_build, bench_paper_frame);
 criterion_main!(benches);

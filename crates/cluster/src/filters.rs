@@ -62,8 +62,11 @@ pub fn crop(
 /// in-order sum of its points divided by their count.
 ///
 /// Working memory is a probe table of 4 B × `(2n).next_power_of_two()`
-/// for `n` input points, plus 28 B per occupied voxel (its key, sum and
-/// count) and the rows' growth slack.
+/// for `n` input points, plus 32 B × `n` of cell records reserved up
+/// front, so the storage never regrows mid-frame. Each occupied voxel
+/// has one 32-byte-aligned record holding its key, sum and count: a
+/// revisited voxel costs one table probe plus one cache line, and only
+/// the records of occupied voxels are ever touched.
 ///
 /// # Panics
 ///
@@ -89,9 +92,7 @@ pub fn voxel_downsample(sim: &mut SimEngine, points: &[Point3], voxel_size: f32)
     let mut table = vec![EMPTY; (2 * points.len()).next_power_of_two()];
     let mask = table.len() - 1;
     let shift = 64 - table.len().trailing_zeros();
-    let mut keys: Vec<(i32, i32, i32)> = Vec::new();
-    // Per cell: (sum, count).
-    let mut cells: Vec<(Point3, u32)> = Vec::new();
+    let mut cells: Vec<Cell> = Vec::with_capacity(points.len());
     for (i, p) in points.iter().enumerate() {
         sim.load(src + i as u64 * 16, 12);
         // Key computation (3 muls + floors) and hash probe.
@@ -106,25 +107,28 @@ pub fn voxel_downsample(sim: &mut SimEngine, points: &[Point3], voxel_size: f32)
         let cell = loop {
             match table[h] {
                 EMPTY => {
-                    table[h] = keys.len() as u32;
-                    keys.push(key);
-                    cells.push((Point3::ZERO, 0));
+                    table[h] = cells.len() as u32;
+                    cells.push(Cell {
+                        key,
+                        sum: Point3::ZERO,
+                        count: 0,
+                    });
                     break cells.len() - 1;
                 }
-                c if keys[c as usize] == key => break c as usize,
+                c if cells[c as usize].key == key => break c as usize,
                 _ => h = (h + 1) & mask,
             }
         };
-        let (sum, count) = &mut cells[cell];
-        *sum += *p;
-        *count += 1;
+        let cell = &mut cells[cell];
+        cell.sum += *p;
+        cell.count += 1;
         sim.store(src + i as u64 * 16, 4); // accumulator update
     }
     let out = cells
         .iter()
-        .map(|&(sum, count)| {
+        .map(|cell| {
             sim.exec(OpClass::FpAlu, 3);
-            sum / count as f32
+            cell.sum / cell.count as f32
         })
         .collect();
     sim.set_kernel(prev);
@@ -133,6 +137,16 @@ pub fn voxel_downsample(sim: &mut SimEngine, points: &[Point3], voxel_size: f32)
 
 /// An empty voxel-grid table entry.
 const EMPTY: u32 = u32::MAX;
+
+/// One occupied voxel: its key, the in-order sum of its points and
+/// their count. 28 bytes aligned to 32, so a record never straddles a
+/// cache line.
+#[repr(align(32))]
+struct Cell {
+    key: (i32, i32, i32),
+    sum: Point3,
+    count: u32,
+}
 
 /// `v.floor() as i32` without the libm call: truncate, then step down
 /// when truncation rounded up (negative non-integers). Saturates like

@@ -1,6 +1,14 @@
 //! The instrumented sequential builder ([`KdTree::build`],
 //! [`KdTree::build_f16`]) and the tree's accessors.
 //!
+//! One split step, `split_range`, serves this builder and the
+//! uninstrumented subtree builder of [`parts`](crate::parts): it
+//! partitions a range on its box's widest axis, computes both child
+//! boxes in one pass, reads the dividers off them and hands each box
+//! down, so no node rescans its range for a box or a divider. This
+//! builder still charges the simulator for the per-node box pass FLANN
+//! runs, but walks that range only when the simulator is enabled.
+//!
 //! The build partitions `vind` in place, so each leaf's points end up
 //! in one contiguous range, and the leaves are packed back to back: a
 //! fresh tree holds exactly one `vind` slot and one row slot per point,
@@ -211,7 +219,8 @@ impl KdTree {
                 tree.nodes
                     .reserve_exact(median_node_count(n, cfg.max_leaf_points));
             }
-            tree.build_range(sim, &costs, 0, n, 0);
+            let bbox = range_box(&tree.points, &tree.vind);
+            tree.build_range(sim, &costs, 0, n, 0, bbox);
             // A sliding-midpoint shape depends on the data, so that
             // pool is trimmed after the fact (one shrinking realloc; a
             // no-op on the exactly sized median pool).
@@ -221,11 +230,13 @@ impl KdTree {
             // bakes the leaf-contiguous rows the fast scans sweep, in
             // the tree's layout. The events charge the 12-byte rows of
             // PCL's reordered matrix whatever the host layout.
-            for i in 0..n {
-                sim.load(tree.vind_entry_addr(i as u32), 4);
-                sim.load(tree.point_addr(tree.vind[i]), 12);
-                sim.store(tree.reordered_point_addr(i as u32), 12);
-                sim.exec(OpClass::IntAlu, 2);
+            if sim.is_enabled() {
+                for i in 0..n {
+                    sim.load(tree.vind_entry_addr(i as u32), 4);
+                    sim.load(tree.point_addr(tree.vind[i]), 12);
+                    sim.store(tree.reordered_point_addr(i as u32), 12);
+                    sim.exec(OpClass::IntAlu, 2);
+                }
             }
             tree.rows = LeafRows::bake(layout, &tree.points, &tree.vind, &tree.nodes);
             sim.set_kernel(prev);
@@ -256,7 +267,8 @@ impl KdTree {
         crate::parts::build_tree_parallel(points, cfg, RowLayout::F16, threads)
     }
 
-    /// Recursively builds `vind[lo..hi]`; returns the created node id.
+    /// Recursively builds `vind[lo..hi]`, whose box `bbox` the parent's
+    /// split handed down; returns the created node id.
     fn build_range(
         &mut self,
         sim: &mut SimEngine,
@@ -264,12 +276,20 @@ impl KdTree {
         lo: usize,
         hi: usize,
         depth: u32,
+        bbox: Aabb,
     ) -> NodeId {
         let count = hi - lo;
         self.stats.max_depth = self.stats.max_depth.max(depth);
 
-        // Bounding-box pass over the subtree (FLANN recomputes per node).
-        let bbox = self.charged_bbox(sim, costs, lo, hi);
+        // FLANN recomputes each node's bounding box over its whole
+        // range; the host already holds it, so only the events remain.
+        if sim.is_enabled() {
+            for i in lo..hi {
+                sim.load(self.vind_entry_addr(i as u32), 4);
+                sim.load(self.point_addr(self.vind[i]), 12);
+                sim.exec(OpClass::FpAlu, costs.build_bbox_per_point_fp);
+            }
+        }
 
         if count <= self.cfg.max_leaf_points {
             sim.exec(OpClass::IntAlu, costs.build_per_leaf);
@@ -283,145 +303,29 @@ impl KdTree {
             );
         }
 
-        let axis = bbox.widest_axis();
-        let mid = match self.cfg.split_rule {
-            SplitRule::Median => self.partition_median(sim, costs, lo, hi, axis),
-            SplitRule::SlidingMidpoint => {
-                self.partition_midpoint(sim, costs, lo, hi, axis, bbox.center()[axis])
-            }
-        };
-
-        // Divider values: the gap between the children along `axis`.
-        let div_low = self.max_coord(lo, mid, axis);
-        let div_high = self.min_coord(mid, hi, axis);
-        let split_val = 0.5 * (div_low + div_high);
+        let (vind_addr, points_addr) = (self.vind_addr, self.points_addr);
+        let split = split_range(
+            &self.points,
+            &mut self.vind[lo..hi],
+            &bbox,
+            self.cfg.split_rule,
+            |idxs| {
+                if sim.is_enabled() {
+                    charge_partition(sim, costs, vind_addr, points_addr, lo, idxs);
+                }
+            },
+        );
         sim.exec(OpClass::IntAlu, costs.build_per_node);
 
         // Reserve the slot so children are numbered after their parent.
         let id = self.push_node(sim, Node::EMPTY_LEAF);
-        let left = self.build_range(sim, costs, lo, mid, depth + 1);
-        let right = self.build_range(sim, costs, mid, hi, depth + 1);
+        let mid = lo + split.mid;
+        let left = self.build_range(sim, costs, lo, mid, depth + 1, split.left);
+        let right = self.build_range(sim, costs, mid, hi, depth + 1, split.right);
         self.stats.num_leaves -= 1; // The placeholder was counted as a leaf.
         self.stats.num_interior += 1;
-        self.nodes[id as usize] = Node::Interior {
-            axis,
-            split_val,
-            div_low,
-            div_high,
-            left,
-            right,
-        };
+        self.nodes[id as usize] = split.node(left, right);
         id
-    }
-
-    /// Computes the bounding box of `vind[lo..hi]`, charging one index
-    /// load, one point load and the box-update FP ops per point.
-    fn charged_bbox(
-        &self,
-        sim: &mut SimEngine,
-        costs: &TraversalCosts,
-        lo: usize,
-        hi: usize,
-    ) -> Aabb {
-        let mut bbox: Option<Aabb> = None;
-        for i in lo..hi {
-            let idx = self.vind[i];
-            sim.load(self.vind_addr + 4 * i as u64, 4);
-            sim.load(self.point_addr(idx), 12);
-            sim.exec(OpClass::FpAlu, costs.build_bbox_per_point_fp);
-            let p = self.points[idx as usize];
-            match &mut bbox {
-                Some(b) => b.insert(p),
-                None => bbox = Some(Aabb::new(p, p)),
-            }
-        }
-        // lint: allow(panic-free-serving) — build recursion invariant:
-        // every partition range holds at least one point.
-        bbox.expect("non-empty range")
-    }
-
-    /// Median partition of `vind[lo..hi]` on `axis`; returns the split
-    /// index `mid` (both sides non-empty).
-    fn partition_median(
-        &mut self,
-        sim: &mut SimEngine,
-        costs: &TraversalCosts,
-        lo: usize,
-        hi: usize,
-        axis: Axis,
-    ) -> usize {
-        let mid = lo + (hi - lo) / 2;
-        let points = &self.points;
-        self.vind[lo..hi].select_nth_unstable_by(mid - lo, |&a, &b| {
-            points[a as usize][axis].total_cmp(&points[b as usize][axis])
-        });
-        self.charge_partition(sim, costs, lo, hi - lo);
-        mid
-    }
-
-    /// Sliding-midpoint partition: splits at `threshold`, sliding so both
-    /// sides are non-empty.
-    fn partition_midpoint(
-        &mut self,
-        sim: &mut SimEngine,
-        costs: &TraversalCosts,
-        lo: usize,
-        hi: usize,
-        axis: Axis,
-        threshold: f32,
-    ) -> usize {
-        let points = &self.points;
-        let slice = &mut self.vind[lo..hi];
-        let mid = itertools_partition(slice, |&idx| points[idx as usize][axis] < threshold);
-        self.charge_partition(sim, costs, lo, hi - lo);
-        let mid = lo + mid;
-        if mid == lo || mid == hi {
-            // All points on one side: slide to the median so both sides
-            // stay non-empty (FLANN's slide degenerates similarly when
-            // duplicates collapse the box).
-            self.partition_median(sim, costs, lo, hi, axis)
-        } else {
-            mid
-        }
-    }
-
-    /// Charges the per-point partitioning work: index load, coordinate
-    /// load, compare/swap arithmetic, the swap's write-back, and one
-    /// data-dependent branch per point.
-    fn charge_partition(
-        &self,
-        sim: &mut SimEngine,
-        costs: &TraversalCosts,
-        lo: usize,
-        count: usize,
-    ) {
-        for i in lo..lo + count {
-            sim.load(self.vind_addr + 4 * i as u64, 4);
-            let idx = self.vind[i];
-            sim.load(self.point_addr(idx), 4); // the splitting coordinate
-            sim.exec(OpClass::IntAlu, costs.build_partition_per_point);
-            // Partition outcomes look random to the predictor; roughly
-            // half the elements are swapped (stored back).
-            let swapped = i % 2 == 0;
-            sim.branch(sites::BUILD_PARTITION, swapped);
-            if swapped {
-                sim.store(self.vind_addr + 4 * i as u64, 4);
-            }
-        }
-    }
-
-    fn max_coord(&self, lo: usize, hi: usize, axis: Axis) -> f32 {
-        self.vind[lo..hi]
-            .iter()
-            .map(|&i| self.points[i as usize][axis])
-            .fold(f32::NEG_INFINITY, f32::max)
-    }
-
-    fn min_coord(&self, lo: usize, hi: usize, axis: Axis) -> f32 {
-        self.vind[lo..hi]
-            .iter()
-            .map(|&i| self.points[i as usize][axis])
-            .fold(f32::INFINITY, f32::min)
     }
 
     fn push_node(&mut self, sim: &mut SimEngine, node: Node) -> NodeId {
@@ -610,17 +514,134 @@ pub(crate) mod sites {
     pub const KNN_UPDATE: u32 = 0x14;
 }
 
-/// Stable in-place partition; returns the number of elements satisfying
-/// the predicate (moved to the front).
-pub(crate) fn itertools_partition<T, F: FnMut(&T) -> bool>(slice: &mut [T], mut pred: F) -> usize {
-    let mut next = 0;
-    for i in 0..slice.len() {
-        if pred(&slice[i]) {
-            slice.swap(i, next);
-            next += 1;
+/// One interior node's split, as both builders take it.
+pub(crate) struct Split {
+    /// The split axis: the widest of the range's box.
+    pub axis: Axis,
+    /// Points `[..mid]` of the range went left.
+    pub mid: usize,
+    /// The largest left `axis` coordinate.
+    pub div_low: f32,
+    /// The smallest right `axis` coordinate.
+    pub div_high: f32,
+    /// The bounding box of the left child's range, handed down to it.
+    pub left: Aabb,
+    /// The bounding box of the right child's range.
+    pub right: Aabb,
+}
+
+impl Split {
+    /// The interior node with children `left` and `right`.
+    pub fn node(&self, left: NodeId, right: NodeId) -> Node {
+        Node::Interior {
+            axis: self.axis,
+            split_val: 0.5 * (self.div_low + self.div_high),
+            div_low: self.div_low,
+            div_high: self.div_high,
+            left,
+            right,
         }
     }
-    next
+}
+
+/// The split step of both builders ([`KdTree::build`] and the subtree
+/// builder of [`parts`](crate::parts)): partitions `idxs`, whose points
+/// span `bbox`, on the box's widest axis, then takes one pass over the
+/// children for their boxes and reads the dividers off them. `on_pass`
+/// sees `idxs` after each partition pass (two when a sliding-midpoint
+/// split slides to the median), so the instrumented build charges each
+/// pass over the order the host left.
+pub(crate) fn split_range(
+    points: &[Point3],
+    idxs: &mut [u32],
+    bbox: &Aabb,
+    rule: SplitRule,
+    mut on_pass: impl FnMut(&[u32]),
+) -> Split {
+    let axis = bbox.widest_axis();
+    let mut mid = 0;
+    if rule == SplitRule::SlidingMidpoint {
+        // Stable partition at the box centre.
+        let threshold = bbox.center()[axis];
+        for i in 0..idxs.len() {
+            if points[idxs[i] as usize][axis] < threshold {
+                idxs.swap(i, mid);
+                mid += 1;
+            }
+        }
+        on_pass(idxs);
+    }
+    if mid == 0 || mid == idxs.len() {
+        // The median split, or a sliding midpoint that left every point
+        // on one side: slide to the median so both sides stay non-empty
+        // (FLANN's slide degenerates similarly when duplicates collapse
+        // the box).
+        mid = idxs.len() / 2;
+        match axis {
+            Axis::X => select_nth(points, idxs, mid, |p| p.x),
+            Axis::Y => select_nth(points, idxs, mid, |p| p.y),
+            Axis::Z => select_nth(points, idxs, mid, |p| p.z),
+        }
+        on_pass(idxs);
+    }
+    let (left, right) = (
+        range_box(points, &idxs[..mid]),
+        range_box(points, &idxs[mid..]),
+    );
+    // The dividers equal a fold of `f32::max` from −∞ over the left
+    // child (`f32::min` from +∞ over the right): `Aabb::insert` calls
+    // them in the fold's operand order, so ±0 keeps its bits. Only a
+    // child whose `axis` coordinates are all NaN differs — its box side
+    // is NaN where the fold gives ∓∞ — and there the fold's value holds.
+    let nan_to = |v: f32, fold: f32| if v.is_nan() { fold } else { v };
+    Split {
+        axis,
+        mid,
+        div_low: nan_to(left.max[axis], f32::NEG_INFINITY),
+        div_high: nan_to(right.min[axis], f32::INFINITY),
+        left,
+        right,
+    }
+}
+
+/// `select_nth_unstable_by` on one coordinate; `key` is monomorphised
+/// per axis, so each comparison reads its field without a `match`.
+fn select_nth(points: &[Point3], idxs: &mut [u32], nth: usize, key: impl Fn(&Point3) -> f32) {
+    idxs.select_nth_unstable_by(nth, |&a, &b| {
+        key(&points[a as usize]).total_cmp(&key(&points[b as usize]))
+    });
+}
+
+/// The bounding box of the points `idxs` names, folded in order.
+pub(crate) fn range_box(points: &[Point3], idxs: &[u32]) -> Aabb {
+    // lint: allow(panic-free-serving) — build recursion invariant:
+    // every partition range holds at least one point.
+    Aabb::from_points(idxs.iter().map(|&i| points[i as usize])).expect("non-empty range")
+}
+
+/// Charges one partition pass over `vind[lo..]` (now ordered as
+/// `idxs`): index load, coordinate load, compare/swap arithmetic, the
+/// swap's write-back, and one data-dependent branch per point.
+fn charge_partition(
+    sim: &mut SimEngine,
+    costs: &TraversalCosts,
+    vind_addr: u64,
+    points_addr: u64,
+    lo: usize,
+    idxs: &[u32],
+) {
+    for (i, &idx) in (lo..).zip(idxs) {
+        sim.load(vind_addr + 4 * i as u64, 4);
+        sim.load(points_addr + idx as u64 * POINT_STRIDE, 4); // the splitting coordinate
+        sim.exec(OpClass::IntAlu, costs.build_partition_per_point);
+        // Partition outcomes look random to the predictor; roughly
+        // half the elements are swapped (stored back).
+        let swapped = i % 2 == 0;
+        sim.branch(sites::BUILD_PARTITION, swapped);
+        if swapped {
+            sim.store(vind_addr + 4 * i as u64, 4);
+        }
+    }
 }
 
 /// The ZipPts buffer capacity bound on leaf size (kept here so the tree

@@ -18,16 +18,17 @@
 //! `max_leaf_points` slots, the unused ones marked
 //! [`PAD_SLOT`](crate::PAD_SLOT).
 //!
-//! The partitioning is byte-for-byte the sequential build's (same
-//! median selection, same sliding-midpoint fallback), so the assembled
-//! tree is **identical** to [`KdTree::build`]'s regardless of the
-//! thread count — property-tested in this module and at the workspace
-//! root.
+//! Each interior node takes the sequential build's own split step
+//! (`build::split_range`: the same partition, dividers and child boxes,
+//! each box handed down to its child and its leaves' origins), so the
+//! assembled tree is **identical** to [`KdTree::build`]'s regardless of
+//! the thread count — property-tested in this module and pinned by
+//! digest at the workspace root.
 
-use bonsai_geom::{Aabb, Axis, Point3};
+use bonsai_geom::{Aabb, Point3};
 use bonsai_sim::SimEngine;
 
-use crate::build::{itertools_partition, BuildStats, KdTree, KdTreeConfig, SplitRule};
+use crate::build::{range_box, split_range, BuildStats, KdTree, KdTreeConfig};
 use crate::mutate::PAD_SLOT;
 use crate::node::{Node, NodeId, NODE_BYTES};
 use crate::rows::{LeafRows, RowLayout};
@@ -58,7 +59,7 @@ pub(crate) struct SubtreeParts {
 pub(crate) struct SubtreeConfig {
     pub tree: KdTreeConfig,
     /// The row layout the leaves are built for, which sets their
-    /// origins ([`RowLayout::origin_of`]).
+    /// origins ([`RowLayout::origin`]).
     pub layout: RowLayout,
     /// Pad every leaf's `order` range to the full `max_leaf_points`
     /// capacity so later inserts append in place instead of relocating
@@ -77,15 +78,19 @@ pub(crate) fn build_subtree(
     cfg: SubtreeConfig,
 ) -> SubtreeParts {
     debug_assert!(!idxs.is_empty(), "build_subtree over an empty range");
-    build_rec(points, idxs, cfg, cfg.threads, 0)
+    let bbox = range_box(points, idxs);
+    build_rec(points, idxs, cfg, cfg.threads, 0, bbox)
 }
 
+/// Builds the subtree over `idxs`, whose box `bbox` the parent's split
+/// handed down.
 fn build_rec(
     points: &[Point3],
     idxs: &mut [u32],
     cfg: SubtreeConfig,
     threads: usize,
     depth: u32,
+    bbox: Aabb,
 ) -> SubtreeParts {
     let count = idxs.len();
     let m = cfg.tree.max_leaf_points;
@@ -96,14 +101,11 @@ fn build_rec(
         if cfg.slack {
             order.resize(m, PAD_SLOT);
         }
-        let origin = cfg
-            .layout
-            .origin_of(idxs.iter().map(|&i| points[i as usize]));
         return SubtreeParts {
             nodes: vec![Node::Leaf {
                 start: 0,
                 count: count as u32,
-                origin,
+                origin: cfg.layout.origin(bbox.min, bbox.max),
             }],
             order,
             stats: BuildStats {
@@ -114,35 +116,24 @@ fn build_rec(
         };
     }
 
-    // lint: allow(panic-free-serving) — build recursion invariant:
-    // every partition range holds at least one point.
-    let bbox = Aabb::from_points(idxs.iter().map(|&i| points[i as usize]))
-        .expect("non-empty range has a bounding box");
-    let axis = bbox.widest_axis();
-    let mid = match cfg.tree.split_rule {
-        SplitRule::Median => partition_median(points, idxs, axis),
-        SplitRule::SlidingMidpoint => partition_midpoint(points, idxs, axis, bbox.center()[axis]),
-    };
-    let div_low = max_coord(points, &idxs[..mid], axis);
-    let div_high = min_coord(points, &idxs[mid..], axis);
-    let split_val = 0.5 * (div_low + div_high);
-
-    let (left_idxs, right_idxs) = idxs.split_at_mut(mid);
+    let split = split_range(points, idxs, &bbox, cfg.tree.split_rule, |_| {});
+    let (left_idxs, right_idxs) = idxs.split_at_mut(split.mid);
     let fork = threads > 1 && count >= PARALLEL_MIN_POINTS;
     let (left, right) = if fork {
         let lt = threads / 2;
         let rt = threads - lt;
         std::thread::scope(|scope| {
-            let handle = scope.spawn(|| build_rec(points, left_idxs, cfg, lt, depth + 1));
-            let right = build_rec(points, right_idxs, cfg, rt, depth + 1);
+            let handle =
+                scope.spawn(|| build_rec(points, left_idxs, cfg, lt, depth + 1, split.left));
+            let right = build_rec(points, right_idxs, cfg, rt, depth + 1, split.right);
             // lint: allow(panic-free-serving) — join() only fails when
             // the worker panicked; re-raising is correct propagation.
             (handle.join().expect("subtree build worker panicked"), right)
         })
     } else {
         (
-            build_rec(points, left_idxs, cfg, 1, depth + 1),
-            build_rec(points, right_idxs, cfg, 1, depth + 1),
+            build_rec(points, left_idxs, cfg, 1, depth + 1, split.left),
+            build_rec(points, right_idxs, cfg, 1, depth + 1, split.right),
         )
     };
 
@@ -151,14 +142,7 @@ fn build_rec(
     let left_nodes = left.nodes.len() as NodeId;
     let left_slots = left.order.len() as u32;
     let mut nodes = Vec::with_capacity(1 + left.nodes.len() + right.nodes.len());
-    nodes.push(Node::Interior {
-        axis,
-        split_val,
-        div_low,
-        div_high,
-        left: 1,
-        right: 1 + left_nodes,
-    });
+    nodes.push(split.node(1, 1 + left_nodes));
     nodes.extend(left.nodes.iter().map(|n| shift_node(n, 1, 0)));
     nodes.extend(
         right
@@ -209,39 +193,6 @@ fn shift_node(node: &Node, id_off: NodeId, slot_off: u32) -> Node {
             right: right + id_off,
         },
     }
-}
-
-/// Median partition of `idxs` on `axis`; both sides non-empty. Same
-/// selection as the instrumented `partition_median`.
-fn partition_median(points: &[Point3], idxs: &mut [u32], axis: Axis) -> usize {
-    let mid = idxs.len() / 2;
-    idxs.select_nth_unstable_by(mid, |&a, &b| {
-        points[a as usize][axis].total_cmp(&points[b as usize][axis])
-    });
-    mid
-}
-
-/// Sliding-midpoint partition, degenerating to the median exactly like
-/// the instrumented `partition_midpoint`.
-fn partition_midpoint(points: &[Point3], idxs: &mut [u32], axis: Axis, threshold: f32) -> usize {
-    let mid = itertools_partition(idxs, |&i| points[i as usize][axis] < threshold);
-    if mid == 0 || mid == idxs.len() {
-        partition_median(points, idxs, axis)
-    } else {
-        mid
-    }
-}
-
-fn max_coord(points: &[Point3], idxs: &[u32], axis: Axis) -> f32 {
-    idxs.iter()
-        .map(|&i| points[i as usize][axis])
-        .fold(f32::NEG_INFINITY, f32::max)
-}
-
-fn min_coord(points: &[Point3], idxs: &[u32], axis: Axis) -> f32 {
-    idxs.iter()
-        .map(|&i| points[i as usize][axis])
-        .fold(f32::INFINITY, f32::min)
 }
 
 /// Resolves a requested worker count: `0` means available parallelism.
@@ -324,6 +275,7 @@ pub(crate) fn build_tree_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::build::SplitRule;
 
     fn random_cloud(n: usize, seed: u64, scale: f32) -> Vec<Point3> {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
