@@ -1,10 +1,10 @@
 //! Criterion micro-benchmarks of tree construction: plain k-d tree vs
-//! Bonsai (tree + leaf compression), across cloud sizes; and the two
-//! non-search passes of a paper-drive frame, the voxel grid and the
-//! uninstrumented f16 build.
+//! Bonsai (tree + leaf compression), across cloud sizes; and three
+//! passes of a paper-drive frame: the voxel grid, the uninstrumented
+//! f16 build, and the whole cluster extraction (build + self-join).
 
 use bonsai_cluster::filters;
-use bonsai_cluster::{ClusterParams, FramePipeline};
+use bonsai_cluster::{extract_euclidean_clusters_batched, ClusterParams, FramePipeline, TreeMode};
 use bonsai_core::BonsaiTree;
 use bonsai_geom::Point3;
 use bonsai_kdtree::{KdTree, KdTreeConfig};
@@ -84,6 +84,22 @@ fn bench_paper_frame(c: &mut Criterion) {
             KdTree::build_parallel_f16(prepared.clone(), KdTreeConfig::default(), 1)
                 .nodes()
                 .len()
+        })
+    });
+    // Build, compress and cluster: the whole extraction of a drive
+    // frame with the simulator off (the leaf-pair self-join).
+    group.bench_function("cluster_extract", |b| {
+        b.iter(|| {
+            extract_euclidean_clusters_batched(
+                prepared.clone(),
+                params.tolerance,
+                params.min_cluster_size,
+                params.max_cluster_size,
+                params.tree,
+                TreeMode::Bonsai,
+            )
+            .clusters
+            .len()
         })
     });
     group.finish();

@@ -9,6 +9,8 @@ use bonsai_kdtree::{
 };
 use bonsai_sim::{Kernel, OpClass, SimEngine};
 
+use crate::join::self_join_clusters;
+
 /// Which leaf-inspection path the extraction uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TreeMode {
@@ -29,7 +31,14 @@ pub struct ClusterOutput {
     /// deterministic, so outputs of different [`TreeMode`]s compare
     /// directly.
     pub clusters: Vec<Vec<u32>>,
-    /// Aggregated search work counters.
+    /// Aggregated search work counters. The instrumented extraction
+    /// counts its per-point radius searches. The single-tree fast path
+    /// (simulator off) counts its leaf-pair self-join instead:
+    /// `nodes_visited` is the nodes its per-leaf walks visit,
+    /// `leaf_visits` the leaf pairs they find, and `points_inspected`,
+    /// `fallbacks` and `point_bytes_loaded` what the sweep kernels
+    /// count. The sharded and streaming extractions count the searches
+    /// of their BFS.
     pub search_stats: SearchStats,
     /// Tree shape statistics.
     pub build_stats: BuildStats,
@@ -48,13 +57,20 @@ mod sites {
     pub const SIZE_FILTER: u32 = 0x61;
 }
 
-/// PCL's `extractEuclideanClusters` (paper Section II-C): grows clusters
-/// by breadth-first expansion over radius-search neighbourhoods.
+/// PCL's `extractEuclideanClusters` (paper Section II-C): the
+/// connected components of the tolerance graph, each the set of points
+/// chained to its smallest member by neighbours within `tolerance`.
 ///
-/// `points` is the preprocessed (downsampled, ground-free) cloud. The
-/// k-d tree build, leaf compression (under Bonsai) and every radius
+/// With `sim` enabled this is PCL's algorithm, instrumented: a
+/// breadth-first expansion that issues one radius search per point.
+/// The k-d tree build, leaf compression (under Bonsai) and every radius
 /// search are charged to their respective kernels; the BFS bookkeeping
-/// is charged to `ClusterLogic`.
+/// is charged to `ClusterLogic`. This is the run the paper's Fig. 2
+/// breaks down. With `sim` disabled nothing is recorded, and the same
+/// clusters come from one self-join over leaf pairs
+/// ([`extract_euclidean_clusters_batched`]).
+///
+/// `points` is the preprocessed (downsampled, ground-free) cloud.
 ///
 /// # Examples
 ///
@@ -84,37 +100,112 @@ pub fn extract_euclidean_clusters(
     tree_cfg: KdTreeConfig,
     mode: TreeMode,
 ) -> ClusterOutput {
+    extract_with_cloud(
+        sim,
+        points,
+        tolerance,
+        min_cluster_size,
+        max_cluster_size,
+        tree_cfg,
+        mode,
+    )
+    .0
+}
+
+/// The one tree a single-tree extraction builds: `f32` rows in
+/// baseline mode, f16 rows under both compressed modes.
+enum FrameTree {
+    Baseline(KdTree),
+    Compressed(BonsaiTree),
+}
+
+impl FrameTree {
+    /// Builds the tree (Build kernel; + Compress kernel under Bonsai
+    /// when `sim` is enabled).
+    fn build(points: Vec<Point3>, cfg: KdTreeConfig, mode: TreeMode, sim: &mut SimEngine) -> Self {
+        match mode {
+            TreeMode::Baseline => FrameTree::Baseline(KdTree::build(points, cfg, sim)),
+            TreeMode::Bonsai | TreeMode::SoftwareCodec => {
+                FrameTree::Compressed(BonsaiTree::build(points, cfg, sim))
+            }
+        }
+    }
+
+    fn kd_tree(&self) -> &KdTree {
+        match self {
+            FrameTree::Baseline(kd) => kd,
+            FrameTree::Compressed(bonsai) => bonsai.kd_tree(),
+        }
+    }
+
+    fn bonsai(&self) -> Option<&BonsaiTree> {
+        match self {
+            FrameTree::Baseline(_) => None,
+            FrameTree::Compressed(bonsai) => Some(bonsai),
+        }
+    }
+
+    /// The uninstrumented engine over this tree (the software codec's
+    /// fast path is the Bonsai scan).
+    fn engine(&self) -> RadiusSearchEngine<'_> {
+        match self {
+            FrameTree::Baseline(kd) => RadiusSearchEngine::baseline(kd),
+            FrameTree::Compressed(bonsai) => RadiusSearchEngine::bonsai(bonsai),
+        }
+    }
+
+    fn compressed_bytes(&self) -> u64 {
+        self.bonsai()
+            .map_or(0, |b| b.compression_stats().compressed_bytes)
+    }
+
+    fn into_points(self) -> Vec<Point3> {
+        match self {
+            FrameTree::Baseline(kd) => kd.into_points(),
+            FrameTree::Compressed(bonsai) => bonsai.into_points(),
+        }
+    }
+}
+
+/// [`extract_euclidean_clusters`] that also hands back the cloud it
+/// consumed (the tree's own point array, not a copy), for the
+/// post-processing stage.
+pub(crate) fn extract_with_cloud(
+    sim: &mut SimEngine,
+    points: Vec<Point3>,
+    tolerance: f32,
+    min_cluster_size: usize,
+    max_cluster_size: usize,
+    tree_cfg: KdTreeConfig,
+    mode: TreeMode,
+) -> (ClusterOutput, Vec<Point3>) {
     assert!(tolerance > 0.0, "cluster tolerance must be positive");
+    let frame_tree = FrameTree::build(points, tree_cfg, mode, sim);
     if !sim.is_enabled() {
-        // Production path: no events to record, so drain the BFS
-        // through the batch engine. Output is identical to the
-        // instrumented path below — euclidean clusters are the
-        // connected components of the tolerance graph, independent of
-        // traversal order, and the engine's per-query results are
-        // bit-identical to the leaf processors'.
-        return extract_euclidean_clusters_batched(
-            points,
+        // Production path: no events to record, so find the components
+        // by the leaf-pair self-join. The clusters are the instrumented
+        // BFS's below: both are the connected components of the same
+        // symmetric tolerance graph, whose edges the engine's sweep
+        // kernels decide bit for bit as the leaf processors do.
+        let mut search_stats = SearchStats::default();
+        let clusters = self_join_clusters(
+            &frame_tree.engine(),
             tolerance,
             min_cluster_size,
             max_cluster_size,
-            tree_cfg,
-            mode,
+            &mut search_stats,
         );
+        let output = ClusterOutput {
+            clusters,
+            search_stats,
+            build_stats: frame_tree.kd_tree().build_stats(),
+            compressed_bytes: frame_tree.compressed_bytes(),
+            coverage: Coverage::default(),
+        };
+        return (output, frame_tree.into_points());
     }
-    let n = points.len();
-
-    // Build the tree (Build kernel; + Compress kernel under Bonsai).
-    let (kd, compressed);
-    let (tree, bonsai): (&KdTree, Option<&BonsaiTree>) = match mode {
-        TreeMode::Baseline => {
-            kd = KdTree::build(points, tree_cfg, sim);
-            (&kd, None)
-        }
-        TreeMode::Bonsai | TreeMode::SoftwareCodec => {
-            compressed = BonsaiTree::build(points, tree_cfg, sim);
-            (compressed.kd_tree(), Some(&compressed))
-        }
-    };
+    let (tree, bonsai) = (frame_tree.kd_tree(), frame_tree.bonsai());
+    let n = tree.points().len();
 
     // Leaf processors are stateful (machine, scratch addresses); create
     // them once for the whole extraction — per-query construction would
@@ -236,17 +327,18 @@ pub fn extract_euclidean_clusters(
     }
     sim.set_kernel(Kernel::Other);
 
-    ClusterOutput {
+    let output = ClusterOutput {
         clusters,
         search_stats,
         build_stats: tree.build_stats(),
-        compressed_bytes: bonsai.map_or(0, |b| b.compression_stats().compressed_bytes),
+        compressed_bytes: frame_tree.compressed_bytes(),
         coverage: Coverage::default(),
-    }
+    };
+    (output, frame_tree.into_points())
 }
 
-/// The level-synchronous BFS shared by the batched, sharded and
-/// streaming extractions: grows each cluster by answering one whole
+/// The level-synchronous BFS shared by the sharded and streaming
+/// extractions: grows each cluster by answering one whole
 /// frontier of radius queries per round through `search` (any batch
 /// searcher with exact per-query neighbor sets), then size-filters.
 /// Clusters are the connected components of the tolerance graph, so
@@ -317,12 +409,24 @@ where
 }
 
 /// The uninstrumented production form of [`extract_euclidean_clusters`]:
-/// identical clusters, but the BFS drains its frontier through the
-/// batch radius-search engine — each round answers every frontier
-/// point's neighborhood query in one allocation-free batch instead of
-/// issuing one fully-independent search per point.
+/// identical clusters, found by one self-join over leaf pairs instead
+/// of one radius query per point.
 ///
-/// [`extract_euclidean_clusters`] dispatches here by itself whenever
+/// For every leaf `A` of the built tree, one walk with `A`'s exact box
+/// grown by the tolerance finds the leaves `B ≥ A` within reach; every
+/// point of `A` is then swept over the ones its own position can reach,
+/// through the engine's leaf kernels (the compressed shell and its
+/// exact fallback under Bonsai), and every hit is unioned. The
+/// components come out in order of their smallest index, members
+/// ascending, size-filtered as the BFS filters them. The box tests
+/// only prune, with a margin over `f32` rounding; the sweep alone
+/// decides membership, so the clusters are bit-identical to the
+/// instrumented BFS's in every [`TreeMode`].
+///
+/// [`ClusterOutput::search_stats`] counts the join's own work (see the
+/// field), not the per-point searches of the BFS.
+///
+/// [`extract_euclidean_clusters`] takes this path by itself whenever
 /// its [`SimEngine`] is disabled; call this directly when no simulator
 /// is in scope.
 ///
@@ -350,40 +454,15 @@ pub fn extract_euclidean_clusters_batched(
     tree_cfg: KdTreeConfig,
     mode: TreeMode,
 ) -> ClusterOutput {
-    assert!(tolerance > 0.0, "cluster tolerance must be positive");
-    let mut sim = SimEngine::disabled();
-
-    let (kd, compressed);
-    let (engine, compressed_bytes) = match mode {
-        TreeMode::Baseline => {
-            kd = KdTree::build(points, tree_cfg, &mut sim);
-            (RadiusSearchEngine::baseline(&kd), 0)
-        }
-        TreeMode::Bonsai | TreeMode::SoftwareCodec => {
-            compressed = BonsaiTree::build(points, tree_cfg, &mut sim);
-            let bytes = compressed.compression_stats().compressed_bytes;
-            (RadiusSearchEngine::bonsai(&compressed), bytes)
-        }
-    };
-    let tree = engine.tree();
-
-    let mut search_stats = SearchStats::default();
-    let clusters = bfs_connected_clusters(
-        tree.points(),
-        None,
+    extract_euclidean_clusters(
+        &mut SimEngine::disabled(),
+        points,
+        tolerance,
         min_cluster_size,
         max_cluster_size,
-        &mut search_stats,
-        |queries, batch| engine.search_batch(queries, tolerance, batch),
-    );
-
-    ClusterOutput {
-        clusters,
-        search_stats,
-        build_stats: tree.build_stats(),
-        compressed_bytes,
-        coverage: Coverage::default(),
-    }
+        tree_cfg,
+        mode,
+    )
 }
 
 /// The shard router serving `mode` (the software codec's fast path is
@@ -400,11 +479,12 @@ pub(crate) fn router_for(
     }
 }
 
-/// [`extract_euclidean_clusters_batched`] served by a sharded
+/// The uninstrumented euclidean-cluster extraction served by a sharded
 /// multi-tree [`ShardRouter`] instead of one tree: the cloud is
 /// median-cut into `shard_cfg.shards` spatial shards (built in parallel
-/// with the `parallel` feature), and every BFS frontier drains through
-/// the router, which searches only the shards each query ball touches.
+/// with the `parallel` feature), and the clusters grow by the BFS
+/// (`bfs_connected_clusters`), every frontier draining through the
+/// router, which searches only the shards each query ball touches.
 ///
 /// Clusters are **identical** to the single-tree extraction for every
 /// mode — euclidean clusters are the connected components of the
@@ -441,6 +521,29 @@ pub fn extract_euclidean_clusters_sharded(
     mode: TreeMode,
     shard_cfg: ShardConfig,
 ) -> ClusterOutput {
+    sharded_with_cloud(
+        points,
+        tolerance,
+        min_cluster_size,
+        max_cluster_size,
+        tree_cfg,
+        mode,
+        shard_cfg,
+    )
+    .0
+}
+
+/// [`extract_euclidean_clusters_sharded`] that also hands back the
+/// cloud it was given, for the post-processing stage.
+pub(crate) fn sharded_with_cloud(
+    points: Vec<Point3>,
+    tolerance: f32,
+    min_cluster_size: usize,
+    max_cluster_size: usize,
+    tree_cfg: KdTreeConfig,
+    mode: TreeMode,
+    shard_cfg: ShardConfig,
+) -> (ClusterOutput, Vec<Point3>) {
     assert!(tolerance > 0.0, "cluster tolerance must be positive");
     // The router borrows the cloud (each shard copies only its own
     // points), so the original stays available for the BFS's
@@ -458,13 +561,14 @@ pub fn extract_euclidean_clusters_sharded(
         |queries, batch| snapshot.search_batch(queries, tolerance, batch),
     );
 
-    ClusterOutput {
+    let output = ClusterOutput {
         clusters,
         search_stats,
         build_stats: router.build_stats(),
         compressed_bytes: router.compressed_bytes(),
         coverage: router.coverage(),
-    }
+    };
+    (output, points)
 }
 
 #[cfg(test)]
@@ -581,9 +685,11 @@ mod tests {
         assert_eq!(out.clusters[0].len(), 80);
     }
 
-    /// The batched BFS must reproduce the instrumented per-query BFS
-    /// exactly: same clusters and the same aggregate search counters,
-    /// for every tree mode.
+    /// The leaf-pair self-join must reproduce the instrumented
+    /// per-query BFS exactly: same clusters, tree shape and compressed
+    /// size, for every tree mode. Its counters describe different work
+    /// (leaf pairs, not per-point searches), and it sweeps fewer points
+    /// than the BFS inspects.
     #[test]
     fn batched_extraction_matches_instrumented_per_query_bfs() {
         let cloud = three_blob_cloud();
@@ -612,9 +718,11 @@ mod tests {
                 mode,
             );
             assert_eq!(batched.clusters, instrumented.clusters, "{mode:?}");
-            assert_eq!(
-                batched.search_stats, instrumented.search_stats,
-                "{mode:?} stats"
+            assert!(
+                batched.search_stats.points_inspected < instrumented.search_stats.points_inspected,
+                "{mode:?}: join swept {} points, BFS inspected {}",
+                batched.search_stats.points_inspected,
+                instrumented.search_stats.points_inspected
             );
             assert_eq!(batched.build_stats, instrumented.build_stats);
             assert_eq!(batched.compressed_bytes, instrumented.compressed_bytes);

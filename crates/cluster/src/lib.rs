@@ -13,7 +13,8 @@
 //! 2. **Extract** ([`extract_euclidean_clusters`]) — k-d tree build
 //!    (+ leaf compression under Bonsai) and the BFS over radius-search
 //!    neighbourhoods; this is the paper's *extract kernel*, ~90 % of the
-//!    task;
+//!    task. With the simulator off the same clusters come from one
+//!    self-join over leaf pairs instead of one search per point;
 //! 3. **Post-process** — cluster labelling and bounding boxes.
 //!
 //! The extraction is generic over the leaf-inspection mode
@@ -47,6 +48,7 @@
 pub mod filters;
 
 mod extract;
+mod join;
 mod pipeline;
 mod streaming;
 

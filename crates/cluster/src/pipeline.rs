@@ -4,7 +4,7 @@ use bonsai_geom::{Aabb, Point3};
 use bonsai_kdtree::{AuditViolation, KdTreeConfig};
 use bonsai_sim::{Kernel, OpClass, SimEngine};
 
-use crate::extract::{extract_euclidean_clusters, ClusterOutput, TreeMode};
+use crate::extract::{extract_with_cloud, ClusterOutput, TreeMode};
 use crate::filters;
 
 /// Why a streaming serving call failed — the `Result` boundary of
@@ -209,9 +209,10 @@ impl FramePipeline {
         let p = &self.params;
         let clustered_points = points.len();
         let points_addr = sim.alloc(points.len() as u64 * 16, 64);
-        let cloud_for_post = points.clone();
-        let output = if p.shards > 1 && !sim.is_enabled() {
-            crate::extract_euclidean_clusters_sharded(
+        // The extraction hands the cloud back (the tree's own point
+        // array) for the boxes below.
+        let (output, cloud) = if p.shards > 1 && !sim.is_enabled() {
+            crate::extract::sharded_with_cloud(
                 points,
                 p.tolerance,
                 p.min_cluster_size,
@@ -221,7 +222,7 @@ impl FramePipeline {
                 bonsai_core::ShardConfig::with_shards(p.shards),
             )
         } else {
-            extract_euclidean_clusters(
+            extract_with_cloud(
                 sim,
                 points,
                 p.tolerance,
@@ -246,7 +247,7 @@ impl FramePipeline {
                 sim.load(points_addr + idx as u64 * 16, 12);
                 sim.exec(OpClass::FpAlu, 6);
                 sim.store(points_addr + idx as u64 * 16, 4); // label write
-                let pt = cloud_for_post[idx as usize];
+                let pt = cloud[idx as usize];
                 match &mut aabb {
                     Some(b) => b.insert(pt),
                     None => aabb = Some(Aabb::new(pt, pt)),

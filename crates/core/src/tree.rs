@@ -374,6 +374,12 @@ impl BonsaiTree {
         &self.tree
     }
 
+    /// Consumes the tree and hands back its point cloud (see
+    /// [`KdTree::into_points`]) without a copy.
+    pub fn into_points(self) -> Vec<Point3> {
+        self.tree.into_points()
+    }
+
     /// The compressed-structure directory, baked on the first call
     /// when the tree was not built under an enabled simulator (the
     /// bake is uncharged and allocates the array once; later calls

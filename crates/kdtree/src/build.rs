@@ -347,6 +347,12 @@ impl KdTree {
         &self.points
     }
 
+    /// Consumes the tree and hands back its point cloud — what
+    /// [`points`](KdTree::points) returns — without a copy.
+    pub fn into_points(self) -> Vec<Point3> {
+        self.points
+    }
+
     /// The reordered index array; leaves reference ranges of it. A
     /// fresh build packs every leaf exactly (one slot per point); the
     /// unused slack slots of mutated leaves hold

@@ -11,7 +11,8 @@ use crate::{AddressSpace, Counters, CpuConfig, Gshare, Kernel, MemoryHierarchy, 
 /// A disabled engine ([`SimEngine::disabled`]) turns every report into a
 /// cheap no-op so the same library code can run un-instrumented (library
 /// users who just want a compressed k-d tree, examples, functional
-/// tests).
+/// tests). It builds no cache hierarchy and no predictor, so making one
+/// costs no more than its counters.
 ///
 /// # Examples
 ///
@@ -29,12 +30,18 @@ use crate::{AddressSpace, Counters, CpuConfig, Gshare, Kernel, MemoryHierarchy, 
 /// ```
 #[derive(Debug)]
 pub struct SimEngine {
-    enabled: bool,
     kernel: Kernel,
     counters: [Counters; Kernel::COUNT],
+    /// The cache and branch models; `None` in a disabled engine.
+    model: Option<Model>,
+    space: AddressSpace,
+}
+
+/// The state an enabled engine routes events through.
+#[derive(Debug)]
+struct Model {
     hierarchy: MemoryHierarchy,
     predictor: Gshare,
-    space: AddressSpace,
 }
 
 /// Gshare index bits: 4 K counters, a mid-size predictor appropriate for
@@ -45,12 +52,11 @@ impl SimEngine {
     /// Creates an enabled engine for the given CPU configuration.
     pub fn new(cfg: &CpuConfig) -> SimEngine {
         SimEngine {
-            enabled: true,
-            kernel: Kernel::Other,
-            counters: [Counters::default(); Kernel::COUNT],
-            hierarchy: MemoryHierarchy::new(cfg),
-            predictor: Gshare::new(GSHARE_BITS),
-            space: AddressSpace::new(),
+            model: Some(Model {
+                hierarchy: MemoryHierarchy::new(cfg),
+                predictor: Gshare::new(GSHARE_BITS),
+            }),
+            ..SimEngine::disabled()
         }
     }
 
@@ -59,14 +65,17 @@ impl SimEngine {
     /// Allocation still works (addresses must stay unique so data layout
     /// code is oblivious to the mode).
     pub fn disabled() -> SimEngine {
-        let mut engine = SimEngine::new(&CpuConfig::a72_like());
-        engine.enabled = false;
-        engine
+        SimEngine {
+            kernel: Kernel::Other,
+            counters: [Counters::default(); Kernel::COUNT],
+            model: None,
+            space: AddressSpace::new(),
+        }
     }
 
     /// Whether events are being recorded.
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.model.is_some()
     }
 
     /// Reserves simulated memory; see [`AddressSpace::alloc`].
@@ -88,7 +97,7 @@ impl SimEngine {
     /// Reports `n` committed micro-ops of class `class`.
     #[inline]
     pub fn exec(&mut self, class: OpClass, n: u64) {
-        if self.enabled {
+        if self.model.is_some() {
             self.counters[self.kernel as usize].bump(class, n);
         }
     }
@@ -97,13 +106,13 @@ impl SimEngine {
     /// probing the cache hierarchy.
     #[inline]
     pub fn load(&mut self, addr: u64, bytes: u32) {
-        if !self.enabled {
+        let Some(model) = &mut self.model else {
             return;
-        }
+        };
         let c = &mut self.counters[self.kernel as usize];
         c.bump(OpClass::Load, 1);
         c.loaded_bytes += bytes as u64;
-        let out = self.hierarchy.access(addr, bytes);
+        let out = model.hierarchy.access(addr, bytes);
         let c = &mut self.counters[self.kernel as usize];
         c.l1_accesses += out.l1_accesses;
         c.l1_misses += out.l1_misses;
@@ -117,13 +126,13 @@ impl SimEngine {
     /// Reports a store micro-op of `bytes` useful bytes at `addr`.
     #[inline]
     pub fn store(&mut self, addr: u64, bytes: u32) {
-        if !self.enabled {
+        let Some(model) = &mut self.model else {
             return;
-        }
+        };
         let c = &mut self.counters[self.kernel as usize];
         c.bump(OpClass::Store, 1);
         c.stored_bytes += bytes as u64;
-        let out = self.hierarchy.access(addr, bytes);
+        let out = model.hierarchy.access(addr, bytes);
         let c = &mut self.counters[self.kernel as usize];
         c.l1_accesses += out.l1_accesses;
         c.l1_misses += out.l1_misses;
@@ -138,10 +147,10 @@ impl SimEngine {
     /// `taken`.
     #[inline]
     pub fn branch(&mut self, site: u32, taken: bool) {
-        if !self.enabled {
+        let Some(model) = &mut self.model else {
             return;
-        }
-        let correct = self.predictor.predict_and_update(site, taken);
+        };
+        let correct = model.predictor.predict_and_update(site, taken);
         let c = &mut self.counters[self.kernel as usize];
         c.bump(OpClass::Branch, 1);
         if !correct {
