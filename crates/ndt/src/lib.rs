@@ -19,6 +19,15 @@
 //! cost model sees every search. Both return the same [`AlignResult`]
 //! bit for bit.
 //!
+//! The objective is accumulated per scan point: the neighbour loop sums
+//! only `w·Bq` and `w·B`, and the point's Jacobian `J = [I | −[Rp]×]`
+//! is applied once (`Σ w·JᵀBJ = Jᵀ(Σ w·B)J`). This equals the
+//! per-neighbour form of earlier builds in exact arithmetic, so their
+//! [`AlignResult`]s differ from this one only by rounding (the score
+//! not at all). The simulated cost model is deliberately unchanged: it
+//! still charges pclomp's per-neighbour derivative update, the work
+//! Fig. 2 measures.
+//!
 //! Deviations from PCL's implementation, both standard and
 //! convergence-equivalent:
 //!

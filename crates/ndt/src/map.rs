@@ -36,6 +36,7 @@ const MIN_POINTS_PER_CELL: u32 = 6;
 
 impl NdtMap {
     /// Voxelizes `map_cloud` at `resolution` and fits per-cell Gaussians.
+    /// Points with a non-finite coordinate are skipped.
     ///
     /// Work is charged to the `Build` kernel (map building is offline in
     /// Autoware, but the charge keeps accounting complete).
@@ -66,6 +67,11 @@ impl NdtMap {
             sim.load(src + i as u64 * 16, 12);
             sim.exec(OpClass::FpAlu, 12);
             sim.exec(OpClass::IntAlu, 8);
+            // A NaN coordinate would floor-cast into voxel 0 and ±∞
+            // into a saturated one, poisoning a real cell's Gaussian.
+            if !p.is_finite() {
+                continue;
+            }
             let key = (
                 (p.x * inv).floor() as i32,
                 (p.y * inv).floor() as i32,
@@ -199,6 +205,33 @@ mod tests {
         pts.push(Point3::new(100.0, 100.0, 100.0)); // a lone point
         let map = NdtMap::build(&mut sim, &pts, 1.0);
         assert!(map.cells().iter().all(|c| c.mean.x < 50.0));
+    }
+
+    #[test]
+    fn non_finite_points_are_skipped() {
+        let mut sim = SimEngine::disabled();
+        let clean = NdtMap::build(&mut sim, &plane_cloud(), 1.0);
+        let mut dirty = plane_cloud();
+        for (k, bad) in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY]
+            .into_iter()
+            .enumerate()
+        {
+            // Next to the origin cell's points, and on every axis.
+            dirty.insert(k, Point3::new(bad, 0.1, 0.1));
+            dirty.push(Point3::new(0.1, bad, 0.1));
+            dirty.push(Point3::new(0.1, 0.1, bad));
+            dirty.push(Point3::new(bad, bad, bad));
+        }
+        let map = NdtMap::build(&mut sim, &dirty, 1.0);
+        assert_eq!(map.cells(), clean.cells());
+        for c in map.cells() {
+            assert!(c.mean.is_finite());
+            for r in 0..3 {
+                for cc in 0..3 {
+                    assert!(c.inv_cov[(r, cc)].is_finite());
+                }
+            }
+        }
     }
 
     #[test]

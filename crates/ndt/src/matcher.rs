@@ -156,10 +156,12 @@ impl Mixture {
 }
 
 /// One Newton iteration's objective: score, gradient and Hessian,
-/// accumulated point by point, neighbour by neighbour.
+/// accumulated point by point.
 struct Terms {
     score: f64,
     gradient: Vec6,
+    /// Only the upper triangle is accumulated; [`Terms::hessian`]
+    /// mirrors it.
     hessian: Mat6,
 }
 
@@ -174,6 +176,13 @@ impl Terms {
 
     /// Adds the terms of the transformed point `x = rotated + t`
     /// against each neighbouring cell, in `neighbors` order.
+    ///
+    /// The Jacobian `J = [I | C]`, `C = −[v]×` with `v = R·p`, is the
+    /// same for every neighbour of a point, so the neighbour loop sums
+    /// only `g = Σ w·Bq` and `M = Σ w·B`, and `J` is applied once:
+    /// gradient `Jᵀg = [g; v × g]`, Hessian
+    /// `JᵀMJ = [[M, MC], [(MC)ᵀ, Cᵀ(MC)]]`. This equals the
+    /// per-neighbour `Σ w·JᵀBJ` in exact arithmetic.
     fn add_point(
         &mut self,
         map: &NdtMap,
@@ -182,6 +191,12 @@ impl Terms {
         rotated: Point3,
         neighbors: &[Neighbor],
     ) {
+        if neighbors.is_empty() {
+            return;
+        }
+        let mut g = [0.0f64; 3];
+        // Upper triangle of M, row-major: 00 01 02 11 12 22.
+        let mut m = [0.0f64; 6];
         for nb in neighbors {
             let cell = &map.cells()[nb.index as usize];
             let q = [
@@ -195,35 +210,73 @@ impl Terms {
             let e = (-0.5 * mix.d2 * u).exp();
             self.score -= mix.d1 * e;
             let w = mix.d1 * mix.d2 * e;
-
-            // Jacobian columns: translation = I, rotation = −[v]×
-            // with v = R·p.
-            let v = [rotated.x as f64, rotated.y as f64, rotated.z as f64];
-            let mut jt_bq = [0.0f64; 6]; // (Jᵀ B q)
-            jt_bq[0] = bq[0];
-            jt_bq[1] = bq[1];
-            jt_bq[2] = bq[2];
-            // (−[v]×)ᵀ B q = (v × Bq) … column k of −[v]× is e_k×v.
-            jt_bq[3] = v[1] * bq[2] - v[2] * bq[1];
-            jt_bq[4] = v[2] * bq[0] - v[0] * bq[2];
-            jt_bq[5] = v[0] * bq[1] - v[1] * bq[0];
-
-            for r in 0..6 {
-                self.gradient[r] += w * jt_bq[r];
+            for r in 0..3 {
+                g[r] += w * bq[r];
             }
-            // Positive-semidefinite Gauss–Newton Hessian
-            // `Σ w·JᵀBJ`. The exact Newton Hessian subtracts
-            // `d2·(JᵀBq)(JᵀBq)ᵀ`, which is indefinite away from
-            // the optimum; PCL compensates with a More–Thuente
-            // line search, we keep the PSD form instead
-            // (documented deviation, same fixed point).
-            let jbj = jt_b_j(b, v);
-            for r in 0..6 {
-                for cc in 0..6 {
-                    self.hessian[(r, cc)] += w * jbj[r][cc];
-                }
+            // Positive-semidefinite Gauss–Newton Hessian `Σ w·JᵀBJ`.
+            // The exact Newton Hessian subtracts `d2·(JᵀBq)(JᵀBq)ᵀ`,
+            // which is indefinite away from the optimum; PCL
+            // compensates with a More–Thuente line search, we keep the
+            // PSD form instead (documented deviation, same fixed
+            // point).
+            m[0] += w * b[(0, 0)];
+            m[1] += w * b[(0, 1)];
+            m[2] += w * b[(0, 2)];
+            m[3] += w * b[(1, 1)];
+            m[4] += w * b[(1, 2)];
+            m[5] += w * b[(2, 2)];
+        }
+
+        let v = [rotated.x as f64, rotated.y as f64, rotated.z as f64];
+        // Cᵀg = [v]× g = v × g.
+        let grad = [
+            g[0],
+            g[1],
+            g[2],
+            v[1] * g[2] - v[2] * g[1],
+            v[2] * g[0] - v[0] * g[2],
+            v[0] * g[1] - v[1] * g[0],
+        ];
+        for r in 0..6 {
+            self.gradient[r] += grad[r];
+        }
+
+        let mm = [[m[0], m[1], m[2]], [m[1], m[3], m[4]], [m[2], m[4], m[5]]];
+        // Column k of C is e_k × v: (0, −v2, v1), (v2, 0, −v0),
+        // (−v1, v0, 0).
+        let mut mc = [[0.0f64; 3]; 3];
+        for i in 0..3 {
+            mc[i][0] = mm[i][2] * v[1] - mm[i][1] * v[2];
+            mc[i][1] = mm[i][0] * v[2] - mm[i][2] * v[0];
+            mc[i][2] = mm[i][1] * v[0] - mm[i][0] * v[1];
+        }
+        for r in 0..3 {
+            for c in r..3 {
+                self.hessian[(r, c)] += mm[r][c];
+            }
+            for c in 0..3 {
+                self.hessian[(r, 3 + c)] += mc[r][c];
             }
         }
+        // Cᵀ(MC), row k = column k of C dotted with MC's columns.
+        for c in 0..3 {
+            self.hessian[(3, 3 + c)] += mc[2][c] * v[1] - mc[1][c] * v[2];
+        }
+        for c in 1..3 {
+            self.hessian[(4, 3 + c)] += mc[0][c] * v[2] - mc[2][c] * v[0];
+        }
+        self.hessian[(5, 5)] += mc[1][2] * v[0] - mc[0][2] * v[1];
+    }
+
+    /// The full Hessian: the accumulated upper triangle, mirrored.
+    fn hessian(&self) -> Mat6 {
+        let mut h = self.hessian;
+        for r in 1..6 {
+            for c in 0..r {
+                h[(r, c)] = h[(c, r)];
+            }
+        }
+        h
     }
 }
 
@@ -237,7 +290,9 @@ pub struct NdtMatcher {
     tree: CentroidTree,
     machine: Machine,
     mixture: Mixture,
-    /// Engine path: the iteration's transformed scan points.
+    /// Engine path: the iteration's rotated scan points `R·p`.
+    rotated: Vec<Point3>,
+    /// Engine path: the iteration's transformed scan points `R·p + t`.
     xs: Vec<Point3>,
     /// Engine path: the iteration's neighbour lists.
     batch: QueryBatch,
@@ -273,6 +328,7 @@ impl NdtMatcher {
             tree,
             machine: Machine::new(),
             mixture,
+            rotated: Vec::new(),
             xs: Vec::new(),
             batch: QueryBatch::new(),
             neighbors: Vec::new(),
@@ -307,6 +363,7 @@ impl NdtMatcher {
             tree,
             machine,
             mixture,
+            rotated,
             xs,
             batch,
             neighbors,
@@ -332,18 +389,18 @@ impl NdtMatcher {
             // or the instrumented walker point by point.
             match walker.as_mut() {
                 None => {
-                    xs.clear();
-                    xs.extend(
+                    rotated.clear();
+                    rotated.extend(
                         scan.iter()
                             .step_by(stride)
-                            .map(|&p| pose.rotation.mul_point(p) + pose.translation),
+                            .map(|&p| pose.rotation.mul_point(p)),
                     );
+                    xs.clear();
+                    xs.extend(rotated.iter().map(|&r| r + pose.translation));
                     tree.engine().search_batch(xs, radius, batch);
                     stats += *batch.stats();
-                    let points = scan.iter().step_by(stride).zip(xs.iter());
-                    for (k, (&p, &x)) in points.enumerate() {
-                        let rotated = pose.rotation.mul_point(p);
-                        terms.add_point(map, *mixture, x, rotated, batch.results(k));
+                    for (k, (&r, &x)) in rotated.iter().zip(xs.iter()).enumerate() {
+                        terms.add_point(map, *mixture, x, r, batch.results(k));
                     }
                 }
                 Some((scan_addr, walker)) => {
@@ -360,7 +417,12 @@ impl NdtMatcher {
                         sim.set_kernel(Kernel::NdtMath);
                         for nb in neighbors.iter() {
                             sim.load(map.cell_addr(nb.index), CELL_STRIDE as u32);
-                            sim.exec(OpClass::FpAlu, 90); // q, Bq, score, J products
+                            // Models pclomp's per-neighbour derivative
+                            // update (q, Bq, score and the Jacobian
+                            // products), the work Fig. 2 measures; the
+                            // host's `add_point` applies the Jacobian
+                            // once per point instead.
+                            sim.exec(OpClass::FpAlu, 90);
                         }
                         terms.add_point(map, *mixture, x, rotated, neighbors);
                     }
@@ -370,22 +432,12 @@ impl NdtMatcher {
 
             sim.set_kernel(Kernel::NdtMath);
             sim.exec(OpClass::FpAlu, 300); // 6×6 solve
-            terms.hessian.add_diagonal(cfg.damping + 1e-9);
-            let Some(mut delta) = terms.hessian.solve(terms.gradient * -1.0) else {
+            let Some((next, step)) = newton_step(&pose, terms.gradient, terms.hessian(), cfg)
+            else {
                 break;
             };
-            // Step safeguard (PCL clamps the Newton step the same way).
-            let norm = delta.norm();
-            if norm > cfg.max_step {
-                delta = delta * (cfg.max_step / norm);
-            }
-            // Apply: t += δt; R = ΔR(δω)·R.
-            let delta_rot = Mat3::from_euler(delta[3], delta[4], delta[5]);
-            let new_rot = delta_rot * pose.rotation;
-            let new_t =
-                pose.translation + Point3::new(delta[0] as f32, delta[1] as f32, delta[2] as f32);
-            pose = pose_from_parts(new_rot, new_t);
-            if delta.norm() < cfg.epsilon {
+            pose = next;
+            if step < cfg.epsilon {
                 converged = true;
                 break;
             }
@@ -401,25 +453,27 @@ impl NdtMatcher {
     }
 }
 
-/// `Jᵀ B J` for `J = [I | −[v]×]`, returned as a dense 6×6.
-fn jt_b_j(b: &Mat3, v: [f64; 3]) -> [[f64; 6]; 6] {
-    // Columns of J: c0..c2 = e0..e2, c3..c5 = e_k × v.
-    let cols: [[f64; 3]; 6] = [
-        [1.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0],
-        [0.0, 0.0, 1.0],
-        [0.0, -v[2], v[1]], // e0 × v
-        [v[2], 0.0, -v[0]], // e1 × v
-        [-v[1], v[0], 0.0], // e2 × v
-    ];
-    let mut out = [[0.0f64; 6]; 6];
-    for r in 0..6 {
-        let b_cr = b.mul_vec(cols[r]);
-        for c in 0..6 {
-            out[r][c] = cols[c][0] * b_cr[0] + cols[c][1] * b_cr[1] + cols[c][2] * b_cr[2];
-        }
+/// One damped, clamped Newton step from `pose`: the updated pose and
+/// the applied step's norm, or `None` when the damped Hessian is
+/// singular.
+fn newton_step(
+    pose: &Pose,
+    gradient: Vec6,
+    mut hessian: Mat6,
+    cfg: &NdtConfig,
+) -> Option<(Pose, f64)> {
+    hessian.add_diagonal(cfg.damping + 1e-9);
+    let mut delta = hessian.solve(gradient * -1.0)?;
+    // Step safeguard (PCL clamps the Newton step the same way).
+    let norm = delta.norm();
+    if norm > cfg.max_step {
+        delta = delta * (cfg.max_step / norm);
     }
-    out
+    // Apply: t += δt; R = ΔR(δω)·R.
+    let delta_rot = Mat3::from_euler(delta[3], delta[4], delta[5]);
+    let new_rot = delta_rot * pose.rotation;
+    let new_t = pose.translation + Point3::new(delta[0] as f32, delta[1] as f32, delta[2] as f32);
+    Some((pose_from_parts(new_rot, new_t), delta.norm()))
 }
 
 /// Builds a pose from rotation matrix + translation (recovering Euler
@@ -465,6 +519,226 @@ mod tests {
             }
         }
         pts
+    }
+
+    /// `Jᵀ B J` for `J = [I | −[v]×]`, returned as a dense 6×6.
+    fn jt_b_j(b: &Mat3, v: [f64; 3]) -> [[f64; 6]; 6] {
+        // Columns of J: c0..c2 = e0..e2, c3..c5 = e_k × v.
+        let cols: [[f64; 3]; 6] = [
+            [1.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0],
+            [0.0, 0.0, 1.0],
+            [0.0, -v[2], v[1]], // e0 × v
+            [v[2], 0.0, -v[0]], // e1 × v
+            [-v[1], v[0], 0.0], // e2 × v
+        ];
+        let mut out = [[0.0f64; 6]; 6];
+        for r in 0..6 {
+            let b_cr = b.mul_vec(cols[r]);
+            for c in 0..6 {
+                out[r][c] = cols[c][0] * b_cr[0] + cols[c][1] * b_cr[1] + cols[c][2] * b_cr[2];
+            }
+        }
+        out
+    }
+
+    /// The reference objective: `JᵀBq` and the dense `w·JᵀBJ` added
+    /// per neighbour, the whole Hessian (not its upper triangle) in
+    /// `terms.hessian`.
+    fn add_point_dense(
+        terms: &mut Terms,
+        map: &NdtMap,
+        mix: Mixture,
+        x: Point3,
+        rotated: Point3,
+        neighbors: &[Neighbor],
+    ) {
+        for nb in neighbors {
+            let cell = &map.cells()[nb.index as usize];
+            let q = [
+                (x.x - cell.mean.x) as f64,
+                (x.y - cell.mean.y) as f64,
+                (x.z - cell.mean.z) as f64,
+            ];
+            let b: &Mat3 = &cell.inv_cov;
+            let bq = b.mul_vec(q);
+            let u = q[0] * bq[0] + q[1] * bq[1] + q[2] * bq[2];
+            let e = (-0.5 * mix.d2 * u).exp();
+            terms.score -= mix.d1 * e;
+            let w = mix.d1 * mix.d2 * e;
+            let v = [rotated.x as f64, rotated.y as f64, rotated.z as f64];
+            let jt_bq = [
+                bq[0],
+                bq[1],
+                bq[2],
+                v[1] * bq[2] - v[2] * bq[1],
+                v[2] * bq[0] - v[0] * bq[2],
+                v[0] * bq[1] - v[1] * bq[0],
+            ];
+            for r in 0..6 {
+                terms.gradient[r] += w * jt_bq[r];
+            }
+            let jbj = jt_b_j(b, v);
+            for r in 0..6 {
+                for c in 0..6 {
+                    terms.hessian[(r, c)] += w * jbj[r][c];
+                }
+            }
+        }
+    }
+
+    /// `align`'s Newton loop on the engine path, with the objective
+    /// accumulated by [`add_point_dense`]: `(iterations, converged,
+    /// pose)`.
+    fn align_dense(matcher: &NdtMatcher, scan: &[Point3], guess: &Pose) -> (u32, bool, Pose) {
+        let cfg = &matcher.cfg;
+        let mut batch = QueryBatch::new();
+        let mut pose = *guess;
+        let mut iterations = 0;
+        for _ in 0..cfg.max_iterations {
+            iterations += 1;
+            let rotated: Vec<Point3> = scan
+                .iter()
+                .step_by(cfg.scan_stride.max(1))
+                .map(|&p| pose.rotation.mul_point(p))
+                .collect();
+            let xs: Vec<Point3> = rotated.iter().map(|&r| r + pose.translation).collect();
+            let radius = matcher.map.resolution();
+            matcher.tree.engine().search_batch(&xs, radius, &mut batch);
+            let mut terms = Terms::new();
+            for (k, (&r, &x)) in rotated.iter().zip(&xs).enumerate() {
+                let nbs = batch.results(k);
+                add_point_dense(&mut terms, &matcher.map, matcher.mixture, x, r, nbs);
+            }
+            let Some((next, step)) = newton_step(&pose, terms.gradient, terms.hessian, cfg) else {
+                break;
+            };
+            pose = next;
+            if step < cfg.epsilon {
+                return (iterations, true, pose);
+            }
+        }
+        (iterations, false, pose)
+    }
+
+    /// Uniform in `[0, 1)` from a xorshift state.
+    fn unit(state: &mut u64) -> f64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        (*state >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// The point-factored objective equals the per-neighbour dense one
+    /// up to rounding, point by point and summed, on random points
+    /// with 0–8 neighbour cells of the structured map; the score is
+    /// accumulated in the same order, so it is bit-equal, and the
+    /// mirrored Hessian is exactly symmetric.
+    #[test]
+    fn factored_objective_matches_dense_reference() {
+        let mut sim = SimEngine::disabled();
+        let map = NdtMap::build(&mut sim, &structured_cloud(), 2.0);
+        let mix = Mixture::new(map.resolution(), NdtConfig::default().outlier_ratio);
+        let cells = map.cells().len();
+        let mut state = 0x5EED_CAFE_F00Du64;
+        let (mut fact_sum, mut dense_sum) = (Terms::new(), Terms::new());
+        for _ in 0..500 {
+            let k = (unit(&mut state) * 9.0) as usize;
+            let neighbors: Vec<Neighbor> = (0..k)
+                .map(|_| Neighbor {
+                    index: (unit(&mut state) * cells as f64) as u32,
+                    dist_sq: 0.0,
+                })
+                .collect();
+            // Near the first neighbour's mean (so the weights are not
+            // negligible), or anywhere in the map without neighbours.
+            let anchor = neighbors.first().map_or(Point3::new(16.0, 6.0, 1.0), |nb| {
+                map.cells()[nb.index as usize].mean
+            });
+            let mut jitter = || (unit(&mut state) * 2.0 - 1.0) as f32;
+            let x = anchor + Point3::new(jitter(), jitter(), jitter());
+            let t = Point3::new(jitter() * 5.0, jitter() * 5.0, jitter());
+            let rotated = x - t;
+
+            let (mut fact, mut dense) = (Terms::new(), Terms::new());
+            fact.add_point(&map, mix, x, rotated, &neighbors);
+            add_point_dense(&mut dense, &map, mix, x, rotated, &neighbors);
+            fact_sum.add_point(&map, mix, x, rotated, &neighbors);
+            add_point_dense(&mut dense_sum, &map, mix, x, rotated, &neighbors);
+            assert_terms_close(&fact, &dense);
+        }
+        assert_terms_close(&fact_sum, &dense_sum);
+        assert!(fact_sum.score < 0.0);
+    }
+
+    fn assert_terms_close(fact: &Terms, dense: &Terms) {
+        assert_eq!(fact.score.to_bits(), dense.score.to_bits());
+        let g_max = (0..6).map(|r| dense.gradient[r].abs()).fold(0.0, f64::max);
+        for r in 0..6 {
+            let err = (fact.gradient[r] - dense.gradient[r]).abs();
+            assert!(err <= 1e-12 * g_max, "gradient[{r}]: {err:e} of {g_max:e}");
+        }
+        let h = fact.hessian();
+        let mut h_max = 0.0f64;
+        for r in 0..6 {
+            for c in 0..6 {
+                h_max = h_max.max(dense.hessian[(r, c)].abs());
+            }
+        }
+        for r in 0..6 {
+            for c in 0..6 {
+                assert_eq!(h[(r, c)].to_bits(), h[(c, r)].to_bits(), "H[{r},{c}]");
+                let err = (h[(r, c)] - dense.hessian[(r, c)]).abs();
+                assert!(err <= 1e-12 * h_max, "H[{r},{c}]: {err:e} of {h_max:e}");
+            }
+        }
+    }
+
+    /// Alignments with the point-factored objective take the dense
+    /// reference's Newton path: same iteration count and convergence
+    /// from every guess the tests below use, in both modes.
+    #[test]
+    fn alignment_matches_dense_reference() {
+        let cloud = structured_cloud();
+        let guesses = [
+            (Pose::identity(), 30),
+            (
+                Pose::from_translation_euler(Point3::new(0.4, -0.3, 0.1), 0.0, 0.0, 0.02),
+                30,
+            ),
+            (
+                Pose::from_translation_euler(Point3::new(0.3, 0.2, 0.0), 0.0, 0.0, -0.015),
+                30,
+            ),
+            (
+                Pose::from_translation_euler(Point3::new(0.3, -0.2, 0.05), 0.0, 0.0, 0.015),
+                30,
+            ),
+            (
+                Pose::from_translation_euler(Point3::new(3.0, 2.0, 0.5), 0.1, 0.1, 0.4),
+                1,
+            ),
+        ];
+        for mode in [NdtSearchMode::Baseline, NdtSearchMode::Bonsai] {
+            for &(guess, max_iterations) in &guesses {
+                let mut sim = SimEngine::disabled();
+                let map = NdtMap::build(&mut sim, &cloud, 2.0);
+                let cfg = NdtConfig {
+                    max_iterations,
+                    ..NdtConfig::default()
+                };
+                let mut matcher = NdtMatcher::new(&mut sim, map, cfg, mode);
+                let got = matcher.align(&mut sim, &cloud, &guess);
+                let (iterations, converged, pose) = align_dense(&matcher, &cloud, &guess);
+                let at = format!("{mode:?} from {guess:?}");
+                assert_eq!(got.iterations, iterations, "{at}");
+                assert_eq!(got.converged, converged, "{at}");
+                assert!(
+                    got.pose.translation.distance(pose.translation) < 1e-6,
+                    "{at}"
+                );
+            }
+        }
     }
 
     fn align_from(guess: Pose, mode: NdtSearchMode) -> AlignResult {
