@@ -35,10 +35,12 @@ pub struct ClusterOutput {
     /// counts its per-point radius searches. The single-tree fast path
     /// (simulator off) counts its leaf-pair self-join instead:
     /// `nodes_visited` is the nodes its per-leaf walks visit,
-    /// `leaf_visits` the leaf pairs they find, and `points_inspected`,
-    /// `fallbacks` and `point_bytes_loaded` what the sweep kernels
-    /// count. The sharded and streaming extractions count the searches
-    /// of their BFS.
+    /// `leaf_visits` the leaf pairs they find, `points_inspected` the
+    /// slots evaluated per (query, leaf) pair, and `fallbacks` and
+    /// `point_bytes_loaded` what its leaf blocks count (each compared
+    /// leaf's bytes once per block, plus the exact fallbacks'). The
+    /// sharded and streaming extractions count the searches of their
+    /// BFS.
     pub search_stats: SearchStats,
     /// Tree shape statistics.
     pub build_stats: BuildStats,

@@ -16,25 +16,32 @@
 //!
 //! 1. numbers the leaves depth first and computes the exact box of the
 //!    finite points under every node;
-//! 2. for every leaf `A`, walks the tree once, pruning every subtree
-//!    whose box lies farther than the grown radius from `A`'s box or
-//!    whose leaves all precede `A`; the leaves it reaches are `A`'s
-//!    candidates `B ≥ A`;
-//! 3. sweeps each finite point of `A` over the candidates whose box it
-//!    can reach, through the engine's own kernels, and unions every hit.
-//!    A candidate whose points all sit in the query's component already
-//!    is skipped: it can add no edge that changes a component.
+//! 2. for every leaf `A`, compares `A` with itself in one leaf block
+//!    ([`RadiusSearchEngine::leaf_hit_masks`]: the leaf decoded once,
+//!    one slot mask per query) with its finite points as the queries,
+//!    merges the overlapping masks into `A`'s local components and
+//!    links every member slot (non-finite points too: they are hit,
+//!    never query);
+//! 3. walks the tree once, pruning every subtree whose box lies farther
+//!    than the grown radius from `A`'s box or whose leaves all precede
+//!    `A`; the leaves it reaches are `A`'s candidates `B > A`;
+//! 4. compares each candidate `B` in one leaf block with the points of
+//!    `A` that can reach `B`'s box (a branch-free pre-mask) and links
+//!    what they hit, per local component of `A`. When `B`'s points
+//!    already share one set, a component already in that set sends no
+//!    query, so a pair whose leaves are one set already is skipped.
 //!
 //! The box tests only prune. They compare against the radius grown by
 //! [`GROWTH`] (plus [`FLOOR`]), which covers every rounding of an
 //! `f32` distance the kernel can compare at or below `r²`; only the
-//! sweep decides membership, so the components are exactly the ones
-//! the per-point BFS grows.
+//! leaf blocks decide membership, with the sweep kernels' own lane
+//! arithmetic, so the components are exactly the ones the per-point
+//! BFS grows.
 
 use bonsai_core::RadiusSearchEngine;
 use bonsai_geom::Point3;
-use bonsai_kdtree::simd::LeafVisit;
-use bonsai_kdtree::{query_is_searchable, radius_is_searchable, Neighbor, Node, SearchStats};
+use bonsai_kdtree::simd::{LeafVisit, BLOCK_SLOTS};
+use bonsai_kdtree::{query_is_searchable, radius_is_searchable, Node, SearchStats};
 
 /// Relative growth of the prune radius. An `f32` squared distance that
 /// compares `≤ r²` lies within a few units in the last place of the
@@ -232,6 +239,71 @@ impl DisjointSets {
     }
 }
 
+/// A leaf's local components, from its self pair: each a slot mask
+/// (bit `j` for slot `start + j`) and its member queries, one bit per
+/// query of the leaf's block.
+struct LocalComponents {
+    /// Slot masks, pairwise disjoint, covering every slot.
+    slots: [u32; BLOCK_SLOTS],
+    /// Per component, the bits of its member queries.
+    queries: [u32; BLOCK_SLOTS],
+    /// Per query, its component.
+    of_query: [u8; BLOCK_SLOTS],
+    /// Per component, one member's point index.
+    rep: [u32; BLOCK_SLOTS],
+    len: usize,
+}
+
+impl LocalComponents {
+    /// Merges the overlapping hit masks of the self pair: query `k`
+    /// (slot `qslot[k]`) reaches the slots of `masks[k]`, so they share
+    /// its component. A slot no query reaches — a non-finite point out
+    /// of every query's reach — is a component of its own.
+    fn of(masks: &[u32], qslot: &[u8], slots: &[u32]) -> LocalComponents {
+        let mut c = LocalComponents {
+            slots: [0; BLOCK_SLOTS],
+            queries: [0; BLOCK_SLOTS],
+            of_query: [0; BLOCK_SLOTS],
+            rep: [0; BLOCK_SLOTS],
+            len: 0,
+        };
+        for (&m, &q) in masks.iter().zip(qslot) {
+            // Components are disjoint, so what `s` absorbs cannot meet a
+            // component already passed over.
+            let mut s = m | 1 << q;
+            let mut i = 0;
+            while i < c.len {
+                if c.slots[i] & s != 0 {
+                    s |= c.slots[i];
+                    c.len -= 1;
+                    c.slots[i] = c.slots[c.len];
+                } else {
+                    i += 1;
+                }
+            }
+            c.slots[c.len] = s;
+            c.len += 1;
+        }
+        let covered = c.slots[..c.len].iter().fold(0, |a, &s| a | s);
+        let mut alone = !covered & ((1u32 << slots.len()) - 1);
+        while alone != 0 {
+            c.slots[c.len] = alone & alone.wrapping_neg();
+            c.len += 1;
+            alone &= alone - 1;
+        }
+        for i in 0..c.len {
+            c.rep[i] = slots[c.slots[i].trailing_zeros() as usize];
+            for (k, &q) in qslot.iter().enumerate() {
+                if c.slots[i] >> q & 1 != 0 {
+                    c.queries[i] |= 1 << k;
+                    c.of_query[k] = i as u8;
+                }
+            }
+        }
+        c
+    }
+}
+
 /// The connected components of `engine`'s tolerance graph at
 /// `tolerance`, size-filtered to `min_size..=max_size` exactly as
 /// [`bfs_connected_clusters`](crate::extract::bfs_connected_clusters)
@@ -240,9 +312,11 @@ impl DisjointSets {
 ///
 /// `stats` counts the join's own work: `nodes_visited` the nodes its
 /// per-leaf walks visit, `leaf_visits` the leaf pairs they find,
-/// `points_inspected`, `fallbacks` and `point_bytes_loaded` what the
-/// sweep kernels count. A non-searchable `tolerance` finds no edge:
-/// every point is its own component, as under the BFS.
+/// `points_inspected` the slots evaluated per (query, leaf) pair, and
+/// `fallbacks` and `point_bytes_loaded` what the leaf blocks count
+/// (each swept leaf's bytes once per block). A non-searchable
+/// `tolerance` finds no edge: every point is its own component, as
+/// under the BFS.
 pub(crate) fn self_join_clusters(
     engine: &RadiusSearchEngine<'_>,
     tolerance: f32,
@@ -275,61 +349,124 @@ pub(crate) fn self_join_clusters(
     // so every candidate `b > a` is settled before `a` sweeps it.
     let mut whole = vec![false; leaves.len()];
     let mut candidates: Vec<u32> = Vec::new();
-    let mut visits: Vec<LeafVisit> = Vec::new();
-    let mut hits: Vec<Neighbor> = Vec::new();
     let mut stack: Vec<u32> = Vec::new();
+    let mut queries = [Point3::ZERO; BLOCK_SLOTS];
+    let mut qslot = [0u8; BLOCK_SLOTS];
+    let mut masks = [0u32; BLOCK_SLOTS];
+    let mut block = [Point3::ZERO; BLOCK_SLOTS];
+    let mut from = [0u8; BLOCK_SLOTS];
     for a in (0..leaves.len()).rev() {
         let (a_node, start, count) = leaves[a];
-        let a_box = layout.boxes[a_node as usize];
         let slots = &vind[start as usize..(start + count) as usize];
 
-        candidates.clear();
-        stack.clear();
-        stack.push(0);
-        while let Some(id) = stack.pop() {
-            stats.nodes_visited += 1;
-            let id = id as usize;
-            if (!unbounded && (layout.last[id] as usize) < a)
-                || box_dist_sq(&a_box, &layout.boxes[id]) > reach_sq
-            {
-                continue;
-            }
-            match nodes[id] {
-                Node::Leaf { .. } => candidates.push(layout.last[id]),
-                Node::Interior { left, right, .. } => {
-                    stack.push(right);
-                    stack.push(left);
-                }
+        // The leaf's finite points are its queries.
+        let mut n = 0;
+        for (j, &idx) in slots.iter().enumerate() {
+            let p = points[idx as usize];
+            if query_is_searchable(p) {
+                queries[n] = p;
+                qslot[n] = j as u8;
+                n += 1;
             }
         }
-        stats.leaf_visits += candidates.len() as u64;
+        let queries = &queries[..n];
 
-        for &idx in slots {
-            let p = points[idx as usize];
-            if !query_is_searchable(p) {
-                continue;
+        // The self pair: the leaf's local components, every member
+        // linked (non-finite members too: they are hit, never query).
+        engine.leaf_hit_masks(leaves[a], queries, tolerance, &mut masks[..n], stats);
+        let local = LocalComponents::of(&masks[..n], &qslot[..n], slots);
+        for c in 0..local.len {
+            let mut rest = local.slots[c] & (local.slots[c] - 1);
+            let mut root = sets.find(local.rep[c]);
+            while rest != 0 {
+                root = sets.join(root, slots[rest.trailing_zeros() as usize]);
+                rest &= rest - 1;
             }
-            let mut root = sets.find(idx);
-            visits.clear();
-            for &b in &candidates {
-                let visit = leaves[b as usize];
-                if whole[b as usize] && sets.find(vind[visit.1 as usize]) == root {
+        }
+
+        // The leaf's walk finds its candidates `b ≥ a` (and, unbounded,
+        // every leaf); a leaf without queries sweeps nothing.
+        candidates.clear();
+        if n > 0 {
+            let a_box = layout.boxes[a_node as usize];
+            stack.clear();
+            stack.push(0);
+            while let Some(id) = stack.pop() {
+                stats.nodes_visited += 1;
+                let id = id as usize;
+                if (!unbounded && (layout.last[id] as usize) < a)
+                    || box_dist_sq(&a_box, &layout.boxes[id]) > reach_sq
+                {
                     continue;
                 }
-                if point_dist_sq(p, &layout.boxes[visit.0 as usize]) <= reach_sq {
-                    visits.push(visit);
+                match nodes[id] {
+                    Node::Leaf { .. } => candidates.push(layout.last[id]),
+                    Node::Interior { left, right, .. } => {
+                        stack.push(right);
+                        stack.push(left);
+                    }
                 }
             }
-            hits.clear();
-            engine.sweep_visited(&visits, p, tolerance, &mut hits, stats);
-            for hit in &hits {
-                root = sets.join(root, hit.index);
+            stats.leaf_visits += candidates.len() as u64;
+        }
+
+        for &b in &candidates {
+            let b = b as usize;
+            if b == a {
+                continue;
+            }
+            let visit = leaves[b];
+            let b_slots = &vind[visit.1 as usize..(visit.1 + visit.2) as usize];
+            // The queries that can reach `b`'s box (the per-point
+            // prune, branch-free), less the components that already
+            // share `b`'s one set.
+            let b_box = &layout.boxes[visit.0 as usize];
+            let mut reach = 0u32;
+            for (k, &p) in queries.iter().enumerate() {
+                reach |= u32::from(point_dist_sq(p, b_box) <= reach_sq) << k;
+            }
+            if whole[b] {
+                let rb = sets.find(b_slots[0]);
+                for c in 0..local.len {
+                    if reach & local.queries[c] != 0 && sets.find(local.rep[c]) == rb {
+                        reach &= !local.queries[c];
+                    }
+                }
+            }
+            if reach == 0 {
+                continue;
+            }
+            let mut m = 0;
+            let mut bits = reach;
+            while bits != 0 {
+                let k = bits.trailing_zeros() as usize;
+                block[m] = queries[k];
+                from[m] = k as u8;
+                m += 1;
+                bits &= bits - 1;
+            }
+            engine.leaf_hit_masks(visit, &block[..m], tolerance, &mut masks[..m], stats);
+            // Per component of `a`, the slots of `b` its queries reach.
+            let mut reached = [0u32; BLOCK_SLOTS];
+            for (&k, &mask) in from[..m].iter().zip(&masks[..m]) {
+                reached[local.of_query[k as usize] as usize] |= mask;
+            }
+            for (c, &hit) in reached[..local.len].iter().enumerate() {
+                if hit == 0 {
+                    continue;
+                }
+                let mut root = sets.find(local.rep[c]);
+                let mut hit = hit;
+                while hit != 0 {
+                    root = sets.join(root, b_slots[hit.trailing_zeros() as usize]);
+                    hit &= hit - 1;
+                }
             }
         }
 
-        if let Some((&first, rest)) = slots.split_first() {
-            let r = sets.find(first);
-            whole[a] = rest.iter().all(|&i| sets.find(i) == r);
+        if local.len > 0 {
+            let r = sets.find(local.rep[0]);
+            whole[a] = (1..local.len).all(|c| sets.find(local.rep[c]) == r);
         }
     }
     sets.into_clusters(min_size, max_size)
@@ -362,6 +499,37 @@ mod tests {
         let r = sets.find(3);
         sets.join(r, 4);
         assert_eq!(sets.into_clusters(2, 2), vec![vec![3, 4]]);
+    }
+
+    #[test]
+    fn local_components_merge_overlapping_masks() {
+        // Six slots; slots 2 and 5 are non-finite (no query). Slot 2 is
+        // hit by the query at slot 3; slot 5 by none. The query at slot
+        // 4 reaches slot 1, joining its component with {0, 1}.
+        let slots = [10, 11, 12, 13, 14, 15];
+        let qslot = [0u8, 1, 3, 4];
+        let masks = [0b00_0011, 0b00_0011, 0b00_1100, 0b01_0010];
+        let c = LocalComponents::of(&masks, &qslot, &slots);
+        let mut comps = c.slots[..c.len].to_vec();
+        comps.sort_unstable();
+        assert_eq!(comps, [0b00_1100, 0b01_0011, 0b10_0000]);
+        for i in 0..c.len {
+            let rep = slots.iter().position(|&s| s == c.rep[i]).unwrap();
+            assert_ne!(c.slots[i] & 1 << rep, 0, "component {i}");
+            for (k, &q) in qslot.iter().enumerate() {
+                let member = c.slots[i] >> q & 1 != 0;
+                assert_eq!(
+                    c.queries[i] >> k & 1 != 0,
+                    member,
+                    "component {i}, query {k}"
+                );
+                assert_eq!(
+                    c.of_query[k] as usize == i,
+                    member,
+                    "component {i}, query {k}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -23,7 +23,9 @@ use bonsai_kdtree::{KdTree, Neighbor, QueryBatch, SearchScratch, SearchStats};
 
 use bonsai_kdtree::simd::{LaneBackend, LeafVisit};
 
-use crate::simd::{compressed_sweep_kernel, sweep_compressed_visited, HalfRows};
+use crate::simd::{
+    compressed_hit_masks, compressed_sweep_kernel, sweep_compressed_visited, HalfRows,
+};
 use crate::tree::{header_bytes, BonsaiTree};
 
 /// Which leaf representation the engine scans.
@@ -203,6 +205,46 @@ impl<'t> RadiusSearchEngine<'t> {
         }
     }
 
+    /// Compares one leaf with a block of queries: `masks[i]` receives
+    /// the mask of the leaf's slots (bit `j` for slot `start + j`) that
+    /// [`sweep_visited`](RadiusSearchEngine::sweep_visited) over
+    /// `[leaf]` with `queries[i]` reports — the same lane arithmetic,
+    /// shell and exact fallback, so the same membership and the same
+    /// fallbacks, whichever kernel runs. The leaf's rows are decoded
+    /// once for the whole block (K-D Bonsai's ZipPts buffer staging one
+    /// leaf for many `SQDWE` comparisons), so `stats` counts the
+    /// leaf's `count` slots as inspected per query but its bytes once,
+    /// plus 12 bytes per exact fallback. `radius` is assumed
+    /// searchable.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the leaf holds more than
+    /// [`BLOCK_SLOTS`](bonsai_kdtree::simd::BLOCK_SLOTS) slots (no k-d
+    /// builder makes one) or lies outside the rows, or when `masks` and
+    /// `queries` differ in length.
+    pub fn leaf_hit_masks(
+        &self,
+        leaf: LeafVisit,
+        queries: &[Point3],
+        radius: f32,
+        masks: &mut [u32],
+        stats: &mut SearchStats,
+    ) {
+        let r_sq = radius * radius;
+        match self.bonsai {
+            None => self.tree.leaf_hit_masks(leaf, queries, r_sq, masks, stats),
+            Some(bonsai) => {
+                let (node, _, count) = leaf;
+                stats.points_inspected += count as u64 * queries.len() as u64;
+                stats.point_bytes_loaded +=
+                    header_bytes(bonsai.leaf_headers()[node as usize]) as u64;
+                let rows = HalfRows::of(bonsai.kd_tree());
+                compressed_hit_masks(rows, error_rom(), leaf, queries, r_sq, masks, stats);
+            }
+        }
+    }
+
     /// The per-query kernel: iterative traversal plus the mode's leaf
     /// sweep, **appending** hits to `out` (not cleared — exactly the
     /// closure shape [`QueryBatch::push_query`] consumes, which is how
@@ -239,9 +281,9 @@ impl<'t> RadiusSearchEngine<'t> {
 /// order, the same f16-approximate arithmetic as the SQDWE lanes —
 /// diff from the approximate leaf-relative coordinate, squared
 /// distance and Eq. 11 error accumulated x → y → z in `f32` — and runs
-/// the identical LUT/shell/fallback tail ([`classify_candidate`](crate::simd::classify_candidate)),
-/// so membership, `dist_sq` bits, hit order and [`SearchStats`] never
-/// depend on the backend.
+/// the identical LUT/shell/fallback tail (`candidate_hit` in
+/// `crate::simd`), so membership, `dist_sq` bits, hit order and
+/// [`SearchStats`] never depend on the backend.
 fn sweep_compressed(
     bonsai: &BonsaiTree,
     visited: &[LeafVisit],
@@ -425,6 +467,57 @@ mod tests {
                         0,
                         "{:?} radius {r}",
                         engine.mode()
+                    );
+                }
+            }
+        }
+    }
+
+    /// The leaf block reports, per query, exactly the slots and
+    /// fallbacks of a per-query sweep of that leaf, in both modes, over
+    /// every leaf of a tree; it counts `count` inspected slots per query
+    /// and the leaf's bytes once.
+    #[test]
+    fn leaf_hit_masks_match_per_query_sweeps() {
+        let cloud = urban_cloud(1500, 13);
+        let mut sim = SimEngine::disabled();
+        let tree = BonsaiTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
+        let base_tree = KdTree::build(cloud.clone(), KdTreeConfig::default(), &mut sim);
+        let queries: Vec<Point3> = cloud.iter().step_by(97).copied().collect();
+        for engine in [
+            RadiusSearchEngine::baseline(&base_tree),
+            RadiusSearchEngine::bonsai(&tree),
+        ] {
+            let nodes = engine.tree().nodes();
+            let vind = engine.tree().vind();
+            for (id, node) in nodes.iter().enumerate() {
+                let bonsai_kdtree::Node::Leaf { start, count, .. } = *node else {
+                    continue;
+                };
+                let leaf = (id as u32, start, count);
+                let slots = &vind[start as usize..(start + count) as usize];
+                for radius in [0.5f32, 3.0, 40.0] {
+                    let (mut want, mut want_stats) = (Vec::new(), SearchStats::default());
+                    let mut out = Vec::new();
+                    for &q in &queries {
+                        out.clear();
+                        engine.sweep_visited(&[leaf], q, radius, &mut out, &mut want_stats);
+                        want.push(out.iter().fold(0u32, |m, n| {
+                            m | 1 << slots.iter().position(|&i| i == n.index).unwrap()
+                        }));
+                    }
+                    let mut masks = vec![u32::MAX; queries.len()];
+                    let mut stats = SearchStats::default();
+                    engine.leaf_hit_masks(leaf, &queries, radius, &mut masks, &mut stats);
+                    let ctx = format!("{:?} leaf {id} r {radius}", engine.mode());
+                    assert_eq!(masks, want, "{ctx}");
+                    assert_eq!(stats.points_inspected, want_stats.points_inspected, "{ctx}");
+                    assert_eq!(stats.fallbacks, want_stats.fallbacks, "{ctx}");
+                    let leaf_bytes = want_stats.point_bytes_loaded - 12 * want_stats.fallbacks;
+                    assert_eq!(
+                        stats.point_bytes_loaded,
+                        leaf_bytes / queries.len() as u64 + 12 * stats.fallbacks,
+                        "{ctx}"
                     );
                 }
             }

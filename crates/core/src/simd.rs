@@ -12,9 +12,11 @@
 //! # Kernels
 //!
 //! [`sweep_compressed_visited`] dispatches one query's whole visit list
-//! to one of three kernels ([`compressed_sweep_kernel`]). Leaves are
-//! packed (no padding follows a leaf's last slot), so each kernel
-//! finishes its own tail and reads nothing past `start + count`:
+//! to one of three kernels ([`compressed_sweep_kernel`]), and
+//! [`compressed_hit_masks`] one leaf and a block of queries (the leaf
+//! decoded once, one slot mask per query). Leaves are packed (no
+//! padding follows a leaf's last slot), so each kernel finishes its own
+//! tail and reads nothing past `start + count`:
 //!
 //! * **AVX-512** (F + BW + VL, with F16C; [`LaneBackend::Avx512`]): one
 //!   16-lane group covers a whole ≤16-point leaf. Each row loads with
@@ -31,7 +33,11 @@
 //!   (`bonsai_kdtree::simd::compact_hits_avx2`), which loads only the
 //!   hit lanes' `vind` entries.
 //! * **Scalar** ([`sweep_scalar`]): the reference loop, run per point
-//!   through [`classify_candidate`] — everywhere else.
+//!   through [`candidate_hit`] — everywhere else.
+//!
+//! Each vector kernel writes its lane arithmetic once: `load_group`
+//! decodes a group of halves and `classify_group` runs Eq. 9/11/12 on
+//! it for one query, and both the sweep and the leaf block call them.
 //!
 //! Both vector kernels decode exactly (every lane sees the `f32` value
 //! the scalar [`Half::to_f32`] decode yields) and take each lane's
@@ -59,7 +65,7 @@
 
 use bonsai_floatfmt::{Half, PartErrorMem};
 use bonsai_geom::Point3;
-use bonsai_kdtree::simd::{active_backend, LaneBackend, LeafVisit};
+use bonsai_kdtree::simd::{active_backend, LaneBackend, LeafVisit, BLOCK_SLOTS};
 use bonsai_kdtree::{KdTree, Neighbor, Node, SearchStats};
 
 use crate::shell::{classify, ShellClass};
@@ -122,61 +128,63 @@ pub(crate) fn compressed_sweep_kernel() -> LaneBackend {
     }
 }
 
-/// One candidate's scalar classification tail — the code the scalar
-/// reference loop runs per point, and the code a SIMD kernel's
-/// inconclusive lanes must reproduce exactly.
+/// One half's exact `f32` value and its exponent field: what a lane
+/// decode yields per slot.
+#[inline(always)]
+fn decode(h: u16) -> (f32, u8) {
+    let h = Half::from_bits(h);
+    (h.to_f32(), h.exponent_field())
+}
+
+/// One candidate's scalar classification — Eq. 9/11/12 over its
+/// decoded halves `a` (value, exponent field per axis) and the query
+/// `q` in the leaf's frame, then the exact fallback when the shell is
+/// inconclusive. Returns the distance a sweep reports for the
+/// candidate, or `None` when it is out of radius. The scalar sweep and
+/// the scalar leaf block run it per slot; a SIMD kernel's lanes must
+/// reproduce it exactly.
 #[allow(clippy::too_many_arguments)] // the flattened per-lane state
 #[inline]
-pub(crate) fn classify_candidate(
-    d_sq: f32,
-    adx: f32,
-    ady: f32,
-    adz: f32,
-    ex: u8,
-    ey: u8,
-    ez: u8,
+fn candidate_hit(
+    q: Point3,
+    a: [(f32, u8); 3],
     idx: u32,
     points: &[Point3],
     lut: &PartErrorMem,
     query: Point3,
     r_sq: f32,
-    out: &mut Vec<Neighbor>,
     stats: &mut SearchStats,
-) {
-    let t_err = lut.max_squared_difference_error(adx, ex)
-        + lut.max_squared_difference_error(ady, ey)
-        + lut.max_squared_difference_error(adz, ez);
+) -> Option<f32> {
+    let dx = q.x - a[0].0;
+    let dy = q.y - a[1].0;
+    let dz = q.z - a[2].0;
+    let d_sq = dx * dx + dy * dy + dz * dz;
+    let t_err = lut.max_squared_difference_error(dx.abs(), a[0].1)
+        + lut.max_squared_difference_error(dy.abs(), a[1].1)
+        + lut.max_squared_difference_error(dz.abs(), a[2].1);
     match classify(d_sq, t_err, r_sq) {
-        ShellClass::In => out.push(Neighbor {
-            index: idx,
-            dist_sq: d_sq,
-        }),
-        ShellClass::Out => {}
-        ShellClass::Recompute => recompute_candidate(idx, points, query, r_sq, out, stats),
+        ShellClass::In => Some(d_sq),
+        ShellClass::Out => None,
+        ShellClass::Recompute => exact_hit(idx, points, query, r_sq, stats),
     }
 }
 
 /// The exact `f32` fallback of one inconclusive candidate (Eq. 3 over
 /// the original point), shared by the scalar tail and the SIMD
-/// kernels' masked fallback lanes.
+/// kernels' masked fallback lanes: the exact `d²` when it is within
+/// `r²`.
 #[inline]
-fn recompute_candidate(
+fn exact_hit(
     idx: u32,
     points: &[Point3],
     query: Point3,
     r_sq: f32,
-    out: &mut Vec<Neighbor>,
     stats: &mut SearchStats,
-) {
+) -> Option<f32> {
     stats.fallbacks += 1;
     stats.point_bytes_loaded += 12;
     let exact = points[idx as usize].distance_squared(query);
-    if exact <= r_sq {
-        out.push(Neighbor {
-            index: idx,
-            dist_sq: exact,
-        });
-    }
+    (exact <= r_sq).then_some(exact)
 }
 
 /// Compressed sweep of a query's collected leaf visits over `rows`
@@ -225,6 +233,65 @@ pub(crate) fn sweep_compressed_visited(
     }
 }
 
+/// The compressed leaf block: for each query, the mask of the slots of
+/// `leaf` (bit `j` for slot `start + j`) that
+/// [`sweep_compressed_visited`] of that leaf with that query reports,
+/// written to the matching entry of `masks`. The kernel decodes the
+/// leaf's halves once for the whole block, then runs the same per-group
+/// Eq. 9/11/12 arithmetic and exact fallbacks per query as the sweep —
+/// same membership, same fallbacks (counted into `stats`), whichever
+/// kernel runs.
+///
+/// # Panics
+///
+/// Panics when the leaf holds more than [`BLOCK_SLOTS`] slots or lies
+/// outside the rows, or when `masks` and `queries` differ in length.
+pub(crate) fn compressed_hit_masks(
+    rows: HalfRows<'_>,
+    lut: &PartErrorMem,
+    leaf: LeafVisit,
+    queries: &[Point3],
+    r_sq: f32,
+    masks: &mut [u32],
+    stats: &mut SearchStats,
+) {
+    let count = leaf.2;
+    // lint: allow(debug-assert-discipline) — this assert *is* the
+    // width contract of the unsafe block kernels below (and a short
+    // `masks` would leave queries unanswered); eliding it in release
+    // builds would turn a baking bug into UB.
+    assert!(
+        count as usize <= BLOCK_SLOTS && masks.len() == queries.len(),
+        "compressed leaf block of {count} slots (at most {BLOCK_SLOTS}), {} masks for {} queries",
+        masks.len(),
+        queries.len()
+    );
+    match compressed_sweep_kernel() {
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        kernel @ (LaneBackend::Avx512 | LaneBackend::Avx2) => {
+            let (slots, start) = (rows.slots(), leaf.1);
+            // lint: allow(debug-assert-discipline) — as above; the
+            // scalar kernel indexes its slices instead.
+            assert!(
+                start as usize + count as usize <= slots,
+                "compressed leaf block past the f16 rows: start {start} count {count} rows {slots}"
+            );
+            // SAFETY: the leaf's live range was asserted within the rows
+            // and `vind`, and at most `BLOCK_SLOTS` wide, above; the
+            // kernel's features (AVX-512 F/BW/VL or AVX2, with F16C)
+            // were established by the backend detection.
+            unsafe {
+                if kernel == LaneBackend::Avx512 {
+                    avx512::hit_masks(&rows, leaf, queries, r_sq, masks, stats)
+                } else {
+                    avx2::hit_masks(&rows, leaf, queries, r_sq, masks, stats)
+                }
+            }
+        }
+        _ => hit_masks_scalar(&rows, lut, leaf, queries, r_sq, masks, stats),
+    }
+}
+
 /// The scalar reference kernel (also the no-`simd` build): slice
 /// windows hoisted to one exact length per leaf so the loop body
 /// indexes without bounds checks; each half decodes exactly to its
@@ -246,32 +313,45 @@ fn sweep_scalar(
         let az = &rows.z[start..start + count];
         let vw = &rows.vind[start..start + count];
         for i in 0..count {
-            let (hx, hy, hz) = (
-                Half::from_bits(ax[i]),
-                Half::from_bits(ay[i]),
-                Half::from_bits(az[i]),
-            );
-            let dx = q.x - hx.to_f32();
-            let dy = q.y - hy.to_f32();
-            let dz = q.z - hz.to_f32();
-            let d_sq = dx * dx + dy * dy + dz * dz;
-            classify_candidate(
-                d_sq,
-                dx.abs(),
-                dy.abs(),
-                dz.abs(),
-                hx.exponent_field(),
-                hy.exponent_field(),
-                hz.exponent_field(),
-                vw[i],
-                rows.points,
-                lut,
-                query,
-                r_sq,
-                out,
-                stats,
-            );
+            let a = [decode(ax[i]), decode(ay[i]), decode(az[i])];
+            if let Some(dist_sq) = candidate_hit(q, a, vw[i], rows.points, lut, query, r_sq, stats)
+            {
+                out.push(Neighbor {
+                    index: vw[i],
+                    dist_sq,
+                });
+            }
         }
+    }
+}
+
+/// The scalar leaf block: the leaf's halves decode once, then
+/// [`candidate_hit`] runs per (query, slot).
+fn hit_masks_scalar(
+    rows: &HalfRows<'_>,
+    lut: &PartErrorMem,
+    (leaf, start, count): LeafVisit,
+    queries: &[Point3],
+    r_sq: f32,
+    masks: &mut [u32],
+    stats: &mut SearchStats,
+) {
+    let (start, count) = (start as usize, count as usize);
+    let mut a = [[(0.0f32, 0u8); 3]; BLOCK_SLOTS];
+    for (j, slot) in a[..count].iter_mut().enumerate() {
+        let i = start + j;
+        *slot = [decode(rows.x[i]), decode(rows.y[i]), decode(rows.z[i])];
+    }
+    let vw = &rows.vind[start..start + count];
+    let origin = rows.origin(leaf);
+    for (&query, mask) in queries.iter().zip(masks) {
+        let q = query - origin;
+        let mut m = 0u32;
+        for j in 0..count {
+            let hit = candidate_hit(q, a[j], vw[j], rows.points, lut, query, r_sq, stats);
+            m |= u32::from(hit.is_some()) << j;
+        }
+        *mask = m;
     }
 }
 
@@ -280,6 +360,162 @@ mod avx2 {
     use super::*;
     use crate::shell::{SHELL_SLACK_ULPS, T_ERR_WIDEN};
     use core::arch::x86_64::*;
+
+    /// The lane constants of one sweep or block, broadcast once.
+    #[derive(Clone, Copy)]
+    struct Consts {
+        rs: __m256,
+        abs_mask: __m256,
+        slack_coef: __m256,
+        widen: __m256,
+    }
+
+    impl Consts {
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        fn new(r_sq: f32) -> Consts {
+            Consts {
+                rs: _mm256_set1_ps(r_sq),
+                abs_mask: _mm256_set1_ps(f32::from_bits(0x7FFF_FFFF)),
+                // `16 · ε` is a power of two, so pre-multiplying it is
+                // exact and the per-lane `slack` bits match the scalar
+                // `SHELL_SLACK_ULPS * f32::EPSILON * max(d′², r²)`.
+                slack_coef: _mm256_set1_ps(SHELL_SLACK_ULPS * f32::EPSILON),
+                widen: _mm256_set1_ps(T_ERR_WIDEN),
+            }
+        }
+    }
+
+    /// One decoded 8-lane group: per axis the halves' `f32` values and
+    /// exponent fields, and the live-lane bits (all 8, or the leaf's
+    /// tail).
+    #[derive(Clone, Copy)]
+    struct Group {
+        ax: __m256,
+        ay: __m256,
+        az: __m256,
+        ix: __m256i,
+        iy: __m256i,
+        iz: __m256i,
+        live: u32,
+    }
+
+    /// Loads and decodes the `live` slots `base..base + live`. A full
+    /// group loads straight from the rows; a leaf's partial tail group
+    /// is copied into zeroed stack halves first, so nothing past the
+    /// leaf is read.
+    ///
+    /// # Safety
+    ///
+    /// `base..base + live` must lie within every f16 row, `live` must
+    /// be in `1..=8`, and AVX2 and F16C must be available.
+    #[target_feature(enable = "avx2,f16c")]
+    #[inline]
+    unsafe fn load_group(rows: &HalfRows<'_>, base: usize, live: usize) -> Group {
+        let group = |row: &[u16]| -> __m128i {
+            if live == 8 {
+                // SAFETY: `base..base + 8` lies within the row per the
+                // caller's contract.
+                unsafe { _mm_loadu_si128(row.as_ptr().add(base).cast()) }
+            } else {
+                let mut tail = [0u16; 8];
+                tail[..live].copy_from_slice(&row[base..base + live]);
+                // SAFETY: `tail` holds the 8 halves of the load.
+                unsafe { _mm_loadu_si128(tail.as_ptr().cast()) }
+            }
+        };
+        // SAFETY: `decode_lanes` is register-only and needs AVX2 + F16C,
+        // enabled here.
+        let ((ax, ix), (ay, iy), (az, iz)) = unsafe {
+            (
+                decode_lanes(group(rows.x)),
+                decode_lanes(group(rows.y)),
+                decode_lanes(group(rows.z)),
+            )
+        };
+        Group {
+            ax,
+            ay,
+            az,
+            ix,
+            iy,
+            iz,
+            live: 0xFF >> (8 - live),
+        }
+    }
+
+    /// Eq. 9/11/12 on one decoded group against the query `(qx, qy,
+    /// qz)` in the leaf's frame — the one place the AVX2 kernels write
+    /// the lane arithmetic, shared by the sweep and the leaf block.
+    /// Returns the approximate distances `d′²`, the conclusive-In lanes
+    /// and the candidate lanes (In or inconclusive), both live-masked:
+    /// a candidate that is not In re-computes exactly.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn classify_group(
+        c: &Consts,
+        g: &Group,
+        qx: __m256,
+        qy: __m256,
+        qz: __m256,
+    ) -> (__m256, u32, u32) {
+        // Same arithmetic, same order as the scalar loop and the SQDWE
+        // lanes: diff from the exactly decoded f16 coordinate (query −
+        // approx), then (dx² + dy²) + dz² — no FMA.
+        let dx = _mm256_sub_ps(qx, g.ax);
+        let dy = _mm256_sub_ps(qy, g.ay);
+        let dz = _mm256_sub_ps(qz, g.az);
+        let d = _mm256_add_ps(
+            _mm256_add_ps(_mm256_mul_ps(dx, dx), _mm256_mul_ps(dy, dy)),
+            _mm256_mul_ps(dz, dz),
+        );
+        // Eq. 9 per coordinate with in-register ROM synthesis: the
+        // `part_error_mem` entries are all exact powers of two
+        // (`two_max_delta[e] = 2^(max(e,1)−25)`, `max_delta_sq[e] =
+        // 2^(2·max(e,1)−52)`), so each lane builds them by exponent-field bit
+        // arithmetic instead of a memory gather — bit-identical to
+        // the ROM (asserted by `synthesized_rom_matches_lut`), an
+        // order of magnitude cheaper than `vgatherdps`. Then
+        // `two_max_delta · |A − B′| + max_delta_sq`, accumulated
+        // x → y → z like the scalar sum. The overflow row `e = 31`
+        // (infinite in the ROM) needs no patch: such a half decodes
+        // to ±∞ or NaN, so its `|A − B′|` — hence `t_err` and the
+        // shell half-width — is non-finite, which fails both
+        // ordered compares below exactly like the scalar
+        // classify's forced Recompute.
+        // SAFETY: `part_error_lanes` is register-only and needs only
+        // AVX2, enabled here.
+        let t_err = unsafe {
+            _mm256_add_ps(
+                _mm256_add_ps(
+                    part_error_lanes(g.ix, _mm256_and_ps(dx, c.abs_mask)),
+                    part_error_lanes(g.iy, _mm256_and_ps(dy, c.abs_mask)),
+                ),
+                part_error_lanes(g.iz, _mm256_and_ps(dz, c.abs_mask)),
+            )
+        };
+        // Eq. 12 with the documented translation widening and f32
+        // slack, `t_err · T_ERR_WIDEN + slack` like the scalar
+        // classify. `max_ps(d, rs)` returns its second operand on a NaN
+        // `d`, matching Rust's `f32::max`; non-finite `t` fails both
+        // ordered compares, which is exactly the scalar classify's
+        // forced Recompute.
+        let t = _mm256_add_ps(
+            _mm256_mul_ps(t_err, c.widen),
+            _mm256_mul_ps(c.slack_coef, _mm256_max_ps(d, c.rs)),
+        );
+        let m_in =
+            _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LE_OQ>(d, _mm256_sub_ps(c.rs, t))) as u32;
+        let m_out =
+            _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GT_OQ>(d, _mm256_add_ps(c.rs, t))) as u32;
+        // Lanes past the count are clipped by the live mask.
+        let m_in = m_in & g.live;
+        (d, m_in, (m_in | !m_out) & g.live)
+    }
 
     /// # Safety
     ///
@@ -296,13 +532,7 @@ mod avx2 {
         stats: &mut SearchStats,
     ) {
         let (vind, points) = (rows.vind, rows.points);
-        let rs = _mm256_set1_ps(r_sq);
-        let abs_mask = _mm256_set1_ps(f32::from_bits(0x7FFF_FFFF));
-        // `16 · ε` is a power of two, so pre-multiplying it is exact
-        // and the per-lane `slack` bits match the scalar
-        // `SHELL_SLACK_ULPS * f32::EPSILON * max(d′², r²)`.
-        let slack_coef = _mm256_set1_ps(SHELL_SLACK_ULPS * f32::EPSILON);
-        let widen = _mm256_set1_ps(T_ERR_WIDEN);
+        let c = Consts::new(r_sq);
         for &(leaf, start, count) in visited {
             // The query in the leaf's frame: one subtract per axis per
             // visit, the scalar `query − origin` bits broadcast.
@@ -316,91 +546,18 @@ mod avx2 {
             let mut g = 0;
             while g < count {
                 let base = start + g;
-                let live = (count - g).min(8);
-                // A full group loads straight from the rows; the leaf's
-                // partial tail group is copied into zeroed stack halves
-                // first, so nothing past `start + count` is read.
-                let group = |row: &[u16]| -> __m128i {
-                    if live == 8 {
-                        // SAFETY: `base..base + 8` lies within the
-                        // leaf's live range, inside the row per the
-                        // caller's contract.
-                        unsafe { _mm_loadu_si128(row.as_ptr().add(base).cast()) }
-                    } else {
-                        let mut tail = [0u16; 8];
-                        tail[..live].copy_from_slice(&row[base..base + live]);
-                        // SAFETY: `tail` holds the 8 halves of the load.
-                        unsafe { _mm_loadu_si128(tail.as_ptr().cast()) }
-                    }
+                // SAFETY: `base..base + live` lies within the leaf's live
+                // range, inside every row per the caller's contract;
+                // `classify_group` is register-only and needs AVX2, and
+                // both need only the features enabled here.
+                let (d, m_in, mut cand) = unsafe {
+                    let group = load_group(rows, base, (count - g).min(8));
+                    classify_group(&c, &group, qx, qy, qz)
                 };
-                // SAFETY: `decode_lanes` is register-only and needs
-                // AVX2 + F16C, enabled here.
-                let ((ax, ix), (ay, iy), (az, iz)) = unsafe {
-                    (
-                        decode_lanes(group(rows.x)),
-                        decode_lanes(group(rows.y)),
-                        decode_lanes(group(rows.z)),
-                    )
-                };
-                // Same arithmetic, same order as the scalar loop and the
-                // SQDWE lanes: diff from the exactly decoded f16
-                // coordinate (query − approx), then (dx² + dy²) + dz² —
-                // no FMA.
-                let dx = _mm256_sub_ps(qx, ax);
-                let dy = _mm256_sub_ps(qy, ay);
-                let dz = _mm256_sub_ps(qz, az);
-                let d = _mm256_add_ps(
-                    _mm256_add_ps(_mm256_mul_ps(dx, dx), _mm256_mul_ps(dy, dy)),
-                    _mm256_mul_ps(dz, dz),
-                );
-                // Eq. 9 per coordinate with in-register ROM synthesis: the
-                // `part_error_mem` entries are all exact powers of two
-                // (`two_max_delta[e] = 2^(max(e,1)−25)`, `max_delta_sq[e] =
-                // 2^(2·max(e,1)−52)`), so each lane builds them by exponent-field bit
-                // arithmetic instead of a memory gather — bit-identical to
-                // the ROM (asserted by `synthesized_rom_matches_lut`), an
-                // order of magnitude cheaper than `vgatherdps`. Then
-                // `two_max_delta · |A − B′| + max_delta_sq`, accumulated
-                // x → y → z like the scalar sum. The overflow row `e = 31`
-                // (infinite in the ROM) needs no patch: such a half decodes
-                // to ±∞ or NaN, so its `|A − B′|` — hence `t_err` and the
-                // shell half-width — is non-finite, which fails both
-                // ordered compares below exactly like the scalar
-                // classify's forced Recompute.
-                // SAFETY: `part_error_lanes` is register-only and needs
-                // only AVX2, enabled here.
-                let t_err = unsafe {
-                    _mm256_add_ps(
-                        _mm256_add_ps(
-                            part_error_lanes(ix, _mm256_and_ps(dx, abs_mask)),
-                            part_error_lanes(iy, _mm256_and_ps(dy, abs_mask)),
-                        ),
-                        part_error_lanes(iz, _mm256_and_ps(dz, abs_mask)),
-                    )
-                };
-                // Eq. 12 with the documented translation widening and
-                // f32 slack, `t_err · T_ERR_WIDEN + slack` like the scalar
-                // classify. `max_ps(d, rs)` returns its second operand on
-                // a NaN `d`, matching Rust's `f32::max`; non-finite `t`
-                // fails both ordered compares, which is exactly the
-                // scalar classify's forced Recompute.
-                let t = _mm256_add_ps(
-                    _mm256_mul_ps(t_err, widen),
-                    _mm256_mul_ps(slack_coef, _mm256_max_ps(d, rs)),
-                );
-                let m_in =
-                    _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LE_OQ>(d, _mm256_sub_ps(rs, t))) as u32;
-                let m_out =
-                    _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GT_OQ>(d, _mm256_add_ps(rs, t))) as u32;
                 // Conclusive-In lanes push their approximate distance;
                 // lanes that are neither In nor Out re-compute exactly —
-                // all in ascending slot order. Lanes past the count are
-                // clipped by the live mask.
-                let live_bits = 0xFFu32 >> (8 - live);
-                let m_in = m_in & live_bits;
-                let mut cand = (m_in | !m_out) & live_bits;
-                let recompute = cand & !m_in;
-                if recompute == 0 {
+                // all in ascending slot order.
+                if cand & !m_in == 0 {
                     // The common shape (~99.6 % of points classify
                     // conclusively): every candidate is a conclusive In,
                     // so the whole group compacts with vector stores.
@@ -419,7 +576,7 @@ mod avx2 {
                             );
                         }
                     }
-                } else if cand != 0 {
+                } else {
                     let mut dv = [0.0f32; 8];
                     // SAFETY: `dv` is an 8-float stack buffer sized
                     // for the full-register store.
@@ -429,19 +586,85 @@ mod avx2 {
                     while cand != 0 {
                         let j = cand.trailing_zeros() as usize;
                         let idx = vind[base + j];
-                        if m_in & (1 << j) != 0 {
+                        let hit = if m_in & (1 << j) != 0 {
+                            Some(dv[j])
+                        } else {
+                            super::exact_hit(idx, points, query, r_sq, stats)
+                        };
+                        if let Some(dist_sq) = hit {
                             out.push(Neighbor {
                                 index: idx,
-                                dist_sq: dv[j],
+                                dist_sq,
                             });
-                        } else {
-                            super::recompute_candidate(idx, points, query, r_sq, out, stats);
                         }
                         cand &= cand - 1;
                     }
                 }
                 g += 8;
             }
+        }
+    }
+
+    /// The AVX2 leaf block: the leaf's at most two 8-lane groups load
+    /// and decode once, then every query runs [`classify_group`] on each
+    /// and re-computes its inconclusive lanes exactly.
+    ///
+    /// # Safety
+    ///
+    /// Caller guarantees the leaf's live range `start..start + count`
+    /// is within every f16 row and `vind`, `count ≤ BLOCK_SLOTS`, and
+    /// that AVX2 and F16C are available.
+    #[target_feature(enable = "avx2,f16c")]
+    pub(super) unsafe fn hit_masks(
+        rows: &HalfRows<'_>,
+        (leaf, start, count): LeafVisit,
+        queries: &[Point3],
+        r_sq: f32,
+        masks: &mut [u32],
+        stats: &mut SearchStats,
+    ) {
+        let (start, count) = (start as usize, count as usize);
+        if count == 0 {
+            masks.fill(0);
+            return;
+        }
+        let c = Consts::new(r_sq);
+        // SAFETY: each group's live slots lie within the leaf, inside
+        // every row per the caller's contract (a one-group leaf repeats
+        // its group with no live lane); the features are enabled here.
+        let groups = unsafe {
+            let first = load_group(rows, start, count.min(8));
+            if count > 8 {
+                [first, load_group(rows, start + 8, count - 8)]
+            } else {
+                [first, Group { live: 0, ..first }]
+            }
+        };
+        let origin = rows.origin(leaf);
+        for (&query, mask) in queries.iter().zip(masks) {
+            let q = query - origin;
+            let (qx, qy, qz) = (
+                _mm256_set1_ps(q.x),
+                _mm256_set1_ps(q.y),
+                _mm256_set1_ps(q.z),
+            );
+            let mut m = 0u32;
+            for (k, group) in groups.iter().enumerate() {
+                // SAFETY: `classify_group` is register-only and needs
+                // AVX2, enabled here.
+                let (_, m_in, cand) = unsafe { classify_group(&c, group, qx, qy, qz) };
+                let mut recompute = cand & !m_in;
+                let mut hits = m_in;
+                while recompute != 0 {
+                    let j = recompute.trailing_zeros();
+                    let idx = rows.vind[start + 8 * k + j as usize];
+                    let hit = super::exact_hit(idx, rows.points, query, r_sq, stats);
+                    hits |= u32::from(hit.is_some()) << j;
+                    recompute &= recompute - 1;
+                }
+                m |= hits << (8 * k);
+            }
+            *mask = m;
         }
     }
 
@@ -503,6 +726,129 @@ mod avx512 {
     /// Lanes per group: one ZipPts buffer, a whole default-size leaf.
     const LANES: usize = 16;
 
+    /// The lane constants of one sweep or block, broadcast once.
+    #[derive(Clone, Copy)]
+    struct Consts {
+        rs: __m512,
+        slack_coef: __m512,
+        widen: __m512,
+    }
+
+    impl Consts {
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        fn new(r_sq: f32) -> Consts {
+            Consts {
+                rs: _mm512_set1_ps(r_sq),
+                // `16 · ε` is a power of two, so pre-multiplying it is
+                // exact (see the AVX2 kernel).
+                slack_coef: _mm512_set1_ps(SHELL_SLACK_ULPS * f32::EPSILON),
+                widen: _mm512_set1_ps(T_ERR_WIDEN),
+            }
+        }
+    }
+
+    /// One decoded 16-lane group: per axis the halves' `f32` values and
+    /// exponent fields, and its live lanes (all 16, or the leaf's tail).
+    #[derive(Clone, Copy)]
+    struct Group {
+        ax: __m512,
+        ay: __m512,
+        az: __m512,
+        ix: __m512i,
+        iy: __m512i,
+        iz: __m512i,
+        live: __mmask16,
+    }
+
+    /// Loads and decodes the live slots of the group at `base`: each row
+    /// with a masked 16-bit load of exactly the `live` lanes.
+    ///
+    /// # Safety
+    ///
+    /// Every slot of `live` (lane `j` is slot `base + j`) must lie
+    /// within every f16 row, and AVX-512 F, BW and VL and F16C must be
+    /// available.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,f16c")]
+    #[inline]
+    unsafe fn load_group(rows: &HalfRows<'_>, base: usize, live: __mmask16) -> Group {
+        let (px, py, pz) = (rows.x.as_ptr(), rows.y.as_ptr(), rows.z.as_ptr());
+        // SAFETY: the masked loads touch only the `live` slots, within
+        // every f16 row per the caller's contract (masked-off lanes are
+        // neither read nor faulted on, and load as zero);
+        // `decode_lanes` is register-only and needs the features
+        // enabled here.
+        let ((ax, ix), (ay, iy), (az, iz)) = unsafe {
+            (
+                decode_lanes(_mm256_maskz_loadu_epi16(live, px.add(base).cast())),
+                decode_lanes(_mm256_maskz_loadu_epi16(live, py.add(base).cast())),
+                decode_lanes(_mm256_maskz_loadu_epi16(live, pz.add(base).cast())),
+            )
+        };
+        Group {
+            ax,
+            ay,
+            az,
+            ix,
+            iy,
+            iz,
+            live,
+        }
+    }
+
+    /// Eq. 9/11/12 on one decoded group against the query `(qx, qy,
+    /// qz)` in the leaf's frame — the one place the AVX-512 kernels
+    /// write the lane arithmetic, shared by the sweep and the leaf
+    /// block. Returns the approximate distances `d′²`, the conclusive-In
+    /// lanes and the candidate lanes (In or inconclusive), both
+    /// live-masked.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn classify_group(
+        c: &Consts,
+        g: &Group,
+        qx: __m512,
+        qy: __m512,
+        qz: __m512,
+    ) -> (__m512, __mmask16, __mmask16) {
+        // The AVX2 kernel's expressions, in its order: diffs from the
+        // decoded halves, (dx² + dy²) + dz², no FMA.
+        let dx = _mm512_sub_ps(qx, g.ax);
+        let dy = _mm512_sub_ps(qy, g.ay);
+        let dz = _mm512_sub_ps(qz, g.az);
+        let d = _mm512_add_ps(
+            _mm512_add_ps(_mm512_mul_ps(dx, dx), _mm512_mul_ps(dy, dy)),
+            _mm512_mul_ps(dz, dz),
+        );
+        // Eq. 9 per coordinate with the ROM synthesized from the
+        // exponent fields, accumulated x → y → z (Eq. 11).
+        // SAFETY: `part_error_lanes` is register-only and needs only
+        // AVX-512F, enabled here.
+        let t_err = unsafe {
+            _mm512_add_ps(
+                _mm512_add_ps(
+                    part_error_lanes(g.ix, _mm512_abs_ps(dx)),
+                    part_error_lanes(g.iy, _mm512_abs_ps(dy)),
+                ),
+                part_error_lanes(g.iz, _mm512_abs_ps(dz)),
+            )
+        };
+        // Eq. 12, widened like the scalar classify; `max_ps` returns
+        // `rs` on a NaN `d` like Rust's `f32::max`, and a non-finite `t`
+        // fails both ordered compares (Recompute).
+        let t = _mm512_add_ps(
+            _mm512_mul_ps(t_err, c.widen),
+            _mm512_mul_ps(c.slack_coef, _mm512_max_ps(d, c.rs)),
+        );
+        let m_in = _mm512_mask_cmp_ps_mask::<_CMP_LE_OQ>(g.live, d, _mm512_sub_ps(c.rs, t));
+        let m_out = _mm512_cmp_ps_mask::<_CMP_GT_OQ>(d, _mm512_add_ps(c.rs, t));
+        (d, m_in, (m_in | !m_out) & g.live)
+    }
+
     /// # Safety
     ///
     /// Caller guarantees every visit's live range `start..start +
@@ -518,12 +864,7 @@ mod avx512 {
         stats: &mut SearchStats,
     ) {
         let (vind, points) = (rows.vind, rows.points);
-        let (px, py, pz) = (rows.x.as_ptr(), rows.y.as_ptr(), rows.z.as_ptr());
-        let rs = _mm512_set1_ps(r_sq);
-        // `16 · ε` is a power of two, so pre-multiplying it is exact
-        // (see the AVX2 kernel).
-        let slack_coef = _mm512_set1_ps(SHELL_SLACK_ULPS * f32::EPSILON);
-        let widen = _mm512_set1_ps(T_ERR_WIDEN);
+        let c = Consts::new(r_sq);
         for &(leaf, start, count) in visited {
             let q = query - rows.origin(leaf);
             let (qx, qy, qz) = (
@@ -537,50 +878,14 @@ mod avx512 {
                 let base = start + g;
                 // The group's live lanes: all 16, or the leaf's tail.
                 let live = ((1u32 << (count - g).min(LANES)) - 1) as __mmask16;
-                // SAFETY: the masked loads touch only the `live` slots
-                // `base..start + count`, within every f16 row per the
-                // caller's contract (masked-off lanes are neither read
-                // nor faulted on, and load as zero); `decode_lanes` is
-                // register-only and needs the features enabled here.
-                let ((ax, ix), (ay, iy), (az, iz)) = unsafe {
-                    (
-                        decode_lanes(_mm256_maskz_loadu_epi16(live, px.add(base).cast())),
-                        decode_lanes(_mm256_maskz_loadu_epi16(live, py.add(base).cast())),
-                        decode_lanes(_mm256_maskz_loadu_epi16(live, pz.add(base).cast())),
-                    )
+                // SAFETY: the `live` slots `base..start + count` lie
+                // within every f16 row per the caller's contract;
+                // `classify_group` is register-only, and both need only
+                // the features enabled here.
+                let (d, m_in, mut cand) = unsafe {
+                    let group = load_group(rows, base, live);
+                    classify_group(&c, &group, qx, qy, qz)
                 };
-                // The AVX2 kernel's expressions, in its order: diffs from
-                // the decoded halves, (dx² + dy²) + dz², no FMA.
-                let dx = _mm512_sub_ps(qx, ax);
-                let dy = _mm512_sub_ps(qy, ay);
-                let dz = _mm512_sub_ps(qz, az);
-                let d = _mm512_add_ps(
-                    _mm512_add_ps(_mm512_mul_ps(dx, dx), _mm512_mul_ps(dy, dy)),
-                    _mm512_mul_ps(dz, dz),
-                );
-                // Eq. 9 per coordinate with the ROM synthesized from the
-                // exponent fields, accumulated x → y → z (Eq. 11).
-                // SAFETY: `part_error_lanes` is register-only and needs
-                // only AVX-512F, enabled here.
-                let t_err = unsafe {
-                    _mm512_add_ps(
-                        _mm512_add_ps(
-                            part_error_lanes(ix, _mm512_abs_ps(dx)),
-                            part_error_lanes(iy, _mm512_abs_ps(dy)),
-                        ),
-                        part_error_lanes(iz, _mm512_abs_ps(dz)),
-                    )
-                };
-                // Eq. 12, widened like the scalar classify; `max_ps`
-                // returns `rs` on a NaN `d` like Rust's `f32::max`, and a
-                // non-finite `t` fails both ordered compares (Recompute).
-                let t = _mm512_add_ps(
-                    _mm512_mul_ps(t_err, widen),
-                    _mm512_mul_ps(slack_coef, _mm512_max_ps(d, rs)),
-                );
-                let m_in = _mm512_mask_cmp_ps_mask::<_CMP_LE_OQ>(live, d, _mm512_sub_ps(rs, t));
-                let m_out = _mm512_cmp_ps_mask::<_CMP_GT_OQ>(d, _mm512_add_ps(rs, t));
-                let mut cand = (m_in | !m_out) & live;
                 if cand & !m_in == 0 {
                     // Every candidate is a conclusive In (~99.6 % of
                     // points classify conclusively). Compacting an empty
@@ -598,19 +903,75 @@ mod avx512 {
                     while cand != 0 {
                         let j = cand.trailing_zeros() as usize;
                         let idx = vind[base + j];
-                        if m_in & (1 << j) != 0 {
+                        let hit = if m_in & (1 << j) != 0 {
+                            Some(dv[j])
+                        } else {
+                            super::exact_hit(idx, points, query, r_sq, stats)
+                        };
+                        if let Some(dist_sq) = hit {
                             out.push(Neighbor {
                                 index: idx,
-                                dist_sq: dv[j],
+                                dist_sq,
                             });
-                        } else {
-                            super::recompute_candidate(idx, points, query, r_sq, out, stats);
                         }
                         cand &= cand - 1;
                     }
                 }
                 g += LANES;
             }
+        }
+    }
+
+    /// The AVX-512 leaf block: the leaf — one ZipPts buffer, a single
+    /// 16-lane group — loads and decodes once, then every query runs
+    /// [`classify_group`] and re-computes its inconclusive lanes
+    /// exactly.
+    ///
+    /// # Safety
+    ///
+    /// Caller guarantees the leaf's live range `start..start + count`
+    /// is within every f16 row and `vind`, `count ≤ BLOCK_SLOTS`, and
+    /// that AVX-512 F, BW and VL and F16C are available.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,f16c")]
+    pub(super) unsafe fn hit_masks(
+        rows: &HalfRows<'_>,
+        (leaf, start, count): LeafVisit,
+        queries: &[Point3],
+        r_sq: f32,
+        masks: &mut [u32],
+        stats: &mut SearchStats,
+    ) {
+        let (start, count) = (start as usize, count as usize);
+        let c = Consts::new(r_sq);
+        let live = ((1u32 << count) - 1) as __mmask16;
+        // SAFETY: the `live` slots are the leaf's, within every f16 row
+        // per the caller's contract (`count ≤ 16`, so one group covers
+        // the leaf); the features are enabled here.
+        let group = unsafe { load_group(rows, start, live) };
+        let origin = rows.origin(leaf);
+        for (&query, mask) in queries.iter().zip(masks) {
+            let q = query - origin;
+            // SAFETY: `classify_group` is register-only and needs only
+            // AVX-512F, enabled here.
+            let (_, m_in, cand) = unsafe {
+                classify_group(
+                    &c,
+                    &group,
+                    _mm512_set1_ps(q.x),
+                    _mm512_set1_ps(q.y),
+                    _mm512_set1_ps(q.z),
+                )
+            };
+            let mut recompute = cand & !m_in;
+            let mut hits = u32::from(m_in);
+            while recompute != 0 {
+                let j = recompute.trailing_zeros();
+                let idx = rows.vind[start + j as usize];
+                let hit = super::exact_hit(idx, rows.points, query, r_sq, stats);
+                hits |= u32::from(hit.is_some()) << j;
+                recompute &= recompute - 1;
+            }
+            *mask = hits;
         }
     }
 
@@ -869,7 +1230,8 @@ mod tests {
     /// exponent-31 and NaN halves, mixed In/Recompute groups and
     /// map-offset origins, on packed rows with poison right after every
     /// leaf (the kernels' contract: they read nothing past
-    /// `start + count`).
+    /// `start + count`). Every compiled leaf-block kernel reports per
+    /// query the slots and fallbacks of the scalar per-query sweep.
     #[test]
     fn kernels_agree_bit_for_bit() {
         let lut = PartErrorMem::new();
@@ -907,8 +1269,10 @@ mod tests {
             lists.push(vec![f.visits[16], f.visits[17], f.visits[16], f.visits[0]]);
             for visits in &lists {
                 // Radii below, on and past the planted shell; the last
-                // admits whole leaves, so groups emit more than 8 hits.
-                for radius in [0.1f32, 0.35, 0.5, 4.0] {
+                // two admit whole leaves, so groups emit more than 8
+                // hits, and `r² = ∞` sends the ±∞ halves' lanes to the
+                // exact fallback with an infinite radius.
+                for radius in [0.1f32, 0.35, 0.5, 4.0, 2e19] {
                     let (q, r_sq) = (f.center, radius * radius);
                     let (mut want, mut want_stats) = (Vec::new(), SearchStats::default());
                     sweep_scalar(&f.rows(), &lut, visits, q, r_sq, &mut want, &mut want_stats);
@@ -946,6 +1310,99 @@ mod tests {
                     let _ = &check;
                 }
             }
+            // The leaf block: every leaf of 0..=16 slots against a block
+            // of queries — the planted center (whose shell lanes are
+            // inconclusive at r = 0.35), shifted centers, a leaf point
+            // and a NaN query — reports per query exactly the slots and
+            // fallbacks of the scalar per-query sweep, in every kernel.
+            let queries = [
+                f.center,
+                f.center + Point3::new(0.2, 0.0, -0.1),
+                f.center + Point3::new(-0.05, 0.3, 0.0),
+                f.points[7],
+                Point3::new(f32::NAN, 0.0, 0.0),
+            ];
+            let mut fallbacks = 0;
+            for &visit in &f.visits[..=16] {
+                let (_, start, count) = visit;
+                let slots = &f.vind[start as usize..(start + count) as usize];
+                for radius in [0.1f32, 0.35, 0.5, 4.0, 2e19] {
+                    let r_sq = radius * radius;
+                    let (mut want, mut want_stats) = (Vec::new(), SearchStats::default());
+                    for &q in &queries {
+                        let mut out = Vec::new();
+                        sweep_scalar(
+                            &f.rows(),
+                            &lut,
+                            &[visit],
+                            q,
+                            r_sq,
+                            &mut out,
+                            &mut want_stats,
+                        );
+                        want.push(out.iter().fold(0u32, |m, n| {
+                            m | 1 << slots.iter().position(|&i| i == n.index).unwrap()
+                        }));
+                    }
+                    fallbacks += want_stats.fallbacks;
+                    let check = |name: &str, masks: &[u32], stats: &SearchStats| {
+                        let ctx = format!("{name} block, base {base:?} count {count} r {radius}");
+                        assert_eq!(masks, &want[..], "{ctx}");
+                        assert_eq!(*stats, want_stats, "{ctx}");
+                    };
+                    // Masks start as poison, so a kernel that skips a
+                    // query's entry fails.
+                    let (mut masks, mut stats) = ([u32::MAX; 5], SearchStats::default());
+                    hit_masks_scalar(
+                        &f.rows(),
+                        &lut,
+                        visit,
+                        &queries,
+                        r_sq,
+                        &mut masks,
+                        &mut stats,
+                    );
+                    check("scalar", &masks, &stats);
+                    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+                    {
+                        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("f16c") {
+                            let (mut masks, mut stats) = ([u32::MAX; 5], SearchStats::default());
+                            // SAFETY: the leaf's live range lies within
+                            // the rows and holds at most 16 slots; AVX2 +
+                            // F16C detected.
+                            unsafe {
+                                avx2::hit_masks(
+                                    &f.rows(),
+                                    visit,
+                                    &queries,
+                                    r_sq,
+                                    &mut masks,
+                                    &mut stats,
+                                )
+                            };
+                            check("avx2", &masks, &stats);
+                        }
+                        if avx512_detected() {
+                            let (mut masks, mut stats) = ([u32::MAX; 5], SearchStats::default());
+                            // SAFETY: the leaf's live range lies within
+                            // the rows and holds at most 16 slots;
+                            // AVX-512 F/BW/VL + F16C detected.
+                            unsafe {
+                                avx512::hit_masks(
+                                    &f.rows(),
+                                    visit,
+                                    &queries,
+                                    r_sq,
+                                    &mut masks,
+                                    &mut stats,
+                                )
+                            };
+                            check("avx512", &masks, &stats);
+                        }
+                    }
+                }
+            }
+            assert!(fallbacks > 0, "base {base:?}: no block lane fell back");
         }
         #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
         eprintln!("note: no vector kernel compiled in; only the scalar kernel ran");

@@ -235,7 +235,8 @@ impl KdTree {
     /// It then always writes the far child's frame (node, cell
     /// distance, per-axis parts) to the top of a plain-struct stack and
     /// keeps it only when the far cell reaches the ball, by advancing
-    /// the stack pointer by `(far_dist_sq <= r²) as usize`. What is
+    /// the stack pointer by `!(far_dist_sq > r²) as usize` (a NaN
+    /// distance, possible only at `r² = ∞`, stays in reach). What is
     /// left to mispredict is the leaf/interior test of each node. The
     /// stack holds at most one frame per level above the current node,
     /// so it is sized from the tree's `max_depth` and grows only if a
@@ -315,7 +316,7 @@ impl KdTree {
                         Some(slot) => *slot = far_frame,
                         None => stack.push(far_frame),
                     }
-                    sp += (far_dist_sq <= r_sq) as usize;
+                    sp += crate::search::far_cell_in_reach(far_dist_sq, r_sq) as usize;
                     cur.node = near;
                 }
             }
@@ -351,6 +352,46 @@ impl KdTree {
             let (lo, hi) = (start as usize, start as usize + count as usize);
             crate::simd::scan_slots_scalar(xs, ys, zs, &self.vind, lo, hi, query, r_sq, out);
         }
+    }
+
+    /// Compares one leaf with a block of queries in baseline `f32`
+    /// precision: `masks[i]` receives the slots (bit `j` for slot
+    /// `start + j`) that [`sweep_leaf_visits`](KdTree::sweep_leaf_visits)
+    /// of that leaf with `queries[i]` reports — bit for bit the same
+    /// `(x−q.x)² + (y−q.y)² + (z−q.z)² ≤ r_sq` compare (the AVX2 sweep's
+    /// group arithmetic on AVX2 hosts, the scalar loop's elsewhere). The
+    /// leaf's rows are loaded once for the whole block, so `stats`
+    /// counts `count` points inspected per query but the leaf's
+    /// `12 · count` bytes once.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the leaf holds more than
+    /// [`BLOCK_SLOTS`](crate::simd::BLOCK_SLOTS) slots or lies outside
+    /// the rows, when `masks` and `queries` differ in length, or on an
+    /// f16-row tree (like every baseline sweep).
+    pub fn leaf_hit_masks(
+        &self,
+        leaf: crate::simd::LeafVisit,
+        queries: &[Point3],
+        r_sq: f32,
+        masks: &mut [u32],
+        stats: &mut SearchStats,
+    ) {
+        let (_, start, count) = leaf;
+        stats.points_inspected += count as u64 * queries.len() as u64;
+        stats.point_bytes_loaded += count as u64 * 12;
+        let (xs, ys, zs) = self.leaf_soa();
+        crate::simd::baseline_hit_masks(
+            xs,
+            ys,
+            zs,
+            start as usize,
+            count as usize,
+            queries,
+            r_sq,
+            masks,
+        );
     }
 }
 

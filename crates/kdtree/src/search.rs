@@ -138,6 +138,22 @@ pub fn radius_is_searchable(radius: f32) -> bool {
     radius > 0.0 && radius != f32::INFINITY
 }
 
+/// Whether a far cell at lower-bound squared distance `far_dist_sq`
+/// stays in a radius walk: `far_dist_sq ≤ r²`, or `far_dist_sq` is NaN.
+///
+/// Both walkers update a far cell's distance incrementally,
+/// `min_dist_sq − side[axis] + cut`, which is `∞ − ∞ = NaN` once two
+/// infinite cuts meet on one axis. That happens only when a radius
+/// whose square overflows to `r² = ∞` reaches non-finite points (every
+/// kept frame below a finite `r²` has finite parts), and there every
+/// cell is in reach. `!(d > r²)` is one compare, like `d <= r²`, and
+/// keeps the NaN cell.
+#[inline(always)]
+#[allow(clippy::neg_cmp_op_on_partial_ord)] // the negation is the point: NaN keeps the cell
+pub(crate) fn far_cell_in_reach(far_dist_sq: f32, r_sq: f32) -> bool {
+    !(far_dist_sq > r_sq)
+}
+
 /// Whether `center` denotes a searchable query point.
 ///
 /// The twin of [`radius_is_searchable`], covering the query *center*:
@@ -234,8 +250,9 @@ impl KdTree {
                     far_dist_sq,
                     side,
                 } => {
-                    // Exact lower bound on the distance to the far cell.
-                    let visit_far = far_dist_sq <= r_sq;
+                    // Exact lower bound on the distance to the far cell
+                    // (a NaN bound is kept: see `far_cell_in_reach`).
+                    let visit_far = far_cell_in_reach(far_dist_sq, r_sq);
                     sim.branch(sites::VISIT_FAR, visit_far);
                     if !visit_far {
                         continue;

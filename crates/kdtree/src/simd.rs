@@ -14,7 +14,10 @@
 //!   `aarch64`, detected once per process, plus a scalar fallback that
 //!   is byte-for-byte the pre-SIMD loop,
 //! * the vectorized baseline leaf sweep, used by
-//!   `KdTree::sweep_leaf_visits` over collected [`LeafVisit`] lists.
+//!   `KdTree::sweep_leaf_visits` over collected [`LeafVisit`] lists,
+//! * the baseline leaf block (`KdTree::leaf_hit_masks`): one leaf's
+//!   rows loaded once and compared with a block of queries, one slot
+//!   mask per query.
 //!
 //! # Kernels
 //!
@@ -28,6 +31,13 @@
 //! remainder that evaluates the same expression in the same order. An
 //! AVX-512 host runs the AVX2 kernel; [`LaneBackend::Avx512`] is a
 //! superset of [`LaneBackend::Avx2`] at every dispatch site.
+//!
+//! The leaf block has two kernels. AVX2 loads a leaf's (at most
+//! [`BLOCK_SLOTS`]) slots into registers once, then runs per query the
+//! group arithmetic `group_hits` that the AVX2 sweep also calls; every
+//! other backend runs the scalar block, [`slot_dist_sq`] per (query,
+//! slot) like the scalar loop, whose masks equal the SSE2 and NEON
+//! sweeps' hits bit for bit.
 //!
 //! The compressed sweep lives in `bonsai-core` and has an AVX-512
 //! kernel (16 lanes, one group per ≤16-point leaf, each row loaded
@@ -65,6 +75,11 @@ use crate::search::Neighbor;
 /// model and the AVX2 backend both use (SSE2 and NEON run 4-lane
 /// groups).
 pub const LANES: usize = 8;
+
+/// The most slots one leaf block covers: one ZipPts buffer, the
+/// largest leaf a k-d builder makes (`max_leaf_points ≤ 16`). A block's
+/// hit masks carry one bit per slot.
+pub const BLOCK_SLOTS: usize = 16;
 
 /// Which lane implementation [`active_backend`] resolved to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -302,16 +317,102 @@ pub(crate) fn scan_slots_scalar(
 ) {
     let (xs, ys, zs, vind) = (&xs[lo..hi], &ys[lo..hi], &zs[lo..hi], &vind[lo..hi]);
     for i in 0..hi - lo {
-        let dx = xs[i] - query.x;
-        let dy = ys[i] - query.y;
-        let dz = zs[i] - query.z;
-        let d_sq = dx * dx + dy * dy + dz * dz;
+        let d_sq = slot_dist_sq(xs[i], ys[i], zs[i], query);
         if d_sq <= r_sq {
             out.push(Neighbor {
                 index: vind[i],
                 dist_sq: d_sq,
             });
         }
+    }
+}
+
+/// One slot's squared distance, `(x−q.x)² + (y−q.y)² + (z−q.z)²` in
+/// `f32` with no FMA: the expression every lane kernel reproduces bit
+/// for bit, written once for the scalar loop (also the 4-lane kernels'
+/// remainder) and the scalar leaf block.
+#[inline(always)]
+fn slot_dist_sq(x: f32, y: f32, z: f32, query: Point3) -> f32 {
+    let dx = x - query.x;
+    let dy = y - query.y;
+    let dz = z - query.z;
+    dx * dx + dy * dy + dz * dz
+}
+
+/// The baseline leaf block: for each query, the mask of the slots of
+/// the leaf `start..start + count` that a sweep of that leaf with that
+/// query reports (bit `j` for slot `start + j`), written to the
+/// matching entry of `masks`. The AVX2 kernel loads the leaf's rows
+/// once for the whole block and runs the AVX2 sweep's group arithmetic
+/// per query; every other backend runs the scalar block. Either way a
+/// mask is exactly the sweep's hits (`baseline_kernels_agree_bit_for_bit`
+/// checks both kernels).
+///
+/// # Panics
+///
+/// Panics when `count > BLOCK_SLOTS`, when `masks` and `queries`
+/// differ in length, or when the leaf lies outside the rows.
+#[allow(clippy::too_many_arguments)] // the flattened block state
+pub(crate) fn baseline_hit_masks(
+    xs: &[f32],
+    ys: &[f32],
+    zs: &[f32],
+    start: usize,
+    count: usize,
+    queries: &[Point3],
+    r_sq: f32,
+    masks: &mut [u32],
+) {
+    let slots = xs.len().min(ys.len()).min(zs.len());
+    // lint: allow(debug-assert-discipline) — this assert *is* the
+    // bounds contract of the unsafe block kernels below (and a short
+    // `masks` would leave queries unanswered); eliding it in release
+    // builds would turn a layout bug into UB.
+    assert!(
+        count <= BLOCK_SLOTS && start + count <= slots && masks.len() == queries.len(),
+        "leaf block past the SoA rows or wider than {BLOCK_SLOTS} slots: start {start} count {count} rows {slots}, {} masks for {} queries",
+        masks.len(),
+        queries.len()
+    );
+    match baseline_sweep_kernel() {
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        LaneBackend::Avx2 => {
+            // SAFETY: the leaf lies within every row and holds at most
+            // `BLOCK_SLOTS` slots (asserted above); AVX2 presence was
+            // established by `detected_backend` before this arm is
+            // ever selected.
+            unsafe { x86::hit_masks_avx2(xs, ys, zs, start, count, queries, r_sq, masks) }
+        }
+        // SSE2, NEON and scalar builds: the scalar block, whose masks
+        // equal those kernels' sweeps bit for bit.
+        _ => hit_masks_scalar(xs, ys, zs, start, count, queries, r_sq, masks),
+    }
+}
+
+/// The scalar leaf block: [`slot_dist_sq`] per (query, slot), the
+/// scalar loop's compare.
+#[allow(clippy::too_many_arguments)] // the flattened block state
+fn hit_masks_scalar(
+    xs: &[f32],
+    ys: &[f32],
+    zs: &[f32],
+    start: usize,
+    count: usize,
+    queries: &[Point3],
+    r_sq: f32,
+    masks: &mut [u32],
+) {
+    let (xs, ys, zs) = (
+        &xs[start..start + count],
+        &ys[start..start + count],
+        &zs[start..start + count],
+    );
+    for (&q, mask) in queries.iter().zip(masks) {
+        let mut m = 0u32;
+        for j in 0..count {
+            m |= u32::from(slot_dist_sq(xs[j], ys[j], zs[j], q) <= r_sq) << j;
+        }
+        *mask = m;
     }
 }
 
@@ -443,31 +544,30 @@ mod x86 {
             // the OoO core, one hit branch.
             while g + 2 * LANES <= hi {
                 // SAFETY: both groups lie within `g..hi`, inside every
-                // row per the caller's contract.
-                let (d0, d1) = unsafe {
+                // row per the caller's contract; `group_hits` is
+                // register-only and needs AVX2, enabled here.
+                let ((d0, m0), (d1, m1)) = unsafe {
                     (
-                        distance_lanes(
+                        group_hits(
                             _mm256_loadu_ps(px.add(g)),
                             _mm256_loadu_ps(py.add(g)),
                             _mm256_loadu_ps(pz.add(g)),
                             qx,
                             qy,
                             qz,
+                            rs,
                         ),
-                        distance_lanes(
+                        group_hits(
                             _mm256_loadu_ps(px.add(g + LANES)),
                             _mm256_loadu_ps(py.add(g + LANES)),
                             _mm256_loadu_ps(pz.add(g + LANES)),
                             qx,
                             qy,
                             qz,
+                            rs,
                         ),
                     )
                 };
-                // Ordered ≤: false for the NaN a non-finite query
-                // produces, exactly like the scalar `<=`.
-                let m0 = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LE_OQ>(d0, rs)) as u32;
-                let m1 = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LE_OQ>(d1, rs)) as u32;
                 if m0 | m1 != 0 {
                     let vp = vind.as_ptr();
                     // SAFETY: `m0`/`m1` are 8-bit movemask lane masks
@@ -493,16 +593,16 @@ mod x86 {
                 // `g..g + live`, within `g..hi` and so inside every
                 // row; the mask passed on keeps only those lanes.
                 unsafe {
-                    let d = distance_lanes(
+                    let (d, mask) = group_hits(
                         _mm256_maskload_ps(px.add(g), live_lanes),
                         _mm256_maskload_ps(py.add(g), live_lanes),
                         _mm256_maskload_ps(pz.add(g), live_lanes),
                         qx,
                         qy,
                         qz,
+                        rs,
                     );
-                    let mask = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LE_OQ>(d, rs)) as u32
-                        & (0xFF >> (LANES - live));
+                    let mask = mask & (0xFF >> (LANES - live));
                     if mask != 0 {
                         compact_hits_avx2(vind.as_ptr(), g, d, mask, out);
                     }
@@ -512,30 +612,97 @@ mod x86 {
         }
     }
 
-    /// One 8-lane squared-distance group over loaded coordinates, with
-    /// the scalar loop's exact association: `(dx² + dy²) + dz²`, no
-    /// FMA.
+    /// One 8-lane group over loaded coordinates: the squared distances,
+    /// with the scalar loop's exact association `(dx² + dy²) + dz²` and
+    /// no FMA, and the 8-bit mask of the lanes within `r²` (ordered ≤:
+    /// false for the NaN a non-finite query produces, exactly like the
+    /// scalar `<=`). The per-query sweep and the leaf block both call
+    /// it; callers clear dead lanes from the mask.
     ///
     /// # Safety
     ///
     /// Requires AVX2.
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn distance_lanes(
+    unsafe fn group_hits(
         x: __m256,
         y: __m256,
         z: __m256,
         qx: __m256,
         qy: __m256,
         qz: __m256,
-    ) -> __m256 {
+        rs: __m256,
+    ) -> (__m256, u32) {
         let dx = _mm256_sub_ps(x, qx);
         let dy = _mm256_sub_ps(y, qy);
         let dz = _mm256_sub_ps(z, qz);
-        _mm256_add_ps(
+        let d = _mm256_add_ps(
             _mm256_add_ps(_mm256_mul_ps(dx, dx), _mm256_mul_ps(dy, dy)),
             _mm256_mul_ps(dz, dz),
+        );
+        (
+            d,
+            _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LE_OQ>(d, rs)) as u32,
         )
+    }
+
+    /// The AVX2 leaf block: the leaf's at most two 8-lane groups load
+    /// once (masked to the live slots, like the sweep's tail), then
+    /// every query runs [`group_hits`] on each.
+    ///
+    /// # Safety
+    ///
+    /// Caller guarantees `start..start + count` is within every row,
+    /// `count ≤ BLOCK_SLOTS`, and that AVX2 is available.
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)] // the flattened block state
+    pub(super) unsafe fn hit_masks_avx2(
+        xs: &[f32],
+        ys: &[f32],
+        zs: &[f32],
+        start: usize,
+        count: usize,
+        queries: &[Point3],
+        r_sq: f32,
+        masks: &mut [u32],
+    ) {
+        const GROUPS: usize = BLOCK_SLOTS / LANES;
+        let (px, py, pz) = (xs.as_ptr(), ys.as_ptr(), zs.as_ptr());
+        let rs = _mm256_set1_ps(r_sq);
+        let lane_ids = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let zero = _mm256_setzero_ps();
+        let (mut gx, mut gy, mut gz) = ([zero; GROUPS], [zero; GROUPS], [zero; GROUPS]);
+        let mut live_bits = [0u32; GROUPS];
+        let groups = count.div_ceil(LANES);
+        for k in 0..groups {
+            let g = start + k * LANES;
+            let live = (count - k * LANES).min(LANES);
+            let live_lanes = _mm256_cmpgt_epi32(_mm256_set1_epi32(live as i32), lane_ids);
+            // SAFETY: the masked loads read only the `live` slots
+            // `g..g + live`, within the leaf and so inside every row per
+            // the caller's contract.
+            unsafe {
+                gx[k] = _mm256_maskload_ps(px.add(g), live_lanes);
+                gy[k] = _mm256_maskload_ps(py.add(g), live_lanes);
+                gz[k] = _mm256_maskload_ps(pz.add(g), live_lanes);
+            }
+            live_bits[k] = 0xFF >> (LANES - live);
+        }
+        for (&q, mask) in queries.iter().zip(masks) {
+            let (qx, qy, qz) = (
+                _mm256_set1_ps(q.x),
+                _mm256_set1_ps(q.y),
+                _mm256_set1_ps(q.z),
+            );
+            let mut m = 0u32;
+            for k in 0..groups {
+                // SAFETY: `group_hits` is register-only and needs AVX2,
+                // enabled here.
+                let (_, hits) = unsafe { group_hits(gx[k], gy[k], gz[k], qx, qy, qz, rs) };
+                m |= (hits & live_bits[k]) << (k * LANES);
+            }
+            *mask = m;
+        }
     }
 
     /// # Safety
@@ -749,11 +916,14 @@ mod tests {
     /// [`baseline_sweep_kernel`], so SSE2 runs on an AVX2 host too),
     /// agrees with [`scan_slots_scalar`] on hits, their `dist_sq` bits
     /// and order. Hand-built packed rows hold leaves of every count
-    /// 0..=16 plus a 24-point visit; each leaf but the last is followed
+    /// 0..=16 plus a 24-point visit, some odd leaves with ±∞ and NaN
+    /// coordinates (`r = 2e19` squares to ∞ and admits the infinite
+    /// ones); each leaf but the last is followed
     /// by unvisited gap slots holding a poison point at the query, in
     /// radius for every radius, so a kernel that read past a leaf's
     /// `count` would report an extra hit. The rows end right after the
-    /// last live slot.
+    /// last live slot. Every compiled leaf-block kernel reports per
+    /// query the slots of the scalar sweep of that leaf.
     #[test]
     fn baseline_kernels_agree_bit_for_bit() {
         const POISON: u32 = 1 << 30;
@@ -781,8 +951,16 @@ mod tests {
                 }
             }
             let start = vind.len() as u32;
-            for _ in 0..count {
-                let p = center + Point3::new(next() - 0.5, next() - 0.5, next() - 0.5) * 2.0;
+            for i in 0..count {
+                let mut p = center + Point3::new(next() - 0.5, next() - 0.5, next() - 0.5) * 2.0;
+                // Odd leaves hold some ±∞ and NaN coordinates.
+                if leaf % 2 == 1 && (leaf + i as usize) % 5 == 2 {
+                    match (leaf + i as usize) % 3 {
+                        0 => p.x = f32::INFINITY,
+                        1 => p.y = f32::NEG_INFINITY,
+                        _ => p.z = f32::NAN,
+                    }
+                }
                 xs.push(p.x);
                 ys.push(p.y);
                 zs.push(p.z);
@@ -818,8 +996,9 @@ mod tests {
         for visits in &lists {
             for q in queries {
                 // Radii below, inside and past the planted spread; the
-                // last admits whole leaves.
-                for radius in [0.1f32, 0.5, 0.9, 2.0] {
+                // last two admit whole leaves, and `r² = ∞` the infinite
+                // points too.
+                for radius in [0.1f32, 0.5, 0.9, 2.0, 2e19] {
                     let r_sq = radius * radius;
                     let want = bits(&scalar(visits, q, r_sq));
                     let check = |name: &str, out: &[Neighbor]| {
@@ -860,6 +1039,56 @@ mod tests {
                     }
                     // Scalar-only builds run no kernel to check.
                     let _ = &check;
+                }
+            }
+        }
+
+        // The leaf block: every leaf of 0..=16 slots, ±∞ and NaN
+        // points included, against a block of queries (a NaN one among
+        // them) reports per query exactly the slots the scalar sweep of
+        // that leaf reports, in every compiled kernel.
+        let block: Vec<Point3> = queries
+            .iter()
+            .copied()
+            .chain([
+                center + Point3::new(-0.6, 0.1, 0.4),
+                Point3::new(xs[40], ys[40], zs[40]),
+            ])
+            .collect();
+        for &visit in &visits[..=16] {
+            let (_, start, count) = visit;
+            let (start, count) = (start as usize, count as usize);
+            for radius in [0.1f32, 0.5, 0.9, 2.0, 2e19] {
+                let r_sq = radius * radius;
+                let want: Vec<u32> = block
+                    .iter()
+                    .map(|&q| {
+                        scalar(&[visit], q, r_sq)
+                            .iter()
+                            .fold(0, |m, n| m | 1 << (n.index as usize - start))
+                    })
+                    .collect();
+                let check = |name: &str, masks: &[u32]| {
+                    assert_eq!(masks, &want[..], "{name} block: count {count} r {radius}");
+                };
+                // Masks start as poison, so a kernel that skips a
+                // query's entry fails.
+                let mut masks = vec![u32::MAX; block.len()];
+                hit_masks_scalar(&xs, &ys, &zs, start, count, &block, r_sq, &mut masks);
+                check("scalar", &masks);
+                #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+                {
+                    if std::arch::is_x86_feature_detected!("avx2") {
+                        let mut masks = vec![u32::MAX; block.len()];
+                        // SAFETY: the leaf lies within the rows and holds
+                        // at most 16 slots; AVX2 detected.
+                        unsafe {
+                            x86::hit_masks_avx2(
+                                &xs, &ys, &zs, start, count, &block, r_sq, &mut masks,
+                            )
+                        };
+                        check("avx2", &masks);
+                    }
                 }
             }
         }

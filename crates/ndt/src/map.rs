@@ -108,10 +108,18 @@ impl NdtMap {
             sim.exec(OpClass::FpAlu, 60); // covariance + inversion
             let n = acc.n as f64;
             let mean = [acc.sum[0] / n, acc.sum[1] / n, acc.sum[2] / n];
+            // The upper triangle, mirrored: `n·mean[r]·mean[c]` rounds
+            // differently from `n·mean[c]·mean[r]`, and the matcher's
+            // gradient and Hessian assume a symmetric B. The adjugate
+            // inverse of an exactly symmetric matrix is exactly
+            // symmetric (its mirrored cofactors multiply the same
+            // operands), so `inv_cov` is too.
             let mut cov = Mat3::ZERO;
             for r in 0..3 {
-                for c in 0..3 {
-                    cov[(r, c)] = (acc.outer[r][c] - n * mean[r] * mean[c]) / (n - 1.0);
+                for c in r..3 {
+                    let v = (acc.outer[r][c] - n * mean[r] * mean[c]) / (n - 1.0);
+                    cov[(r, c)] = v;
+                    cov[(c, r)] = v;
                 }
             }
             // Regularize: surfaces produce near-singular covariances.

@@ -196,11 +196,16 @@ fn self_join_matches_bfs_on_degenerate_clouds() {
         ("exact-r at a map offset", far),
         ("chain plus blob", [chain, blob].concat()),
     ];
+    // `r = 2e19` squares to `r² = ∞`: every pair without a NaN is an
+    // edge, ±∞ points included (the radius walkers used to prune the
+    // far cell whose incremental distance became ∞ − ∞).
     for (name, cloud) in &clouds {
         eprintln!("{name}");
-        for leaf in [1, 2, 5, 15, 16] {
-            for (min, max) in [(1, usize::MAX), (2, 30)] {
-                check(cloud, 0.5, leaf, min, max);
+        for tolerance in [0.5, 2e19] {
+            for leaf in [1, 2, 5, 15, 16] {
+                for (min, max) in [(1, usize::MAX), (2, 30)] {
+                    check(cloud, tolerance, leaf, min, max);
+                }
             }
         }
     }

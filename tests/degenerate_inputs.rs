@@ -41,10 +41,14 @@ struct Trees {
 
 impl Trees {
     fn build(cloud: &[Point3]) -> Trees {
+        Trees::build_with(cloud, KdTreeConfig::default())
+    }
+
+    fn build_with(cloud: &[Point3], cfg: KdTreeConfig) -> Trees {
         let mut sim = SimEngine::disabled();
         Trees {
-            bonsai: BonsaiTree::build(cloud.to_vec(), KdTreeConfig::default(), &mut sim),
-            base: KdTree::build(cloud.to_vec(), KdTreeConfig::default(), &mut sim),
+            bonsai: BonsaiTree::build(cloud.to_vec(), cfg, &mut sim),
+            base: KdTree::build(cloud.to_vec(), cfg, &mut sim),
         }
     }
 }
@@ -428,6 +432,70 @@ fn f16_saturating_coordinates_pin_every_mode() {
         stats.fallbacks > 0,
         "saturation did not hit the shell fallback"
     );
+}
+
+/// A radius whose square overflows `f32` (`r = 2e19`, `r² = ∞`) reaches
+/// every point but the NaN ones, ±∞ included, through both walkers —
+/// the instrumented search and the fast engine — in every mode and for
+/// every leaf size. The walkers' incremental far-cell distance
+/// `min_dist_sq − side + cut` is `∞ − ∞ = NaN` after two infinite cuts
+/// on one axis; comparing that NaN `≤ r²` used to prune the far cell
+/// and lose its points (at leaf size 1, `(+∞, 0, 0)` went missing).
+#[test]
+fn overflowing_radius_reaches_every_non_nan_point() {
+    let mut cloud: Vec<Point3> = (0..40)
+        .map(|i| {
+            Point3::new(
+                (i % 7) as f32 * 0.11,
+                (i / 7) as f32 * 0.13,
+                (i % 3) as f32 * 0.2,
+            )
+        })
+        .collect();
+    for (k, p) in [
+        Point3::new(f32::NAN, 0.0, 0.0),
+        Point3::new(f32::INFINITY, 0.0, 0.0),
+        Point3::new(f32::NEG_INFINITY, 0.1, 0.0),
+        Point3::new(0.0, f32::INFINITY, 0.0),
+        Point3::new(0.2, 0.2, f32::NAN),
+        Point3::new(f32::INFINITY, f32::INFINITY, f32::INFINITY),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        cloud.insert(k * 7, p);
+    }
+    let radius = 2e19f32;
+    assert_eq!(radius * radius, f32::INFINITY);
+    let expect: Vec<u32> = (0..cloud.len() as u32)
+        .filter(|&i| !cloud[i as usize].to_array().iter().any(|c| c.is_nan()))
+        .collect();
+    let mut scratch = SearchScratch::new();
+    let mut out = Vec::new();
+    for leaf in [1, 2, 5, 15] {
+        let cfg = KdTreeConfig {
+            max_leaf_points: leaf,
+            ..KdTreeConfig::default()
+        };
+        let trees = Trees::build_with(&cloud, cfg);
+        for query in cloud.iter().copied().filter(|p| p.is_finite()) {
+            assert_eq!(brute_force(&cloud, query, radius), expect);
+            for mode in MODES {
+                let ctx = format!("{mode:?}, leaf {leaf}, query {query:?}");
+                let (slow, _) = instrumented_search(&trees, mode, query, radius);
+                assert_eq!(sorted_indices(&slow), expect, "{ctx}: instrumented");
+                let mut stats = SearchStats::default();
+                engine_for(&trees, mode).search_one(
+                    query,
+                    radius,
+                    &mut scratch,
+                    &mut out,
+                    &mut stats,
+                );
+                assert_eq!(out, slow, "{ctx}: engine vs instrumented");
+            }
+        }
+    }
 }
 
 /// Degenerate clouds through the router with more shards than distinct

@@ -97,3 +97,42 @@ fn experiments_render_without_panicking() {
     assert!(t1.render().contains("Table I"));
     assert!(Table5Result::run().render().contains("Table V"));
 }
+
+/// Every cell of an NDT map built from drive frames carries an exactly
+/// symmetric information matrix: the matcher's gradient `B·q` and its
+/// Hessian assume a symmetric B. (Each covariance entry rounds
+/// `n·mean[r]·mean[c]`, which differs from `n·mean[c]·mean[r]` in the
+/// last bit, so the map build computes the upper triangle and mirrors
+/// it.)
+#[test]
+fn ndt_drive_map_information_matrices_are_exactly_symmetric() {
+    use kd_bonsai::cluster::filters;
+    use kd_bonsai::ndt::NdtMap;
+
+    let seq = DrivingSequence::new(SequenceConfig::small_test());
+    let mut sim = SimEngine::disabled();
+    let mut world = Vec::new();
+    for i in 0..seq.num_frames().min(8) {
+        let pose = seq.pose(i);
+        world.extend(seq.frame(i).into_iter().map(|p| pose.apply(p)));
+    }
+    let map_cloud = filters::voxel_downsample(&mut sim, &world, 0.4);
+    for resolution in [1.0, 2.0] {
+        let map = NdtMap::build(&mut sim, &map_cloud, resolution);
+        assert!(map.cells().len() > 100, "{} cells", map.cells().len());
+        for (k, cell) in map.cells().iter().enumerate() {
+            let b = cell.inv_cov;
+            for r in 0..3 {
+                for c in r + 1..3 {
+                    assert_eq!(
+                        b[(r, c)].to_bits(),
+                        b[(c, r)].to_bits(),
+                        "cell {k} at {resolution} m: B[{r}][{c}] {} vs B[{c}][{r}] {}",
+                        b[(r, c)],
+                        b[(c, r)]
+                    );
+                }
+            }
+        }
+    }
+}
