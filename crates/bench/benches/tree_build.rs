@@ -1,7 +1,9 @@
 //! Criterion micro-benchmarks of tree construction: plain k-d tree vs
-//! Bonsai (tree + leaf compression), across cloud sizes; and three
-//! passes of a paper-drive frame: the voxel grid, the uninstrumented
-//! f16 build, and the whole cluster extraction (build + self-join).
+//! Bonsai (tree + leaf compression), across cloud sizes; and the
+//! passes of a paper-drive frame: each preprocessing filter (crop,
+//! voxel grid, ground removal) and all three together, the
+//! uninstrumented f16 build, and the whole cluster extraction (build +
+//! self-join).
 
 use bonsai_cluster::filters;
 use bonsai_cluster::{extract_euclidean_clusters_batched, ClusterParams, FramePipeline, TreeMode};
@@ -53,29 +55,55 @@ fn bench_build(c: &mut Criterion) {
     group.finish();
 }
 
-/// Frame 0 of the paper drive: the voxel grid runs over its cropped
-/// cloud, the tree is built over its preprocessed cloud, as in
-/// `FramePipeline::run`.
+/// Frame 0 of the paper drive: each filter runs over the previous
+/// filter's output, the tree is built over the preprocessed cloud, as
+/// in `FramePipeline::run`.
 fn bench_paper_frame(c: &mut Criterion) {
     let raw = DrivingSequence::new(SequenceConfig::paper_drive()).frame(0);
     let params = ClusterParams::default();
     let mut sim = SimEngine::disabled();
-    let cropped = filters::crop(
-        &mut sim,
-        &raw,
-        params.crop_range,
-        params.crop_z_min,
-        params.crop_z_max,
-    );
-    let prepared = FramePipeline::new(params.clone()).preprocess(&mut sim, &raw);
+    let crop = |sim: &mut SimEngine| {
+        filters::crop(
+            sim,
+            &raw,
+            params.crop_range,
+            params.crop_z_min,
+            params.crop_z_max,
+        )
+    };
+    let cropped = crop(&mut sim);
+    let down = filters::voxel_downsample(&mut sim, &cropped, params.voxel_size);
+    // The pipeline keeps its filter buffers across calls, as it does
+    // across the frames of a drive.
+    let pipeline = FramePipeline::new(params.clone());
+    let prepared = pipeline.preprocess(&mut sim, &raw);
 
     let mut group = c.benchmark_group("paper_frame");
     group.sample_size(20);
     group.measurement_time(std::time::Duration::from_secs(3));
     group.warm_up_time(std::time::Duration::from_millis(500));
+    group.throughput(Throughput::Elements(raw.len() as u64));
+    group.bench_function("crop", |b| b.iter(|| crop(&mut sim).len()));
     group.throughput(Throughput::Elements(cropped.len() as u64));
     group.bench_function("voxel_downsample", |b| {
         b.iter(|| filters::voxel_downsample(&mut sim, &cropped, params.voxel_size).len())
+    });
+    group.throughput(Throughput::Elements(down.len() as u64));
+    group.bench_function("remove_ground", |b| {
+        b.iter(|| {
+            filters::remove_ground(
+                &mut sim,
+                &down,
+                params.ground_threshold,
+                params.ground_iterations,
+                11,
+            )
+            .len()
+        })
+    });
+    group.throughput(Throughput::Elements(raw.len() as u64));
+    group.bench_function("preprocess", |b| {
+        b.iter(|| pipeline.preprocess(&mut sim, &raw).len())
     });
     group.throughput(Throughput::Elements(prepared.len() as u64));
     // One worker: the split step alone, whatever the host's core count.

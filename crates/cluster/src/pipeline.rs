@@ -1,4 +1,5 @@
 use std::fmt;
+use std::sync::{Mutex, TryLockError};
 
 use bonsai_geom::{Aabb, Point3};
 use bonsai_kdtree::{AuditViolation, KdTreeConfig};
@@ -148,16 +149,37 @@ pub struct FrameResult {
 /// The euclidean-cluster frame pipeline: preprocess → extract →
 /// post-process, with every stage charged to its kernel.
 ///
+/// The pipeline keeps its preprocessing buffers (filter outputs, voxel
+/// table and cells, ground-removal scratch) and reuses them across
+/// frames; a clone starts with fresh ones.
+///
 /// See the [crate docs](crate) for an example.
-#[derive(Debug, Clone)]
 pub struct FramePipeline {
     params: ClusterParams,
+    workspace: Mutex<filters::Workspace>,
+}
+
+impl Clone for FramePipeline {
+    fn clone(&self) -> FramePipeline {
+        FramePipeline::new(self.params.clone())
+    }
+}
+
+impl fmt::Debug for FramePipeline {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FramePipeline")
+            .field("params", &self.params)
+            .finish_non_exhaustive()
+    }
 }
 
 impl FramePipeline {
     /// Creates a pipeline with the given parameters.
     pub fn new(params: ClusterParams) -> FramePipeline {
-        FramePipeline { params }
+        FramePipeline {
+            params,
+            workspace: Mutex::default(),
+        }
     }
 
     /// The parameters.
@@ -191,11 +213,21 @@ impl FramePipeline {
     /// the cloud the extract kernel consumes. Exposed for experiments
     /// that analyse the preprocessed cloud directly (leaf-similarity
     /// census, Table I error sweeps).
+    ///
+    /// Once earlier frames have grown the pipeline's buffers to this
+    /// frame's sizes, the returned cloud is the call's only allocation.
     pub fn preprocess(&self, sim: &mut SimEngine, raw_cloud: &[Point3]) -> Vec<Point3> {
-        let p = &self.params;
-        let cropped = filters::crop(sim, raw_cloud, p.crop_range, p.crop_z_min, p.crop_z_max);
-        let down = filters::voxel_downsample(sim, &cropped, p.voxel_size);
-        filters::remove_ground(sim, &down, p.ground_threshold, p.ground_iterations, 11)
+        let mut run = |ws: &mut filters::Workspace| ws.preprocess(sim, raw_cloud, &self.params);
+        match self.workspace.try_lock() {
+            Ok(mut ws) => run(&mut ws),
+            // Another thread is preprocessing with this pipeline: fresh
+            // buffers rather than a wait.
+            Err(TryLockError::WouldBlock) => run(&mut filters::Workspace::default()),
+            // A filter panicked mid-frame (an invalid voxel size). Each
+            // pass refills its buffers before reading them, so the
+            // workspace is still sound.
+            Err(TryLockError::Poisoned(poisoned)) => run(&mut poisoned.into_inner()),
+        }
     }
 
     /// Runs extraction + post-processing on an already-preprocessed

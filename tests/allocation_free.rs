@@ -3,7 +3,8 @@
 //! performs **zero** heap allocations — through the single-tree
 //! `RadiusSearchEngine::search_batch` in both modes, through a
 //! `RouterSnapshot`'s `search_batch` and `search_append`, and through an
-//! uninstrumented `NdtMatcher::align` in both search modes.
+//! uninstrumented `NdtMatcher::align` in both search modes. A warm
+//! `FramePipeline::preprocess` allocates only the cloud it returns.
 //!
 //! A counting `#[global_allocator]` tallies allocation calls per
 //! thread, so tests running concurrently on other harness threads
@@ -12,9 +13,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use kd_bonsai::cluster::{ClusterParams, FramePipeline};
 use kd_bonsai::core::{BonsaiTree, RadiusSearchEngine, RouterSnapshot, ShardConfig, ShardRouter};
 use kd_bonsai::geom::{Point3, Pose};
 use kd_bonsai::kdtree::{KdTree, KdTreeConfig, QueryBatch, SearchScratch, SearchStats};
+use kd_bonsai::lidar::{DrivingSequence, SequenceConfig};
 use kd_bonsai::ndt::{NdtConfig, NdtMap, NdtMatcher, NdtSearchMode};
 use kd_bonsai::sim::SimEngine;
 
@@ -179,5 +182,27 @@ fn warm_ndt_alignment_allocates_nothing_in_both_modes() {
         let allocs = allocations_during(|| second = Some(matcher.align(&mut sim, &scan, &guess)));
         assert_eq!(allocs, 0, "{mode:?}: warm NDT alignment allocated");
         assert_eq!(second, Some(first), "{mode:?}");
+    }
+}
+
+#[test]
+fn warm_frame_preprocess_allocates_only_its_output() {
+    let frame = DrivingSequence::new(SequenceConfig::paper_drive()).frame(0);
+    let pipeline = FramePipeline::new(ClusterParams::default());
+    let mut sim = SimEngine::disabled();
+    let first = pipeline.preprocess(&mut sim, &frame);
+    assert!(first.len() > 1000, "kept {}", first.len());
+    // The same frame, then a prefix of it: no filter stage grows past
+    // the warm-up frame's size.
+    for raw in [&frame[..], &frame[..frame.len() / 2]] {
+        let fresh = FramePipeline::new(ClusterParams::default()).preprocess(&mut sim, raw);
+        let mut out = Vec::new();
+        let allocs = allocations_during(|| out = pipeline.preprocess(&mut sim, raw));
+        assert!(
+            allocs <= 1,
+            "warm preprocess of {} points made {allocs} allocations",
+            raw.len()
+        );
+        assert_eq!(out, fresh, "{} points", raw.len());
     }
 }
