@@ -1,5 +1,5 @@
 use std::fmt;
-use std::sync::{Mutex, TryLockError};
+use std::sync::{Mutex, PoisonError};
 
 use bonsai_geom::{Aabb, Point3};
 use bonsai_kdtree::{AuditViolation, KdTreeConfig};
@@ -217,17 +217,14 @@ impl FramePipeline {
     /// Once earlier frames have grown the pipeline's buffers to this
     /// frame's sizes, the returned cloud is the call's only allocation.
     pub fn preprocess(&self, sim: &mut SimEngine, raw_cloud: &[Point3]) -> Vec<Point3> {
-        let mut run = |ws: &mut filters::Workspace| ws.preprocess(sim, raw_cloud, &self.params);
-        match self.workspace.try_lock() {
-            Ok(mut ws) => run(&mut ws),
-            // Another thread is preprocessing with this pipeline: fresh
-            // buffers rather than a wait.
-            Err(TryLockError::WouldBlock) => run(&mut filters::Workspace::default()),
-            // A filter panicked mid-frame (an invalid voxel size). Each
-            // pass refills its buffers before reading them, so the
-            // workspace is still sound.
-            Err(TryLockError::Poisoned(poisoned)) => run(&mut poisoned.into_inner()),
-        }
+        // A filter that panicked mid-frame (an invalid voxel size)
+        // poisons the lock; each pass refills its buffers before reading
+        // them, so the workspace is still sound.
+        let mut ws = self
+            .workspace
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        ws.preprocess(sim, raw_cloud, &self.params)
     }
 
     /// Runs extraction + post-processing on an already-preprocessed
