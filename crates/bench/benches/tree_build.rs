@@ -1,9 +1,9 @@
 //! Criterion micro-benchmarks of tree construction: plain k-d tree vs
 //! Bonsai (tree + leaf compression), across cloud sizes; and the
 //! passes of a paper-drive frame: each preprocessing filter (crop,
-//! voxel grid, ground removal) and all three together, the
-//! uninstrumented f16 build, and the whole cluster extraction (build +
-//! self-join).
+//! voxel grid, ground removal) and all three together, the sequential
+//! and the one-worker parts f16 build, and the whole cluster extraction
+//! (build + self-join).
 
 use bonsai_cluster::filters;
 use bonsai_cluster::{extract_euclidean_clusters_batched, ClusterParams, FramePipeline, TreeMode};
@@ -106,6 +106,16 @@ fn bench_paper_frame(c: &mut Criterion) {
         b.iter(|| pipeline.preprocess(&mut sim, &raw).len())
     });
     group.throughput(Throughput::Elements(prepared.len() as u64));
+    // The sequential build each drive frame runs: `BonsaiTree::build`
+    // with the simulator off (the directory is baked on first use).
+    group.bench_function("bonsai_build", |b| {
+        b.iter(|| {
+            BonsaiTree::build(prepared.clone(), KdTreeConfig::default(), &mut sim)
+                .kd_tree()
+                .nodes()
+                .len()
+        })
+    });
     // One worker: the split step alone, whatever the host's core count.
     group.bench_function("build_parallel_f16", |b| {
         b.iter(|| {

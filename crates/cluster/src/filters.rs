@@ -214,6 +214,12 @@ struct Cell {
     count: u32,
 }
 
+/// Whether [`voxel_downsample`] accepts `voxel_size`: positive and
+/// finite, with a finite reciprocal.
+pub(crate) fn voxel_size_is_valid(voxel_size: f32) -> bool {
+    voxel_size.is_finite() && voxel_size > 0.0 && (1.0 / voxel_size).is_finite()
+}
+
 impl VoxelGrid {
     /// [`voxel_downsample`] into `out`, whose previous contents are
     /// discarded.
@@ -225,7 +231,7 @@ impl VoxelGrid {
         out: &mut Vec<Point3>,
     ) {
         assert!(
-            voxel_size.is_finite() && voxel_size > 0.0 && (1.0 / voxel_size).is_finite(),
+            voxel_size_is_valid(voxel_size),
             "voxel size must be positive and finite, with a finite reciprocal"
         );
         assert!(

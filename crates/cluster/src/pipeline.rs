@@ -16,6 +16,9 @@ pub enum PipelineError {
     /// The cluster tolerance is non-positive or non-finite: no radius
     /// search is defined for it.
     DegenerateTolerance(f32),
+    /// The voxel-grid cell size is not positive and finite, or its
+    /// reciprocal overflows: the voxel grid cannot key a point with it.
+    DegenerateVoxelSize(f32),
     /// An audit found corruption and the quarantine-and-rebuild heal
     /// could not restore a clean index; the violations that survived
     /// (or tripped the guard) are attached.
@@ -30,6 +33,12 @@ impl fmt::Display for PipelineError {
         match self {
             PipelineError::DegenerateTolerance(t) => {
                 write!(f, "cluster tolerance {t} is not a positive finite radius")
+            }
+            PipelineError::DegenerateVoxelSize(v) => {
+                write!(
+                    f,
+                    "voxel size {v} is not a positive finite size with a finite reciprocal"
+                )
             }
             PipelineError::CorruptionUnrecovered(v) => {
                 write!(
@@ -471,8 +480,8 @@ impl StreamingPipeline {
     ///
     /// Panics where
     /// [`try_process_frame`](StreamingPipeline::try_process_frame)
-    /// would return an error: a degenerate tolerance, or corruption a
-    /// policy-triggered heal could not repair.
+    /// would return an error: a degenerate tolerance or voxel size, or
+    /// corruption a policy-triggered heal could not repair.
     pub fn process_frame(&mut self, raw_cloud: &[Point3]) -> FrameResult {
         // lint: allow(panic-free-serving) — documented panicking
         // convenience wrapper; the serving path is `try_process_frame`.
@@ -487,14 +496,23 @@ impl StreamingPipeline {
     /// shards are rebuilt from the authoritative coordinates before
     /// the frame is served, so a transient corruption costs one
     /// rebuild, not the stream. Corruption that survives the heal is
-    /// returned as [`PipelineError::CorruptionUnrecovered`].
+    /// returned as [`PipelineError::CorruptionUnrecovered`]; parameters
+    /// no frame can run with, as [`PipelineError::DegenerateTolerance`]
+    /// or [`PipelineError::DegenerateVoxelSize`], before any work.
     pub fn try_process_frame(
         &mut self,
         raw_cloud: &[Point3],
     ) -> Result<FrameResult, PipelineError> {
-        let tolerance = self.pipeline.params().tolerance;
+        let ClusterParams {
+            tolerance,
+            voxel_size,
+            ..
+        } = *self.pipeline.params();
         if !tolerance.is_finite() || tolerance <= 0.0 {
             return Err(PipelineError::DegenerateTolerance(tolerance));
+        }
+        if !filters::voxel_size_is_valid(voxel_size) {
+            return Err(PipelineError::DegenerateVoxelSize(voxel_size));
         }
         let due = match self.audit {
             AuditPolicy::Off => false,
@@ -789,6 +807,35 @@ mod tests {
         );
         let audit = streaming.extractor().router().audit();
         assert!(audit.is_empty(), "{audit:?}");
+    }
+
+    /// A voxel size the grid cannot key with is a typed error at the
+    /// serving boundary, returned before the frame is preprocessed, not
+    /// a panic in the voxel grid.
+    #[test]
+    fn degenerate_voxel_size_is_a_typed_error() {
+        let frame = DrivingSequence::new(SequenceConfig::small_test()).frame(0);
+        for voxel_size in [
+            0.0,
+            -0.0,
+            -0.15,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1), // the reciprocal overflows to +∞
+        ] {
+            let params = ClusterParams {
+                voxel_size,
+                ..ClusterParams::default()
+            };
+            let mut streaming = StreamingPipeline::new(params, TreeMode::Bonsai);
+            match streaming.try_process_frame(&frame) {
+                Err(PipelineError::DegenerateVoxelSize(v)) => {
+                    assert_eq!(v.to_bits(), voxel_size.to_bits());
+                }
+                other => panic!("voxel size {voxel_size}: {:?}", other.map(|_| ())),
+            }
+        }
     }
 
     #[test]

@@ -9,13 +9,28 @@
 //! builder still charges the simulator for the per-node box pass FLANN
 //! runs, but walks that range only when the simulator is enabled.
 //!
-//! The build partitions `vind` in place, so each leaf's points end up
-//! in one contiguous range, and the leaves are packed back to back: a
-//! fresh tree holds exactly one `vind` slot and one row slot per point,
-//! like PCL's reordered matrix. The reorder pass then bakes the leaf
-//! rows in the tree's [`RowLayout`]. Lane width plays no part in the
-//! layout: the sweeps of [`simd`](crate::simd) finish each leaf's
-//! partial lane group themselves.
+//! # Records
+//!
+//! The split step moves 16-byte records `(x, y, z, idx)` (`Rec`), not
+//! indices into the cloud, the way dinotree partitions `{rect, index}`
+//! pairs: the select compares the key in hand, and each child's box is
+//! a lane fold over contiguous memory, with no gather through `vind`.
+//! The tree is exactly the one an index-based split builds: std's
+//! select decides each move from its comparison results and the slice
+//! length, both unchanged, and the lane fold falls back to the in-order
+//! `Aabb` fold whenever a box side is ±0 or NaN, the only values whose
+//! bits depend on the fold order. A `#[cfg(test)]` copy of the
+//! index-based split (`reference`) checks nodes, `vind`, rows and
+//! stats bit for bit. The record array (16 B per point) lives only for
+//! the build: `vind` is written from the records' indices once, at the
+//! end, and the leaf rows are baked from the records in slot order.
+//!
+//! The build packs each leaf's points in one contiguous range, and the
+//! leaves back to back: a fresh tree holds exactly one `vind` slot and
+//! one row slot per point, like PCL's reordered matrix. The reorder
+//! pass bakes the leaf rows in the tree's [`RowLayout`]. Lane width
+//! plays no part in the layout: the sweeps of [`simd`](crate::simd)
+//! finish each leaf's partial lane group themselves.
 
 use bonsai_geom::{Aabb, Axis, Point3};
 use bonsai_sim::{Kernel, OpClass, SimEngine};
@@ -152,6 +167,12 @@ impl KdTree {
     /// Builds a tree over `points` with exact `f32` leaf rows, charging
     /// construction work to the `Build` kernel of `sim`.
     ///
+    /// The splits move a transient array of 16-byte point records
+    /// (coordinates beside the point's index), freed before this
+    /// returns, so the select and the child-box folds read no point
+    /// through `vind`. The tree, its `vind`, rows and simulator events
+    /// are bit-identical to those of a split over indices.
+    ///
     /// An empty cloud yields an empty tree (searches return nothing).
     pub fn build(points: Vec<Point3>, cfg: KdTreeConfig, sim: &mut SimEngine) -> KdTree {
         KdTree::build_rows(points, cfg, RowLayout::F32, sim)
@@ -193,9 +214,13 @@ impl KdTree {
         let nodes_addr = sim.alloc((2 * n as u64 + 1) * NODE_BYTES, 64);
         let reordered_addr = sim.alloc(n as u64 * REORDERED_STRIDE, 64);
 
+        // The split step moves 16-byte records; `vind` and the rows are
+        // written from them once, after the recursion, and the records
+        // are freed before the tree is returned.
+        let mut recs = Rec::gather(&points, 0..n as u32);
         let mut tree = KdTree {
             points,
-            vind: (0..n as u32).collect(),
+            vind: Vec::new(),
             nodes: Vec::new(),
             rows: LeafRows::with_capacity(layout, 0),
             cfg,
@@ -219,12 +244,13 @@ impl KdTree {
                 tree.nodes
                     .reserve_exact(median_node_count(n, cfg.max_leaf_points));
             }
-            let bbox = range_box(&tree.points, &tree.vind);
-            tree.build_range(sim, &costs, 0, n, 0, bbox);
+            let bbox = records_box(&recs);
+            tree.build_range(sim, &costs, &mut recs, 0, 0, bbox);
             // A sliding-midpoint shape depends on the data, so that
             // pool is trimmed after the fact (one shrinking realloc; a
             // no-op on the exactly sized median pool).
             tree.nodes.shrink_to_fit();
+            tree.vind = recs.iter().map(|r| r.idx).collect();
             // FLANN's reorder pass: copy the points into vind order so
             // leaf scans stream instead of gathering. Host-side this
             // bakes the leaf-contiguous rows the fast scans sweep, in
@@ -238,7 +264,7 @@ impl KdTree {
                     sim.exec(OpClass::IntAlu, 2);
                 }
             }
-            tree.rows = LeafRows::bake(layout, &tree.points, &tree.vind, &tree.nodes);
+            tree.rows = LeafRows::bake(layout, &tree.nodes, &recs);
             sim.set_kernel(prev);
         }
         tree.rebuild_meta();
@@ -267,26 +293,27 @@ impl KdTree {
         crate::parts::build_tree_parallel(points, cfg, RowLayout::F16, threads)
     }
 
-    /// Recursively builds `vind[lo..hi]`, whose box `bbox` the parent's
-    /// split handed down; returns the created node id.
+    /// Recursively builds the slots `lo..lo + recs.len()` (the records
+    /// `recs`, the tree's `vind[lo..]` to be), whose box `bbox` the
+    /// parent's split handed down; returns the created node id.
     fn build_range(
         &mut self,
         sim: &mut SimEngine,
         costs: &TraversalCosts,
+        recs: &mut [Rec],
         lo: usize,
-        hi: usize,
         depth: u32,
         bbox: Aabb,
     ) -> NodeId {
-        let count = hi - lo;
+        let count = recs.len();
         self.stats.max_depth = self.stats.max_depth.max(depth);
 
         // FLANN recomputes each node's bounding box over its whole
         // range; the host already holds it, so only the events remain.
         if sim.is_enabled() {
-            for i in lo..hi {
+            for (i, r) in (lo..).zip(&*recs) {
                 sim.load(self.vind_entry_addr(i as u32), 4);
-                sim.load(self.point_addr(self.vind[i]), 12);
+                sim.load(self.point_addr(r.idx), 12);
                 sim.exec(OpClass::FpAlu, costs.build_bbox_per_point_fp);
             }
         }
@@ -304,24 +331,25 @@ impl KdTree {
         }
 
         let (vind_addr, points_addr) = (self.vind_addr, self.points_addr);
-        let split = split_range(
-            &self.points,
-            &mut self.vind[lo..hi],
-            &bbox,
-            self.cfg.split_rule,
-            |idxs| {
-                if sim.is_enabled() {
-                    charge_partition(sim, costs, vind_addr, points_addr, lo, idxs);
-                }
-            },
-        );
+        let split = split_range(recs, &bbox, self.cfg.split_rule, |recs| {
+            if sim.is_enabled() {
+                charge_partition(sim, costs, vind_addr, points_addr, lo, recs);
+            }
+        });
         sim.exec(OpClass::IntAlu, costs.build_per_node);
 
         // Reserve the slot so children are numbered after their parent.
         let id = self.push_node(sim, Node::EMPTY_LEAF);
-        let mid = lo + split.mid;
-        let left = self.build_range(sim, costs, lo, mid, depth + 1, split.left);
-        let right = self.build_range(sim, costs, mid, hi, depth + 1, split.right);
+        let (left_recs, right_recs) = recs.split_at_mut(split.mid);
+        let left = self.build_range(sim, costs, left_recs, lo, depth + 1, split.left);
+        let right = self.build_range(
+            sim,
+            costs,
+            right_recs,
+            lo + split.mid,
+            depth + 1,
+            split.right,
+        );
         self.stats.num_leaves -= 1; // The placeholder was counted as a leaf.
         self.stats.num_interior += 1;
         self.nodes[id as usize] = split.node(left, right);
@@ -520,11 +548,34 @@ pub(crate) mod sites {
     pub const KNN_UPDATE: u32 = 0x14;
 }
 
+/// One point as the split step moves it: its coordinates beside its
+/// index into `points`. A comparison or a box fold reads the record in
+/// hand instead of gathering `points[idx]` through `vind`; 16 bytes,
+/// so a record is one aligned 128-bit load.
+#[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(C, align(16))]
+pub(crate) struct Rec {
+    pub p: Point3,
+    pub idx: u32,
+}
+
+impl Rec {
+    /// The records of the points `idxs` names, in that order.
+    pub fn gather(points: &[Point3], idxs: impl IntoIterator<Item = u32>) -> Vec<Rec> {
+        idxs.into_iter()
+            .map(|idx| Rec {
+                p: points[idx as usize],
+                idx,
+            })
+            .collect()
+    }
+}
+
 /// One interior node's split, as both builders take it.
 pub(crate) struct Split {
     /// The split axis: the widest of the range's box.
     pub axis: Axis,
-    /// Points `[..mid]` of the range went left.
+    /// Records `[..mid]` of the range went left.
     pub mid: usize,
     /// The largest left `axis` coordinate.
     pub div_low: f32,
@@ -551,49 +602,52 @@ impl Split {
 }
 
 /// The split step of both builders ([`KdTree::build`] and the subtree
-/// builder of [`parts`](crate::parts)): partitions `idxs`, whose points
-/// span `bbox`, on the box's widest axis, then takes one pass over the
-/// children for their boxes and reads the dividers off them. `on_pass`
-/// sees `idxs` after each partition pass (two when a sliding-midpoint
-/// split slides to the median), so the instrumented build charges each
-/// pass over the order the host left.
+/// builder of [`parts`](crate::parts)): partitions `recs`, whose points
+/// span `bbox`, on the box's widest axis, then folds each child's
+/// contiguous records for its box and reads the dividers off the boxes.
+/// `on_pass` sees `recs` after each partition pass (two when a
+/// sliding-midpoint split slides to the median), so the instrumented
+/// build charges each pass over the order the host left.
+///
+/// The records carry their coordinates, so the select compares keys in
+/// hand. It moves the records exactly as an index-based select moves
+/// the indices: std's `select_nth_unstable_by` decides every move from
+/// the comparison results and the slice length alone, and the key and
+/// `total_cmp` are the same. The child boxes come from
+/// [`records_box`], bit-equal to the in-order `Aabb` fold.
 pub(crate) fn split_range(
-    points: &[Point3],
-    idxs: &mut [u32],
+    recs: &mut [Rec],
     bbox: &Aabb,
     rule: SplitRule,
-    mut on_pass: impl FnMut(&[u32]),
+    mut on_pass: impl FnMut(&[Rec]),
 ) -> Split {
     let axis = bbox.widest_axis();
     let mut mid = 0;
     if rule == SplitRule::SlidingMidpoint {
         // Stable partition at the box centre.
         let threshold = bbox.center()[axis];
-        for i in 0..idxs.len() {
-            if points[idxs[i] as usize][axis] < threshold {
-                idxs.swap(i, mid);
+        for i in 0..recs.len() {
+            if recs[i].p[axis] < threshold {
+                recs.swap(i, mid);
                 mid += 1;
             }
         }
-        on_pass(idxs);
+        on_pass(recs);
     }
-    if mid == 0 || mid == idxs.len() {
+    if mid == 0 || mid == recs.len() {
         // The median split, or a sliding midpoint that left every point
         // on one side: slide to the median so both sides stay non-empty
         // (FLANN's slide degenerates similarly when duplicates collapse
         // the box).
-        mid = idxs.len() / 2;
+        mid = recs.len() / 2;
         match axis {
-            Axis::X => select_nth(points, idxs, mid, |p| p.x),
-            Axis::Y => select_nth(points, idxs, mid, |p| p.y),
-            Axis::Z => select_nth(points, idxs, mid, |p| p.z),
+            Axis::X => select_nth(recs, mid, |r| r.p.x),
+            Axis::Y => select_nth(recs, mid, |r| r.p.y),
+            Axis::Z => select_nth(recs, mid, |r| r.p.z),
         }
-        on_pass(idxs);
+        on_pass(recs);
     }
-    let (left, right) = (
-        range_box(points, &idxs[..mid]),
-        range_box(points, &idxs[mid..]),
-    );
+    let (left, right) = (records_box(&recs[..mid]), records_box(&recs[mid..]));
     // The dividers equal a fold of `f32::max` from −∞ over the left
     // child (`f32::min` from +∞ over the right): `Aabb::insert` calls
     // them in the fold's operand order, so ±0 keeps its bits. Only a
@@ -612,21 +666,78 @@ pub(crate) fn split_range(
 
 /// `select_nth_unstable_by` on one coordinate; `key` is monomorphised
 /// per axis, so each comparison reads its field without a `match`.
-fn select_nth(points: &[Point3], idxs: &mut [u32], nth: usize, key: impl Fn(&Point3) -> f32) {
-    idxs.select_nth_unstable_by(nth, |&a, &b| {
-        key(&points[a as usize]).total_cmp(&key(&points[b as usize]))
-    });
+fn select_nth(recs: &mut [Rec], nth: usize, key: impl Fn(&Rec) -> f32) {
+    recs.select_nth_unstable_by(nth, |a, b| key(a).total_cmp(&key(b)));
 }
 
-/// The bounding box of the points `idxs` names, folded in order.
-pub(crate) fn range_box(points: &[Point3], idxs: &[u32]) -> Aabb {
-    // lint: allow(panic-free-serving) — build recursion invariant:
-    // every partition range holds at least one point.
-    Aabb::from_points(idxs.iter().map(|&i| points[i as usize])).expect("non-empty range")
+/// Records [`records_box`] folds per step, one accumulator each.
+const BOX_LANES: usize = 2;
+
+/// The bounding box of `recs`, bit-equal to `Aabb::from_points` folding
+/// them in order.
+///
+/// Each record is read as one 4-lane vector and folded into accumulator
+/// `i % BOX_LANES` with the compare-and-select `minps`/`maxps` compute,
+/// so the accumulators' dependency chains overlap; the accumulators are
+/// folded together at the end. A NaN operand never replaces an
+/// accumulator, so where no accumulator starts at NaN a side is the
+/// extreme of the non-NaN values, which `f32::min`/`max`'s NaN-skipping
+/// in-order fold also returns, and a nonzero extreme has the same bits
+/// in any fold order. An accumulator side that is NaN (its first record
+/// has a NaN coordinate, or every value is NaN, whose payload the
+/// in-order fold keeps) or a ±0 side (which zero wins depends on the
+/// operand order) is rare, and then the in-order fold is rerun.
+pub(crate) fn records_box(recs: &[Rec]) -> Aabb {
+    let sequential = || {
+        // lint: allow(panic-free-serving) — build recursion invariant:
+        // every partition range holds at least one record.
+        Aabb::from_points(recs.iter().map(|r| r.p)).expect("non-empty range")
+    };
+    if recs.len() < BOX_LANES {
+        return sequential();
+    }
+    // Lane 3 carries the index bits, so a record is one plain load; it
+    // is never read back.
+    let lanes = |r: &Rec| [r.p.x, r.p.y, r.p.z, f32::from_bits(r.idx)];
+    let fold = |lo: &mut [f32; 4], hi: &mut [f32; 4], v: [f32; 4], w: [f32; 4]| {
+        for j in 0..4 {
+            lo[j] = if v[j] < lo[j] { v[j] } else { lo[j] };
+            hi[j] = if w[j] > hi[j] { w[j] } else { hi[j] };
+        }
+    };
+    let (head, body) = recs.split_at(BOX_LANES);
+    let mut lo: [[f32; 4]; BOX_LANES] = std::array::from_fn(|k| lanes(&head[k]));
+    let mut hi = lo;
+    let mut chunks = body.chunks_exact(BOX_LANES);
+    for chunk in &mut chunks {
+        for k in 0..BOX_LANES {
+            let v = lanes(&chunk[k]);
+            fold(&mut lo[k], &mut hi[k], v, v);
+        }
+    }
+    for (k, r) in chunks.remainder().iter().enumerate() {
+        let v = lanes(r);
+        fold(&mut lo[k], &mut hi[k], v, v);
+    }
+    let nan = lo
+        .iter()
+        .chain(&hi)
+        .any(|acc| acc[..3].iter().any(|v| v.is_nan()));
+    let (mut min, mut max) = (lo[0], hi[0]);
+    for k in 1..BOX_LANES {
+        fold(&mut min, &mut max, lo[k], hi[k]);
+    }
+    if nan || min[..3].iter().chain(&max[..3]).any(|&v| v == 0.0) {
+        return sequential();
+    }
+    Aabb {
+        min: Point3::new(min[0], min[1], min[2]),
+        max: Point3::new(max[0], max[1], max[2]),
+    }
 }
 
 /// Charges one partition pass over `vind[lo..]` (now ordered as
-/// `idxs`): index load, coordinate load, compare/swap arithmetic, the
+/// `recs`): index load, coordinate load, compare/swap arithmetic, the
 /// swap's write-back, and one data-dependent branch per point.
 fn charge_partition(
     sim: &mut SimEngine,
@@ -634,11 +745,11 @@ fn charge_partition(
     vind_addr: u64,
     points_addr: u64,
     lo: usize,
-    idxs: &[u32],
+    recs: &[Rec],
 ) {
-    for (i, &idx) in (lo..).zip(idxs) {
+    for (i, r) in (lo..).zip(recs) {
         sim.load(vind_addr + 4 * i as u64, 4);
-        sim.load(points_addr + idx as u64 * POINT_STRIDE, 4); // the splitting coordinate
+        sim.load(points_addr + r.idx as u64 * POINT_STRIDE, 4); // the splitting coordinate
         sim.exec(OpClass::IntAlu, costs.build_partition_per_point);
         // Partition outcomes look random to the predictor; roughly
         // half the elements are swapped (stored back).
@@ -655,6 +766,162 @@ fn charge_partition(
 /// tests).
 fn bonsai_isa_max_leaf() -> usize {
     16
+}
+
+/// The index-based split step the record split replaced, kept as the
+/// oracle of the builders: it partitions indices into `points`, selects
+/// through `points[idx]` and folds each child's box in order through the
+/// index array. [`build_subtree`](reference::build_subtree) builds with
+/// it in the sequential preorder, and [`build`](reference::build) bakes
+/// a whole tree's rows through `vind`.
+#[cfg(test)]
+pub(crate) mod reference {
+    use std::cell::Cell;
+
+    use super::*;
+    use crate::mutate::PAD_SLOT;
+    use crate::parts::{SubtreeConfig, SubtreeParts};
+
+    thread_local! {
+        static SUBTREES_BY_INDEX: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Whether `parts::build_subtree` runs [`build_subtree`] on this
+    /// thread (see [`with_subtrees_by_index`]).
+    pub fn subtrees_by_index() -> bool {
+        SUBTREES_BY_INDEX.with(Cell::get)
+    }
+
+    /// Runs `f` with this thread's subtree builds (mutation rebuilds)
+    /// taking the index-based split.
+    pub fn with_subtrees_by_index<R>(f: impl FnOnce() -> R) -> R {
+        SUBTREES_BY_INDEX.with(|c| c.set(true));
+        let out = f();
+        SUBTREES_BY_INDEX.with(|c| c.set(false));
+        out
+    }
+
+    /// The bounding box of the points `idxs` names, folded in order.
+    pub fn range_box(points: &[Point3], idxs: &[u32]) -> Aabb {
+        Aabb::from_points(idxs.iter().map(|&i| points[i as usize])).expect("non-empty range")
+    }
+
+    /// The split step over indices.
+    pub fn split_range(points: &[Point3], idxs: &mut [u32], bbox: &Aabb, rule: SplitRule) -> Split {
+        let axis = bbox.widest_axis();
+        let mut mid = 0;
+        if rule == SplitRule::SlidingMidpoint {
+            let threshold = bbox.center()[axis];
+            for i in 0..idxs.len() {
+                if points[idxs[i] as usize][axis] < threshold {
+                    idxs.swap(i, mid);
+                    mid += 1;
+                }
+            }
+        }
+        if mid == 0 || mid == idxs.len() {
+            mid = idxs.len() / 2;
+            idxs.select_nth_unstable_by(mid, |&a, &b| {
+                points[a as usize][axis].total_cmp(&points[b as usize][axis])
+            });
+        }
+        let (left, right) = (
+            range_box(points, &idxs[..mid]),
+            range_box(points, &idxs[mid..]),
+        );
+        let nan_to = |v: f32, fold: f32| if v.is_nan() { fold } else { v };
+        Split {
+            axis,
+            mid,
+            div_low: nan_to(left.max[axis], f32::NEG_INFINITY),
+            div_high: nan_to(right.min[axis], f32::INFINITY),
+            left,
+            right,
+        }
+    }
+
+    /// `parts::build_subtree` over the index-based split, sequentially.
+    pub fn build_subtree(points: &[Point3], idxs: &[u32], cfg: SubtreeConfig) -> SubtreeParts {
+        let mut idxs = idxs.to_vec();
+        let mut parts = SubtreeParts {
+            nodes: Vec::new(),
+            order: Vec::new(),
+            stats: BuildStats::default(),
+        };
+        let bbox = range_box(points, &idxs);
+        build_rec(points, &mut idxs, cfg, 0, bbox, &mut parts);
+        parts
+    }
+
+    fn build_rec(
+        points: &[Point3],
+        idxs: &mut [u32],
+        cfg: SubtreeConfig,
+        depth: u32,
+        bbox: Aabb,
+        parts: &mut SubtreeParts,
+    ) -> NodeId {
+        parts.stats.max_depth = parts.stats.max_depth.max(depth);
+        let id = parts.nodes.len() as NodeId;
+        let m = cfg.tree.max_leaf_points;
+        if idxs.len() <= m {
+            parts.nodes.push(Node::Leaf {
+                start: parts.order.len() as u32,
+                count: idxs.len() as u32,
+                origin: cfg.layout.origin(bbox.min, bbox.max),
+            });
+            parts.order.extend_from_slice(idxs);
+            if cfg.slack {
+                parts.order.extend((idxs.len()..m).map(|_| PAD_SLOT));
+            }
+            parts.stats.num_leaves += 1;
+            return id;
+        }
+        let split = split_range(points, idxs, &bbox, cfg.tree.split_rule);
+        parts.nodes.push(Node::EMPTY_LEAF);
+        let (l, r) = idxs.split_at_mut(split.mid);
+        let left = build_rec(points, l, cfg, depth + 1, split.left, parts);
+        let right = build_rec(points, r, cfg, depth + 1, split.right, parts);
+        parts.nodes[id as usize] = split.node(left, right);
+        parts.stats.num_interior += 1;
+        id
+    }
+
+    /// A whole packed tree over `points`: its nodes, `vind`, leaf rows
+    /// (baked through `vind`) and shape stats.
+    pub fn build(
+        points: &[Point3],
+        cfg: KdTreeConfig,
+        layout: RowLayout,
+    ) -> (Vec<Node>, Vec<u32>, LeafRows, BuildStats) {
+        let n = points.len();
+        let mut rows = LeafRows::with_capacity(layout, n);
+        if n == 0 {
+            return (Vec::new(), Vec::new(), rows, BuildStats::default());
+        }
+        let all: Vec<u32> = (0..n as u32).collect();
+        let cfg = SubtreeConfig {
+            tree: cfg,
+            layout,
+            slack: false,
+            threads: 1,
+        };
+        let parts = build_subtree(points, &all, cfg);
+        rows.pad_to(n);
+        for node in &parts.nodes {
+            if let Node::Leaf {
+                start,
+                count,
+                origin,
+            } = *node
+            {
+                for i in start as usize..(start + count) as usize {
+                    rows.set_point(i, points[parts.order[i] as usize], origin);
+                }
+            }
+        }
+        (parts.nodes, parts.order, rows, parts.stats)
+    }
 }
 
 #[cfg(test)]
@@ -858,6 +1125,327 @@ mod tests {
                     );
                     if rule == SplitRule::Median {
                         assert_eq!(tree.nodes.len(), median_node_count(side * side, m));
+                    }
+                }
+            }
+        }
+    }
+
+    /// A cloud of `n` points for the record-split oracle. `kind` 0 draws
+    /// uniform coordinates; 1 draws from five values, so every axis is
+    /// full of ties; 2 mixes those with NaN (three payloads, both
+    /// signs), ±0 and ±∞, and repeats earlier points.
+    fn oracle_cloud(n: usize, seed: u64, kind: u32) -> Vec<Point3> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state >> 11
+        };
+        const TIES: [f32; 5] = [-1.5, 0.25, 2.0, 2.0, 7.0];
+        let specials = [
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7FC0_0ABC),
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        let mut coord = |kind: u32| {
+            let r = next();
+            match (kind, r % 8) {
+                (0, _) => (r >> 8) as f32 / (1u64 << 45) as f32 * 100.0 - 50.0,
+                (1, _) | (2, 0..=3) => TIES[(r >> 8) as usize % TIES.len()],
+                (_, 4..=5) => specials[(r >> 8) as usize % specials.len()],
+                _ => (r >> 8) as f32 / (1u64 << 45) as f32 * 10.0 - 5.0,
+            }
+        };
+        let mut cloud: Vec<Point3> = Vec::with_capacity(n);
+        for i in 0..n {
+            let p = if kind == 2 && i > 0 && i % 7 == 3 {
+                cloud[(i * 31) % i]
+            } else {
+                Point3::new(coord(kind), coord(kind), coord(kind))
+            };
+            cloud.push(p);
+        }
+        cloud
+    }
+
+    /// The bits of a node, so NaN and ±0 fields compare exactly.
+    fn node_bits(node: &Node) -> [u32; 6] {
+        match *node {
+            Node::Interior {
+                axis,
+                split_val,
+                div_low,
+                div_high,
+                left,
+                right,
+            } => [
+                axis as u32,
+                split_val.to_bits(),
+                div_low.to_bits(),
+                div_high.to_bits(),
+                left,
+                right,
+            ],
+            Node::Leaf {
+                start,
+                count,
+                origin,
+            } => [
+                u32::MAX,
+                start,
+                count,
+                origin.x.to_bits(),
+                origin.y.to_bits(),
+                origin.z.to_bits(),
+            ],
+        }
+    }
+
+    fn box_bits(b: &Aabb) -> [u32; 6] {
+        [b.min.x, b.min.y, b.min.z, b.max.x, b.max.y, b.max.z].map(f32::to_bits)
+    }
+
+    fn rows_bits(rows: &LeafRows) -> Vec<u32> {
+        match rows {
+            LeafRows::F32(r) => [&r.x, &r.y, &r.z]
+                .into_iter()
+                .flatten()
+                .map(|c| c.to_bits())
+                .collect(),
+            LeafRows::F16(r) => [&r.x, &r.y, &r.z]
+                .into_iter()
+                .flatten()
+                .map(|&h| u32::from(h))
+                .collect(),
+        }
+    }
+
+    /// Asserts `tree` holds the reference's nodes, `vind`, rows and
+    /// stats, bit for bit.
+    fn assert_matches_reference(
+        tree: &KdTree,
+        (nodes, vind, rows, stats): &(Vec<Node>, Vec<u32>, LeafRows, BuildStats),
+        what: &str,
+    ) {
+        let bits = |nodes: &[Node]| nodes.iter().map(node_bits).collect::<Vec<_>>();
+        assert_eq!(bits(&tree.nodes), bits(nodes), "nodes, {what}");
+        assert_eq!(&tree.vind, vind, "vind, {what}");
+        assert_eq!(tree.rows.layout(), rows.layout(), "layout, {what}");
+        assert_eq!(rows_bits(&tree.rows), rows_bits(rows), "rows, {what}");
+        assert_eq!(tree.stats, *stats, "stats, {what}");
+    }
+
+    /// One split step over records moves them exactly as the
+    /// index-based step moves indices, with the same axis, dividers and
+    /// child boxes, on every prefix length of clouds full of ties, NaN,
+    /// ±0, ±∞ and duplicates.
+    #[test]
+    fn split_matches_index_reference_bit_for_bit() {
+        for kind in 0..3 {
+            let cloud = oracle_cloud(200, 11 + u64::from(kind), kind);
+            for n in 2..=cloud.len() {
+                for rule in [SplitRule::Median, SplitRule::SlidingMidpoint] {
+                    let what = format!("kind {kind} n {n} {rule:?}");
+                    let mut idxs: Vec<u32> = (0..n as u32).collect();
+                    let bbox = reference::range_box(&cloud, &idxs);
+                    let mut recs = Rec::gather(&cloud, 0..n as u32);
+                    assert_eq!(box_bits(&records_box(&recs)), box_bits(&bbox), "{what}");
+                    let want = reference::split_range(&cloud, &mut idxs, &bbox, rule);
+                    let got = split_range(&mut recs, &bbox, rule, |_| {});
+                    let ids: Vec<u32> = recs.iter().map(|r| r.idx).collect();
+                    assert_eq!(ids, idxs, "order, {what}");
+                    assert!(recs.iter().all(|r| r.p == cloud[r.idx as usize]
+                        || r.p.x.is_nan()
+                        || r.p.y.is_nan()
+                        || r.p.z.is_nan()));
+                    assert_eq!(got.axis, want.axis, "{what}");
+                    assert_eq!(got.mid, want.mid, "{what}");
+                    assert_eq!(
+                        [got.div_low, got.div_high].map(f32::to_bits),
+                        [want.div_low, want.div_high].map(f32::to_bits),
+                        "dividers, {what}"
+                    );
+                    assert_eq!(box_bits(&got.left), box_bits(&want.left), "{what}");
+                    assert_eq!(box_bits(&got.right), box_bits(&want.right), "{what}");
+                }
+            }
+        }
+    }
+
+    /// Every builder that takes the record split — the instrumented
+    /// `build_rows` in both layouts and the parts builder behind
+    /// `build_parallel*` on one and two workers — builds the tree the
+    /// index-based split builds: nodes, `vind`, leaf rows and stats, bit
+    /// for bit, over sizes 0–200, leaf sizes 1–16 (four per size, in
+    /// rotation) and both split rules. The 5000-point clouds are large
+    /// enough for two workers to fork.
+    #[test]
+    fn builders_match_index_reference_bit_for_bit() {
+        let mut sim = SimEngine::disabled();
+        let mut cases: Vec<(u32, usize, Vec<usize>)> = (0..3)
+            .flat_map(|kind| {
+                (0..=200).map(move |n| (kind, n, (0..4).map(|j| 1 + (n + 5 * j) % 16).collect()))
+            })
+            .collect();
+        cases.extend((0..3).map(|kind| (kind, 5000, vec![1, 15, 16])));
+        for (kind, n, leaf_sizes) in cases {
+            let cloud = oracle_cloud(n, 100 + n as u64, kind);
+            for m in leaf_sizes {
+                for split_rule in [SplitRule::Median, SplitRule::SlidingMidpoint] {
+                    let cfg = KdTreeConfig {
+                        max_leaf_points: m,
+                        split_rule,
+                    };
+                    for layout in [RowLayout::F32, RowLayout::F16] {
+                        let what = format!("kind {kind} n {n} m {m} {split_rule:?} {layout:?}");
+                        let want = reference::build(&cloud, cfg, layout);
+                        let seq = KdTree::build_rows(cloud.clone(), cfg, layout, &mut sim);
+                        assert_matches_reference(&seq, &want, &format!("build_rows, {what}"));
+                        if layout == RowLayout::F32 && n % 8 != 0 {
+                            continue;
+                        }
+                        for threads in [1, 2] {
+                            let par = crate::parts::build_tree_parallel(
+                                cloud.clone(),
+                                cfg,
+                                layout,
+                                threads,
+                            );
+                            assert_matches_reference(
+                                &par,
+                                &want,
+                                &format!("build_parallel {threads} threads, {what}"),
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        // The tree does not depend on whether the simulator is on.
+        let mut on = SimEngine::new(&bonsai_sim::CpuConfig::a72_like());
+        for kind in 0..3 {
+            let cloud = oracle_cloud(300, 7, kind);
+            let cfg = KdTreeConfig::default();
+            let want = reference::build(&cloud, cfg, RowLayout::F16);
+            let tree = KdTree::build_f16(cloud, cfg, &mut on);
+            assert_matches_reference(&tree, &want, &format!("simulated, kind {kind}"));
+        }
+    }
+
+    /// Mutation-triggered subtree rebuilds take the record split too:
+    /// the same inserts into the same tree leave the same nodes, `vind`,
+    /// rows and stats whether the rebuilds split records or indices.
+    #[test]
+    fn mutation_rebuild_matches_index_reference() {
+        let base = oracle_cloud(400, 5, 1);
+        // Ties and ±0 on every axis, crowding one corner of the tree.
+        let extra: Vec<Point3> = oracle_cloud(300, 9, 1)
+            .into_iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let z = if i % 3 == 0 { -0.0 } else { 0.0 };
+                Point3::new(p.x.min(0.25), p.y.min(0.25), z)
+            })
+            .collect();
+        for layout in [RowLayout::F32, RowLayout::F16] {
+            let run = || {
+                let mut sim = SimEngine::disabled();
+                let mut tree =
+                    KdTree::build_rows(base.clone(), KdTreeConfig::default(), layout, &mut sim);
+                for &p in &extra {
+                    tree.insert(&mut sim, p);
+                }
+                tree
+            };
+            let got = run();
+            let want = reference::with_subtrees_by_index(run);
+            assert!(
+                got.mutation_stats().subtree_rebuilds > 0,
+                "{layout:?}: no subtree rebuild triggered"
+            );
+            assert_eq!(
+                got.mutation_stats().subtree_rebuilds,
+                want.mutation_stats().subtree_rebuilds
+            );
+            let reference = (
+                want.nodes.clone(),
+                want.vind.clone(),
+                want.rows.clone(),
+                want.stats,
+            );
+            assert_matches_reference(&got, &reference, &format!("mutated {layout:?}"));
+        }
+    }
+
+    /// The lane fold of `records_box` equals the in-order `Aabb` fold
+    /// bit for bit where the order matters: +0 and −0 together at an
+    /// extreme, and NaN (one, or all with distinct payloads), at every
+    /// pair of positions of every accumulator lane and of the tail.
+    #[test]
+    fn records_box_matches_sequential_fold_at_signed_zeros_and_nan() {
+        let check = |coords: &[f32], what: &str| {
+            // The same column on all three axes, mirrored on y so a
+            // zero that is the minimum of x is the maximum of y.
+            let recs: Vec<Rec> = (0u32..)
+                .zip(coords)
+                .map(|(idx, &c)| Rec {
+                    p: Point3::new(c, -c, c),
+                    idx,
+                })
+                .collect();
+            let want = Aabb::from_points(recs.iter().map(|r| r.p)).unwrap();
+            assert_eq!(
+                box_bits(&records_box(&recs)),
+                box_bits(&want),
+                "{what}: {coords:?}"
+            );
+        };
+        let payload_nan = |i: usize| f32::from_bits(0x7FC0_0000 | i as u32 | (i as u32 & 1) << 31);
+        for len in 1..=3 * BOX_LANES + 2 {
+            for a in 0..len {
+                // One NaN among finite values, and every value NaN.
+                let mut v: Vec<f32> = (0..len).map(|i| 1.0 + i as f32).collect();
+                v[a] = f32::NAN;
+                check(&v, "one NaN");
+                let all: Vec<f32> = (0..len).map(payload_nan).collect();
+                check(&all, "all NaN");
+                for inf in [f32::INFINITY, f32::NEG_INFINITY] {
+                    let mut v = all.clone();
+                    v[a] = inf;
+                    check(&v, "one ±∞ among NaN");
+                }
+                // A NaN starting one accumulator, the extreme in another.
+                let mut v: Vec<f32> = (0..len).map(|i| 1.0 + i as f32).collect();
+                v[a] = payload_nan(a);
+                v[len - 1 - a] = 0.5;
+                check(&v, "NaN first in a lane");
+                for b in 0..len {
+                    if a == b {
+                        continue;
+                    }
+                    for (za, zb) in [(0.0, -0.0), (-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0)] {
+                        // ±0 at the minimum (the rest positive) ...
+                        let mut v: Vec<f32> = (0..len).map(|i| 1.0 + i as f32).collect();
+                        v[a] = za;
+                        v[b] = zb;
+                        check(&v, "zeros at the min");
+                        // ... and at the maximum (the rest negative).
+                        let mut v: Vec<f32> = (0..len).map(|i| -1.0 - i as f32).collect();
+                        v[a] = za;
+                        v[b] = zb;
+                        check(&v, "zeros at the max");
+                        // Zeros with NaN elsewhere in the lane fold.
+                        let c = (a + b + 1) % len;
+                        if c != a && c != b {
+                            v[c] = payload_nan(c);
+                            check(&v, "zeros and NaN");
+                        }
                     }
                 }
             }

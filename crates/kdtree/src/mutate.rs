@@ -778,7 +778,7 @@ impl KdTree {
         };
         let parts = build_subtree(
             &self.points,
-            &mut pts,
+            &pts,
             SubtreeConfig {
                 tree: rebuild_cfg,
                 layout: self.rows.layout(),

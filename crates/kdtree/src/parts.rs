@@ -28,7 +28,7 @@
 use bonsai_geom::{Aabb, Point3};
 use bonsai_sim::SimEngine;
 
-use crate::build::{range_box, split_range, BuildStats, KdTree, KdTreeConfig};
+use crate::build::{records_box, split_range, BuildStats, KdTree, KdTreeConfig, Rec};
 use crate::mutate::PAD_SLOT;
 use crate::node::{Node, NodeId, NODE_BYTES};
 use crate::rows::{LeafRows, RowLayout};
@@ -70,32 +70,38 @@ pub(crate) struct SubtreeConfig {
     pub threads: usize,
 }
 
-/// Builds a subtree over `idxs` (rearranged in place exactly as the
-/// sequential build would rearrange the same `vind` range).
-pub(crate) fn build_subtree(
-    points: &[Point3],
-    idxs: &mut [u32],
-    cfg: SubtreeConfig,
-) -> SubtreeParts {
+/// Builds a subtree over the points `idxs` names, in that order (the
+/// `order` it returns is the sequential build's arrangement of the same
+/// `vind` range).
+pub(crate) fn build_subtree(points: &[Point3], idxs: &[u32], cfg: SubtreeConfig) -> SubtreeParts {
     debug_assert!(!idxs.is_empty(), "build_subtree over an empty range");
-    let bbox = range_box(points, idxs);
-    build_rec(points, idxs, cfg, cfg.threads, 0, bbox)
+    #[cfg(test)]
+    if crate::build::reference::subtrees_by_index() {
+        return crate::build::reference::build_subtree(points, idxs, cfg);
+    }
+    build_records(&mut Rec::gather(points, idxs.iter().copied()), cfg)
 }
 
-/// Builds the subtree over `idxs`, whose box `bbox` the parent's split
+/// [`build_subtree`] over records gathered by the caller, left in the
+/// subtree's slot order (packed parts: `order[i] == recs[i].idx`).
+fn build_records(recs: &mut [Rec], cfg: SubtreeConfig) -> SubtreeParts {
+    let bbox = records_box(recs);
+    build_rec(recs, cfg, cfg.threads, 0, bbox)
+}
+
+/// Builds the subtree over `recs`, whose box `bbox` the parent's split
 /// handed down.
 fn build_rec(
-    points: &[Point3],
-    idxs: &mut [u32],
+    recs: &mut [Rec],
     cfg: SubtreeConfig,
     threads: usize,
     depth: u32,
     bbox: Aabb,
 ) -> SubtreeParts {
-    let count = idxs.len();
+    let count = recs.len();
     let m = cfg.tree.max_leaf_points;
     if count <= m {
-        let mut order = idxs.to_vec();
+        let mut order: Vec<u32> = recs.iter().map(|r| r.idx).collect();
         // Slack leaves reserve the full `m`-point capacity so later
         // inserts append in place.
         if cfg.slack {
@@ -116,24 +122,23 @@ fn build_rec(
         };
     }
 
-    let split = split_range(points, idxs, &bbox, cfg.tree.split_rule, |_| {});
-    let (left_idxs, right_idxs) = idxs.split_at_mut(split.mid);
+    let split = split_range(recs, &bbox, cfg.tree.split_rule, |_| {});
+    let (left_recs, right_recs) = recs.split_at_mut(split.mid);
     let fork = threads > 1 && count >= PARALLEL_MIN_POINTS;
     let (left, right) = if fork {
         let lt = threads / 2;
         let rt = threads - lt;
         std::thread::scope(|scope| {
-            let handle =
-                scope.spawn(|| build_rec(points, left_idxs, cfg, lt, depth + 1, split.left));
-            let right = build_rec(points, right_idxs, cfg, rt, depth + 1, split.right);
+            let handle = scope.spawn(|| build_rec(left_recs, cfg, lt, depth + 1, split.left));
+            let right = build_rec(right_recs, cfg, rt, depth + 1, split.right);
             // lint: allow(panic-free-serving) — join() only fails when
             // the worker panicked; re-raising is correct propagation.
             (handle.join().expect("subtree build worker panicked"), right)
         })
     } else {
         (
-            build_rec(points, left_idxs, cfg, 1, depth + 1, split.left),
-            build_rec(points, right_idxs, cfg, 1, depth + 1, split.right),
+            build_rec(left_recs, cfg, 1, depth + 1, split.left),
+            build_rec(right_recs, cfg, 1, depth + 1, split.right),
         )
     };
 
@@ -229,13 +234,12 @@ pub(crate) fn build_tree_parallel(
     let nodes_addr = sim.alloc((2 * n as u64 + 1) * NODE_BYTES, 64);
     let reordered_addr = sim.alloc(n as u64 * crate::build::REORDERED_STRIDE, 64);
 
-    let mut idxs: Vec<u32> = (0..n as u32).collect();
+    let mut recs = Rec::gather(&points, 0..n as u32);
     let (nodes, vind, stats) = if n == 0 {
         (Vec::new(), Vec::new(), BuildStats::default())
     } else {
-        let parts = build_subtree(
-            &points,
-            &mut idxs,
+        let parts = build_records(
+            &mut recs,
             SubtreeConfig {
                 tree: cfg,
                 layout,
@@ -248,7 +252,8 @@ pub(crate) fn build_tree_parallel(
         (parts.nodes, parts.order, parts.stats)
     };
 
-    let rows = LeafRows::bake(layout, &points, &vind, &nodes);
+    let rows = LeafRows::bake(layout, &nodes, &recs);
+    drop(recs);
     let mut tree = KdTree {
         points,
         vind,
@@ -343,14 +348,14 @@ mod tests {
     #[test]
     fn slack_parts_pad_every_leaf_to_capacity() {
         let cloud = random_cloud(500, 7, 50.0);
-        let mut idxs: Vec<u32> = (0..cloud.len() as u32).collect();
+        let idxs: Vec<u32> = (0..cloud.len() as u32).collect();
         let cfg = SubtreeConfig {
             tree: KdTreeConfig::default(),
             layout: RowLayout::F16,
             slack: true,
             threads: 1,
         };
-        let parts = build_subtree(&cloud, &mut idxs, cfg);
+        let parts = build_subtree(&cloud, &idxs, cfg);
         let m = cfg.tree.max_leaf_points;
         assert_eq!(
             parts.order.len(),

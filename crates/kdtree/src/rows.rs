@@ -55,6 +55,7 @@
 use bonsai_floatfmt::Half;
 use bonsai_geom::{Aabb, Point3};
 
+use crate::build::Rec;
 use crate::node::Node;
 
 /// The origin rule of the module docs for a leaf whose live points span
@@ -268,24 +269,28 @@ impl LeafRows {
         }
     }
 
-    /// Rows mirroring `vind` over `points`, each leaf of `nodes`
+    /// Rows mirroring the builders' records `slots` (slot `i` holds
+    /// `slots[i].p`, the point `vind[i]` names), each leaf of `nodes`
     /// encoded against its origin (slots no live leaf slot covers are
-    /// left unspecified), sized exactly.
-    pub fn bake(layout: RowLayout, points: &[Point3], vind: &[u32], nodes: &[Node]) -> LeafRows {
-        let mut rows = LeafRows::with_capacity(layout, vind.len());
-        rows.pad_to(vind.len());
-        for node in nodes {
-            if let Node::Leaf {
-                start,
-                count,
-                origin,
-            } = *node
-            {
-                for i in start as usize..(start + count) as usize {
-                    rows.set_point(i, points[vind[i] as usize], origin);
+    /// left unspecified), sized exactly. The records are read in slot
+    /// order, with no gather through `vind`.
+    pub fn bake(layout: RowLayout, nodes: &[Node], slots: &[Rec]) -> LeafRows {
+        let mut rows = LeafRows::with_capacity(layout, slots.len());
+        rows.pad_to(slots.len());
+        each_layout!(&mut rows, r => {
+            for node in nodes {
+                if let Node::Leaf {
+                    start,
+                    count,
+                    origin,
+                } = *node
+                {
+                    for i in start as usize..(start + count) as usize {
+                        r.set(i, Rows::encode(slots[i].p, origin));
+                    }
                 }
             }
-        }
+        });
         rows
     }
 
