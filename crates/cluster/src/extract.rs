@@ -34,13 +34,13 @@ pub struct ClusterOutput {
     /// Aggregated search work counters. The instrumented extraction
     /// counts its per-point radius searches. The single-tree fast path
     /// (simulator off) counts its leaf-pair self-join instead:
-    /// `nodes_visited` is the nodes its per-leaf walks visit,
-    /// `leaf_visits` the leaf pairs they find, `points_inspected` the
-    /// slots evaluated per (query, leaf) pair, and `fallbacks` and
-    /// `point_bytes_loaded` what its leaf blocks count (each compared
-    /// leaf's bytes once per block, plus the exact fallbacks'). The
-    /// sharded and streaming extractions count the searches of their
-    /// BFS.
+    /// `nodes_visited` is the node pairs its one dual walk visits,
+    /// `leaf_visits` the leaf pairs it finds (each leaf's self pair
+    /// included), `points_inspected` the slots evaluated per (query,
+    /// leaf) pair, and `fallbacks` and `point_bytes_loaded` what its
+    /// leaf blocks count (each compared leaf's bytes once per block,
+    /// plus the exact fallbacks'). The sharded and streaming
+    /// extractions count the searches of their BFS.
     pub search_stats: SearchStats,
     /// Tree shape statistics.
     pub build_stats: BuildStats,
@@ -414,16 +414,17 @@ where
 /// identical clusters, found by one self-join over leaf pairs instead
 /// of one radius query per point.
 ///
-/// For every leaf `A` of the built tree, one walk with `A`'s exact box
-/// grown by the tolerance finds the leaves `B ≥ A` within reach; every
-/// point of `A` is then swept over the ones its own position can reach,
-/// through the engine's leaf kernels (the compressed shell and its
-/// exact fallback under Bonsai), and every hit is unioned. The
-/// components come out in order of their smallest index, members
-/// ascending, size-filtered as the BFS filters them. The box tests
-/// only prune, with a margin over `f32` rounding; the sweep alone
-/// decides membership, so the clusters are bit-identical to the
-/// instrumented BFS's in every [`TreeMode`].
+/// Every leaf of the built tree is first compared with itself, which
+/// gives its local components. One walk over node pairs, pruned by the
+/// exact boxes grown by the tolerance, then finds every pair of leaves
+/// within reach, and each pair is compared through the engine's leaf
+/// kernels (the compressed shell and its exact fallback under Bonsai)
+/// with the points of one leaf that can reach the other's box; hits
+/// union the components. The components come out in order of their
+/// smallest index, members ascending, size-filtered as the BFS filters
+/// them. The box tests only prune, with a margin over `f32` rounding;
+/// the sweep alone decides membership, so the clusters are
+/// bit-identical to the instrumented BFS's in every [`TreeMode`].
 ///
 /// [`ClusterOutput::search_stats`] counts the join's own work (see the
 /// field), not the per-point searches of the BFS.

@@ -14,7 +14,7 @@ use bonsai_sim::{Kernel, OpClass, SimEngine};
 use crate::build::{sites, KdTree};
 use crate::costs::TraversalCosts;
 use crate::node::{Node, NODE_BYTES};
-use crate::search::Neighbor;
+use crate::search::{far_cell_in_reach, Neighbor};
 
 /// Max-heap entry so the worst current neighbour is at the top.
 #[derive(Debug, PartialEq)]
@@ -189,7 +189,7 @@ impl KdTree {
                     // non-empty (k = 0 early-returned at the entry).
                     heap.peek().expect("full heap").dist_sq
                 };
-                let visit_far = far_dist_sq <= worst;
+                let visit_far = far_cell_in_reach(far_dist_sq, worst);
                 sim.branch(sites::VISIT_FAR, visit_far);
                 if visit_far {
                     let saved = side_dists[axis.index()];
@@ -255,6 +255,40 @@ mod tests {
             // Distances are unique with this generator, so index sets match
             // exactly and in order.
             assert_eq!(got, expect, "query {qi} k {k}");
+        }
+    }
+
+    /// Regression: with coordinates at ±3e19 a cell distance overflows
+    /// to ∞, and the incremental far-cell distance `∞ − ∞ + ∞` is NaN;
+    /// the prune `far_dist_sq <= worst` then dropped far cells even
+    /// while the heap was not full, and `knn(k = 41)` returned 40.
+    #[test]
+    fn knn_matches_brute_force_when_cell_distances_overflow() {
+        let cloud: Vec<Point3> = (0..64)
+            .map(|i| {
+                let s = |bit: usize| if i >> bit & 1 == 0 { -3e19 } else { 3e19 };
+                let z = if i >> 2 & 1 == 0 { 0.0 } else { s(3) };
+                Point3::new(s(0), s(1), z)
+            })
+            .collect();
+        let cfg = KdTreeConfig {
+            max_leaf_points: 1,
+            ..KdTreeConfig::default()
+        };
+        let mut sim = SimEngine::disabled();
+        let tree = KdTree::build(cloud.clone(), cfg, &mut sim);
+        let q = Point3::new(-3e19, -3e19, 0.0);
+        let mut brute: Vec<f32> = cloud.iter().map(|p| p.distance_squared(q)).collect();
+        brute.sort_by(f32::total_cmp);
+        for k in 1..=cloud.len() {
+            let got = tree.knn(&mut sim, q, k);
+            let dists: Vec<f32> = got.iter().map(|n| n.dist_sq).collect();
+            // Most distances tie at ∞, so compare distances, not indices.
+            assert_eq!(dists, brute[..k], "k {k}");
+            let mut idx: Vec<u32> = got.iter().map(|n| n.index).collect();
+            idx.sort_unstable();
+            idx.dedup();
+            assert_eq!(idx.len(), k, "k {k}: repeated neighbours");
         }
     }
 

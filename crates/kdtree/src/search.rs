@@ -139,15 +139,18 @@ pub fn radius_is_searchable(radius: f32) -> bool {
 }
 
 /// Whether a far cell at lower-bound squared distance `far_dist_sq`
-/// stays in a radius walk: `far_dist_sq ≤ r²`, or `far_dist_sq` is NaN.
+/// stays in a walk: `far_dist_sq ≤ r²` (the radius, or kNN's current
+/// worst distance), or `far_dist_sq` is NaN.
 ///
-/// Both walkers update a far cell's distance incrementally,
-/// `min_dist_sq − side[axis] + cut`, which is `∞ − ∞ = NaN` once two
-/// infinite cuts meet on one axis. That happens only when a radius
-/// whose square overflows to `r² = ∞` reaches non-finite points (every
-/// kept frame below a finite `r²` has finite parts), and there every
-/// cell is in reach. `!(d > r²)` is one compare, like `d <= r²`, and
-/// keeps the NaN cell.
+/// The radius walkers and kNN update a far cell's distance
+/// incrementally, `min_dist_sq − side[axis] + cut`, which is
+/// `∞ − ∞ = NaN` once two infinite cuts meet on one axis. In a radius
+/// walk that happens only when a radius whose square overflows to
+/// `r² = ∞` reaches non-finite points (every kept frame below a finite
+/// `r²` has finite parts), and there every cell is in reach; in kNN,
+/// when coordinates far enough apart overflow a cut, and a NaN cell
+/// may still hold neighbours the heap lacks. `!(d > r²)` is one
+/// compare, like `d <= r²`, and keeps the NaN cell.
 #[inline(always)]
 #[allow(clippy::neg_cmp_op_on_partial_ord)] // the negation is the point: NaN keeps the cell
 pub(crate) fn far_cell_in_reach(far_dist_sq: f32, r_sq: f32) -> bool {

@@ -237,3 +237,41 @@ fn self_join_matches_bfs_on_drive_frames() {
         }
     }
 }
+
+/// The join's work counters on four paper-drive frames, Bonsai mode,
+/// pinned exactly: `nodes_visited` (node pairs of the dual walk),
+/// `leaf_visits` (leaf pairs found, self pairs included),
+/// `points_inspected` ((query, slot) pairs evaluated) and `fallbacks`.
+/// The counters depend on no kernel or backend, so a change to the
+/// join's work shows here.
+#[test]
+fn self_join_counters_on_paper_drive_frames() {
+    // (frame, [nodes_visited, leaf_visits, points_inspected, fallbacks])
+    const PINNED: [(usize, [u64; 4]); 4] = [
+        (0, [7034, 2678, 138_402, 492]),
+        (1200, [17_666, 6632, 118_305, 332]),
+        (2400, [15_442, 5713, 126_886, 335]),
+        (3600, [16_606, 5915, 110_927, 304]),
+    ];
+    let seq = DrivingSequence::new(SequenceConfig::paper_drive());
+    let pipeline = FramePipeline::new(ClusterParams::default());
+    let got: Vec<(usize, [u64; 4])> = PINNED
+        .iter()
+        .map(|&(k, _)| {
+            let mut sim = SimEngine::disabled();
+            let prepared = pipeline.preprocess(&mut sim, &seq.frame(k));
+            let s = pipeline
+                .cluster_prepared(&mut sim, prepared, TreeMode::Bonsai)
+                .output
+                .search_stats;
+            let counters = [
+                s.nodes_visited,
+                s.leaf_visits,
+                s.points_inspected,
+                s.fallbacks,
+            ];
+            (k, counters)
+        })
+        .collect();
+    assert_eq!(got, PINNED);
+}
