@@ -13,11 +13,8 @@
 //! direction only. The join therefore:
 //!
 //! 1. lays the tree out: the exact box of the finite points under every
-//!    node, and the points in slot order as `x`/`y`/`z` lanes. The
-//!    builders number nodes in pre-order, left first (checked: each
-//!    left child is `id + 1`, each right child follows its left subtree,
-//!    the root's subtree holds every id), so one reverse pass over the
-//!    ids meets children first; any other tree takes a stack pass;
+//!    node, filled children first over a stack-built pre-order read
+//!    backwards, and the points in slot order as `x`/`y`/`z` lanes;
 //! 2. compares each leaf with itself in one leaf block
 //!    ([`RadiusSearchEngine::leaf_hit_masks`]: the leaf decoded once,
 //!    one slot mask per query; its finite points query, non-finite ones
@@ -31,7 +28,9 @@
 //!    component of `A` in it sends none and one outside it sends its
 //!    queries one at a time up to the first hit; else they go in one
 //!    block. An unbounded radius also compares `B` with `A`;
-//! 4. reads the clusters off the point → component → root table.
+//! 4. reads the clusters off the point → component → root table; a
+//!    point no leaf holds (deleted from a mutable tree) is a cluster of
+//!    its own.
 //!
 //! The box tests only prune. They compare against the radius grown by
 //! [`GROWTH`] (plus [`FLOOR`]), which covers every rounding of an
@@ -161,7 +160,7 @@ struct SelfJoin<'e, 't> {
     lanes: Lanes,
     /// Per local component, its slots in its leaf.
     comps: Vec<u32>,
-    /// Per point, its component. Every point lies in one leaf.
+    /// Per point, its component.
     of_point: Vec<u32>,
 }
 
@@ -179,31 +178,33 @@ impl<'e, 't> SelfJoin<'e, 't> {
             comps: Vec::new(),
             of_point: vec![u32::MAX; tree.points().len()],
         };
-        if is_preorder(nodes) {
-            join.lay_out(0..nodes.len() as u32, stats);
-        } else {
-            let (mut order, mut stack) = (Vec::with_capacity(nodes.len()), vec![0]);
-            while let Some(id) = stack.pop() {
-                order.push(id);
-                if let Node::Interior { left, right, .. } = nodes[id as usize] {
-                    stack.extend([right, left]);
-                }
+        let (mut order, mut stack) = (Vec::with_capacity(nodes.len()), vec![0]);
+        while let Some(id) = stack.pop() {
+            order.push(id);
+            if let Node::Interior { left, right, .. } = nodes[id as usize] {
+                stack.extend([right, left]);
             }
-            join.lay_out(order.into_iter(), stats);
+        }
+        join.lay_out(&order, stats);
+        // A point no leaf holds (deleted from a mutable tree) is a
+        // component of its own, with no slots.
+        for c in join.of_point.iter_mut().filter(|c| **c == u32::MAX) {
+            *c = join.comps.len() as u32;
+            join.comps.push(0);
         }
         join
     }
 
     /// Steps 1 and 2 from `order`, the tree's nodes in pre-order:
     /// backwards, every node's children come before it.
-    fn lay_out(&mut self, order: impl DoubleEndedIterator<Item = u32>, stats: &mut SearchStats) {
+    fn lay_out(&mut self, order: &[u32], stats: &mut SearchStats) {
         let tree = self.engine.tree();
         let (nodes, vind, points) = (tree.nodes(), tree.vind(), tree.points());
         let (cells, [x, y, z]) = (&mut self.cells, &mut self.lanes.0);
         let mut queries = [Point3::ZERO; BLOCK_SLOTS];
         let mut qslot = [0u8; BLOCK_SLOTS];
         let mut masks = [0u32; BLOCK_SLOTS];
-        for id in order.rev() {
+        for &id in order.iter().rev() {
             let (start, count) = match nodes[id as usize] {
                 Node::Interior { left, right, .. } => {
                     let (l, r) = (&cells[left as usize].bounds, &cells[right as usize].bounds);
@@ -298,24 +299,6 @@ impl<'e, 't> SelfJoin<'e, 't> {
             }
         }
     }
-}
-
-/// Whether the node ids are a pre-order, left first, of the tree rooted
-/// at 0 that covers every id: each subtree holds the ids `id..end`.
-fn is_preorder(nodes: &[Node]) -> bool {
-    let mut end = vec![0u32; nodes.len()];
-    for id in (0..nodes.len()).rev() {
-        end[id] = match nodes[id] {
-            Node::Leaf { .. } => id as u32 + 1,
-            Node::Interior { left, right, .. } => {
-                if left as usize != id + 1 || right != end[left as usize] {
-                    return false;
-                }
-                end[right as usize]
-            }
-        };
-    }
-    end.first().is_none_or(|&e| e as usize == nodes.len())
 }
 
 /// Appends a leaf's local components to `comps`, merging the
@@ -474,7 +457,6 @@ pub(crate) fn self_join_clusters(
 mod tests {
     use super::*;
     use crate::extract::bfs_connected_clusters;
-    use bonsai_core::BonsaiTree;
     use bonsai_kdtree::{KdTree, KdTreeConfig};
     use bonsai_sim::SimEngine;
 
@@ -635,40 +617,38 @@ mod tests {
         assert!(empty_boxes > 0, "no leaf held only non-finite points");
     }
 
-    /// The builders number nodes in pre-order, so the layout takes the
-    /// reverse pass over ids. A tree grown by inserts is not in
-    /// pre-order: the layout takes the stack-built order, every node's
-    /// box is still exact, and the join still finds the BFS's clusters.
+    /// A tree grown by inserts and hollowed by deletes numbers its nodes
+    /// out of pre-order, leaves some ids unreachable and holds points in
+    /// no leaf: the layout still gives every reachable node its exact
+    /// box, and the join finds the BFS's clusters over the live points,
+    /// with each deleted point a cluster of its own.
     #[test]
-    fn layout_checks_preorder_and_falls_back_to_the_stack_order() {
+    fn layout_and_join_follow_a_mutated_tree() {
         let mut sim = SimEngine::disabled();
         let cloud = random_cloud(400, 4);
-        let cfg = KdTreeConfig::default();
-        let kd = KdTree::build(cloud.clone(), cfg, &mut sim);
-        let bonsai = BonsaiTree::build(cloud.clone(), cfg, &mut sim);
-        let parallel = KdTree::build_parallel_f16(cloud.clone(), cfg, 2);
-        for tree in [&kd, bonsai.kd_tree(), &parallel] {
-            assert!(is_preorder(tree.nodes()));
-        }
-
-        let mut tree = KdTree::build(cloud[..200].to_vec(), cfg, &mut sim);
+        let mut tree = KdTree::build(cloud[..200].to_vec(), KdTreeConfig::default(), &mut sim);
         for &p in &cloud[200..] {
             tree.insert(&mut sim, p);
         }
-        assert!(!is_preorder(tree.nodes()), "inserts kept the pre-order");
-        let mut reachable = vec![0u32];
-        let mut i = 0;
-        while let Some(&id) = reachable.get(i) {
-            if let Node::Interior { left, right, .. } = tree.nodes()[id as usize] {
-                reachable.extend([left, right]);
-            }
-            i += 1;
+        for idx in (0..400).step_by(7) {
+            assert!(tree.delete(&mut sim, idx));
         }
+        let (mut reachable, mut stack) = (Vec::new(), vec![0u32]);
+        while let Some(id) = stack.pop() {
+            reachable.push(id);
+            if let Node::Interior { left, right, .. } = tree.nodes()[id as usize] {
+                stack.extend([right, left]);
+            }
+        }
+        let preorder_ids = (0..reachable.len() as u32).eq(reachable.iter().copied());
+        assert!(!preorder_ids, "the mutated tree kept its pre-order ids");
         let engine = RadiusSearchEngine::baseline(&tree);
         let layout = SelfJoin::new(&engine, 1.0, &mut SearchStats::default());
         for &id in &reachable {
             assert_eq!(layout.cells[id as usize].bounds, subtree_box(&tree, id));
         }
+        let n = tree.points().len() as u32;
+        let alive: Vec<bool> = (0..n).map(|i| tree.is_live(i)).collect();
         for tolerance in [0.5, 1.5] {
             let join = self_join_clusters(
                 &engine,
@@ -677,15 +657,17 @@ mod tests {
                 usize::MAX,
                 &mut SearchStats::default(),
             );
-            let bfs = bfs_connected_clusters(
+            let mut want = bfs_connected_clusters(
                 tree.points(),
-                None,
+                Some(&alive),
                 1,
                 usize::MAX,
                 &mut SearchStats::default(),
                 |queries, batch| engine.search_batch(queries, tolerance, batch),
             );
-            assert_eq!(join, bfs, "r {tolerance}");
+            want.extend((0..n).filter(|&i| !alive[i as usize]).map(|i| vec![i]));
+            want.sort_unstable_by_key(|c| c[0]);
+            assert_eq!(join, want, "r {tolerance}");
         }
     }
 }
